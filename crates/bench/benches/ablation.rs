@@ -1,12 +1,12 @@
 //! Ablation of the engine optimizations DESIGN.md calls out: prefix
 //! sharing (§5.3 subexpression reuse), selection pushdown, change-first
-//! operand reordering, and the engine choice — each toggled independently
-//! against the all-on default and the all-off "plain Algorithm 5.1".
+//! operand reordering — each toggled independently against the all-on
+//! default and the all-off "plain Algorithm 5.1".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ivm::differential::{differential_delta, DiffOptions, Engine};
+use ivm::differential::{differential_delta, DiffOptions};
 use ivm::prelude::*;
 use ivm_bench::chain_scenario;
 
@@ -32,13 +32,6 @@ fn variants() -> Vec<(&'static str, DiffOptions)> {
             "no_reorder",
             DiffOptions {
                 reorder_operands: false,
-                ..on
-            },
-        ),
-        (
-            "signed_engine",
-            DiffOptions {
-                engine: Engine::Signed,
                 ..on
             },
         ),

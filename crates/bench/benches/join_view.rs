@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ivm::differential::{differential_delta, DiffOptions, Engine};
+use ivm::differential::{differential_delta, DiffOptions};
 use ivm::full_reval;
 use ivm::prelude::AttrName;
 use ivm_bench::join_scenario;
@@ -57,27 +57,5 @@ fn bench_update_ratio_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engines(c: &mut Criterion) {
-    // Tagged (paper-literal) vs signed (z-set) engine on identical mixed
-    // workloads.
-    let mut group = c.benchmark_group("e8_join_engines");
-    group.sample_size(15);
-    let mut sc = join_scenario(9, 20_000, 20_000, 4_000);
-    let txn = sc
-        .workload
-        .multi_transaction(&sc.db, &[("R", 100, 100), ("S", 100, 100)])
-        .unwrap();
-    for (name, engine) in [("tagged", Engine::Tagged), ("signed", Engine::Signed)] {
-        let opts = DiffOptions {
-            engine,
-            ..DiffOptions::default()
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, &opts).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_update_ratio_sweep, bench_engines);
+criterion_group!(benches, bench_update_ratio_sweep);
 criterion_main!(benches);

@@ -9,9 +9,9 @@
 //! * [`project`] — project views with multiplicity counters (§5.2),
 //! * [`truth_table`] — the binary expansion over updated relations (§5.3),
 //! * [`join`] — pure join views, Examples 5.2–5.4 (§5.3),
-//! * [`spj`] — Algorithm 5.1 for general SPJ views (§5.4), with the
-//!   tagged (paper-literal) and signed (z-set) engines and optional
-//!   prefix sharing across rows.
+//! * [`spj`] — Algorithm 5.1 for general SPJ views (§5.4): the
+//!   paper-literal tagged engine, with optional prefix sharing across
+//!   rows.
 
 pub mod join;
 pub mod plan;
@@ -26,6 +26,6 @@ pub use project::project_view_delta;
 pub use select::select_view_delta;
 pub use spj::{
     differential_delta, differential_delta_observed, differential_delta_parts,
-    differential_delta_parts_observed, DiffOptions, DifferentialResult, Engine, OperandUpdate,
+    differential_delta_parts_observed, DiffOptions, DifferentialResult, OperandUpdate,
 };
 pub use tree::{tree_delta, MaterializedExpr};

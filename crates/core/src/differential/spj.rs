@@ -14,23 +14,18 @@
 //!    transaction: "insert all tuples tagged insert, delete all tuples
 //!    tagged delete".
 //!
-//! Two engines implement step 2:
-//!
-//! * [`Engine::Tagged`] — the paper-literal pipeline. `B_i = 0` substitutes
-//!   the *surviving* old tuples `r_i − d_{r_i}` tagged `old`; `B_i = 1`
-//!   substitutes `i_{r_i} ∪ d_{r_i}` tagged `insert`/`delete`; joins
-//!   combine tags by the §5.3 table (mixed insert/delete tuples are
-//!   ignored). Summed over all non-zero rows this yields exactly
-//!   `V(new) − V(old)`: a row's all-insert choices contribute the new-only
-//!   terms, all-delete choices the old-only terms, and mixed choices
-//!   cancel — the "ignore" entries of the tag table.
-//! * [`Engine::Signed`] — the algebraic closure of the same idea. `B_i = 0`
-//!   substitutes the *full* old relation, `B_i = 1` the signed delta
-//!   `i − d`; because ⋈ is bilinear and σ/π linear over signed counts,
-//!   `Σ_rows` telescopes to `V(new) − V(old)` by inclusion–exclusion.
+//! Step 2 is the paper-literal tagged pipeline. `B_i = 0` substitutes the
+//! *surviving* old tuples `r_i − d_{r_i}` tagged `old`; `B_i = 1`
+//! substitutes `i_{r_i} ∪ d_{r_i}` tagged `insert`/`delete`; joins combine
+//! tags by the §5.3 table (mixed insert/delete tuples are ignored). Summed
+//! over all non-zero rows this yields exactly `V(new) − V(old)`: a row's
+//! all-insert choices contribute the new-only terms, all-delete choices
+//! the old-only terms, and mixed choices cancel — the "ignore" entries of
+//! the tag table.
 //!
 //! Optimizations (each individually switchable in [`DiffOptions`], all
-//! validated against each other by property tests):
+//! validated against each other and against full re-evaluation by
+//! property tests):
 //!
 //! * **prefix sharing** — rows are evaluated as a DFS over operand
 //!   positions so every shared join prefix is computed once, and prefixes
@@ -48,17 +43,17 @@
 //!   with `threads > 1` they are fanned out over a scoped worker pool in
 //!   contiguous chunks (each chunk keeps an incremental join stack, the
 //!   chunk-local analogue of DFS prefix sharing) and the chunk results are
-//!   merged in row order. The accumulators are keyed signed/tagged maps and
+//!   merged in row order. The accumulators are keyed tagged maps and
 //!   row merging is additive, so the delta is identical to the sequential
 //!   engine for every thread count; when there are fewer rows than workers
 //!   (`k = 1` in particular) the spare parallelism is spent inside the
-//!   joins instead via the hash-partitioned `natural_join_*_with`;
+//!   joins instead via the hash-partitioned `natural_join_tagged_with`;
 //! * **index probing** — when a `B_i = 0` operand carries a maintained
 //!   [`JoinIndex`] covering the join key against the accumulated prefix,
 //!   the engine neither materializes the operand nor hash-builds it:
 //!   each prefix tuple probes the persistent index directly
-//!   ([`IndexedZero`], `probe_join_*`). At the last operand position the
-//!   probe is additionally fused with the residual selection and final
+//!   (`IndexedZero`, `probe_join_tagged`). At the last operand position
+//!   the probe is additionally fused with the residual selection and final
 //!   projection, emitting straight into the row accumulator. Falls back
 //!   to the materialized build when no index covers the key, a selection
 //!   was pushed onto the operand, or `use_indexes` is off — with
@@ -86,23 +81,10 @@ use crate::differential::{plan, truth_table};
 use crate::error::Result;
 use crate::stats::DiffStats;
 
-/// Which differential pipeline to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The paper-literal tagged-tuple pipeline (§5.3–5.4).
-    #[default]
-    Tagged,
-    /// The signed-count (z-set style) pipeline; equivalent results,
-    /// different constant factors.
-    Signed,
-}
-
 /// Options controlling a differential run. The defaults enable every
 /// optimization; the flags exist for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffOptions {
-    /// Engine choice.
-    pub engine: Engine,
     /// Share join prefixes across truth-table rows; `false` evaluates each
     /// row independently.
     pub share_prefixes: bool,
@@ -125,7 +107,6 @@ pub struct DiffOptions {
 impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions {
-            engine: Engine::Tagged,
             share_prefixes: true,
             push_selections: true,
             reorder_operands: true,
@@ -140,7 +121,6 @@ impl DiffOptions {
     /// table itself (ablation baseline).
     pub fn plain() -> Self {
         DiffOptions {
-            engine: Engine::Tagged,
             share_prefixes: false,
             push_selections: false,
             reorder_operands: false,
@@ -310,14 +290,7 @@ pub fn differential_delta_parts_observed(
         obs,
     };
 
-    let result = match opts.engine {
-        Engine::Tagged => {
-            tagged_differential(&ctx, &ordered_old, &ordered_updates, &ordered_push, opts)
-        }
-        Engine::Signed => {
-            signed_differential(&ctx, &ordered_old, &ordered_updates, &ordered_push, opts)
-        }
-    }?;
+    let result = tagged_differential(&ctx, &ordered_old, &ordered_updates, &ordered_push, opts)?;
 
     if obs.enabled() {
         // Aggregate work counters, emitted once per run so the disabled
@@ -374,7 +347,7 @@ fn zero_operand_needed(i: usize, ordered_updates: &[Option<&OperandUpdate>]) -> 
 }
 
 // ---------------------------------------------------------------------
-// Indexed B = 0 operands (shared by both engines)
+// Indexed B = 0 operands
 // ---------------------------------------------------------------------
 
 /// A probe plan for a `B = 0` operand backed by a maintained [`JoinIndex`]:
@@ -386,8 +359,8 @@ struct IndexedZero<'a> {
     /// The maintained index on the old relation, keyed exactly by the
     /// natural-join columns against the accumulated prefix.
     index: &'a JoinIndex,
-    /// Net deletes to subtract per posting (§5.3 `r − d_r`). `None` in the
-    /// signed engine, whose `B = 0` operand is the full old relation.
+    /// Net deletes to subtract per posting (§5.3 `r − d_r`); `None` when
+    /// the operand has none.
     deletes: Option<&'a Relation>,
     /// Prefix-tuple positions supplying the key values, aligned with
     /// `index.positions()` order.
@@ -411,7 +384,6 @@ fn indexed_zero<'a>(
     old: &'a Relation,
     update: Option<&'a OperandUpdate>,
     cond: &Condition,
-    subtract_deletes: bool,
 ) -> Option<IndexedZero<'a>> {
     if !cond.is_trivially_true() {
         return None;
@@ -428,11 +400,7 @@ fn indexed_zero<'a>(
         let i = r_key.iter().position(|rp| rp == p)?;
         probe_positions.push(*l_key.get(i)?);
     }
-    let deletes = if subtract_deletes {
-        update.map(|u| &u.deletes).filter(|d| !d.is_empty())
-    } else {
-        None
-    };
+    let deletes = update.map(|u| &u.deletes).filter(|d| !d.is_empty());
     let logical_len = match deletes {
         None => old.len() as u64,
         Some(d) => {
@@ -452,17 +420,21 @@ fn indexed_zero<'a>(
     })
 }
 
-/// Probe-join a tagged prefix against an indexed `B = 0` operand. The
-/// operand side is tagged `Old`, which is the identity of
-/// [`Tag::combine`], so every prefix tag carries through unchanged and no
-/// combination is ever ignored. Produces exactly
-/// `natural_join_tagged(prefix, tagged_zero(old, deletes, true))`.
-fn probe_join_tagged(
+/// The probe loop behind [`probe_join_tagged`] and [`probe_emit_tagged`]:
+/// for each prefix tuple, build its join key, walk the matching postings
+/// of the index, subtract the net deletes (§5.3 `r − d_r`) and hand `sink`
+/// the joined tuple, the prefix tag and the checked product count. The
+/// operand side is tagged `Old`, the identity of [`Tag::combine`], so the
+/// prefix tag carries through unchanged and no combination is ignored.
+fn probe_each<F>(
     left: &TaggedRelation,
     ix: &IndexedZero<'_>,
     stats: &mut DiffStats,
-) -> Result<TaggedRelation> {
-    let mut out = TaggedRelation::empty(ix.schema.clone());
+    mut sink: F,
+) -> Result<()>
+where
+    F: FnMut(Tuple, Tag, u64) -> Result<()>,
+{
     stats.index_probes += left.len() as u64;
     let mut key: Vec<Value> = Vec::with_capacity(ix.probe_positions.len());
     for (lt, ltag, lc) in left.iter() {
@@ -490,52 +462,34 @@ fn probe_join_tagged(
             for &p in &ix.r_rest {
                 vals.push(rt.at(p).clone());
             }
-            out.add(Tuple::new(vals), ltag, count);
+            sink(Tuple::new(vals), ltag, count)?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Signed twin of [`probe_join_tagged`]. The signed `B = 0` operand is
-/// the full old relation, so there is never a deletes side to subtract.
-fn probe_join_signed(
-    left: &DeltaRelation,
+/// Probe-join a tagged prefix against an indexed `B = 0` operand.
+/// Produces exactly `natural_join_tagged(prefix, tagged_zero(old, deletes))`.
+fn probe_join_tagged(
+    left: &TaggedRelation,
     ix: &IndexedZero<'_>,
     stats: &mut DiffStats,
-) -> Result<DeltaRelation> {
-    debug_assert!(ix.deletes.is_none(), "signed zero is the full old state");
-    let mut out = DeltaRelation::empty(ix.schema.clone());
-    stats.index_probes += left.len() as u64;
-    let mut key: Vec<Value> = Vec::with_capacity(ix.probe_positions.len());
-    for (lt, lc) in left.iter() {
-        key.clear();
-        for &p in &ix.probe_positions {
-            key.push(lt.at(p).clone());
-        }
-        for (rt, rc) in ix.index.probe(&key) {
-            stats.index_probe_rows += 1;
-            let rc = signed_count(rc)?;
-            let count = lc
-                .checked_mul(rc)
-                .ok_or_else(|| RelError::CounterOverflow("probe-join count exceeds i64".into()))?;
-            let mut vals = Vec::with_capacity(lt.values().len() + ix.r_rest.len());
-            vals.extend_from_slice(lt.values());
-            for &p in &ix.r_rest {
-                vals.push(rt.at(p).clone());
-            }
-            out.add(Tuple::new(vals), count);
-        }
-    }
+) -> Result<TaggedRelation> {
+    let mut out = TaggedRelation::empty(ix.schema.clone());
+    probe_each(left, ix, stats, |tuple, tag, count| {
+        out.add(tuple, tag, count);
+        Ok(())
+    })?;
     Ok(out)
 }
 
-/// Fused last-operand probe for the tagged engine: probe, residual
-/// selection, final projection and tag-to-sign conversion in one pass,
-/// emitting straight into the final signed delta without materializing
-/// the joined relation *or* the tagged accumulator entry. Only used when
-/// metrics are disabled — the fused path cannot observe the per-row
-/// output histogram or the tag tallies. Semantically identical to
-/// [`probe_join_tagged`] → [`emit_tagged_leaf`] → `into_delta`.
+/// Fused last-operand probe: probe, residual selection, final projection
+/// and tag-to-sign conversion in one pass, emitting straight into the
+/// final signed delta without materializing the joined relation *or* the
+/// tagged accumulator entry. Only used when metrics are disabled — the
+/// fused path cannot observe the per-row output histogram or the tag
+/// tallies. Semantically identical to [`probe_join_tagged`] →
+/// [`emit_tagged_leaf`] → `into_delta`.
 fn probe_emit_tagged(
     ctx: &RowCtx<'_>,
     left: &TaggedRelation,
@@ -553,105 +507,24 @@ fn probe_emit_tagged(
                 .collect::<ivm_relational::error::Result<_>>()?,
         ),
     };
-    stats.index_probes += left.len() as u64;
-    let mut key: Vec<Value> = Vec::with_capacity(ix.probe_positions.len());
-    for (lt, ltag, lc) in left.iter() {
+    probe_each(left, ix, stats, |tuple, tag, count| {
+        if !trivial && !ctx.residual.eval(&ix.schema, &tuple)? {
+            return Ok(());
+        }
+        let tuple = match &proj {
+            None => tuple,
+            Some(ps) => tuple.project_positions(ps),
+        };
         // The prefix holds the row's one-substituted operands (the zero
-        // here is last), so its combined tag is Insert or Delete — Old is
-        // the combine identity and contributes sign 0 regardless.
-        let sign = ltag.sign();
-        key.clear();
-        for &p in &ix.probe_positions {
-            key.push(lt.at(p).clone());
-        }
-        for (rt, rc) in ix.index.probe(&key) {
-            stats.index_probe_rows += 1;
-            let rc = match ix.deletes {
-                None => rc,
-                Some(d) => {
-                    let dc = d.count(rt);
-                    if dc >= rc {
-                        continue; // fully deleted
-                    }
-                    rc - dc
-                }
-            };
-            let count = lc
-                .checked_mul(rc)
-                .ok_or_else(|| RelError::CounterOverflow("probe-join count exceeds u64".into()))?;
-            let mut vals = Vec::with_capacity(lt.values().len() + ix.r_rest.len());
-            vals.extend_from_slice(lt.values());
-            for &p in &ix.r_rest {
-                vals.push(rt.at(p).clone());
-            }
-            let tuple = Tuple::new(vals);
-            if !trivial && !ctx.residual.eval(&ix.schema, &tuple)? {
-                continue;
-            }
-            let tuple = match &proj {
-                None => tuple,
-                Some(ps) => tuple.project_positions(ps),
-            };
-            fused.add(tuple, sign * signed_count(count)?);
-        }
-    }
-    Ok(())
-}
-
-/// Fused last-operand probe for the signed engine (see
-/// [`probe_emit_tagged`]).
-fn probe_emit_signed(
-    ctx: &RowCtx<'_>,
-    left: &DeltaRelation,
-    ix: &IndexedZero<'_>,
-    acc: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    debug_assert!(ix.deletes.is_none(), "signed zero is the full old state");
-    let trivial = ctx.residual.is_trivially_true();
-    let proj: Option<Vec<usize>> = match ctx.final_proj {
-        None => None,
-        Some(attrs) => Some(
-            attrs
-                .iter()
-                .map(|a| ix.schema.require(a))
-                .collect::<ivm_relational::error::Result<_>>()?,
-        ),
-    };
-    stats.index_probes += left.len() as u64;
-    let mut key: Vec<Value> = Vec::with_capacity(ix.probe_positions.len());
-    for (lt, lc) in left.iter() {
-        key.clear();
-        for &p in &ix.probe_positions {
-            key.push(lt.at(p).clone());
-        }
-        for (rt, rc) in ix.index.probe(&key) {
-            stats.index_probe_rows += 1;
-            let rc = signed_count(rc)?;
-            let count = lc
-                .checked_mul(rc)
-                .ok_or_else(|| RelError::CounterOverflow("probe-join count exceeds i64".into()))?;
-            let mut vals = Vec::with_capacity(lt.values().len() + ix.r_rest.len());
-            vals.extend_from_slice(lt.values());
-            for &p in &ix.r_rest {
-                vals.push(rt.at(p).clone());
-            }
-            let tuple = Tuple::new(vals);
-            if !trivial && !ctx.residual.eval(&ix.schema, &tuple)? {
-                continue;
-            }
-            let tuple = match &proj {
-                None => tuple,
-                Some(ps) => tuple.project_positions(ps),
-            };
-            acc.add(tuple, count);
-        }
-    }
-    Ok(())
+        // here is last), so its tag is Insert or Delete — Old is the
+        // combine identity and contributes nothing regardless.
+        fused.add(tuple, tag.delta_count(count)?);
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------
-// Tagged engine
+// Operands and row evaluation
 // ---------------------------------------------------------------------
 
 /// The `B = 0` operand of one position: materialized, or a probe plan
@@ -764,7 +637,7 @@ fn tagged_differential<'a>(
     for i in 0..p {
         let zero = if zero_operand_needed(i, updates) {
             let idx = if opts.use_indexes {
-                indexed_zero(prefix_schema.as_ref(), old[i], updates[i], pushed[i], true)
+                indexed_zero(prefix_schema.as_ref(), old[i], updates[i], pushed[i])
             } else {
                 None
             };
@@ -882,7 +755,7 @@ fn tagged_differential<'a>(
     // the fused probe output, and read the output tallies off the signed
     // counts — identical sums to splitting into insert/delete sets,
     // without materializing them.
-    let mut delta = acc.into_delta();
+    let mut delta = acc.into_delta()?;
     if !fused.is_empty() {
         if delta.is_empty() {
             delta = fused;
@@ -1171,449 +1044,12 @@ fn descend_tagged_indexed(
     )
 }
 
-// ---------------------------------------------------------------------
-// Signed engine
-// ---------------------------------------------------------------------
-
-/// The `B = 0` operand of one position in the signed engine.
-enum SignedZero<'a> {
-    /// Materialized fallback: the full old relation as signed counts.
-    Mat(DeltaRelation),
-    /// Indexed: never materialized, probed per prefix tuple.
-    Idx(IndexedZero<'a>),
-}
-
-struct SignedOperands<'a> {
-    zero: Option<SignedZero<'a>>,
-    one: Option<DeltaRelation>,
-}
-
-/// One operand chosen for a truth-table row position (signed twin of
-/// [`TaggedPick`]).
-enum SignedPick<'b, 'a> {
-    Rel(&'b DeltaRelation),
-    Idx(&'b IndexedZero<'a>),
-}
-
-impl SignedPick<'_, '_> {
-    fn logical_len(&self) -> u64 {
-        match self {
-            SignedPick::Rel(r) => r.len() as u64,
-            SignedPick::Idx(ix) => ix.logical_len,
-        }
-    }
-}
-
-fn pick_signed<'b, 'a>(
-    operands: &'b [SignedOperands<'a>],
-    j: usize,
-    one: bool,
-) -> SignedPick<'b, 'a> {
-    if one {
-        // ivm-lint: allow(no-panic) — truth_table::rows sets B=1 only at updated positions, whose `one` operand is always materialized
-        SignedPick::Rel(operands[j].one.as_ref().expect("B=1 only for updated"))
-    } else {
-        // ivm-lint: allow(no-panic) — every operand's zero plan is built before differentiation starts
-        match operands[j].zero.as_ref().expect("zero operand needed") {
-            SignedZero::Mat(r) => SignedPick::Rel(r),
-            SignedZero::Idx(ix) => SignedPick::Idx(ix),
-        }
-    }
-}
-
 /// A §5.2 counter as a signed delta count, or `CounterOverflow` — the
 /// unchecked `c as i64` wrapped to a huge negative count above `i64::MAX`.
 pub(crate) fn signed_count(c: u64) -> Result<i64> {
     i64::try_from(c).map_err(|_| {
         ivm_relational::error::RelError::CounterOverflow(format!("counter {c} exceeds i64")).into()
     })
-}
-
-fn signed_zero(old: &Relation, cond: &Condition) -> Result<DeltaRelation> {
-    let trivial = cond.is_trivially_true();
-    let mut out = DeltaRelation::empty(old.schema().clone());
-    for (t, c) in old.iter() {
-        if trivial || cond.eval(old.schema(), t)? {
-            out.add(t.clone(), signed_count(c)?);
-        }
-    }
-    Ok(out)
-}
-
-fn signed_one(u: &OperandUpdate, cond: &Condition) -> Result<DeltaRelation> {
-    let trivial = cond.is_trivially_true();
-    let schema = u.inserts.schema().clone();
-    let mut out = DeltaRelation::empty(schema.clone());
-    for (t, c) in u.inserts.iter() {
-        if trivial || cond.eval(&schema, t)? {
-            out.add(t.clone(), signed_count(c)?);
-        }
-    }
-    for (t, c) in u.deletes.iter() {
-        if trivial || cond.eval(&schema, t)? {
-            out.add(t.clone(), -signed_count(c)?);
-        }
-    }
-    Ok(out)
-}
-
-fn signed_differential<'a>(
-    ctx: &RowCtx<'_>,
-    old: &[&'a Relation],
-    updates: &[Option<&'a OperandUpdate>],
-    pushed: &[&Condition],
-    opts: &DiffOptions,
-) -> Result<DifferentialResult> {
-    let p = old.len();
-    let mut operands: Vec<SignedOperands<'a>> = Vec::with_capacity(p);
-    let mut prefix_schema: Option<Schema> = None;
-    for i in 0..p {
-        let zero = if zero_operand_needed(i, updates) {
-            // The signed `B = 0` operand is the full old relation, so the
-            // probe plan never subtracts deletes. Note the fallback eagerly
-            // rejects any §5.2 counter beyond `i64::MAX`, while the probe
-            // path rejects only the postings a probe actually visits.
-            let idx = if opts.use_indexes {
-                indexed_zero(prefix_schema.as_ref(), old[i], updates[i], pushed[i], false)
-            } else {
-                None
-            };
-            Some(match idx {
-                Some(ix) => SignedZero::Idx(ix),
-                None => SignedZero::Mat(signed_zero(old[i], pushed[i])?),
-            })
-        } else {
-            None
-        };
-        let one = match updates[i] {
-            None => None,
-            Some(u) => Some(signed_one(u, pushed[i])?),
-        };
-        prefix_schema = Some(match prefix_schema {
-            None => old[i].schema().clone(),
-            Some(s) => s.join(old[i].schema()),
-        });
-        operands.push(SignedOperands { zero, one });
-    }
-
-    let mut stats = DiffStats::default();
-    let mut acc = DeltaRelation::empty(ctx.out_schema.clone());
-
-    if opts.resolved_threads() > 1 {
-        let updated: Vec<usize> = (0..p).filter(|&i| operands[i].one.is_some()).collect();
-        let rows = truth_table::rows(p, &updated);
-        let pool = Pool::new(opts.threads);
-        let join_threads = if rows.len() < pool.threads() {
-            pool.threads()
-        } else {
-            1
-        };
-        let chunks = pool.map_chunks_observed(
-            rows.len(),
-            |range| {
-                eval_signed_rows(
-                    ctx,
-                    &operands,
-                    &rows[range],
-                    opts.share_prefixes,
-                    join_threads,
-                )
-            },
-            ctx.obs,
-        );
-        for chunk in chunks {
-            let (chunk_acc, chunk_stats) = chunk?;
-            stats += chunk_stats;
-            acc.merge(&chunk_acc)
-                .map_err(crate::error::IvmError::from)?;
-        }
-    } else if opts.share_prefixes {
-        let mut updated_after = vec![false; p + 1];
-        for j in (0..p).rev() {
-            updated_after[j] = updated_after[j + 1] || operands[j].one.is_some();
-        }
-        dfs_signed(
-            ctx,
-            &operands,
-            &updated_after,
-            0,
-            None,
-            false,
-            &mut acc,
-            &mut stats,
-        )?;
-    } else {
-        let updated: Vec<usize> = (0..p).filter(|&i| operands[i].one.is_some()).collect();
-        for row in truth_table::rows(p, &updated) {
-            stats.rows_evaluated += 1;
-            let picks: Vec<SignedPick<'_, 'a>> = row
-                .iter()
-                .enumerate()
-                .map(|(j, &one)| pick_signed(&operands, j, one))
-                .collect();
-            stats.operand_tuples += picks.iter().map(SignedPick::logical_len).sum::<u64>();
-            // ivm-lint: allow(no-unchecked-index) — p ≥ 1 operands, so every truth-table row has a first input
-            let mut joined = match &picks[0] {
-                SignedPick::Rel(r) => (*r).clone(),
-                // ivm-lint: allow(no-panic) — position 0 has no prefix, so indexed_zero never plans an index there
-                SignedPick::Idx(_) => unreachable!("indexed zero requires a prefix"),
-            };
-            for pick in &picks[1..] {
-                stats.joins_performed += 1;
-                joined = match pick {
-                    SignedPick::Rel(r) => algebra::natural_join_delta(&joined, r)?,
-                    SignedPick::Idx(ix) => probe_join_signed(&joined, ix, &mut stats)?,
-                };
-            }
-            emit_signed_leaf(ctx, &joined, &mut acc)?;
-        }
-    }
-
-    // Output tallies read directly off the signed counts — identical sums
-    // to splitting into insert/delete sets, without materializing them.
-    for (_, c) in acc.iter() {
-        if c > 0 {
-            stats.output_inserts += c as u64;
-        } else {
-            stats.output_deletes += c.unsigned_abs();
-        }
-    }
-    Ok(DifferentialResult { delta: acc, stats })
-}
-
-fn emit_signed_leaf(
-    ctx: &RowCtx<'_>,
-    joined: &DeltaRelation,
-    acc: &mut DeltaRelation,
-) -> Result<()> {
-    let selected = algebra::select_delta(joined, ctx.residual)?;
-    let projected = match ctx.final_proj {
-        None => selected,
-        Some(attrs) => algebra::project_delta(&selected, attrs)?,
-    };
-    if ctx.obs.enabled() {
-        ctx.obs
-            .observe(names::DIFF_ROW_OUTPUT_TUPLES, projected.len() as u64);
-    }
-    acc.merge(&projected).map_err(crate::error::IvmError::from)
-}
-
-/// Signed-engine twin of [`eval_tagged_rows`]: one worker's contiguous
-/// chunk of truth-table rows, evaluated with an incremental join stack.
-fn eval_signed_rows(
-    ctx: &RowCtx<'_>,
-    operands: &[SignedOperands<'_>],
-    rows: &[truth_table::Row],
-    share: bool,
-    join_threads: usize,
-) -> Result<(DeltaRelation, DiffStats)> {
-    let p = operands.len();
-    let mut acc = DeltaRelation::empty(ctx.out_schema.clone());
-    let mut stats = DiffStats::default();
-    let mut stack: Vec<DeltaRelation> = Vec::with_capacity(p);
-    let mut pruned: Vec<bool> = Vec::with_capacity(p);
-    let mut prev: Option<&truth_table::Row> = None;
-    for row in rows {
-        let keep = if !share {
-            0
-        } else {
-            match prev {
-                None => 0,
-                Some(pr) => pr
-                    .iter()
-                    .zip(row.iter())
-                    .take_while(|(a, b)| a == b)
-                    .count(),
-            }
-        };
-        stack.truncate(keep);
-        pruned.truncate(keep);
-        for (j, &one) in row.iter().enumerate().skip(keep) {
-            let next = match pick_signed(operands, j, one) {
-                SignedPick::Rel(operand) => {
-                    stats.operand_tuples += operand.len() as u64;
-                    if j == 0 {
-                        operand.clone()
-                    } else if stack[j - 1].is_empty() {
-                        stats.joins_skipped += 1;
-                        DeltaRelation::empty(stack[j - 1].schema().join(operand.schema()))
-                    } else {
-                        stats.joins_performed += 1;
-                        algebra::natural_join_delta_with(&stack[j - 1], operand, join_threads)?
-                    }
-                }
-                SignedPick::Idx(ix) => {
-                    // Indexed zeros only exist at positions j ≥ 1.
-                    stats.operand_tuples += ix.logical_len;
-                    if stack[j - 1].is_empty() {
-                        stats.joins_skipped += 1;
-                        DeltaRelation::empty(ix.schema.clone())
-                    } else {
-                        stats.joins_performed += 1;
-                        probe_join_signed(&stack[j - 1], ix, &mut stats)?
-                    }
-                }
-            };
-            pruned.push(
-                pruned.last().copied().unwrap_or(false) || (j > 0 && stack[j - 1].is_empty()),
-            );
-            stack.push(next);
-        }
-        if !share || !pruned[p - 1] {
-            stats.rows_evaluated += 1;
-        }
-        emit_signed_leaf(ctx, &stack[p - 1], &mut acc)?;
-        prev = Some(row);
-    }
-    Ok((acc, stats))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_signed(
-    ctx: &RowCtx<'_>,
-    operands: &[SignedOperands<'_>],
-    updated_after: &[bool],
-    j: usize,
-    prefix: Option<&DeltaRelation>,
-    any_one: bool,
-    acc: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    if j == operands.len() {
-        debug_assert!(any_one);
-        stats.rows_evaluated += 1;
-        // ivm-lint: allow(no-panic) — descend only reaches j = p with a prefix built at depth 0
-        let joined = prefix.expect("p ≥ 1 so prefix exists at leaf");
-        return emit_signed_leaf(ctx, joined, acc);
-    }
-    if let Some(zero) = &operands[j].zero {
-        if any_one || updated_after[j + 1] {
-            match zero {
-                SignedZero::Mat(rel) => descend_signed(
-                    ctx,
-                    operands,
-                    updated_after,
-                    j,
-                    prefix,
-                    any_one,
-                    rel,
-                    acc,
-                    stats,
-                )?,
-                SignedZero::Idx(ix) => descend_signed_indexed(
-                    ctx,
-                    operands,
-                    updated_after,
-                    j,
-                    prefix,
-                    any_one,
-                    ix,
-                    acc,
-                    stats,
-                )?,
-            }
-        }
-    }
-    if let Some(one) = &operands[j].one {
-        descend_signed(
-            ctx,
-            operands,
-            updated_after,
-            j,
-            prefix,
-            true,
-            one,
-            acc,
-            stats,
-        )?;
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend_signed(
-    ctx: &RowCtx<'_>,
-    operands: &[SignedOperands<'_>],
-    updated_after: &[bool],
-    j: usize,
-    prefix: Option<&DeltaRelation>,
-    any_one: bool,
-    operand: &DeltaRelation,
-    acc: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    stats.operand_tuples += operand.len() as u64;
-    match prefix {
-        None => dfs_signed(
-            ctx,
-            operands,
-            updated_after,
-            j + 1,
-            Some(operand),
-            any_one,
-            acc,
-            stats,
-        ),
-        Some(prev) => {
-            if prev.is_empty() {
-                stats.joins_skipped += 1;
-                return Ok(());
-            }
-            stats.joins_performed += 1;
-            let next = algebra::natural_join_delta(prev, operand)?;
-            dfs_signed(
-                ctx,
-                operands,
-                updated_after,
-                j + 1,
-                Some(&next),
-                any_one,
-                acc,
-                stats,
-            )
-        }
-    }
-}
-
-/// Signed twin of [`descend_tagged_indexed`].
-#[allow(clippy::too_many_arguments)]
-fn descend_signed_indexed(
-    ctx: &RowCtx<'_>,
-    operands: &[SignedOperands<'_>],
-    updated_after: &[bool],
-    j: usize,
-    prefix: Option<&DeltaRelation>,
-    any_one: bool,
-    ix: &IndexedZero<'_>,
-    acc: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    stats.operand_tuples += ix.logical_len;
-    let Some(prev) = prefix else {
-        debug_assert!(false, "indexed zero requires a prefix (j ≥ 1)");
-        return Ok(());
-    };
-    if prev.is_empty() {
-        stats.joins_skipped += 1;
-        return Ok(());
-    }
-    stats.joins_performed += 1;
-    if j + 1 == operands.len() && !ctx.obs.enabled() {
-        debug_assert!(any_one);
-        stats.rows_evaluated += 1;
-        return probe_emit_signed(ctx, prev, ix, acc, stats);
-    }
-    let next = probe_join_signed(prev, ix, stats)?;
-    dfs_signed(
-        ctx,
-        operands,
-        updated_after,
-        j + 1,
-        Some(&next),
-        any_one,
-        acc,
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -1638,20 +1074,17 @@ mod tests {
 
     fn all_option_combos() -> Vec<DiffOptions> {
         let mut v = Vec::new();
-        for engine in [Engine::Tagged, Engine::Signed] {
-            for share in [true, false] {
-                for push in [true, false] {
-                    for reorder in [true, false] {
-                        for threads in [1, 4] {
-                            v.push(DiffOptions {
-                                engine,
-                                share_prefixes: share,
-                                push_selections: push,
-                                reorder_operands: reorder,
-                                threads,
-                                use_indexes: true,
-                            });
-                        }
+        for share in [true, false] {
+            for push in [true, false] {
+                for reorder in [true, false] {
+                    for threads in [1, 4] {
+                        v.push(DiffOptions {
+                            share_prefixes: share,
+                            push_selections: push,
+                            reorder_operands: reorder,
+                            threads,
+                            use_indexes: true,
+                        });
                     }
                 }
             }
@@ -1660,7 +1093,7 @@ mod tests {
     }
 
     /// The central invariant: differential result + old view = new view,
-    /// for every engine/option combination.
+    /// for every option combination.
     fn check_equivalence(db: &Database, view: &SpjExpr, txn: &Transaction) {
         let mut db_after = db.clone();
         db_after.apply(txn).unwrap();
@@ -1838,21 +1271,10 @@ mod tests {
         let view = SpjExpr::new(["R", "S"], Condition::always_true(), None);
         let mut txn = Transaction::new();
         txn.insert("R", [1000, 0]).unwrap();
-        for engine in [Engine::Tagged, Engine::Signed] {
-            let r = differential_delta(
-                &view,
-                &db,
-                &txn,
-                &DiffOptions {
-                    engine,
-                    ..DiffOptions::default()
-                },
-            )
-            .unwrap();
-            // 1 change tuple + 2 tuples of S; never the 100 old R rows.
-            assert_eq!(r.stats.operand_tuples, 3, "engine {engine:?}");
-            assert_eq!(r.stats.rows_evaluated, 1);
-        }
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        // 1 change tuple + 2 tuples of S; never the 100 old R rows.
+        assert_eq!(r.stats.operand_tuples, 3);
+        assert_eq!(r.stats.rows_evaluated, 1);
     }
 
     #[test]
@@ -2060,71 +1482,88 @@ mod tests {
         txn.insert("R1", [50, 3]).unwrap();
         txn.delete("R2", [4, 4]).unwrap();
         txn.insert("R3", [2, 5]).unwrap();
-        for engine in [Engine::Tagged, Engine::Signed] {
-            for share in [true, false] {
-                let seq = differential_delta(
+        for share in [true, false] {
+            let seq = differential_delta(
+                &view,
+                &db,
+                &txn,
+                &DiffOptions {
+                    share_prefixes: share,
+                    threads: 1,
+                    ..DiffOptions::default()
+                },
+            )
+            .unwrap();
+            for threads in [2, 3, 8] {
+                let par = differential_delta(
                     &view,
                     &db,
                     &txn,
                     &DiffOptions {
-                        engine,
                         share_prefixes: share,
-                        threads: 1,
+                        threads,
                         ..DiffOptions::default()
                     },
                 )
                 .unwrap();
-                for threads in [2, 3, 8] {
-                    let par = differential_delta(
-                        &view,
-                        &db,
-                        &txn,
-                        &DiffOptions {
-                            engine,
-                            share_prefixes: share,
-                            threads,
-                            ..DiffOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        par.delta, seq.delta,
-                        "engine {engine:?} share {share} threads {threads}"
-                    );
-                    assert_eq!(par.stats.rows_evaluated, seq.stats.rows_evaluated);
-                    if !share {
-                        assert_eq!(par.stats.rows_evaluated, 7);
-                    }
+                assert_eq!(par.delta, seq.delta, "share {share} threads {threads}");
+                assert_eq!(par.stats.rows_evaluated, seq.stats.rows_evaluated);
+                if !share {
+                    assert_eq!(par.stats.rows_evaluated, 7);
                 }
             }
         }
     }
 
+    /// An old tuple with `u64::MAX` copies joined with one inserted tuple
+    /// is an insert of `u64::MAX` view tuples, which no signed delta can
+    /// hold. Both `B = 0` paths — the index probe and the materialized
+    /// fallback — must reject it instead of wrapping the count to `-1`,
+    /// with and without metrics (which disable the fused probe) and at
+    /// every thread count.
     #[test]
-    fn signed_engine_rejects_counts_beyond_i64() {
-        let mut db = Database::new();
-        db.create("S", Schema::new(["B", "C"]).unwrap()).unwrap();
-        let mut huge = Relation::empty(Schema::new(["A", "B"]).unwrap());
-        huge.insert(Tuple::from([1, 10]), u64::MAX).unwrap();
-        db.adopt("R", huge).unwrap();
-        db.load("S", [[10, 100]]).unwrap();
-        let view = SpjExpr::new(["R", "S"], Condition::always_true(), None);
-        let mut txn = Transaction::new();
-        txn.insert("S", [10, 200]).unwrap();
-        let err = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                engine: Engine::Signed,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("overflow"),
-            "expected counter overflow, got {err}"
-        );
+    fn counts_beyond_i64_are_rejected() {
+        for covering_index in [true, false] {
+            let mut db = Database::new();
+            db.create("S", Schema::new(["B", "C"]).unwrap()).unwrap();
+            let mut huge = Relation::empty(Schema::new(["A", "B"]).unwrap());
+            huge.insert(Tuple::from([1, 10]), u64::MAX).unwrap();
+            if covering_index {
+                huge.create_index(&[1]).unwrap();
+            }
+            db.adopt("R", huge).unwrap();
+            db.load("S", [[10, 100]]).unwrap();
+            let view = SpjExpr::new(["R", "S"], Condition::always_true(), None);
+            let mut txn = Transaction::new();
+            txn.insert("S", [10, 200]).unwrap();
+            let recorder = Obs::new(std::sync::Arc::new(ivm_obs::InMemoryRecorder::new()));
+            for use_indexes in [true, false] {
+                for threads in [1, 2] {
+                    for obs in [Obs::disabled(), recorder.clone()] {
+                        let opts = DiffOptions {
+                            use_indexes,
+                            threads,
+                            ..DiffOptions::default()
+                        };
+                        let res = differential_delta_observed(&view, &db, &txn, &opts, &obs);
+                        let ctx = format!(
+                            "index {covering_index} use_indexes {use_indexes} \
+                             threads {threads} metrics {}: {res:?}",
+                            obs.enabled()
+                        );
+                        assert!(
+                            matches!(
+                                res,
+                                Err(crate::error::IvmError::Relational(
+                                    RelError::CounterOverflow(_)
+                                ))
+                            ),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod workload;
 pub mod prelude {
     pub use ivm_relational::prelude::*;
 
-    pub use crate::differential::{differential_delta, DiffOptions, DifferentialResult, Engine};
+    pub use crate::differential::{differential_delta, DiffOptions, DifferentialResult};
     pub use crate::durability::{DurabilityPolicy, DurabilityStatus, RecoveryReport};
     pub use crate::error::{IvmError, Result};
     pub use crate::full_reval;

@@ -145,7 +145,7 @@ pub struct MaintenanceReport {
 pub type ChangeListener = Arc<dyn Fn(&str, &DeltaRelation) + Send + Sync>;
 
 /// Manager-wide configuration in one bundle: the differential-engine
-/// options plus the knobs that live on the manager itself. `threads`
+/// options plus the knobs that live on the manager itself. `diff.threads`
 /// governs every maintenance hot path (truth-table rows, relevance
 /// checks, partitioned joins): `0` means one worker per available core
 /// (the default), `1` forces the fully sequential paths — the
@@ -153,15 +153,12 @@ pub type ChangeListener = Arc<dyn Fn(&str, &DeltaRelation) + Send + Sync>;
 /// Results are identical at every width; only wall-clock changes.
 #[derive(Debug, Clone)]
 pub struct ManagerOptions {
-    /// Differential-engine options. The `threads` field below overrides
-    /// `diff.threads` so there is a single source of truth.
+    /// Differential-engine options, worker thread count included.
     pub diff: DiffOptions,
     /// How immediate views are maintained.
     pub strategy: MaintenanceStrategy,
     /// Whether the §4 relevance filter runs.
     pub filtering: bool,
-    /// Maintenance worker threads (`0` = available cores).
-    pub threads: usize,
     /// Metrics/tracing backend. Defaults to the disabled handle: no
     /// recorder, no clocks read, no overhead (see `docs/OBSERVABILITY.md`
     /// and the `parallel_spj` bench guard). Attach one with
@@ -172,27 +169,26 @@ pub struct ManagerOptions {
 impl Default for ManagerOptions {
     fn default() -> Self {
         ManagerOptions {
-            diff: DiffOptions::default(),
+            diff: DiffOptions {
+                threads: 0,
+                ..DiffOptions::default()
+            },
             strategy: MaintenanceStrategy::default(),
             filtering: true,
-            threads: 0,
             recorder: Obs::disabled(),
         }
     }
 }
 
 impl ManagerOptions {
-    /// Fully sequential configuration (`threads = 1`).
+    /// Fully sequential configuration (`diff.threads = 1`).
     pub fn sequential() -> Self {
-        ManagerOptions {
-            threads: 1,
-            ..ManagerOptions::default()
-        }
+        ManagerOptions::default().with_threads(1)
     }
 
-    /// Set the worker thread count.
+    /// Set the worker thread count (`0` = available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.diff.threads = threads;
         self
     }
 
@@ -374,10 +370,7 @@ impl ViewManager {
 
     /// Apply a full [`ManagerOptions`] bundle.
     pub fn with_manager_options(mut self, opts: ManagerOptions) -> Self {
-        self.options = DiffOptions {
-            threads: opts.threads,
-            ..opts.diff
-        };
+        self.options = opts.diff;
         self.strategy = opts.strategy;
         self.filtering_enabled = opts.filtering;
         self.obs = opts.recorder;
@@ -2301,12 +2294,11 @@ mod tests {
     #[test]
     fn manager_options_bundle_applies() {
         let opts = ManagerOptions::sequential().with_threads(4);
-        assert_eq!(opts.threads, 4);
+        assert_eq!(opts.diff.threads, 4);
         let m = ViewManager::new().with_manager_options(ManagerOptions {
             strategy: MaintenanceStrategy::AlwaysFull,
             filtering: false,
-            threads: 2,
-            ..ManagerOptions::default()
+            ..ManagerOptions::default().with_threads(2)
         });
         assert_eq!(m.strategy, MaintenanceStrategy::AlwaysFull);
         assert!(!m.filtering_enabled);

@@ -25,7 +25,7 @@ impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
             hot_paths: vec![
-                // Both §5 engines live in spj.rs; the pool and the WAL are
+                // The §5 engine lives in spj.rs; the pool and the WAL are
                 // the other two layers every maintenance run crosses.
                 "crates/core/src/differential/spj.rs".into(),
                 // Join-key indexes sit on both the probe path (every

@@ -63,7 +63,7 @@ pub const DIFF_TAG_OLDS: &str = "diff.tag_olds";
 /// Counter: join-key hash indexes built (initial builds at view
 /// registration plus rebuilds after recovery).
 pub const INDEX_BUILDS: &str = "index.builds";
-/// Counter: index probes issued by the differential engines (one per
+/// Counter: index probes issued by the differential engine (one per
 /// prefix tuple per probe join).
 pub const INDEX_PROBES: &str = "index.probes";
 /// Counter: index postings visited by probes (including fully-deleted

@@ -6,12 +6,9 @@
 //! *earliest-error-in-input-order* selection of [`crate::Pool::try_map`]
 //! and the *join-everything-then-propagate* shutdown of
 //! [`crate::Pool::map_chunks`] — are checked against explicit
-//! state-machine **models** instead. The exploration machinery itself
-//! (the "mini-loom" that used to live here) has been promoted to the
-//! standalone [`ivm_race`] crate, which adds DPOR pruning and modeled
-//! memory orderings on top; this module re-exports the core so existing
-//! `ivm_parallel::model::{Explorer, replay, ...}` callers keep working,
-//! and keeps the two pool models next to the pool they describe.
+//! state-machine **models** instead, explored by the standalone
+//! [`ivm_race`] crate. This module keeps the two pool models next to the
+//! pool they describe.
 //!
 //! This is model checking, not testing-by-execution: a bug like "the
 //! error of whichever worker *finished first* wins" passes every real
@@ -19,9 +16,7 @@
 //! interleaving where a later chunk's error overtakes an earlier one —
 //! see `schedule_dependent_selection_is_caught` in the tests.
 
-pub use ivm_race::explore::{
-    replay, replay_prefix, Exploration, Explorer, Model, ScheduleBug, Status,
-};
+use ivm_race::explore::{Model, Status};
 
 // ---------------------------------------------------------------------
 // Model 1: try_map's deterministic error selection.
@@ -334,6 +329,7 @@ impl Model for ShutdownModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivm_race::explore::{replay, Explorer};
 
     fn error_model(selection: Selection) -> FirstErrorModel {
         // Two failing chunks: input order says chunk 0's error (17)

@@ -1,14 +1,14 @@
 //! Exhaustive schedule exploration of the pool's coordination
-//! protocols, via the mini-loom model checker in `ivm_parallel::model`.
+//! protocols (`ivm_parallel::model`), via the schedule explorer of
+//! `ivm_race`.
 //!
 //! These tests pin the PR's acceptance bar: the error-selection and
 //! shutdown models each cover well over 100 distinct interleavings, the
 //! exploration is bit-identical across runs, and the harness actually
 //! catches a schedule-dependence bug when handed one.
 
-use ivm_parallel::model::{
-    replay, Explorer, FirstErrorModel, Model, ScheduleBug, Selection, ShutdownModel, Status,
-};
+use ivm_parallel::model::{FirstErrorModel, Selection, ShutdownModel};
+use ivm_race::explore::{replay, Explorer, Model, ScheduleBug, Status};
 
 /// try_map's protocol: two failing chunks in different positions, so a
 /// racy selection could surface either error depending on the schedule.

@@ -10,12 +10,12 @@
 //! Counter products use `checked_mul` throughout and surface
 //! [`RelError::CounterOverflow`] instead of wrapping in release builds.
 //!
-//! Each flavour also has a `*_with(l, r, threads)` form that, above a size
-//! threshold, hash-partitions both operands by their join key and joins the
-//! partitions on a scoped worker pool. Tuples with equal keys land in the
-//! same partition, partitions are therefore key-disjoint, and the output
-//! relations are keyed maps — so the merged result is identical to the
-//! sequential join for every thread count.
+//! The plain and tagged flavours also have a `*_with(l, r, threads)` form
+//! that, above a size threshold, hash-partitions both operands by their
+//! join key and joins the partitions on a scoped worker pool. Tuples with
+//! equal keys land in the same partition, partitions are therefore
+//! key-disjoint, and the output relations are keyed maps — so the merged
+//! result is identical to the sequential join for every thread count.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -156,7 +156,7 @@ fn partition_by_key<'a, P: Copy>(
     out
 }
 
-/// Shared skeleton of the three partitioned joins: decide whether the
+/// Shared skeleton of the two partitioned joins: decide whether the
 /// operands are worth partitioning, fan the key-disjoint partitions out on
 /// the pool, and hand each pair of partitions to `join_part` (which
 /// returns its locally accumulated output rows for in-order merging).
@@ -216,37 +216,17 @@ pub fn natural_join(l: &Relation, r: &Relation) -> Result<Relation> {
     natural_join_with(l, r, 1)
 }
 
-/// `l ⋈ r` over signed deltas (bilinear in the signed counts), fanned out
-/// over `threads` workers past the size threshold.
-pub fn natural_join_delta_with(
-    l: &DeltaRelation,
-    r: &DeltaRelation,
-    threads: usize,
-) -> Result<DeltaRelation> {
-    let schema = l.schema().join(r.schema());
+/// `l ⋈ r` over signed deltas (bilinear in the signed counts).
+pub fn natural_join_delta(l: &DeltaRelation, r: &DeltaRelation) -> Result<DeltaRelation> {
     let (l_key, r_key, r_rest) = join_key_positions(l.schema(), r.schema())?;
     let lts: Vec<(&Tuple, i64)> = l.iter().collect();
     let rts: Vec<(&Tuple, i64)> = r.iter().collect();
-    let chunks = partitioned(lts, rts, &l_key, &r_key, threads, |lp, rp| {
-        let mut acc: Vec<(Tuple, i64)> = Vec::new();
-        hash_join_slices(lp, rp, &l_key, &r_key, &r_rest, |t, lc, rc| {
-            acc.push((t, mul_signed(lc, rc)?));
-            Ok(())
-        })?;
-        Ok(acc)
+    let mut out = DeltaRelation::empty(l.schema().join(r.schema()));
+    hash_join_slices(&lts, &rts, &l_key, &r_key, &r_rest, |t, lc, rc| {
+        out.add(t, mul_signed(lc, rc)?);
+        Ok(())
     })?;
-    let mut out = DeltaRelation::empty(schema);
-    for chunk in chunks {
-        for (t, c) in chunk {
-            out.add(t, c);
-        }
-    }
     Ok(out)
-}
-
-/// `l ⋈ r` over signed deltas (sequential form).
-pub fn natural_join_delta(l: &DeltaRelation, r: &DeltaRelation) -> Result<DeltaRelation> {
-    natural_join_delta_with(l, r, 1)
 }
 
 /// `l ⋈ r` over tagged relations; tags combine via [`Tag::combine`], and
@@ -452,10 +432,6 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(natural_join_with(&r, &s, threads).unwrap(), seq);
         }
-        let dl = r.to_delta();
-        let dr = s.to_delta();
-        let seq_d = natural_join_delta_with(&dl, &dr, 1).unwrap();
-        assert_eq!(natural_join_delta_with(&dl, &dr, 4).unwrap(), seq_d);
         let mut tl = TaggedRelation::empty(ab());
         let mut tr = TaggedRelation::empty(bc());
         for (i, (t, c)) in r.iter().enumerate() {

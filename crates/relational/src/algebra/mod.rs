@@ -1,11 +1,12 @@
 //! Relational algebra operators, redefined for multiplicity counters (§5.2)
 //! and insert/delete tags (§5.3).
 //!
-//! Every operator comes in three flavours:
+//! Join, select and project each come in three flavours (cross product
+//! only in the first):
 //! * over [`crate::relation::Relation`] — plain counted multisets (used by
 //!   full re-evaluation and view storage),
 //! * over [`crate::delta::DeltaRelation`] — signed counted multisets (used
-//!   by the signed-count differential engine; join is bilinear here),
+//!   by the tree-view differential rules; join is bilinear here),
 //! * over [`crate::tagged::TaggedRelation`] — the paper-literal tagged
 //!   pipeline, where joins combine tags via the §5.3 table and
 //!   `insert ⋈ delete` tuples "do not emerge".
@@ -23,10 +24,10 @@ mod select;
 mod setops;
 
 pub use join::{
-    join_key_positions, natural_join, natural_join_delta, natural_join_delta_with,
-    natural_join_tagged, natural_join_tagged_with, natural_join_with, PARTITION_THRESHOLD,
+    join_key_positions, natural_join, natural_join_delta, natural_join_tagged,
+    natural_join_tagged_with, natural_join_with, PARTITION_THRESHOLD,
 };
-pub use product::{product, product_delta, product_tagged};
+pub use product::product;
 pub use project::{project, project_delta, project_tagged};
 pub use select::{select, select_delta, select_tagged};
 pub use setops::{difference, union};

@@ -2,14 +2,11 @@
 //!
 //! The §4 normal form `π_X(σ_C(R₁ × … × R_p))` is built on cross products
 //! of relations with *disjoint* schemes. Counters multiply (§5.2's join
-//! redefinition restricted to an empty join key), and tags combine via the
-//! §5.3 table.
+//! redefinition restricted to an empty join key).
 
-use crate::algebra::join::{mul_counts, mul_signed};
-use crate::delta::DeltaRelation;
+use crate::algebra::join::mul_counts;
 use crate::error::Result;
 use crate::relation::Relation;
-use crate::tagged::TaggedRelation;
 
 /// `l × r` over plain counted relations (schemes must be disjoint).
 pub fn product(l: &Relation, r: &Relation) -> Result<Relation> {
@@ -23,38 +20,10 @@ pub fn product(l: &Relation, r: &Relation) -> Result<Relation> {
     Ok(out)
 }
 
-/// `l × r` over signed deltas (signed counts multiply; bilinear).
-pub fn product_delta(l: &DeltaRelation, r: &DeltaRelation) -> Result<DeltaRelation> {
-    let schema = l.schema().product(r.schema())?;
-    let mut out = DeltaRelation::empty(schema);
-    for (lt, lc) in l.iter() {
-        for (rt, rc) in r.iter() {
-            out.add(lt.concat(rt), mul_signed(lc, rc)?);
-        }
-    }
-    Ok(out)
-}
-
-/// `l × r` over tagged relations; `insert × delete` pairs are dropped
-/// ("do not emerge", §5.3).
-pub fn product_tagged(l: &TaggedRelation, r: &TaggedRelation) -> Result<TaggedRelation> {
-    let schema = l.schema().product(r.schema())?;
-    let mut out = TaggedRelation::empty(schema);
-    for (lt, ltag, lc) in l.iter() {
-        for (rt, rtag, rc) in r.iter() {
-            if let Some(tag) = ltag.combine(rtag) {
-                out.add(lt.concat(rt), tag, mul_counts(lc, rc)?);
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::tagged::Tag;
     use crate::tuple::Tuple;
 
     fn ab() -> Schema {
@@ -89,16 +58,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_product_multiplies_signs() {
-        let mut l = DeltaRelation::empty(ab());
-        l.add(Tuple::from([1, 2]), -2);
-        let mut r = DeltaRelation::empty(cd());
-        r.add(Tuple::from([3, 4]), 3);
-        let p = product_delta(&l, &r).unwrap();
-        assert_eq!(p.count(&Tuple::from([1, 2, 3, 4])), -6);
-    }
-
-    #[test]
     fn product_counter_overflow_is_an_error() {
         use crate::error::RelError;
         let mut l = Relation::empty(ab());
@@ -109,19 +68,5 @@ mod tests {
             product(&l, &r).unwrap_err(),
             RelError::CounterOverflow(_)
         ));
-    }
-
-    #[test]
-    fn tagged_product_applies_combination_table() {
-        let mut l = TaggedRelation::empty(ab());
-        l.add(Tuple::from([1, 2]), Tag::Insert, 1);
-        let mut r = TaggedRelation::empty(cd());
-        r.add(Tuple::from([3, 4]), Tag::Delete, 1);
-        r.add(Tuple::from([5, 6]), Tag::Old, 1);
-        let p = product_tagged(&l, &r).unwrap();
-        // insert × delete vanished; insert × old survives as insert.
-        assert_eq!(p.count(&Tuple::from([1, 2, 3, 4]), Tag::Insert), 0);
-        assert_eq!(p.count(&Tuple::from([1, 2, 3, 4]), Tag::Delete), 0);
-        assert_eq!(p.count(&Tuple::from([1, 2, 5, 6]), Tag::Insert), 1);
     }
 }

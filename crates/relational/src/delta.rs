@@ -6,10 +6,10 @@
 //! tagged `delete` carries `−count`, and a tuple tagged `ignore` has
 //! cancelled to zero. Because join is bilinear and σ/π are linear over
 //! signed multisets, the distributive identities of §5.3–§5.4 hold exactly,
-//! which is what the alternative signed-count differential engine in
-//! `ivm::differential` exploits. The paper-literal engine uses
-//! [`crate::tagged::TaggedRelation`] instead; the two are property-tested to
-//! agree.
+//! which is what the tree-view delta rules in `ivm::differential::tree`
+//! exploit. The SPJ engine (Algorithm 5.1) works over
+//! [`crate::tagged::TaggedRelation`] instead and emits its view transaction
+//! as a `DeltaRelation`.
 
 use crate::fxhash::FxHashMap;
 use std::fmt;

@@ -21,12 +21,10 @@ use std::fmt;
 use crate::algebra;
 use crate::attribute::AttrName;
 use crate::database::Database;
-use crate::delta::DeltaRelation;
 use crate::error::{RelError, Result};
 use crate::predicate::Condition;
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tagged::TaggedRelation;
 
 /// A view definition in the paper's normal form
 /// `π_X(σ_C(R₁ ⋈ … ⋈ R_p))`.
@@ -189,44 +187,6 @@ impl SpjExpr {
         match &self.projection {
             None => Ok(selected),
             Some(attrs) => algebra::project(&selected, attrs),
-        }
-    }
-
-    /// Evaluate with tagged operands — the §5.3/§5.4 pipeline: tagged
-    /// joins (tag-combination table), then σ and π which preserve tags.
-    pub fn eval_with_tagged(&self, inputs: &[&TaggedRelation]) -> Result<TaggedRelation> {
-        assert_eq!(inputs.len(), self.relations.len(), "operand count mismatch");
-        let mut iter = inputs.iter();
-        let first = *iter
-            .next()
-            .ok_or_else(|| RelError::UnknownRelation("<empty SPJ expression>".into()))?;
-        let mut acc = first.clone();
-        for rel in iter {
-            acc = algebra::natural_join_tagged(&acc, rel)?;
-        }
-        let selected = algebra::select_tagged(&acc, &self.condition)?;
-        match &self.projection {
-            None => Ok(selected),
-            Some(attrs) => algebra::project_tagged(&selected, attrs),
-        }
-    }
-
-    /// Evaluate with signed-delta operands (bilinear join; used by the
-    /// signed-count engine's inclusion–exclusion rows).
-    pub fn eval_with_delta(&self, inputs: &[&DeltaRelation]) -> Result<DeltaRelation> {
-        assert_eq!(inputs.len(), self.relations.len(), "operand count mismatch");
-        let mut iter = inputs.iter();
-        let first = *iter
-            .next()
-            .ok_or_else(|| RelError::UnknownRelation("<empty SPJ expression>".into()))?;
-        let mut acc = first.clone();
-        for rel in iter {
-            acc = algebra::natural_join_delta(&acc, rel)?;
-        }
-        let selected = algebra::select_delta(&acc, &self.condition)?;
-        match &self.projection {
-            None => Ok(selected),
-            Some(attrs) => algebra::project_delta(&selected, attrs),
         }
     }
 }

@@ -20,7 +20,7 @@ use crate::fxhash::FxHashMap;
 use std::fmt;
 
 use crate::delta::DeltaRelation;
-use crate::error::Result;
+use crate::error::{RelError, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -77,6 +77,19 @@ impl Tag {
             Tag::Insert => 1,
             Tag::Delete => -1,
         }
+    }
+
+    /// `c` copies of a tuple carrying this tag as a signed delta count
+    /// (`sign() · c`), or [`RelError::CounterOverflow`] when an insert or
+    /// delete count exceeds `i64::MAX` — an unchecked `c as i64` would wrap
+    /// to the opposite sign. `Old` is always 0.
+    pub fn delta_count(self, c: u64) -> Result<i64> {
+        if self == Tag::Old {
+            return Ok(0);
+        }
+        let c = i64::try_from(c)
+            .map_err(|_| RelError::CounterOverflow(format!("counter {c} exceeds i64")))?;
+        Ok(self.sign() * c)
     }
 }
 
@@ -206,24 +219,26 @@ impl TaggedRelation {
     /// Collapse to a signed delta: `Insert → +count`, `Delete → −count`,
     /// `Old → 0`. This is the view transaction of Algorithm 5.1 step 3
     /// ("insert all tuples tagged insert, delete all tuples tagged delete").
-    pub fn to_delta(&self) -> DeltaRelation {
+    /// Errors with [`RelError::CounterOverflow`] on a count the signed
+    /// delta cannot hold (see [`Tag::delta_count`]).
+    pub fn to_delta(&self) -> Result<DeltaRelation> {
         let mut d = DeltaRelation::empty(self.schema.clone());
         for (t, tag, c) in self.iter() {
-            d.add(t.clone(), tag.sign() * c as i64);
+            d.add(t.clone(), tag.delta_count(c)?);
         }
-        d
+        Ok(d)
     }
 
     /// [`TaggedRelation::to_delta`] by value: consumes the relation so the
     /// tuples move into the delta instead of being cloned. Semantically
-    /// identical to `to_delta`; the differential engines use it on their
+    /// identical to `to_delta`; the differential engine uses it on its
     /// final accumulator, where the tagged form is no longer needed.
-    pub fn into_delta(self) -> DeltaRelation {
+    pub fn into_delta(self) -> Result<DeltaRelation> {
         let mut d = DeltaRelation::empty(self.schema.clone());
         for ((t, tag), c) in self.tuples {
-            d.add(t, tag.sign() * c as i64);
+            d.add(t, tag.delta_count(c)?);
         }
-        d
+        Ok(d)
     }
 }
 
@@ -308,7 +323,7 @@ mod tests {
         tr.add(Tuple::from([1, 1]), Tag::Insert, 2);
         tr.add(Tuple::from([2, 2]), Tag::Delete, 1);
         tr.add(Tuple::from([3, 3]), Tag::Old, 5);
-        let d = tr.to_delta();
+        let d = tr.to_delta().unwrap();
         assert_eq!(d.count(&Tuple::from([1, 1])), 2);
         assert_eq!(d.count(&Tuple::from([2, 2])), -1);
         assert_eq!(d.count(&Tuple::from([3, 3])), 0);
@@ -321,7 +336,25 @@ mod tests {
         tr.add(Tuple::from([1, 1]), Tag::Delete, 1);
         assert_eq!(tr.len(), 2);
         // Net delta cancels.
-        assert!(tr.to_delta().is_empty());
+        assert!(tr.to_delta().unwrap().is_empty());
+    }
+
+    #[test]
+    fn delta_conversion_rejects_counts_beyond_i64() {
+        // `u64::MAX as i64` is -1: unchecked, an insert of u64::MAX copies
+        // would read as one delete.
+        for tag in [Tag::Insert, Tag::Delete] {
+            let mut tr = TaggedRelation::empty(ab());
+            tr.add(Tuple::from([1, 1]), tag, u64::MAX);
+            assert!(matches!(tr.to_delta(), Err(RelError::CounterOverflow(_))));
+            assert!(matches!(tr.into_delta(), Err(RelError::CounterOverflow(_))));
+        }
+        // i64::MAX itself still fits, in both directions.
+        assert_eq!(Tag::Delete.delta_count(i64::MAX as u64).unwrap(), -i64::MAX);
+        // Old tuples contribute nothing, however many copies there are.
+        let mut tr = TaggedRelation::empty(ab());
+        tr.add(Tuple::from([1, 1]), Tag::Old, u64::MAX);
+        assert!(tr.into_delta().unwrap().is_empty());
     }
 
     #[test]

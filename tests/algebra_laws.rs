@@ -4,9 +4,9 @@
 //! * ⋈ and σ distribute over ∪ (the differential join expansion, §5.3),
 //! * π distributes over − and ∪ (the §5.2 counter redefinition),
 //! * ⋈ is commutative/associative up to column order,
-//! * ⋈ is bilinear over signed deltas (the signed engine's foundation),
-//! * where the tagged and signed pipelines agree pointwise (all-insert
-//!   operands) and where they deliberately do not (mixed tags).
+//! * ⋈ is bilinear over signed deltas (the tree-view join delta rule),
+//! * where tagged and signed joins agree pointwise (all-insert operands)
+//!   and where they deliberately do not (mixed tags).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -135,7 +135,7 @@ proptest! {
     }
 
     /// Δ(l) ⋈ (Δa + Δb) = Δ(l) ⋈ Δa + Δ(l) ⋈ Δb — bilinearity of the
-    /// signed join, the identity behind the signed engine.
+    /// signed join, the identity behind the tree-view `Δ(l ⋈ r)` rule.
     #[test]
     fn delta_join_bilinear(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -161,9 +161,10 @@ proptest! {
     /// For all-insert operands the tagged join collapses exactly to the
     /// signed join. (Mixed tags deliberately do NOT collapse pointwise:
     /// `insert ⋈ delete` is *ignored* by tags but `−` in signed
-    /// inclusion–exclusion, and `delete ⋈ delete` is `−` vs `+`; the two
-    /// pipelines compensate through different `B = 0` operands and agree
-    /// only in the engine totals — see `tag_vs_signed_local_discrepancy`.)
+    /// inclusion–exclusion, and `delete ⋈ delete` is `−` vs `+`; a signed
+    /// pipeline would compensate through different `B = 0` operands and
+    /// agree with the tagged one only in totals — see
+    /// `tag_vs_signed_local_discrepancy`.)
     #[test]
     fn tagged_join_collapses_to_signed_join_for_inserts(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -177,8 +178,9 @@ proptest! {
         };
         let l = make_inserts(&mut rng, &ab());
         let r = make_inserts(&mut rng, &bc());
-        let tagged = algebra::natural_join_tagged(&l, &r).unwrap().to_delta();
-        let signed = algebra::natural_join_delta(&l.to_delta(), &r.to_delta()).unwrap();
+        let tagged = algebra::natural_join_tagged(&l, &r).unwrap().to_delta().unwrap();
+        let signed = algebra::natural_join_delta(&l.to_delta().unwrap(), &r.to_delta().unwrap())
+            .unwrap();
         prop_assert!(tagged == signed);
     }
 
@@ -205,11 +207,13 @@ proptest! {
     }
 }
 
-/// Documents the deliberate local discrepancy between the two pipelines:
-/// pointwise, tagged `delete ⋈ delete` yields a deletion while signed
-/// `(−)·(−)` yields an insertion — yet the full engines (with their
-/// different `B = 0` operands) produce identical deltas. This is why the
-/// engines must be compared end-to-end, never join-by-join.
+/// Documents the deliberate local discrepancy between tags and signed
+/// counts: pointwise, tagged `delete ⋈ delete` yields a deletion while
+/// signed `(−)·(−)` yields an insertion — yet the tagged engine, whose
+/// `B = 0` operands are the surviving `r − d`, still produces exactly the
+/// full re-evaluation delta. A signed-count pipeline would need the full
+/// old relation there instead, which is why the two can only be compared
+/// end-to-end, never join-by-join.
 #[test]
 fn tag_vs_signed_local_discrepancy() {
     let ab = Schema::new(["A", "B"]).unwrap();
@@ -221,22 +225,26 @@ fn tag_vs_signed_local_discrepancy() {
     let mut r = TaggedRelation::empty(bc.clone());
     r.add(Tuple::from([10, 7]), Tag::Delete, 1);
 
-    let tagged = algebra::natural_join_tagged(&l, &r).unwrap().to_delta();
+    let tagged = algebra::natural_join_tagged(&l, &r)
+        .unwrap()
+        .to_delta()
+        .unwrap();
     assert_eq!(
         tagged.count(&Tuple::from([1, 10, 7])),
         -1,
         "tags: deleted once"
     );
 
-    let signed = algebra::natural_join_delta(&l.to_delta(), &r.to_delta()).unwrap();
+    let signed =
+        algebra::natural_join_delta(&l.to_delta().unwrap(), &r.to_delta().unwrap()).unwrap();
     assert_eq!(
         signed.count(&Tuple::from([1, 10, 7])),
         1,
         "signed: (−1)·(−1) = +1"
     );
 
-    // And yet the engines agree end-to-end on exactly this scenario.
-    use ivm::differential::{differential_delta, DiffOptions, Engine};
+    // And yet the engine is exact end-to-end on exactly this scenario.
+    use ivm::differential::{differential_delta, DiffOptions};
     let mut db = Database::new();
     db.create("R", ab).unwrap();
     db.create("S", bc).unwrap();
@@ -246,26 +254,11 @@ fn tag_vs_signed_local_discrepancy() {
     let mut txn = Transaction::new();
     txn.delete("R", [1, 10]).unwrap();
     txn.delete("S", [10, 7]).unwrap();
-    let t = differential_delta(
-        &view,
-        &db,
-        &txn,
-        &DiffOptions {
-            engine: Engine::Tagged,
-            ..DiffOptions::default()
-        },
-    )
-    .unwrap();
-    let s = differential_delta(
-        &view,
-        &db,
-        &txn,
-        &DiffOptions {
-            engine: Engine::Signed,
-            ..DiffOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(t.delta, s.delta);
+    let t = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+    let mut db_after = db.clone();
+    db_after.apply(&txn).unwrap();
+    let full =
+        ivm::full_reval::recompute_delta(&view, &db_after, &view.eval(&db).unwrap()).unwrap();
+    assert_eq!(t.delta, full);
     assert_eq!(t.delta.count(&Tuple::from([1, 10, 7])), -1);
 }

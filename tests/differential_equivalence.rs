@@ -1,15 +1,15 @@
 //! The central correctness property of §5: for *any* database, SPJ view
 //! and transaction, applying the differential delta to the old
 //! materialization yields exactly the full re-evaluation of the view on
-//! the new state — multiplicity counters included — for every engine and
-//! option combination.
+//! the new state — multiplicity counters included — for every option
+//! combination.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
 use rand::{Rng, SeedableRng};
 
-use ivm::differential::{differential_delta, DiffOptions, Engine};
+use ivm::differential::{differential_delta, DiffOptions};
 use ivm::prelude::*;
 
 /// Deterministically build a chain database R0(A0,A1) ⋈ R1(A1,A2) ⋈ …
@@ -105,20 +105,17 @@ fn build_txn(rng: &mut StdRng, db: &Database, p: usize, domain: i64) -> Transact
 }
 
 fn all_options() -> Vec<DiffOptions> {
-    let mut out = Vec::with_capacity(16);
-    for engine in [Engine::Tagged, Engine::Signed] {
-        for share_prefixes in [true, false] {
-            for push_selections in [true, false] {
-                for reorder_operands in [true, false] {
-                    out.push(DiffOptions {
-                        engine,
-                        share_prefixes,
-                        push_selections,
-                        reorder_operands,
-                        threads: 1,
-                        use_indexes: true,
-                    });
-                }
+    let mut out = Vec::with_capacity(8);
+    for share_prefixes in [true, false] {
+        for push_selections in [true, false] {
+            for reorder_operands in [true, false] {
+                out.push(DiffOptions {
+                    share_prefixes,
+                    push_selections,
+                    reorder_operands,
+                    threads: 1,
+                    use_indexes: true,
+                });
             }
         }
     }
@@ -128,7 +125,7 @@ fn all_options() -> Vec<DiffOptions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Differential ≡ full re-evaluation, all engines, random everything.
+    /// Differential ≡ full re-evaluation, all options, random everything.
     #[test]
     fn differential_equals_full_reevaluation(
         seed in any::<u64>(),
@@ -156,15 +153,14 @@ proptest! {
             v.apply_delta(&result.delta).unwrap();
             prop_assert!(
                 v == expected,
-                "engine {:?} share={} diverged:\ndiff  = {v}\nfull = {expected}",
-                opts.engine,
-                opts.share_prefixes,
+                "options {opts:?} diverged:\ndiff  = {v}\nfull = {expected}",
             );
         }
     }
 
-    /// The two engines and both row strategies produce the *identical*
-    /// delta (not just equivalent end states).
+    /// Every row strategy (prefix-sharing DFS, flat loop, chunked parallel
+    /// rows) and every thread count produce the *identical* delta (not
+    /// just equivalent end states).
     #[test]
     fn engines_agree_on_the_delta(
         seed in any::<u64>(),
@@ -183,9 +179,12 @@ proptest! {
         let txn = build_txn(&mut rng, &db, p, domain);
 
         let reference = differential_delta(&view, &db, &txn, &all_options()[0]).unwrap().delta;
-        for opts in &all_options()[1..] {
-            let delta = differential_delta(&view, &db, &txn, opts).unwrap().delta;
-            prop_assert!(delta == reference, "options {opts:?} produced a different delta");
+        for base in all_options() {
+            for threads in [1, 4] {
+                let opts = DiffOptions { threads, ..base };
+                let delta = differential_delta(&view, &db, &txn, &opts).unwrap().delta;
+                prop_assert!(delta == reference, "options {opts:?} produced a different delta");
+            }
         }
     }
 

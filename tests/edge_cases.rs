@@ -148,7 +148,7 @@ fn transaction_cancellation_produces_no_maintenance() {
 #[test]
 fn condition_on_every_attribute_of_a_join() {
     // Every attribute constrained: pushdown covers everything, residual
-    // empty; engines agree.
+    // empty; correct with and without pushdown.
     let mut db = Database::new();
     db.create("R", Schema::new(["A", "B"]).unwrap()).unwrap();
     db.create("S", Schema::new(["B", "C"]).unwrap()).unwrap();
@@ -169,14 +169,14 @@ fn condition_on_every_attribute_of_a_join() {
     let mut db_after = db.clone();
     db_after.apply(&txn).unwrap();
     let expected = view.eval(&db_after).unwrap();
-    for engine in [Engine::Tagged, Engine::Signed] {
+    for push_selections in [true, false] {
         let mut v = view.eval(&db).unwrap();
         let r = differential_delta(
             &view,
             &db,
             &txn,
             &DiffOptions {
-                engine,
+                push_selections,
                 ..DiffOptions::default()
             },
         )
@@ -188,7 +188,7 @@ fn condition_on_every_attribute_of_a_join() {
 
 #[test]
 fn deep_dnf_condition() {
-    // 8 disjuncts; the filter and engines must stay correct.
+    // 8 disjuncts; the filter and engine must stay correct.
     let mut db = Database::new();
     db.create("R", Schema::new(["A"]).unwrap()).unwrap();
     let disjuncts: Vec<Conjunction> = (0..8)

@@ -1,6 +1,6 @@
 //! Join-key index transparency: probing a maintained index must be an
-//! *invisible* optimization. For any database, view, transaction, engine
-//! and thread count, the indexed run and the hash-build fallback must
+//! *invisible* optimization. For any database, view, transaction, row
+//! strategy and thread count, the indexed run and the hash-build fallback must
 //! produce bit-identical deltas, identical engine statistics (probe
 //! counters excepted — those differ by construction), identical
 //! [`MaintenanceReport`]s through the manager, and identical view states.
@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
 use rand::{Rng, SeedableRng};
 
-use ivm::differential::{differential_delta, DiffOptions, Engine};
+use ivm::differential::{differential_delta, DiffOptions};
 use ivm::prelude::*;
 
 /// Deterministically build a chain database R0(A0,A1) ⋈ R1(A1,A2) ⋈ …
@@ -96,23 +96,20 @@ fn build_txn(rng: &mut StdRng, db: &Database, p: usize, domain: i64) -> Transact
     txn
 }
 
-/// Engine × prefix-sharing × thread-count grid; selection pushdown and
+/// Prefix-sharing × thread-count grid; selection pushdown and
 /// reordering stay on (their interaction with probe planning — pushed
 /// conditions disable probing per-operand — is exactly what we exercise).
 fn option_grid(use_indexes: bool) -> Vec<DiffOptions> {
     let mut out = Vec::new();
-    for engine in [Engine::Tagged, Engine::Signed] {
-        for share_prefixes in [true, false] {
-            for threads in [1usize, 2, 8] {
-                out.push(DiffOptions {
-                    engine,
-                    share_prefixes,
-                    push_selections: true,
-                    reorder_operands: true,
-                    threads,
-                    use_indexes,
-                });
-            }
+    for share_prefixes in [true, false] {
+        for threads in [1usize, 2, 8] {
+            out.push(DiffOptions {
+                share_prefixes,
+                push_selections: true,
+                reorder_operands: true,
+                threads,
+                use_indexes,
+            });
         }
     }
     out
@@ -130,8 +127,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
     /// Indexed probing ≡ hash-build fallback: identical delta, identical
-    /// stats modulo the probe counters, at every engine/share/thread
-    /// combination.
+    /// stats modulo the probe counters, at every share/thread combination.
     #[test]
     fn indexed_and_fallback_agree(
         seed in any::<u64>(),
@@ -151,14 +147,14 @@ proptest! {
             let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
             prop_assert!(
                 indexed.delta == fallback.delta,
-                "{:?} share={} threads={}: indexed delta diverged",
-                on.engine, on.share_prefixes, on.threads,
+                "share={} threads={}: indexed delta diverged",
+                on.share_prefixes, on.threads,
             );
             prop_assert_eq!(
                 scrub_probes(indexed.stats),
                 scrub_probes(fallback.stats),
-                "{:?} share={} threads={}: stats diverged",
-                on.engine, on.share_prefixes, on.threads,
+                "share={} threads={}: stats diverged",
+                on.share_prefixes, on.threads,
             );
             prop_assert_eq!(fallback.stats.index_probes, 0);
         }
@@ -179,8 +175,7 @@ proptest! {
         let threads = [1usize, 2, 8][thread_pick];
         let mk = |use_indexes: bool| {
             ViewManager::new().with_manager_options(ManagerOptions {
-                diff: DiffOptions { use_indexes, ..DiffOptions::default() },
-                threads,
+                diff: DiffOptions { use_indexes, threads, ..DiffOptions::default() },
                 ..ManagerOptions::default()
             })
         };
@@ -244,25 +239,19 @@ fn covered_join_probes_the_index() {
     txn.insert("R", [100, 3]).unwrap();
     txn.insert("R", [101, 4]).unwrap();
 
-    for engine in [Engine::Tagged, Engine::Signed] {
-        let on = DiffOptions {
-            engine,
-            threads: 1,
-            ..DiffOptions::default()
-        };
-        let off = DiffOptions {
-            use_indexes: false,
-            ..on
-        };
-        let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
-        let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
-        assert!(
-            indexed.stats.index_probes > 0,
-            "{engine:?}: covered join never probed"
-        );
-        assert_eq!(indexed.delta, fallback.delta);
-        assert_eq!(scrub_probes(indexed.stats), scrub_probes(fallback.stats));
-    }
+    let on = DiffOptions {
+        threads: 1,
+        ..DiffOptions::default()
+    };
+    let off = DiffOptions {
+        use_indexes: false,
+        ..on
+    };
+    let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
+    let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
+    assert!(indexed.stats.index_probes > 0, "covered join never probed");
+    assert_eq!(indexed.delta, fallback.delta);
+    assert_eq!(scrub_probes(indexed.stats), scrub_probes(fallback.stats));
 }
 
 /// Fresh scratch directory for one durability test; removed on drop.

@@ -2,7 +2,7 @@
 //! pure speedup. For any database, SPJ view and transaction, running the
 //! differential pass at 2 or 8 threads must produce the *identical* view
 //! transaction — tuple-for-tuple, counter-for-counter — as the sequential
-//! oracle at 1 thread, for both the tagged and signed engines, and the
+//! oracle at 1 thread, with and without prefix sharing, and the
 //! paper-level work metric (truth-table rows evaluated) must not change.
 
 use proptest::prelude::*;
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
 use rand::{Rng, SeedableRng};
 
-use ivm::differential::{differential_delta, DiffOptions, Engine};
+use ivm::differential::{differential_delta, DiffOptions};
 use ivm::prelude::*;
 
 /// Chain database R0(A0,A1) ⋈ R1(A1,A2) ⋈ … over a small value domain so
@@ -106,7 +106,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
     /// Parallel delta ≡ sequential delta, bit-identically, at every thread
-    /// count, for both engines and both row strategies.
+    /// count, for both row strategies.
     #[test]
     fn parallel_delta_is_thread_count_invariant(
         seed in any::<u64>(),
@@ -124,30 +124,27 @@ proptest! {
         );
         let txn = build_txn(&mut rng, &db, p, domain);
 
-        for engine in [Engine::Tagged, Engine::Signed] {
-            for share_prefixes in [true, false] {
-                let opts = |threads: usize| DiffOptions {
-                    engine,
-                    share_prefixes,
-                    threads,
-                    ..DiffOptions::default()
-                };
-                let oracle = differential_delta(&view, &db, &txn, &opts(1)).unwrap();
-                for threads in [2usize, 8] {
-                    let par = differential_delta(&view, &db, &txn, &opts(threads)).unwrap();
-                    prop_assert!(
-                        par.delta == oracle.delta,
-                        "{engine:?} share={share_prefixes} threads={threads} diverged:\n\
-                         par = {:?}\nseq = {:?}",
-                        par.delta,
-                        oracle.delta,
-                    );
-                    prop_assert_eq!(
-                        par.stats.rows_evaluated,
-                        oracle.stats.rows_evaluated,
-                        "row count changed at {} threads", threads
-                    );
-                }
+        for share_prefixes in [true, false] {
+            let opts = |threads: usize| DiffOptions {
+                share_prefixes,
+                threads,
+                ..DiffOptions::default()
+            };
+            let oracle = differential_delta(&view, &db, &txn, &opts(1)).unwrap();
+            for threads in [2usize, 8] {
+                let par = differential_delta(&view, &db, &txn, &opts(threads)).unwrap();
+                prop_assert!(
+                    par.delta == oracle.delta,
+                    "share={share_prefixes} threads={threads} diverged:\n\
+                     par = {:?}\nseq = {:?}",
+                    par.delta,
+                    oracle.delta,
+                );
+                prop_assert_eq!(
+                    par.stats.rows_evaluated,
+                    oracle.stats.rows_evaluated,
+                    "row count changed at {} threads", threads
+                );
             }
         }
     }
