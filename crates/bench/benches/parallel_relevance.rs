@@ -56,7 +56,11 @@ fn bench_parallel_filter(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("threads_{threads}"), batch),
                 &batch,
-                |b, _| b.iter(|| black_box(filter.filter_with(&ts, threads).unwrap())),
+                |b, _| {
+                    b.iter(|| {
+                        black_box(filter.filter_with(&ts, threads, &Obs::disabled()).unwrap())
+                    })
+                },
             );
         }
     }

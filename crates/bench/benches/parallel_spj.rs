@@ -1,8 +1,11 @@
 //! E17 — the parallel differential engine on the §5.3 truth-table
 //! workload: wall-clock of one differential pass at growing maintenance
-//! thread counts, against the 1-thread sequential oracle. Two shapes:
-//! many rows (k = 4 → 15 rows, parallelized across rows) and one row
-//! (k = 1, where the spare width flows into hash-partitioned joins).
+//! thread counts, against the 1-thread sequential oracle. Three shapes:
+//! many rows (k = 4 → 15 rows, parallelized across rows), one row
+//! (k = 1, where the spare width flows into hash-partitioned joins), and
+//! one changed tuple per updated operand, far below the pool's grain,
+//! where every width runs the sequential engine and costs what one
+//! thread costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -67,5 +70,36 @@ fn bench_partitioned_join(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rows_parallel, bench_partitioned_join);
+fn bench_one_change(c: &mut Criterion) {
+    // One inserted tuple in each of two operands of a 3-way chain of
+    // 100-tuple relations: three truth-table rows that read ~500 operand
+    // tuples in all, under one grain, so no width fans out.
+    let mut group = c.benchmark_group("e17_one_change");
+    let mut sc = chain_scenario(12, 3, 100, 100);
+    let txn = sc
+        .workload
+        .multi_transaction(&sc.db, &[("R0", 1, 0), ("R1", 1, 0)])
+        .unwrap();
+    for threads in [1usize, 2, 8] {
+        group.bench_with_input(
+            BenchmarkId::new("threads", threads),
+            &threads,
+            |b, &threads| {
+                let opts = DiffOptions {
+                    threads,
+                    ..DiffOptions::default()
+                };
+                b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, &opts).unwrap()))
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_rows_parallel,
+    bench_partitioned_join,
+    bench_one_change
+);
 criterion_main!(benches);

@@ -40,10 +40,12 @@
 //!   single row never touches that relation's old contents, so they are
 //!   never copied;
 //! * **parallel rows** — the 2^k − 1 truth-table rows are independent, so
-//!   with `threads > 1` they are fanned out over a scoped worker pool in
+//!   when the operand tuples they read clear the pool's grain rule
+//!   ([`Pool::for_work`]) they are fanned out over a scoped worker pool in
 //!   contiguous chunks (each chunk keeps an incremental join stack, the
 //!   chunk-local analogue of DFS prefix sharing) and the chunk results are
-//!   merged in row order. The accumulators are keyed tagged maps and
+//!   merged in row order. Below the grain the sequential DFS runs at every
+//!   width. The accumulators are keyed tagged maps and
 //!   row merging is additive, so the delta is identical to the sequential
 //!   engine for every thread count; when there are fewer rows than workers
 //!   (`k = 1` in particular) the spare parallelism is spent inside the
@@ -92,10 +94,12 @@ pub struct DiffOptions {
     pub push_selections: bool,
     /// Join change sets first in a connectivity-preserving greedy order.
     pub reorder_operands: bool,
-    /// Worker threads for truth-table rows and partitioned joins. `1`
-    /// forces the sequential path (the deterministic oracle the tests
-    /// compare against); `0` means one worker per available core. The
-    /// resulting delta is identical at every width.
+    /// Maximum worker threads for views of one stratum, relevance
+    /// filtering, truth-table rows and partitioned joins; each fan-out
+    /// uses fewer when its work is small ([`Pool::for_work`]). `1` forces
+    /// the sequential path (the deterministic oracle the tests compare
+    /// against); `0` means one worker per available core. The resulting
+    /// delta is identical at every width.
     pub threads: usize,
     /// Probe maintained [`JoinIndex`]es for `B = 0` operands instead of
     /// materializing and hash-building them, where one covers the join
@@ -127,11 +131,6 @@ impl DiffOptions {
             threads: 1,
             use_indexes: false,
         }
-    }
-
-    /// Resolved worker count (`0` → available cores).
-    pub fn resolved_threads(&self) -> usize {
-        ivm_parallel::resolve_threads(self.threads)
     }
 }
 
@@ -669,10 +668,10 @@ fn tagged_differential<'a>(
     // merged into the accumulator's delta at the end.
     let mut fused = DeltaRelation::empty(ctx.out_schema.clone());
 
-    if opts.resolved_threads() > 1 {
+    let pool = Pool::for_work(opts.threads, row_work(&operands));
+    if !pool.is_sequential() {
         let updated: Vec<usize> = (0..p).filter(|&i| operands[i].one.is_some()).collect();
         let rows = truth_table::rows(p, &updated);
-        let pool = Pool::new(opts.threads);
         // Fewer rows than workers (k = 1 in particular): spend the spare
         // parallelism inside the joins instead of across rows.
         let join_threads = if rows.len() < pool.threads() {
@@ -773,6 +772,36 @@ fn tagged_differential<'a>(
     Ok(DifferentialResult { delta, stats })
 }
 
+/// Operand tuples the truth-table rows read in all — the work estimate
+/// the pool's grain rule sizes the row fan-out by. Of the 2^k − 1 rows, an
+/// updated position reads its `B = 1` operand in 2^(k−1) of them and its
+/// `B = 0` operand in the other 2^(k−1) − 1; an unchanged position reads
+/// its `B = 0` operand in every row.
+fn row_work(operands: &[TaggedOperands<'_>]) -> usize {
+    let k = operands.iter().filter(|o| o.one.is_some()).count();
+    if k == 0 {
+        return 0;
+    }
+    let rows = truth_table::row_count(k);
+    let ones = 1usize << (k - 1);
+    operands
+        .iter()
+        .map(|o| {
+            let zero = match &o.zero {
+                None => 0,
+                Some(TaggedZero::Mat(r)) => r.len(),
+                Some(TaggedZero::Idx(ix)) => usize::try_from(ix.logical_len).unwrap_or(usize::MAX),
+            };
+            match &o.one {
+                Some(one) => ones
+                    .saturating_mul(one.len())
+                    .saturating_add((rows - ones).saturating_mul(zero)),
+                None => rows.saturating_mul(zero),
+            }
+        })
+        .fold(0, usize::saturating_add)
+}
+
 /// Apply the residual condition and final projection to a row result and
 /// merge it into the accumulator.
 fn emit_tagged_leaf(
@@ -845,7 +874,12 @@ fn eval_tagged_rows(
                         TaggedRelation::empty(stack[j - 1].schema().join(operand.schema()))
                     } else {
                         stats.joins_performed += 1;
-                        algebra::natural_join_tagged_with(&stack[j - 1], operand, join_threads)?
+                        algebra::natural_join_tagged_with(
+                            &stack[j - 1],
+                            operand,
+                            join_threads,
+                            ctx.obs,
+                        )?
                     }
                 }
                 TaggedPick::Idx(ix) => {

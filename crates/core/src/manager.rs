@@ -1024,17 +1024,22 @@ impl ViewManager {
             .chain(self.tree_views.keys().map(String::as_str))
     }
 
-    /// True when a transaction (or a delta emitted upstream this
-    /// transaction) touches one of the node's operands.
-    fn node_touched(
+    /// Changed tuples the node consumes this transaction: net changes
+    /// to its base operands plus the deltas its view operands emitted
+    /// earlier this transaction. Non-zero exactly when the node is
+    /// touched.
+    fn node_work(
         mv: &ManagedView,
         txn: &Transaction,
         emitted: &HashMap<String, DeltaRelation>,
-    ) -> bool {
-        mv.view.definition().expr().relations.iter().any(|op| {
-            txn.touched().contains(&op.as_str())
-                || emitted.get(op.as_str()).is_some_and(|d| !d.is_empty())
-        })
+    ) -> usize {
+        mv.view
+            .definition()
+            .expr()
+            .relations
+            .iter()
+            .map(|op| txn.changes_to(op) + emitted.get(op.as_str()).map_or(0, DeltaRelation::len))
+            .sum()
     }
 
     /// Execute a transaction: validate, maintain immediate views, apply to
@@ -1102,13 +1107,15 @@ impl ViewManager {
         let mut deltas: Vec<(String, bool)> = Vec::new();
         let mut emitted: HashMap<String, DeltaRelation> = HashMap::new();
         let mut nodes_maintained: u64 = 0;
-        let threads = self.options.resolved_threads();
-        let strata = self.strata.clone();
-        for stratum in &strata {
-            let touched: Vec<String> = stratum
+        for stratum in &self.strata {
+            let mut work = 0;
+            let touched: Vec<&String> = stratum
                 .iter()
-                .filter(|n| Self::node_touched(&self.views[n.as_str()], txn, &emitted))
-                .cloned()
+                .filter(|n| {
+                    let w = Self::node_work(&self.views[n.as_str()], txn, &emitted);
+                    work += w;
+                    w > 0
+                })
                 .collect();
             if touched.is_empty() {
                 continue;
@@ -1117,62 +1124,44 @@ impl ViewManager {
                 obs.observe(names::DAG_STRATUM_WIDTH, touched.len() as u64);
             }
             // Nodes within one stratum are independent (their operands
-            // live strictly below): fan out over the pool when the
-            // stratum is wide enough, otherwise stay on the sequential
-            // path (which also emits the per-node filter/differentiate
-            // spans).
-            let outcomes: Vec<NodeOutcome> = if touched.len() >= 2 && threads > 1 {
-                let pool = ivm_parallel::Pool::new(threads);
-                let db = &self.db;
-                let views = &self.views;
-                let dependents = &self.dependents;
-                let options = &self.options;
-                let strategy = self.strategy;
-                let filtering = self.filtering_enabled;
-                let emitted_ref = &emitted;
-                let obs_ref = &obs;
-                pool.try_map(&touched, |name: &String| {
-                    let mv = &views[name.as_str()];
-                    let deps = dependents.get(name).is_some_and(|d| !d.is_empty());
-                    compute_node_outcome(
-                        db,
-                        views,
-                        mv,
-                        txn,
-                        emitted_ref,
-                        options,
-                        strategy,
-                        filtering,
-                        deps,
-                        obs_ref,
-                        false,
-                    )
-                })?
-            } else {
-                let mut out = Vec::with_capacity(touched.len());
-                for name in &touched {
-                    let mv = &self.views[name.as_str()];
-                    let deps = self.dependents.get(name).is_some_and(|d| !d.is_empty());
-                    out.push(compute_node_outcome(
-                        &self.db,
-                        &self.views,
-                        mv,
-                        txn,
-                        &emitted,
-                        &self.options,
-                        self.strategy,
-                        self.filtering_enabled,
-                        deps,
-                        &obs,
-                        true,
-                    )?);
-                }
-                out
-            };
+            // live strictly below): fan them out when the changes they
+            // consume clear the pool's grain. Spans are per-thread, so
+            // only a stratum that runs whole on this thread emits the
+            // per-node filter/differentiate spans.
+            let pool = ivm_parallel::Pool::for_work(self.options.threads, work);
+            let chunks = pool.map_chunks_observed(
+                touched.len(),
+                |range| {
+                    let inline = range.len() == touched.len();
+                    touched[range]
+                        .iter()
+                        .map(|name| {
+                            compute_node_outcome(
+                                &self.db,
+                                &self.views,
+                                &self.views[name.as_str()],
+                                txn,
+                                &emitted,
+                                &self.options,
+                                self.strategy,
+                                self.filtering_enabled,
+                                self.dependents.get(*name).is_some_and(|d| !d.is_empty()),
+                                &obs,
+                                inline,
+                            )
+                        })
+                        .collect::<Result<Vec<NodeOutcome>>>()
+                },
+                &obs,
+            );
+            let mut outcomes = Vec::with_capacity(touched.len());
+            for chunk in chunks {
+                outcomes.extend(chunk?);
+            }
             // Apply outcomes sequentially in stratum order: stats,
             // metrics and the emitted-delta map stay deterministic at
             // every thread count.
-            for (name, outcome) in touched.iter().zip(outcomes) {
+            for (name, outcome) in touched.into_iter().zip(outcomes) {
                 let mv = self.views.get_mut(name).expect("view exists");
                 mv.stats.transactions_seen += 1;
                 report.views_touched += 1;
@@ -1231,10 +1220,7 @@ impl ViewManager {
         // pre-transaction state).
         let mut tree_deltas: Vec<(String, DeltaRelation)> = Vec::new();
         for (name, tv) in &mut self.tree_views {
-            let touches = txn
-                .touched()
-                .iter()
-                .any(|r| tv.base_relations.iter().any(|b| b == r));
+            let touches = tv.base_relations.iter().any(|b| txn.changes_to(b) > 0);
             if !touches {
                 continue;
             }
@@ -1555,8 +1541,8 @@ enum NodeAction {
 /// Compute what maintaining `mv` for `txn` requires, without mutating
 /// anything. Base operands go through the §4 relevance filter; view
 /// operands consume the delta their node emitted earlier this
-/// transaction (`emitted`). `emit_spans` is false on the parallel path
-/// (spans are per-thread and would interleave).
+/// transaction (`emitted`). `emit_spans` is false when the stratum fans
+/// out (spans are per-thread and would interleave).
 #[allow(clippy::too_many_arguments)]
 fn compute_node_outcome(
     db: &Database,
@@ -1572,7 +1558,6 @@ fn compute_node_outcome(
     emit_spans: bool,
 ) -> Result<NodeOutcome> {
     let expr = mv.view.definition().expr();
-    let threads = options.resolved_threads();
     let mut fstats = FilterStats::default();
     let mut new_filters: Vec<(String, RelevanceFilter)> = Vec::new();
     // Filter each distinct touched *base* operand once; self-joins reuse
@@ -1583,7 +1568,7 @@ fn compute_node_outcome(
         for op in &expr.relations {
             if !db.contains_relation(op)
                 || filtered_base.iter().any(|(n, _, _)| n == op)
-                || !txn.touched().contains(&op.as_str())
+                || txn.changes_to(op) == 0
             {
                 continue;
             }
@@ -1605,8 +1590,9 @@ fn compute_node_outcome(
                         &new_filters.last().expect("just pushed").1
                     }
                 };
-                let (kept_ins, ins_stats) = f.filter_with(txn.inserted(op), threads)?;
-                let (kept_del, del_stats) = f.filter_with(txn.deleted(op), threads)?;
+                let (kept_ins, ins_stats) =
+                    f.filter_with(txn.inserted(op), options.threads, obs)?;
+                let (kept_del, del_stats) = f.filter_with(txn.deleted(op), options.threads, obs)?;
                 fstats += ins_stats;
                 fstats += del_stats;
                 let mut ins = Relation::empty(rel.schema().clone());

@@ -34,6 +34,7 @@
 //! assert!(!filter.is_relevant(&Tuple::from([11, 10])).unwrap());
 //! ```
 
+use ivm_obs::Obs;
 use ivm_parallel::Pool;
 use ivm_relational::database::Database;
 use ivm_relational::expr::SpjExpr;
@@ -92,12 +93,7 @@ impl RelevanceFilter {
     /// dominated by the per-disjunct Floyd–Warshall APSP pass) through
     /// `obs`. With the disabled handle this is exactly
     /// [`RelevanceFilter::new`] — no clock is read.
-    pub fn new_observed(
-        view: &SpjExpr,
-        db: &Database,
-        relation: &str,
-        obs: &ivm_obs::Obs,
-    ) -> Result<Self> {
+    pub fn new_observed(view: &SpjExpr, db: &Database, relation: &str, obs: &Obs) -> Result<Self> {
         if !obs.enabled() {
             return Self::new(view, db, relation);
         }
@@ -216,22 +212,24 @@ impl RelevanceFilter {
         &self,
         tuples: impl IntoIterator<Item = &'a Tuple>,
     ) -> Result<(Vec<Tuple>, FilterStats)> {
-        self.filter_with(tuples, 1)
+        self.filter_with(tuples, 1, &Obs::disabled())
     }
 
-    /// [`RelevanceFilter::filter`] fanned out over `threads` workers. The
-    /// Theorem 4.1 decision is independent per tuple and the prebuilt APSP
-    /// matrix is shared read-only, so tuples are checked in parallel
-    /// chunks; the kept set, its order, and the stats are identical at
-    /// every width. `1` runs on the calling thread, `0` uses one worker
-    /// per core.
+    /// [`RelevanceFilter::filter`] fanned out over up to `threads`
+    /// workers. The Theorem 4.1 decision is independent per tuple and the
+    /// prebuilt APSP matrix is shared read-only, so tuples are checked in
+    /// parallel chunks once the batch clears the pool's grain
+    /// ([`Pool::for_work`]); the kept set, its order, and the stats are
+    /// identical at every width. `1` runs on the calling thread, `0` uses
+    /// up to one worker per core; `obs` times the chunks of a fan-out.
     pub fn filter_with<'a>(
         &self,
         tuples: impl IntoIterator<Item = &'a Tuple>,
         threads: usize,
+        obs: &Obs,
     ) -> Result<(Vec<Tuple>, FilterStats)> {
         let tuples: Vec<&Tuple> = tuples.into_iter().collect();
-        let pool = Pool::new(threads.max(1));
+        let pool = Pool::for_work(threads, tuples.len());
         let flags: Vec<bool> = if pool.is_sequential() {
             let mut flags = Vec::with_capacity(tuples.len());
             for t in &tuples {
@@ -239,7 +237,7 @@ impl RelevanceFilter {
             }
             flags
         } else {
-            pool.try_map(&tuples, |t| self.is_relevant(t))?
+            pool.try_map_observed(&tuples, |t| self.is_relevant(t), obs)?
         };
         let mut stats = FilterStats::default();
         let mut out = Vec::new();
@@ -362,10 +360,66 @@ mod tests {
         let (db, view) = setup();
         let f = RelevanceFilter::new(&view, &db, "R").unwrap();
         let tuples: Vec<Tuple> = (0..200).map(|i| Tuple::from([i % 23, i % 17])).collect();
-        let seq = f.filter_with(tuples.iter(), 1).unwrap();
+        let seq = f.filter_with(tuples.iter(), 1, &Obs::disabled()).unwrap();
         for threads in [2, 3, 8] {
-            let par = f.filter_with(tuples.iter(), threads).unwrap();
+            let par = f
+                .filter_with(tuples.iter(), threads, &Obs::disabled())
+                .unwrap();
             assert_eq!(par, seq, "threads={threads}");
+        }
+    }
+
+    /// `filter_with` at `threads`, with the chunks its fan-out dispatched.
+    fn observed_filter(
+        f: &RelevanceFilter,
+        tuples: &[Tuple],
+        threads: usize,
+    ) -> (Result<(Vec<Tuple>, FilterStats)>, u64) {
+        let rec = std::sync::Arc::new(ivm_obs::InMemoryRecorder::new());
+        let out = f.filter_with(tuples.iter(), threads, &Obs::new(rec.clone()));
+        (out, rec.counter(ivm_obs::names::POOL_CHUNKS))
+    }
+
+    #[test]
+    fn batches_above_the_grain_fan_out() {
+        let (db, view) = setup();
+        let f = RelevanceFilter::new(&view, &db, "R").unwrap();
+        let big: Vec<Tuple> = (0..5000).map(|i| Tuple::from([i % 23, i % 17])).collect();
+        let (seq, seq_chunks) = observed_filter(&f, &big, 1);
+        let seq = seq.unwrap();
+        assert_eq!(seq_chunks, 0);
+        assert!(seq.1.relevant > 0 && seq.1.irrelevant > 0);
+        for threads in [2, 3, 8] {
+            let (par, chunks) = observed_filter(&f, &big, threads);
+            assert_eq!(par.unwrap(), seq, "threads={threads}");
+            // 5,000 tuples are four grains: up to four workers.
+            assert_eq!(chunks, threads.min(4) as u64, "threads={threads}");
+        }
+        // The 200-tuple batch above stays on the caller at every width.
+        let small: Vec<Tuple> = big[..200].to_vec();
+        let (_, chunks) = observed_filter(&f, &small, 8);
+        assert_eq!(chunks, 0);
+    }
+
+    #[test]
+    fn first_error_survives_a_fan_out() {
+        use ivm_relational::value::Value;
+        let mut db = Database::new();
+        db.create("R", Schema::new(["A"]).unwrap()).unwrap();
+        let view = SpjExpr::new(["R"], Atom::lt_const("A", 10).into(), None);
+        let f = RelevanceFilter::new(&view, &db, "R").unwrap();
+        // Two different failures in different chunks: an arity error
+        // early, a type error late. Input order says the arity error.
+        let mut tuples: Vec<Tuple> = (0..5000).map(|i| Tuple::from([i])).collect();
+        tuples[3100] = Tuple::new(vec![Value::str("late")]);
+        tuples[1700] = Tuple::from([1, 2]);
+        let (seq, _) = observed_filter(&f, &tuples, 1);
+        let seq_err = seq.unwrap_err().to_string();
+        assert!(!seq_err.contains("non-integer"), "{seq_err}");
+        for threads in [2, 8] {
+            let (par, chunks) = observed_filter(&f, &tuples, threads);
+            assert_eq!(par.unwrap_err().to_string(), seq_err, "threads={threads}");
+            assert!(chunks > 1, "threads={threads}");
         }
     }
 
@@ -378,10 +432,13 @@ mod tests {
         let f = RelevanceFilter::new(&view, &db, "R").unwrap();
         let mut tuples: Vec<Tuple> = (0..100).map(|i| Tuple::from([i])).collect();
         tuples[33] = Tuple::new(vec![Value::str("bad")]);
-        let seq_err = f.filter_with(tuples.iter(), 1).unwrap_err().to_string();
+        let seq_err = f
+            .filter_with(tuples.iter(), 1, &Obs::disabled())
+            .unwrap_err()
+            .to_string();
         for threads in [2, 8] {
             let par_err = f
-                .filter_with(tuples.iter(), threads)
+                .filter_with(tuples.iter(), threads, &Obs::disabled())
                 .unwrap_err()
                 .to_string();
             assert_eq!(par_err, seq_err, "threads={threads}");

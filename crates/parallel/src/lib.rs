@@ -1,18 +1,31 @@
 //! A std-only scoped worker pool with deterministic chunked map/fan-out.
 //!
-//! The differential maintenance engine has three embarrassingly parallel
-//! hot paths — the 2^k − 1 independent truth-table rows of the §5.3
-//! expansion, the per-tuple relevance test of Algorithm 4.1 (deliberately
-//! independent of every other tuple), and the build+probe phases of large
-//! hash joins. This crate gives them one shared primitive without pulling
-//! in `rayon` (the build container has no network access to crates.io, so
-//! like `crates/compat/*` everything here is plain `std`).
+//! The differential maintenance engine has four embarrassingly parallel
+//! hot paths — the independent views of one DAG stratum, the 2^k − 1
+//! independent truth-table rows of the §5.3 expansion, the per-tuple
+//! relevance test of Algorithm 4.1 (deliberately independent of every
+//! other tuple), and the build+probe phases of large hash joins. This
+//! crate gives them one shared primitive without pulling in `rayon` (the
+//! build container has no network access to crates.io, so like
+//! `crates/compat/*` everything here is plain `std`).
 //!
 //! Design rules:
 //!
 //! * **Scoped, not pooled-forever.** Workers are `std::thread::scope`
 //!   threads that borrow the caller's data; they live exactly as long as
-//!   one `map`/`try_map` call. No global state, no channels, no `unsafe`.
+//!   one `map`/`try_map` call. No channels, no `unsafe`. The only global
+//!   state is the machine's thread count ([`available_threads`]), read
+//!   once per process and immutable after that.
+//! * **Parallel only when the work pays for it.** [`Pool::for_work`] is
+//!   the one fan-out rule every call site uses: one worker per [`GRAIN`]
+//!   tuples of estimated work, capped at the requested width, never
+//!   fewer than one. Below two grains a site runs its sequential code
+//!   and spawns nothing. The width depends only on input sizes, so every
+//!   result stays identical at every width.
+//! * **The caller works too.** [`Pool::map_chunks`] spawns a worker for
+//!   every chunk but the first and evaluates chunk 0 on the calling
+//!   thread before joining the workers in input order, so a two-way
+//!   fan-out costs one spawn, not two plus an idle caller.
 //! * **Deterministic.** Work is split into *contiguous chunks in input
 //!   order* and results are reassembled in input order, so the output of
 //!   every operation is identical for every thread count — `threads = 1`
@@ -20,25 +33,30 @@
 //! * **Deterministic errors too.** [`Pool::try_map`] returns the error of
 //!   the *earliest* failing item in input order, regardless of which
 //!   worker hit an error first on the wall clock.
-//! * **Panic transparent.** A panicking worker re-raises its payload on
-//!   the calling thread via [`std::panic::resume_unwind`].
-//! * **Observable on request.** [`Pool::map_chunks_observed`] times each
-//!   worker's chunk and its spawn latency through an [`ivm_obs::Obs`]
-//!   handle (`pool.chunk_micros`, `pool.queue_wait_micros`,
-//!   `pool.chunks` — see `docs/OBSERVABILITY.md`). With the no-op
-//!   handle it degenerates to [`Pool::map_chunks`]: one branch, no
-//!   clocks read, so the fan-out hot path costs nothing extra when
-//!   nobody is watching.
+//! * **Panic transparent.** The first panicking chunk in input order
+//!   re-raises its payload on the calling thread, after every worker has
+//!   finished (the `std::thread::scope` contract).
+//! * **Observable on request.** [`Pool::map_chunks_observed`] and
+//!   [`Pool::try_map_observed`] time each chunk and its start latency
+//!   through an [`ivm_obs::Obs`] handle (`pool.chunk_micros`,
+//!   `pool.queue_wait_micros`, `pool.chunks` — see
+//!   `docs/OBSERVABILITY.md`). With the no-op handle they degenerate to
+//!   the plain calls: one branch, no clocks read, so the fan-out hot path
+//!   costs nothing extra when nobody is watching.
 //!
 //! # Fan-out example
 //!
 //! ```
-//! use ivm_parallel::Pool;
+//! use ivm_parallel::{Pool, GRAIN};
 //!
 //! let pool = Pool::new(4);
 //! let items: Vec<i64> = (0..100).collect();
 //! let squares = pool.map(&items, |x| x * x);
 //! assert_eq!(squares[7], 49); // input order, every width
+//!
+//! // The grain rule: 100 tuples of work never fan out; four grains do.
+//! assert!(Pool::for_work(4, items.len()).is_sequential());
+//! assert_eq!(Pool::for_work(4, 4 * GRAIN).threads(), 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -47,16 +65,30 @@ pub mod model;
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use ivm_obs::{names, Obs};
+use ivm_obs::names;
+/// The metrics handle the `*_observed` calls take, re-exported so callers
+/// need no direct `ivm-obs` dependency to pass one.
+pub use ivm_obs::Obs;
+
+/// Tuples of estimated work that pay for one worker: [`Pool::for_work`]
+/// gives each worker at least this many, so a fan-out starts at two
+/// grains. A scoped spawn costs tens of microseconds; a grain of hash,
+/// join or satisfiability work costs several times that.
+pub const GRAIN: usize = 1024;
 
 /// Number of hardware threads, with a conservative fallback of 1 when the
-/// platform cannot say.
+/// platform cannot say. Read from the OS once per process — the query can
+/// cost tens of microseconds (it may read cgroup files) — and cached.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Resolve a requested thread count: `0` means "one worker per available
@@ -104,6 +136,18 @@ impl Pool {
         }
     }
 
+    /// The pool a call site should fan `work` tuples out over: one worker
+    /// per [`GRAIN`] tuples, capped at `threads` (`0` = one per available
+    /// core), never fewer than one. This is the only fan-out threshold in
+    /// the workspace; a site whose pool comes back sequential runs its
+    /// sequential code. The width depends only on `threads` and `work`,
+    /// never on timing, so results are identical at every width.
+    pub fn for_work(threads: usize, work: usize) -> Self {
+        Pool {
+            threads: resolve_threads(threads).min(work / GRAIN).max(1),
+        }
+    }
+
     /// The single-threaded pool: every operation degenerates to a plain
     /// sequential loop on the calling thread.
     pub fn sequential() -> Self {
@@ -125,36 +169,47 @@ impl Pool {
     /// building block under [`Pool::map`] / [`Pool::try_map`]; callers
     /// with chunk-level state (e.g. a shared join prefix across
     /// truth-table rows) use it directly.
+    ///
+    /// Chunk 0 runs on the calling thread while the other chunks run on
+    /// spawned workers; the caller then joins the workers in input
+    /// order. If chunks panic, the first one in input order re-raises on
+    /// the caller once every worker has finished.
     pub fn map_chunks<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        let ranges = chunk_ranges(n, self.threads);
-        if ranges.len() <= 1 || self.is_sequential() {
-            return ranges.into_iter().map(f).collect();
+        let mut ranges = chunk_ranges(n, self.threads).into_iter();
+        let Some(head) = ranges.next() else {
+            return Vec::new();
+        };
+        if ranges.len() == 0 {
+            return vec![f(head)];
         }
         let f = &f;
         std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| s.spawn(move || f(range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
+            let workers: Vec<_> = ranges.map(|range| s.spawn(move || f(range))).collect();
+            let mut out = Vec::with_capacity(workers.len() + 1);
+            // A panic in chunk 0 unwinds out of this closure; the scope
+            // still waits for every worker before re-raising it.
+            out.push(f(head));
+            for worker in workers {
+                match worker.join() {
+                    Ok(r) => out.push(r),
                     Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+                }
+            }
+            out
         })
     }
 
     /// [`Pool::map_chunks`] with per-chunk instrumentation: when `obs`
-    /// has a recorder installed, each chunk reports its spawn latency
+    /// has a recorder installed, each chunk reports its start latency
     /// (`pool.queue_wait_micros` — wall time between fan-out start and
-    /// the chunk body beginning to run) and its body duration
-    /// (`pool.chunk_micros`), plus a `pool.chunks` count. With the
+    /// the chunk body beginning to run; near zero for chunk 0, which the
+    /// caller runs itself) and its body duration
+    /// (`pool.chunk_micros`), plus a `pool.chunks` count. A call that
+    /// does not fan out (one chunk, run inline) records nothing. With the
     /// disabled handle this is exactly [`Pool::map_chunks`] — the
     /// `enabled` branch is taken once per call, not per chunk.
     ///
@@ -165,7 +220,7 @@ impl Pool {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        if !obs.enabled() {
+        if !obs.enabled() || self.threads.min(n) < 2 {
             return self.map_chunks(n, f);
         }
         // ivm-lint: allow(no-ambient-time) — observational timing only, behind obs.enabled(); results are bit-identical with and without it
@@ -216,13 +271,29 @@ impl Pool {
         E: Send,
         F: Fn(&T) -> Result<R, E> + Sync,
     {
-        let chunks = self.map_chunks(items.len(), |range| {
-            let mut out = Vec::with_capacity(range.len());
-            for item in &items[range] {
-                out.push(f(item)?);
-            }
-            Ok(out)
-        });
+        self.try_map_observed(items, f, &Obs::disabled())
+    }
+
+    /// [`Pool::try_map`] with the per-chunk instrumentation of
+    /// [`Pool::map_chunks_observed`].
+    pub fn try_map_observed<T, R, E, F>(&self, items: &[T], f: F, obs: &Obs) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+        F: Fn(&T) -> Result<R, E> + Sync,
+    {
+        let chunks = self.map_chunks_observed(
+            items.len(),
+            |range| {
+                let mut out = Vec::with_capacity(range.len());
+                for item in &items[range] {
+                    out.push(f(item)?);
+                }
+                Ok(out)
+            },
+            obs,
+        );
         let mut out = Vec::with_capacity(items.len());
         for chunk in chunks {
             out.extend(chunk?);
@@ -307,6 +378,81 @@ mod tests {
     }
 
     #[test]
+    fn width_is_resolved_once() {
+        assert_eq!(available_threads(), available_threads());
+        assert_eq!(resolve_threads(0), available_threads());
+        assert_eq!(resolve_threads(3), 3);
+    }
+
+    #[test]
+    fn for_work_gives_each_worker_a_grain() {
+        assert_eq!(Pool::for_work(8, 0).threads(), 1);
+        assert_eq!(Pool::for_work(8, 2 * GRAIN - 1).threads(), 1);
+        assert_eq!(Pool::for_work(8, 2 * GRAIN).threads(), 2);
+        assert_eq!(Pool::for_work(8, 5 * GRAIN + 7).threads(), 5);
+        assert_eq!(Pool::for_work(8, 100 * GRAIN).threads(), 8);
+        assert_eq!(Pool::for_work(1, 100 * GRAIN).threads(), 1);
+        assert_eq!(Pool::for_work(0, usize::MAX).threads(), available_threads());
+    }
+
+    #[test]
+    fn caller_runs_chunk_zero_and_workers_the_rest() {
+        let caller = std::thread::current().id();
+        for threads in [2, 3, 8] {
+            let ran_on = Pool::new(threads).map_chunks(8, |_| std::thread::current().id());
+            assert_eq!(ran_on[0], caller, "threads={threads}");
+            assert!(
+                ran_on[1..].iter().all(|id| *id != caller),
+                "threads={threads}"
+            );
+        }
+        let single = Pool::new(8).map_chunks(1, |_| std::thread::current().id());
+        assert_eq!(single, vec![caller], "one chunk never spawns");
+    }
+
+    #[test]
+    fn caller_chunk_panic_waits_for_workers_then_propagates() {
+        let (finished, done) = std::sync::mpsc::channel();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Pool::new(4).map_chunks(4, |range| {
+                if range.start == 0 {
+                    panic!("chunk 0");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.send(range.start).unwrap();
+            })
+        }));
+        let payload = result.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 0"));
+        let mut seen: Vec<usize> = done.try_iter().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2, 3], "no worker outlives the call");
+    }
+
+    #[test]
+    fn first_panic_in_input_order_wins() {
+        // Every chunk but the caller's panics; the second chunk in input
+        // order is the one re-raised, whichever worker panicked first.
+        for threads in [2, 3, 4] {
+            let result = std::panic::catch_unwind(|| {
+                Pool::new(threads).map_chunks(4, |range| {
+                    if range.start >= 1 {
+                        panic!("chunk at {}", range.start);
+                    }
+                })
+            });
+            let payload = result.unwrap_err();
+            let msg = payload.downcast_ref::<String>().unwrap();
+            let second = &chunk_ranges(4, threads)[1];
+            assert_eq!(
+                *msg,
+                format!("chunk at {}", second.start),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_input_is_fine() {
         let empty: Vec<u8> = Vec::new();
         assert!(Pool::new(8).map(&empty, |x| *x).is_empty());
@@ -344,6 +490,25 @@ mod tests {
         let wait = rec.histogram(ivm_obs::names::POOL_QUEUE_WAIT_MICROS);
         assert_eq!(chunk.count, 3);
         assert_eq!(wait.count, 3);
+        // No fan-out, nothing recorded: one item, or a width-1 pool.
+        assert_eq!(pool.map_chunks_observed(1, |r| r.len(), &obs), vec![1]);
+        Pool::sequential().map_chunks_observed(10, |r| r.len(), &obs);
+        assert_eq!(rec.counter(ivm_obs::names::POOL_CHUNKS), 3);
+    }
+
+    #[test]
+    fn try_map_observed_matches_plain_and_counts_chunks() {
+        use std::sync::Arc;
+        let items: Vec<i64> = (0..100).collect();
+        let pool = Pool::new(4);
+        let rec = Arc::new(ivm_obs::InMemoryRecorder::new());
+        let obs = ivm_obs::Obs::new(rec.clone());
+        let f = |&x: &i64| if x == 60 { Err(x) } else { Ok(x * 2) };
+        assert_eq!(
+            pool.try_map_observed(&items, f, &obs),
+            pool.try_map(&items, f)
+        );
+        assert_eq!(rec.counter(ivm_obs::names::POOL_CHUNKS), 4);
     }
 
     #[test]

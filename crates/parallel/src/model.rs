@@ -4,8 +4,8 @@
 //! Real `std::thread::scope` threads cannot be paused and resumed at
 //! will, so the concurrency-sensitive invariants of this crate — the
 //! *earliest-error-in-input-order* selection of [`crate::Pool::try_map`]
-//! and the *join-everything-then-propagate* shutdown of
-//! [`crate::Pool::map_chunks`] — are checked against explicit
+//! and the *caller-runs-chunk-0, join-in-order, drain-then-propagate*
+//! shutdown of [`crate::Pool::map_chunks`] — are checked against explicit
 //! state-machine **models** instead, explored by the standalone
 //! [`ivm_race`] crate. This module keeps the two pool models next to the
 //! pool they describe.
@@ -22,49 +22,52 @@ use ivm_race::explore::{Model, Status};
 // Model 1: try_map's deterministic error selection.
 // ---------------------------------------------------------------------
 
-/// Which error-selection protocol the [`FirstErrorModel`] main thread
-/// follows when several chunks fail.
+/// Which selection protocol a model's calling thread follows when
+/// several chunks fail (an error in [`FirstErrorModel`], a panic in
+/// [`ShutdownModel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Selection {
-    /// What [`crate::Pool::try_map`] implements: join handles in input
-    /// order, first failing chunk in *input* order wins. Schedule
-    /// independent — the property the explorer proves.
+    /// What [`crate::Pool`] implements: the caller runs chunk 0, joins
+    /// the workers in input order, and the first failing chunk in
+    /// *input* order wins. Schedule independent — the property the
+    /// explorer proves.
     InputOrder,
-    /// The classic racy alternative: whichever failing worker *finished
-    /// first on the wall clock* wins. Kept as a known-buggy foil so the
-    /// harness can demonstrate it catches schedule dependence.
+    /// The classic racy alternative: whichever chunk *failed first on
+    /// the wall clock* wins. Kept as a known-buggy foil so the harness
+    /// can demonstrate it catches schedule dependence.
     CompletionOrder,
 }
 
-/// State-machine model of [`crate::Pool::try_map`]: `W` workers each
-/// fold a contiguous chunk of `Result` items (short-circuiting on the
-/// chunk's first error) while a main thread joins them in input order
-/// and selects the overall outcome.
+/// State-machine model of [`crate::Pool::try_map`]: each chunk folds a
+/// contiguous run of `Result` items, short-circuiting on the chunk's
+/// first error. Thread 0 is the caller: it folds chunk 0 itself, then
+/// joins the workers of chunks `1..` in input order and selects the
+/// overall outcome. Thread `t ≥ 1` is the worker of chunk `t`.
 #[derive(Debug, Clone)]
 pub struct FirstErrorModel {
-    /// Per-worker chunks, contiguous in input order.
+    /// Per-chunk items, contiguous in input order (at least one chunk).
     pub chunks: Vec<Vec<Result<u64, u64>>>,
     /// Error-selection protocol under test.
     pub selection: Selection,
 }
 
-/// Execution state of [`FirstErrorModel`]. Workers are threads
-/// `0..W`, the joining main thread is thread `W`.
+/// Execution state of [`FirstErrorModel`].
 #[derive(Debug, Clone)]
 pub struct FirstErrorState {
     pc: Vec<usize>,
     acc: Vec<Vec<u64>>,
     outcome: Vec<Option<Result<(), u64>>>,
-    /// Worker ids in the order their *errors* became visible — the
+    /// Chunks in the order their *errors* became visible — the
     /// wall-clock completion order a racy selection would consult.
     error_log: Vec<usize>,
+    /// Next worker chunk the caller joins (starts at 1).
     join_next: usize,
     final_result: Option<Result<Vec<u64>, u64>>,
 }
 
 impl FirstErrorModel {
-    fn workers(&self) -> usize {
-        self.chunks.len()
+    fn chunk_count(&self) -> usize {
+        self.chunks.len().max(1)
     }
 
     /// The schedule-independent oracle: first failing chunk in input
@@ -81,36 +84,56 @@ impl FirstErrorModel {
         }
         Ok(all)
     }
+
+    /// One atomic step of chunk `c`: fold one item, or finish an empty
+    /// chunk.
+    fn fold(&self, s: &mut FirstErrorState, c: usize) {
+        let chunk = self.chunks.get(c).map_or(&[][..], Vec::as_slice);
+        match chunk.get(s.pc[c]) {
+            Some(Ok(v)) => {
+                s.acc[c].push(*v);
+                s.pc[c] += 1;
+                if s.pc[c] == chunk.len() {
+                    s.outcome[c] = Some(Ok(()));
+                }
+            }
+            Some(Err(e)) => {
+                // Chunk-local short-circuit, as in try_map's chunk body.
+                s.outcome[c] = Some(Err(*e));
+                s.error_log.push(c);
+            }
+            None => s.outcome[c] = Some(Ok(())),
+        }
+    }
 }
 
 impl Model for FirstErrorModel {
     type State = FirstErrorState;
 
     fn init(&self) -> FirstErrorState {
-        let w = self.workers();
+        let n = self.chunk_count();
         FirstErrorState {
-            pc: vec![0; w],
-            acc: vec![Vec::new(); w],
-            outcome: vec![None; w],
+            pc: vec![0; n],
+            acc: vec![Vec::new(); n],
+            outcome: vec![None; n],
             error_log: Vec::new(),
-            join_next: 0,
+            join_next: 1,
             final_result: None,
         }
     }
 
     fn threads(&self) -> usize {
-        self.workers() + 1
+        self.chunk_count()
     }
 
     fn status(&self, s: &FirstErrorState, t: usize) -> Status {
-        let w = self.workers();
-        if t < w {
-            if s.outcome[t].is_some() {
-                Status::Finished
-            } else {
-                Status::Runnable
-            }
-        } else if s.join_next < w {
+        let n = self.chunk_count();
+        if s.outcome[t].is_none() {
+            // Folding its chunk (the caller's is chunk 0).
+            Status::Runnable
+        } else if t > 0 {
+            Status::Finished
+        } else if s.join_next < n {
             // Joining blocks until the next handle's worker is done.
             if s.outcome[s.join_next].is_some() {
                 Status::Runnable
@@ -125,36 +148,21 @@ impl Model for FirstErrorModel {
     }
 
     fn step(&self, s: &mut FirstErrorState, t: usize) {
-        let w = self.workers();
-        if t < w {
-            // One atomic step = fold one item (or finish an empty chunk).
-            match self.chunks[t].get(s.pc[t]) {
-                Some(Ok(v)) => {
-                    s.acc[t].push(*v);
-                    s.pc[t] += 1;
-                    if s.pc[t] == self.chunks[t].len() {
-                        s.outcome[t] = Some(Ok(()));
-                    }
-                }
-                Some(Err(e)) => {
-                    // Chunk-local short-circuit, as in try_map's worker.
-                    s.outcome[t] = Some(Err(*e));
-                    s.error_log.push(t);
-                }
-                None => s.outcome[t] = Some(Ok(())),
-            }
-        } else if s.join_next < w {
+        let n = self.chunk_count();
+        if s.outcome[t].is_none() {
+            self.fold(s, t);
+        } else if s.join_next < n {
             s.join_next += 1;
         } else {
             // All handles joined: select the overall outcome.
             let failing = match self.selection {
-                Selection::InputOrder => (0..w).find(|&i| matches!(s.outcome[i], Some(Err(_)))),
+                Selection::InputOrder => (0..n).find(|&c| matches!(s.outcome[c], Some(Err(_)))),
                 Selection::CompletionOrder => s.error_log.first().copied(),
             };
             s.final_result = Some(match failing {
-                Some(i) => match s.outcome[i] {
+                Some(c) => match s.outcome[c] {
                     Some(Err(e)) => Err(e),
-                    // A worker only enters `failing` via Err outcomes.
+                    // A chunk only enters `failing` via Err outcomes.
                     _ => Err(u64::MAX),
                 },
                 None => {
@@ -187,48 +195,76 @@ impl Model for FirstErrorModel {
 // Model 2: scope shutdown with panic propagation.
 // ---------------------------------------------------------------------
 
-/// State-machine model of [`crate::Pool::map_chunks`]'s shutdown path:
-/// workers run to completion (or panic at a scripted step); the main
-/// thread joins every handle in input order, remembers the first panic
-/// payload it sees, and only after *all* joins does the scope exit and
-/// re-raise. The invariant is the `std::thread::scope` contract: no
-/// worker outlives the scope, and the propagated payload is the first
-/// panicking handle in join (= input) order.
+/// State-machine model of [`crate::Pool::map_chunks`]'s shutdown path.
+/// Thread 0 is the caller: it runs chunk 0 itself, then joins the
+/// workers of chunks `1..` (threads `1..`) in input order. Each chunk
+/// runs to completion or panics at a scripted step. The first panic the
+/// caller meets — its own chunk 0's, or a joined worker's — unwinds the
+/// scope, which waits for every remaining worker before re-raising it.
+/// The invariant is the `std::thread::scope` contract: no worker
+/// outlives the scope, and the propagated panic is the first panicking
+/// chunk in input order.
 #[derive(Debug, Clone)]
 pub struct ShutdownModel {
-    /// Steps each worker runs before finishing cleanly.
-    pub steps_per_worker: Vec<usize>,
-    /// `(worker, step)` pairs where that worker panics instead.
+    /// Steps each chunk runs before finishing cleanly (at least one
+    /// chunk; chunk 0 runs on the caller).
+    pub steps_per_chunk: Vec<usize>,
+    /// `(chunk, step)` pairs where that chunk panics instead.
     pub panics: Vec<(usize, usize)>,
+    /// Which panic the scope re-raises when several chunks panic.
+    pub selection: Selection,
 }
 
-/// Execution state of [`ShutdownModel`]. Workers are threads `0..W`,
-/// the joining main thread is thread `W`.
+/// Execution state of [`ShutdownModel`].
 #[derive(Debug, Clone)]
 pub struct ShutdownState {
     pc: Vec<usize>,
     done: Vec<bool>,
     panicked: Vec<bool>,
+    /// Chunks in the order they panicked on the wall clock.
+    panic_log: Vec<usize>,
+    /// Next worker chunk the caller joins (starts at 1).
     join_next: usize,
-    first_panic: Option<usize>,
+    /// The panic unwinding the caller, once it met one.
+    unwinding: Option<usize>,
+    /// The payload the scope re-raised on exit.
+    raised: Option<usize>,
     /// Workers still running when the scope exited — must stay empty.
     leaked: Vec<usize>,
     exited: bool,
 }
 
 impl ShutdownModel {
-    fn workers(&self) -> usize {
-        self.steps_per_worker.len()
+    fn chunk_count(&self) -> usize {
+        self.steps_per_chunk.len().max(1)
     }
 
-    fn panics_at(&self, worker: usize, step: usize) -> bool {
-        self.panics.contains(&(worker, step))
+    fn steps(&self, chunk: usize) -> usize {
+        self.steps_per_chunk.get(chunk).copied().unwrap_or(0)
     }
 
-    /// The worker whose panic the scope must re-raise: first panicking
-    /// handle in join order, independent of the schedule.
+    fn panics_at(&self, chunk: usize, step: usize) -> bool {
+        self.panics.contains(&(chunk, step))
+    }
+
+    /// The chunk whose panic the scope must re-raise: first panicking
+    /// chunk in input order, independent of the schedule.
     pub fn expected_panic(&self) -> Option<usize> {
-        (0..self.workers()).find(|&w| (0..self.steps_per_worker[w]).any(|s| self.panics_at(w, s)))
+        (0..self.chunk_count()).find(|&c| (0..self.steps(c)).any(|s| self.panics_at(c, s)))
+    }
+
+    /// One step of chunk `c`'s body.
+    fn run(&self, s: &mut ShutdownState, c: usize) {
+        if self.panics_at(c, s.pc[c]) {
+            s.panicked[c] = true;
+            s.panic_log.push(c);
+            s.done[c] = true;
+        } else {
+            s.pc[c] += 1;
+            if s.pc[c] >= self.steps(c) {
+                s.done[c] = true;
+            }
+        }
     }
 }
 
@@ -236,69 +272,82 @@ impl Model for ShutdownModel {
     type State = ShutdownState;
 
     fn init(&self) -> ShutdownState {
-        let w = self.workers();
+        let n = self.chunk_count();
+        let mut done = vec![false; n];
+        for (c, d) in done.iter_mut().enumerate() {
+            *d = self.steps(c) == 0;
+        }
         ShutdownState {
-            pc: vec![0; w],
-            done: vec![false; w],
-            panicked: vec![false; w],
-            join_next: 0,
-            first_panic: None,
+            pc: vec![0; n],
+            done,
+            panicked: vec![false; n],
+            panic_log: Vec::new(),
+            join_next: 1,
+            unwinding: None,
+            raised: None,
             leaked: Vec::new(),
             exited: false,
         }
     }
 
     fn threads(&self) -> usize {
-        self.workers() + 1
+        self.chunk_count()
     }
 
     fn status(&self, s: &ShutdownState, t: usize) -> Status {
-        let w = self.workers();
-        if t < w {
-            if s.done[t] {
+        let n = self.chunk_count();
+        if t > 0 || !s.done[t] {
+            // A worker, or the caller still running its own chunk 0.
+            return if s.done[t] {
                 Status::Finished
             } else {
                 Status::Runnable
-            }
-        } else if s.join_next < w {
-            if s.done[s.join_next] {
+            };
+        }
+        if s.exited {
+            Status::Finished
+        } else if s.unwinding.is_some() {
+            // Unwinding: the scope waits for every worker to finish.
+            if s.done.iter().all(|d| *d) {
                 Status::Runnable
             } else {
                 Status::Blocked
             }
-        } else if s.exited {
-            Status::Finished
-        } else {
+        } else if s.join_next >= n || s.done[s.join_next] {
+            // Every handle joined (the scope exits), or the next is done.
             Status::Runnable
+        } else {
+            Status::Blocked
         }
     }
 
     fn step(&self, s: &mut ShutdownState, t: usize) {
-        let w = self.workers();
-        if t < w {
-            if self.panics_at(t, s.pc[t]) {
-                s.panicked[t] = true;
-                s.done[t] = true;
-            } else {
-                s.pc[t] += 1;
-                if s.pc[t] >= self.steps_per_worker[t] {
-                    s.done[t] = true;
-                }
+        let n = self.chunk_count();
+        if !s.done[t] {
+            self.run(s, t);
+            // The caller's own panic unwinds it at once; a worker's is
+            // only seen when the caller joins it.
+            if t == 0 && s.panicked[t] {
+                s.unwinding = Some(t);
             }
-        } else if s.join_next < w {
-            // Join in input order; remember the first panic payload but
-            // keep joining — scope exit must wait for every worker.
-            if s.panicked[s.join_next] && s.first_panic.is_none() {
-                s.first_panic = Some(s.join_next);
+        } else if s.unwinding.is_none() && s.join_next < n {
+            // Join in input order; a panicked handle's payload is
+            // re-raised at once, which unwinds the scope.
+            if s.panicked[s.join_next] {
+                s.unwinding = Some(s.join_next);
             }
             s.join_next += 1;
         } else {
             // Scope exit: record any worker still running as leaked.
-            for worker in 0..w {
-                if !s.done[worker] {
-                    s.leaked.push(worker);
+            for c in 1..n {
+                if !s.done[c] {
+                    s.leaked.push(c);
                 }
             }
+            s.raised = match self.selection {
+                Selection::InputOrder => s.unwinding,
+                Selection::CompletionOrder => s.panic_log.first().copied(),
+            };
             s.exited = true;
         }
     }
@@ -310,16 +359,17 @@ impl Model for ShutdownModel {
         if !s.leaked.is_empty() {
             return Err(format!("workers {:?} outlived the scope", s.leaked));
         }
-        if s.first_panic != self.expected_panic() {
+        if s.raised != self.expected_panic() {
             return Err(format!(
-                "propagated panic from {:?}, expected {:?}",
-                s.first_panic,
+                "schedule-dependent panic: propagated {:?}, expected {:?}",
+                s.raised,
                 self.expected_panic()
             ));
         }
-        for worker in 0..self.workers() {
-            if !s.panicked[worker] && s.pc[worker] < self.steps_per_worker[worker] {
-                return Err(format!("worker {worker} finished early"));
+        for c in 0..self.chunk_count() {
+            // Every chunk runs to completion or to its panic.
+            if !s.panicked[c] && s.pc[c] < self.steps(c) {
+                return Err(format!("chunk {c} finished early"));
             }
         }
         Ok(())
@@ -332,14 +382,15 @@ mod tests {
     use ivm_race::explore::{replay, Explorer};
 
     fn error_model(selection: Selection) -> FirstErrorModel {
-        // Two failing chunks: input order says chunk 0's error (17)
-        // wins, but chunk 2's error (63) is reachable *first* under
-        // schedules where worker 2 outruns worker 0.
+        // Two failing chunks: input order says the caller's chunk 0
+        // error (17) wins, but chunk 2's error (63) is reachable *first*
+        // under schedules where worker 2 outruns the caller.
         FirstErrorModel {
             chunks: vec![
                 vec![Ok(1), Err(17)],
                 vec![Ok(2), Ok(3)],
                 vec![Ok(4), Err(63)],
+                vec![Ok(5), Ok(6)],
             ],
             selection,
         }
@@ -349,7 +400,7 @@ mod tests {
     fn input_order_selection_is_schedule_independent() {
         let model = error_model(Selection::InputOrder);
         let stats = Explorer::default().explore(&model).unwrap();
-        assert!(stats.interleavings >= 100, "{stats:?}");
+        assert!(stats.interleavings >= 280, "{stats:?}");
         assert_eq!(model.oracle(), Err(17));
     }
 
@@ -366,23 +417,49 @@ mod tests {
     #[test]
     fn all_ok_model_concatenates_in_input_order() {
         let model = FirstErrorModel {
-            chunks: vec![vec![Ok(1), Ok(2)], vec![], vec![Ok(3)]],
+            chunks: vec![vec![Ok(1), Ok(2)], vec![], vec![Ok(3)], vec![Ok(4)]],
             selection: Selection::InputOrder,
         };
         let stats = Explorer::default().explore(&model).unwrap();
         assert!(stats.interleavings > 1);
-        assert_eq!(model.oracle(), Ok(vec![1, 2, 3]));
+        assert_eq!(model.oracle(), Ok(vec![1, 2, 3, 4]));
     }
 
     #[test]
     fn shutdown_model_joins_everyone() {
         let model = ShutdownModel {
-            steps_per_worker: vec![2, 2, 2],
+            steps_per_chunk: vec![2, 2, 2, 2],
             panics: vec![(1, 1)],
+            selection: Selection::InputOrder,
         };
         let stats = Explorer::default().explore(&model).unwrap();
-        assert!(stats.interleavings >= 100, "{stats:?}");
+        assert!(stats.interleavings >= 280, "{stats:?}");
         assert_eq!(model.expected_panic(), Some(1));
+    }
+
+    #[test]
+    fn callers_own_panic_drains_the_workers_first() {
+        let model = ShutdownModel {
+            steps_per_chunk: vec![2, 2, 2, 2],
+            panics: vec![(0, 1), (3, 0)],
+            selection: Selection::InputOrder,
+        };
+        let stats = Explorer::default().explore(&model).unwrap();
+        assert!(stats.interleavings >= 280, "{stats:?}");
+        assert_eq!(model.expected_panic(), Some(0));
+    }
+
+    #[test]
+    fn completion_order_panic_selection_is_caught() {
+        let model = ShutdownModel {
+            steps_per_chunk: vec![2, 2, 2, 2],
+            panics: vec![(0, 1), (2, 0)],
+            selection: Selection::CompletionOrder,
+        };
+        let bug = Explorer::default().explore(&model).unwrap_err();
+        assert!(bug.message.contains("schedule-dependent"), "{bug}");
+        let state = replay(&model, &bug.schedule).unwrap();
+        assert_eq!(state.raised, Some(2));
     }
 
     #[test]
@@ -396,13 +473,14 @@ mod tests {
     #[test]
     fn replay_rejects_bad_schedules() {
         let model = ShutdownModel {
-            steps_per_worker: vec![1],
+            steps_per_chunk: vec![1, 1],
             panics: vec![],
+            selection: Selection::InputOrder,
         };
         assert!(replay(&model, &[7]).is_err(), "no such thread");
-        assert!(replay(&model, &[0]).is_err(), "main never ran");
-        // Worker, join, scope exit: a complete schedule.
-        assert!(replay(&model, &[0, 1, 1]).is_ok());
+        assert!(replay(&model, &[1]).is_err(), "caller never ran");
+        // Worker, caller's chunk, join, scope exit: a complete schedule.
+        assert!(replay(&model, &[1, 0, 0, 0]).is_ok());
     }
 
     #[test]

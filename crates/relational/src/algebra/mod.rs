@@ -25,7 +25,7 @@ mod setops;
 
 pub use join::{
     join_key_positions, natural_join, natural_join_delta, natural_join_tagged,
-    natural_join_tagged_with, natural_join_with, PARTITION_THRESHOLD,
+    natural_join_tagged_with, natural_join_with,
 };
 pub use product::product;
 pub use project::{project, project_delta, project_tagged};

@@ -121,6 +121,12 @@ impl Transaction {
             .collect()
     }
 
+    /// Number of net tuple changes (inserts plus deletes) to one relation;
+    /// non-zero exactly for the relations [`Transaction::touched`] lists.
+    pub fn changes_to(&self, relation: &str) -> usize {
+        self.changes.get(relation).map_or(0, HashMap::len)
+    }
+
     /// Net inserted tuples for a relation (`i_r`).
     pub fn inserted(&self, relation: &str) -> impl Iterator<Item = &Tuple> {
         self.changes

@@ -317,6 +317,9 @@ fn run_session(stream: TcpStream, ctx: Arc<Ctx>, tx: mpsc::Sender<WriteReq>) {
 }
 
 fn session_loop(stream: TcpStream, ctx: &Ctx, tx: &mpsc::Sender<WriteReq>) -> Result<()> {
+    // A response larger than the write buffer leaves in two writes; with
+    // Nagle on, the second waits for the client's delayed ACK (~40 ms).
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 

@@ -357,3 +357,52 @@ fn stacked_view_ddl_over_the_wire() {
     let mut mgr = server.join().unwrap();
     mgr.verify_consistency().unwrap();
 }
+
+#[test]
+fn mid_size_responses_do_not_wait_for_delayed_acks() {
+    // A 250-row view encodes to a response between 8 KiB (the session's
+    // write buffer) and 64 KiB, so it leaves the server in two writes.
+    // Without TCP_NODELAY on the server's socket, Nagle's algorithm holds
+    // the second write until the client's delayed ACK: ~40 ms per read
+    // on Linux loopback instead of well under a millisecond.
+    let mut mgr = ViewManager::new();
+    mgr.create_relation("R", Schema::new(["A", "B", "C"]).unwrap())
+        .unwrap();
+    mgr.load("R", (0..250i64).map(|i| [i, i * 7, i * 13]))
+        .unwrap();
+    mgr.register_view(
+        "all",
+        SpjExpr::new(["R"], Atom::ge_const("A", 0).into(), None),
+        RefreshPolicy::Immediate,
+    )
+    .unwrap();
+    let server = Server::start(mgr, "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr().to_string().as_str()).unwrap();
+
+    let (epoch, rows) = c.query("all").unwrap();
+    assert_eq!(rows.len(), 250);
+    let mut frame = Vec::new();
+    protocol::send(&mut frame, &Response::Rows { epoch, rows }).unwrap();
+    assert!(
+        (8 << 10..64 << 10).contains(&frame.len()),
+        "response of {} bytes is outside the 8–64 KiB band",
+        frame.len()
+    );
+
+    let mut times: Vec<Duration> = (0..9)
+        .map(|_| {
+            let started = Instant::now();
+            c.query("all").unwrap();
+            started.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median read of a mid-size response took {median:?} (all: {times:?})"
+    );
+
+    c.shutdown().unwrap();
+    server.join().unwrap();
+}

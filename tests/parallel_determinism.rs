@@ -4,13 +4,21 @@
 //! transaction — tuple-for-tuple, counter-for-counter — as the sequential
 //! oracle at 1 thread, with and without prefix sharing, and the
 //! paper-level work metric (truth-table rows evaluated) must not change.
+//!
+//! The proptest inputs are small, so the pool's grain rule keeps them on
+//! the sequential paths at every width. The fixed cases at the end use
+//! inputs that clear the grain, check through `pool.chunks` that the
+//! fan-out really happened, and compare against width 1; one more pins
+//! that a two-tuple transaction dispatches nothing at the default width.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
 use rand::{Rng, SeedableRng};
 
-use ivm::differential::{differential_delta, DiffOptions};
+use ivm::differential::{differential_delta, differential_delta_observed, DiffOptions};
 use ivm::prelude::*;
 
 /// Chain database R0(A0,A1) ⋈ R1(A1,A2) ⋈ … over a small value domain so
@@ -203,4 +211,222 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Inputs above the pool's grain: the fan-outs really happen.
+// ---------------------------------------------------------------------
+
+/// A recorder and the handle that feeds it.
+fn recorded() -> (Arc<InMemoryRecorder>, Obs) {
+    let rec = Arc::new(InMemoryRecorder::new());
+    let obs = Obs::new(rec.clone());
+    (rec, obs)
+}
+
+/// Pool chunks dispatched by the fan-outs `rec` saw.
+fn chunks(rec: &InMemoryRecorder) -> u64 {
+    rec.counter(metric_names::POOL_CHUNKS)
+}
+
+/// A transaction deleting the first `n` tuples of each named relation
+/// and inserting `n` fresh ones over the chain domain `0..domain`.
+fn bulk_txn(db: &Database, relations: &[&str], n: usize, domain: i64) -> Transaction {
+    let mut txn = Transaction::new();
+    for (i, name) in relations.iter().enumerate() {
+        let rel = db.relation(name).unwrap();
+        for (t, _) in rel.iter().take(n) {
+            txn.delete(*name, t.clone()).unwrap();
+        }
+        // Walk the domain² pairs from a per-relation offset; every pair
+        // is visited once, so this ends whenever n free pairs exist.
+        let mut added = 0;
+        let start = i as i64 * 7919;
+        for v in start..start + domain * domain {
+            if added == n {
+                break;
+            }
+            let t = Tuple::from([(v / domain) % domain, v % domain]);
+            if !rel.contains(&t) && txn.insert(*name, t).is_ok() {
+                added += 1;
+            }
+        }
+        assert_eq!(added, n, "domain too small for {n} fresh tuples");
+    }
+    txn
+}
+
+#[test]
+fn truth_table_rows_fan_out_above_the_grain() {
+    // Three 1,500-tuple relations, two of them changed: three rows that
+    // read thousands of operand tuples between them.
+    let mut rng = StdRng::seed_from_u64(7);
+    let (p, domain) = (3, 1000);
+    let db = build_db(&mut rng, p, 1500, domain);
+    let view = SpjExpr::new(
+        ["R0", "R1", "R2"],
+        Atom::lt_const("A0", 900).into(),
+        Some(vec!["A0".into(), "A3".into()]),
+    );
+    let txn = bulk_txn(&db, &["R0", "R1"], 20, domain);
+    for share_prefixes in [true, false] {
+        let opts = |threads: usize| DiffOptions {
+            share_prefixes,
+            threads,
+            ..DiffOptions::default()
+        };
+        let (rec1, obs1) = recorded();
+        let oracle = differential_delta_observed(&view, &db, &txn, &opts(1), &obs1).unwrap();
+        assert_eq!(chunks(&rec1), 0, "width 1 never dispatches");
+        assert!(!oracle.delta.is_empty());
+        for threads in [2usize, 4, 8] {
+            let (rec, obs) = recorded();
+            let par = differential_delta_observed(&view, &db, &txn, &opts(threads), &obs).unwrap();
+            assert!(chunks(&rec) > 0, "threads={threads}: rows did not fan out");
+            assert_eq!(par.delta, oracle.delta, "threads={threads}");
+            assert_eq!(par.stats.rows_evaluated, oracle.stats.rows_evaluated);
+        }
+    }
+}
+
+#[test]
+fn single_row_spends_the_width_on_partitioned_joins() {
+    // k = 1 leaves one truth-table row: no row fan-out, but its join of
+    // the change set with an unindexed 3,000-tuple operand partitions.
+    let mut rng = StdRng::seed_from_u64(11);
+    let domain = 1000;
+    let db = build_db(&mut rng, 2, 3000, domain);
+    let view = SpjExpr::new(["R0", "R1"], Condition::always_true(), None);
+    let txn = bulk_txn(&db, &["R0"], 1500, domain);
+    let (rec1, obs1) = recorded();
+    let opts = |threads| DiffOptions {
+        threads,
+        ..DiffOptions::default()
+    };
+    let oracle = differential_delta_observed(&view, &db, &txn, &opts(1), &obs1).unwrap();
+    assert_eq!(chunks(&rec1), 0);
+    assert!(!oracle.delta.is_empty());
+    for threads in [2usize, 4] {
+        let (rec, obs) = recorded();
+        let par = differential_delta_observed(&view, &db, &txn, &opts(threads), &obs).unwrap();
+        assert!(
+            chunks(&rec) > 0,
+            "threads={threads}: join did not partition"
+        );
+        assert_eq!(par.delta, oracle.delta, "threads={threads}");
+        assert_eq!(par.stats.rows_evaluated, oracle.stats.rows_evaluated);
+    }
+}
+
+/// A manager over chain relations `R0(A0,A1)`, `R1(A1,A2)` loaded from
+/// `db`, with `views` registered immediate, at `threads` workers.
+fn chain_manager(
+    db: &Database,
+    views: &[(&str, SpjExpr)],
+    threads: usize,
+) -> (ViewManager, Arc<InMemoryRecorder>) {
+    let rec = Arc::new(InMemoryRecorder::new());
+    let mut m = ViewManager::new()
+        .with_threads(threads)
+        .with_recorder(rec.clone());
+    for name in ["R0", "R1"] {
+        m.create_relation(name, db.schema(name).unwrap().clone())
+            .unwrap();
+        let tuples: Vec<Tuple> = db
+            .relation(name)
+            .unwrap()
+            .iter()
+            .map(|(t, _)| t.clone())
+            .collect();
+        m.load(name, tuples).unwrap();
+    }
+    for (name, view) in views {
+        m.register_view(*name, view.clone(), RefreshPolicy::Immediate)
+            .unwrap();
+    }
+    (m, rec)
+}
+
+/// Execute `txn` at 1 and at `threads` workers over the same views, all
+/// of them in one stratum; return the chunks the wide run dispatched
+/// after asserting that its report and every view's contents match the
+/// width-1 run.
+fn chunks_vs_width_one(
+    db: &Database,
+    views: &[(&str, SpjExpr)],
+    txn: &Transaction,
+    threads: usize,
+) -> u64 {
+    let (mut seq, _) = chain_manager(db, views, 1);
+    let (mut par, rec) = chain_manager(db, views, threads);
+    let before = chunks(&rec);
+    let seq_report = seq.execute(txn).unwrap();
+    let par_report = par.execute(txn).unwrap();
+    assert_eq!(par_report, seq_report, "threads={threads}");
+    for (name, _) in views {
+        assert_eq!(
+            par.view_contents(name).unwrap(),
+            seq.view_contents(name).unwrap(),
+            "view {name} at threads={threads}"
+        );
+    }
+    par.verify_consistency().unwrap();
+    let width = rec.histogram(metric_names::DAG_STRATUM_WIDTH).max;
+    assert_eq!(width, views.len() as u64, "all views in one stratum");
+    chunks(&rec) - before
+}
+
+#[test]
+fn wide_stratum_fans_out_above_the_grain() {
+    // Two independent views in one stratum, each consuming 1,500
+    // changes: below the grain each on its own (filter and engine stay
+    // sequential), above it together — the stratum fans out.
+    let mut rng = StdRng::seed_from_u64(3);
+    let domain = 1000;
+    let db = build_db(&mut rng, 2, 2000, domain);
+    let views = [
+        (
+            "low0",
+            SpjExpr::new(["R0"], Atom::lt_const("A0", 500).into(), None),
+        ),
+        (
+            "low1",
+            SpjExpr::new(["R1"], Atom::lt_const("A2", 500).into(), None),
+        ),
+    ];
+    let txn = bulk_txn(&db, &["R0", "R1"], 750, domain);
+    for threads in [2usize, 4] {
+        assert_eq!(
+            chunks_vs_width_one(&db, &views, &txn, threads),
+            2,
+            "threads={threads}: one chunk per view"
+        );
+    }
+}
+
+#[test]
+fn two_tuple_write_dispatches_no_chunk() {
+    // One insert and one delete on R0 touch both views of the stratum;
+    // far below the grain, the default width must run exactly what one
+    // thread runs, with no pool dispatch anywhere.
+    let mut rng = StdRng::seed_from_u64(5);
+    let domain = 50;
+    let db = build_db(&mut rng, 2, 300, domain);
+    let views = [
+        (
+            "sel",
+            SpjExpr::new(["R0"], Atom::lt_const("A0", 40).into(), None),
+        ),
+        (
+            "joined",
+            SpjExpr::new(
+                ["R0", "R1"],
+                Atom::lt_const("A2", 45).into(),
+                Some(vec!["A0".into(), "A2".into()]),
+            ),
+        ),
+    ];
+    let txn = bulk_txn(&db, &["R0"], 1, domain);
+    assert_eq!(txn.size(), 2);
+    assert_eq!(chunks_vs_width_one(&db, &views, &txn, 4), 0);
 }
