@@ -21,7 +21,10 @@ pub struct OperandSize {
     /// A maintained join-key index covers this relation: its `B = 0`
     /// substitution is probed instead of materialized and hash-built, so
     /// the differential path charges a constant probe overhead in place
-    /// of the relation's size. Full re-evaluation still scans it.
+    /// of the relation's size. The engine roots every truth-table row at
+    /// a change set and applies a pushed selection per posting, so this
+    /// holds for selected operands too. Full re-evaluation still scans
+    /// it.
     pub indexed: bool,
 }
 

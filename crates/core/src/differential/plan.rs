@@ -13,6 +13,8 @@
 //!   attributes (avoiding accidental cross products). Because change sets
 //!   are small, putting them first keeps every intermediate result small —
 //!   the dominant effect in differential evaluation.
+//!   [`order_operands_from`] forces the first operand: the engine roots
+//!   each pivot group of truth-table rows at that group's change set.
 //! * **Selection pushdown** ([`push_selections`]): for single-conjunction
 //!   conditions, every atom whose variables fall within one operand's
 //!   scheme is applied to that operand *before* any join (and removed from
@@ -89,11 +91,27 @@ pub fn push_selections(condition: &Condition, schemas: &[&Schema]) -> Pushdown {
 /// Returns the identity permutation when no operand is updated.
 pub fn order_operands(schemas: &[&Schema], metric: &[usize], updated: &[bool]) -> Vec<usize> {
     let p = schemas.len();
-    debug_assert_eq!(metric.len(), p);
-    debug_assert_eq!(updated.len(), p);
     let Some(start) = (0..p).filter(|&i| updated[i]).min_by_key(|&i| metric[i]) else {
         return (0..p).collect();
     };
+    order_operands_from(schemas, metric, updated, start)
+}
+
+/// [`order_operands`] with a forced first operand: the order starts at
+/// `start` and grows by the same connected preference tiers. The
+/// differential engine roots each pivot group at its change set this way
+/// (`start` is the pivot, `updated` marks the operands whose `B = 1` side
+/// the group reads).
+pub fn order_operands_from(
+    schemas: &[&Schema],
+    metric: &[usize],
+    updated: &[bool],
+    start: usize,
+) -> Vec<usize> {
+    let p = schemas.len();
+    debug_assert_eq!(metric.len(), p);
+    debug_assert_eq!(updated.len(), p);
+    debug_assert!(start < p, "start operand out of range");
 
     let mut order = Vec::with_capacity(p);
     let mut taken = vec![false; p];
@@ -212,6 +230,49 @@ mod tests {
         let order = order_operands(&refs, &[5, 9], &[true, false]);
         assert_eq!(order.len(), 2);
         assert_eq!(order[0], 0);
+    }
+
+    /// Every operand after the first shares an attribute with the
+    /// operands before it (when the view's join graph is connected).
+    fn assert_connected(schemas: &[Schema], order: &[usize]) {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..schemas.len()).collect::<Vec<_>>(), "{order:?}");
+        for (n, &i) in order.iter().enumerate().skip(1) {
+            let joined = order[..n]
+                .iter()
+                .any(|&j| !schemas[i].intersection(&schemas[j]).is_empty());
+            assert!(joined, "operand {i} disconnected in {order:?}");
+        }
+    }
+
+    #[test]
+    fn forced_first_operand_stays_connected_for_every_pivot() {
+        // A chain and a star with a tail: R0(A,B) R1(B,C) R2(C,D) R3(D,E)
+        // and S0(K,X) S1(K,Y) S2(Y,Z) S3(K,W).
+        let chain = vec![
+            s(&["A", "B"]),
+            s(&["B", "C"]),
+            s(&["C", "D"]),
+            s(&["D", "E"]),
+        ];
+        let star = vec![
+            s(&["K", "X"]),
+            s(&["K", "Y"]),
+            s(&["Y", "Z"]),
+            s(&["K", "W"]),
+        ];
+        for schemas in [chain, star] {
+            let refs: Vec<&Schema> = schemas.iter().collect();
+            let metric = [500, 3, 1000, 7];
+            for start in 0..schemas.len() {
+                // Pivot-group flags: the pivot and later operands updated.
+                let updated: Vec<bool> = (0..schemas.len()).map(|i| i >= start).collect();
+                let order = order_operands_from(&refs, &metric, &updated, start);
+                assert_eq!(order[0], start);
+                assert_connected(&schemas, &order);
+            }
+        }
     }
 
     #[test]

@@ -33,34 +33,43 @@
 //!   partial subexpressions appearing in multiple rows");
 //! * **selection pushdown** — single-operand atoms of the condition filter
 //!   operands before any join ([`crate::differential::plan`]);
-//! * **operand reordering** — change sets join first, in a
-//!   connectivity-preserving greedy order (§5.3's "good order for
-//!   execution of the joins");
+//! * **operand reordering: pivot groups** — the rows are split into one
+//!   group per updated operand `u`: the rows whose first `B = 1` operand
+//!   (in definition order) is `u`. In its group, earlier updated operands
+//!   offer only `B = 0`, `u` only `B = 1`, later ones both, so the groups
+//!   partition the 2^k − 1 rows exactly. Each group is one DFS in its own
+//!   connectivity-preserving greedy order that starts at `Δu`
+//!   ([`plan::order_operands_from`], §5.3's "good order for execution of
+//!   the joins"): every row is rooted at a change set and no `B = 0`
+//!   operand ever sits at position 0. Without reordering there is one
+//!   group in definition order — the paper-literal table;
 //! * **lazy operands** — when only one relation changed (`k = 1`), the
 //!   single row never touches that relation's old contents, so they are
-//!   never copied;
-//! * **parallel rows** — the 2^k − 1 truth-table rows are independent, so
-//!   when the operand tuples they read clear the pool's grain rule
+//!   never copied; a materialized operand is built at most once per run
+//!   and shared by every group;
+//! * **parallel groups** — the groups are independent, so when the
+//!   operand tuples they read clear the pool's grain rule
 //!   ([`Pool::for_work`]) they are fanned out over a scoped worker pool in
-//!   contiguous chunks (each chunk keeps an incremental join stack, the
-//!   chunk-local analogue of DFS prefix sharing) and the chunk results are
-//!   merged in row order. Below the grain the sequential DFS runs at every
-//!   width. The accumulators are keyed tagged maps and
-//!   row merging is additive, so the delta is identical to the sequential
-//!   engine for every thread count; when there are fewer rows than workers
-//!   (`k = 1` in particular) the spare parallelism is spent inside the
-//!   joins instead via the hash-partitioned `natural_join_tagged_with`;
-//! * **index probing** — when a `B_i = 0` operand carries a maintained
-//!   [`JoinIndex`] covering the join key against the accumulated prefix,
-//!   the engine neither materializes the operand nor hash-builds it:
-//!   each prefix tuple probes the persistent index directly
-//!   (`IndexedZero`, `probe_join_tagged`). At the last operand position
-//!   the probe is additionally fused with the residual selection and final
-//!   projection, emitting straight into the row accumulator. Falls back
-//!   to the materialized build when no index covers the key, a selection
-//!   was pushed onto the operand, or `use_indexes` is off — with
-//!   bit-identical deltas and work counters either way (only the
-//!   `index_probes`/`index_probe_rows` stats differ, by construction).
+//!   contiguous chunks, each running the same sequential code as width 1,
+//!   and the results are merged. An indexed operand is priced by the
+//!   change-set tuples that probe it, not by its |r|. The accumulators are
+//!   keyed tagged maps and merging is additive, so the delta and every
+//!   work counter are identical for every thread count; width beyond one
+//!   worker per group (`k = 1` in particular) is spent inside the joins
+//!   via the hash-partitioned `natural_join_tagged_with`;
+//! * **index probing** — when a `B = 0` operand carries a maintained
+//!   [`JoinIndex`] covering the join key against the group's accumulated
+//!   prefix, the engine neither materializes the operand nor hash-builds
+//!   it: each prefix tuple probes the persistent index directly
+//!   (`IndexedZero`, `probe_join_tagged`), subtracting `d_r` and applying
+//!   the operand's pushed selection per posting. At the last operand
+//!   position the probe is additionally fused with the residual selection
+//!   and final projection, emitting straight into the row accumulator.
+//!   Falls back to the materialized build when no index covers the key or
+//!   `use_indexes` is off — with identical deltas, rows and joins either
+//!   way. Only the probe counters differ, and `operand_tuples` when a
+//!   selection was pushed: an indexed operand charges `|r − d_r|`, the
+//!   fallback its filtered size.
 
 use ivm_obs::{names, Obs};
 use ivm_parallel::Pool;
@@ -229,11 +238,11 @@ pub fn differential_delta_parts_observed(
     let p = view.arity();
     let out_schema = output_schema(view, old)?;
 
-    let updated: Vec<usize> = updates
+    let changes: Vec<Option<&OperandUpdate>> = updates
         .iter()
-        .enumerate()
-        .filter_map(|(i, u)| u.as_ref().filter(|u| !u.is_empty()).map(|_| i))
+        .map(|u| u.as_ref().filter(|u| !u.is_empty()))
         .collect();
+    let updated: Vec<usize> = (0..p).filter(|&i| changes[i].is_some()).collect();
     if updated.is_empty() {
         return Ok(DifferentialResult {
             delta: DeltaRelation::empty(out_schema),
@@ -251,45 +260,35 @@ pub fn differential_delta_parts_observed(
             residual: view.condition.clone(),
         }
     };
-    let order: Vec<usize> = if opts.reorder_operands {
-        let metric: Vec<usize> = (0..p)
-            .map(|i| match &updates[i] {
-                Some(u) if !u.is_empty() => u.len(),
-                _ => old[i].len(),
-            })
-            .collect();
-        let updated_flags: Vec<bool> = (0..p).map(|i| updated.contains(&i)).collect();
-        plan::order_operands(&schemas, &metric, &updated_flags)
-    } else {
-        (0..p).collect()
-    };
-    let identity_order = order.iter().enumerate().all(|(i, &o)| i == o);
-
-    // Final projection: the view's own, or — when reordering disturbed the
-    // natural layout — an explicit projection back onto the canonical
-    // scheme.
-    let final_proj: Option<Vec<AttrName>> = match &view.projection {
-        Some(attrs) => Some(attrs.clone()),
-        None if !identity_order => Some(out_schema.attrs().to_vec()),
-        None => None,
-    };
-
-    // Permute operands into evaluation order.
-    let ordered_old: Vec<&Relation> = order.iter().map(|&i| old[i]).collect();
-    let ordered_updates: Vec<Option<&OperandUpdate>> = order
-        .iter()
-        .map(|&i| updates[i].as_ref().filter(|u| !u.is_empty()))
-        .collect();
-    let ordered_push: Vec<&Condition> = order.iter().map(|&i| &pushdown.per_operand[i]).collect();
-
-    let ctx = RowCtx {
-        residual: &pushdown.residual,
-        final_proj: final_proj.as_deref(),
+    let planner = Planner {
+        old,
+        changes: &changes,
+        pushed: &pushdown.per_operand,
+        k: updated.len(),
+        use_indexes: opts.use_indexes,
+        projection: view.projection.as_deref(),
         out_schema: &out_schema,
-        obs,
     };
-
-    let result = tagged_differential(&ctx, &ordered_old, &ordered_updates, &ordered_push, opts)?;
+    // With reordering, one pivot group per updated operand, each rooted
+    // at its change set; without, the paper's single table in definition
+    // order.
+    let groups: Vec<Group<'_>> = if opts.reorder_operands {
+        updated
+            .iter()
+            .map(|&u| planner.group(Some(u), &pivot_order(&schemas, old, &changes, u)))
+            .collect()
+    } else {
+        vec![planner.group(None, &(0..p).collect::<Vec<_>>())]
+    };
+    let operands = Operands::build(old, &changes, &pushdown.per_operand, &groups)?;
+    let result = evaluate(
+        &pushdown.residual,
+        &out_schema,
+        &operands,
+        &groups,
+        opts,
+        obs,
+    )?;
 
     if obs.enabled() {
         // Aggregate work counters, emitted once per run so the disabled
@@ -312,14 +311,13 @@ pub fn differential_delta_parts_observed(
     Ok(result)
 }
 
-/// Shared per-run context: the residual condition and final projection
+/// Shared per-group context: the residual condition and final projection
 /// applied at each row leaf, plus the metrics handle (shared read-only
 /// with pool workers — per-row observations come from whichever thread
 /// evaluated the row).
 struct RowCtx<'a> {
     residual: &'a Condition,
     final_proj: Option<&'a [AttrName]>,
-    out_schema: &'a Schema,
     obs: &'a Obs,
 }
 
@@ -337,12 +335,231 @@ fn output_schema(view: &SpjExpr, old: &[&Relation]) -> Result<Schema> {
     })
 }
 
-/// Does any row use the `B_i = 0` operand of position `i` (in evaluation
-/// order)? Non-updated positions always do; an updated position does only
-/// when another relation is also updated (`k ≥ 2`).
-fn zero_operand_needed(i: usize, ordered_updates: &[Option<&OperandUpdate>]) -> bool {
-    let k = ordered_updates.iter().filter(|u| u.is_some()).count();
-    ordered_updates[i].is_none() || k >= 2
+// ---------------------------------------------------------------------
+// Pivot groups
+// ---------------------------------------------------------------------
+
+/// Evaluation order of the pivot group rooted at updated operand `u`:
+/// `Δu` first, then the connected greedy order of [`plan`] over what the
+/// group reads — later updated operands weighed by their change sets,
+/// every other operand (earlier updated ones offer only `B = 0` here) by
+/// its old size.
+fn pivot_order(
+    schemas: &[&Schema],
+    old: &[&Relation],
+    changes: &[Option<&OperandUpdate>],
+    u: usize,
+) -> Vec<usize> {
+    let offers_one = |i: usize| i >= u && changes[i].is_some();
+    let metric: Vec<usize> = (0..old.len())
+        .map(|i| match changes[i] {
+            Some(c) if offers_one(i) => c.len(),
+            _ => old[i].len(),
+        })
+        .collect();
+    let flags: Vec<bool> = (0..old.len()).map(offers_one).collect();
+    plan::order_operands_from(schemas, &metric, &flags, u)
+}
+
+/// How the `B = 0` side of a slot is read.
+enum ZeroPlan<'a> {
+    /// The materialized operand, built once per run and shared by every
+    /// group ([`Operands::zeros`]).
+    Mat,
+    /// Probed through a maintained index; never materialized.
+    Idx(IndexedZero<'a>),
+}
+
+/// One evaluation position of a group.
+struct Slot<'a> {
+    /// The operand's position in the view definition.
+    rel: usize,
+    /// The `B = 0` side, when some row of the group reads it.
+    zero: Option<ZeroPlan<'a>>,
+    /// Whether some row of the group reads the `B = 1` side.
+    one: bool,
+}
+
+impl Slot<'_> {
+    /// Rows of the group choose either side here.
+    fn free(&self) -> bool {
+        self.one && self.zero.is_some()
+    }
+
+    /// Every row of the group reads `B = 1` here.
+    fn forced(&self) -> bool {
+        self.one && self.zero.is_none()
+    }
+}
+
+/// A set of truth-table rows evaluated as one prefix-sharing DFS in one
+/// operand order. The group of updated operand `u` holds the rows whose
+/// first `B = 1` operand in definition order is `u`: earlier updated
+/// operands offer only `B = 0`, `u` only `B = 1`, later ones both. The
+/// groups of all updated operands partition the 2^k − 1 rows. Without
+/// reordering there is one group (no pivot) holding every row.
+struct Group<'a> {
+    slots: Vec<Slot<'a>>,
+    /// The view's projection or, when the group's order disturbs the
+    /// natural layout, an explicit projection back onto the canonical
+    /// scheme.
+    final_proj: Option<Vec<AttrName>>,
+}
+
+impl Group<'_> {
+    /// The group's rows in evaluation order (`row[j]` is `B` of slot
+    /// `j`), for the flat loop: every choice over the slots offering both
+    /// sides, the forced sides fixed, the all-zero row left out.
+    fn rows(&self) -> Vec<truth_table::Row> {
+        let forced: truth_table::Row = self.slots.iter().map(Slot::forced).collect();
+        let free: Vec<usize> = (0..self.slots.len())
+            .filter(|&j| self.slots[j].free())
+            .collect();
+        let mut rows = truth_table::rows(self.slots.len(), &free);
+        if forced.contains(&true) {
+            for row in &mut rows {
+                for (b, &f) in row.iter_mut().zip(&forced) {
+                    *b |= f;
+                }
+            }
+            rows.insert(0, forced);
+        }
+        rows
+    }
+
+    /// Operand tuples the group's rows read — the work estimate the
+    /// pool's grain rule sizes the group fan-out by. With `f` slots
+    /// offering both sides the group has 2^f rows (less the all-zero one
+    /// when no slot is forced to `B = 1`), and such a slot reads `B = 1`
+    /// in 2^(f−1) of them. An indexed zero is priced by the change-set
+    /// tuples that reach it through the prefix — the probes it serves —
+    /// not by its |r|.
+    fn work(&self, operands: &Operands) -> usize {
+        let free = self.slots.iter().filter(|s| s.free()).count();
+        let all = u32::try_from(free)
+            .ok()
+            .and_then(|f| 1usize.checked_shl(f))
+            .unwrap_or(usize::MAX);
+        let rows = if self.slots.iter().any(Slot::forced) {
+            all
+        } else {
+            all - 1
+        };
+        let half = all / 2;
+        let len = |r: &Option<TaggedRelation>| r.as_ref().map_or(0, TaggedRelation::len);
+        let mut probing = 0usize;
+        let mut total = 0usize;
+        for s in &self.slots {
+            let one = if s.one { len(&operands.ones[s.rel]) } else { 0 };
+            let zero = match &s.zero {
+                None => 0,
+                Some(ZeroPlan::Mat) => len(&operands.zeros[s.rel]),
+                Some(ZeroPlan::Idx(_)) if probing > 0 => probing,
+                Some(ZeroPlan::Idx(ix)) => usize::try_from(ix.logical_len).unwrap_or(usize::MAX),
+            };
+            let (one_rows, zero_rows) = if s.free() {
+                (half, rows - half)
+            } else if s.one {
+                (rows, 0)
+            } else {
+                (0, rows)
+            };
+            total = total
+                .saturating_add(one_rows.saturating_mul(one))
+                .saturating_add(zero_rows.saturating_mul(zero));
+            probing = probing.saturating_add(one);
+        }
+        total
+    }
+}
+
+/// What planning a group needs to know about the run.
+struct Planner<'a> {
+    old: &'a [&'a Relation],
+    changes: &'a [Option<&'a OperandUpdate>],
+    pushed: &'a [Condition],
+    /// Number of updated operands.
+    k: usize,
+    use_indexes: bool,
+    projection: Option<&'a [AttrName]>,
+    out_schema: &'a Schema,
+}
+
+impl<'a> Planner<'a> {
+    /// Plan the group rooted at `pivot` (or the single pivot-less group)
+    /// over `order`: each slot's sides, and an index probe for each
+    /// `B = 0` side whose join key against the group's prefix is covered.
+    fn group(&self, pivot: Option<usize>, order: &[usize]) -> Group<'a> {
+        let mut slots = Vec::with_capacity(order.len());
+        let mut prefix: Option<Schema> = None;
+        for &i in order {
+            let change = self.changes[i];
+            let (zero_needed, one) = match pivot {
+                Some(u) => (i != u, change.is_some() && i >= u),
+                // `B = 0` of an updated operand is only read when another
+                // relation is also updated (`k ≥ 2`).
+                None => (change.is_none() || self.k >= 2, change.is_some()),
+            };
+            let zero = zero_needed.then(|| {
+                let probe = if self.use_indexes {
+                    indexed_zero(prefix.as_ref(), self.old[i], change, &self.pushed[i])
+                } else {
+                    None
+                };
+                probe.map_or(ZeroPlan::Mat, ZeroPlan::Idx)
+            });
+            let schema = self.old[i].schema();
+            prefix = Some(match prefix {
+                None => schema.clone(),
+                Some(s) => s.join(schema),
+            });
+            slots.push(Slot { rel: i, zero, one });
+        }
+        let identity = order.iter().enumerate().all(|(j, &i)| j == i);
+        let final_proj = match self.projection {
+            Some(attrs) => Some(attrs.to_vec()),
+            None if !identity => Some(self.out_schema.attrs().to_vec()),
+            None => None,
+        };
+        Group { slots, final_proj }
+    }
+}
+
+/// The materialized operands of a run, by definition position, each
+/// built at most once and shared by every group.
+struct Operands {
+    /// `B = 0`: surviving old tuples, pre-filtered, tagged `old` — only
+    /// where some group reads the side unindexed.
+    zeros: Vec<Option<TaggedRelation>>,
+    /// `B = 1`: the tagged, pre-filtered change set of each updated
+    /// operand.
+    ones: Vec<Option<TaggedRelation>>,
+}
+
+impl Operands {
+    fn build(
+        old: &[&Relation],
+        changes: &[Option<&OperandUpdate>],
+        pushed: &[Condition],
+        groups: &[Group<'_>],
+    ) -> Result<Operands> {
+        let p = old.len();
+        let mut zeros: Vec<Option<TaggedRelation>> = (0..p).map(|_| None).collect();
+        for slot in groups.iter().flat_map(|g| &g.slots) {
+            if matches!(slot.zero, Some(ZeroPlan::Mat)) && zeros[slot.rel].is_none() {
+                let i = slot.rel;
+                zeros[i] = Some(tagged_zero(
+                    old[i],
+                    changes[i].map(|u| &u.deletes),
+                    &pushed[i],
+                )?);
+            }
+        }
+        let ones = (0..p)
+            .map(|i| changes[i].map(|u| tagged_one(u, &pushed[i])).transpose())
+            .collect::<Result<_>>()?;
+        Ok(Operands { zeros, ones })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -353,7 +570,7 @@ fn zero_operand_needed(i: usize, ordered_updates: &[Option<&OperandUpdate>]) -> 
 /// instead of materializing the unchanged side and hash-building it per
 /// join term, each prefix tuple looks its join-key values up in the
 /// persistent index. Valid only at positions `j ≥ 1` (there must be a
-/// prefix to probe from) with no pushed selection on the operand.
+/// prefix to probe from).
 struct IndexedZero<'a> {
     /// The maintained index on the old relation, keyed exactly by the
     /// natural-join columns against the accumulated prefix.
@@ -361,6 +578,9 @@ struct IndexedZero<'a> {
     /// Net deletes to subtract per posting (§5.3 `r − d_r`); `None` when
     /// the operand has none.
     deletes: Option<&'a Relation>,
+    /// The selection pushed onto the operand and the operand's scheme,
+    /// checked on each surviving posting; `None` when nothing was pushed.
+    filter: Option<(&'a Condition, &'a Schema)>,
     /// Prefix-tuple positions supplying the key values, aligned with
     /// `index.positions()` order.
     probe_positions: Vec<usize>,
@@ -369,24 +589,21 @@ struct IndexedZero<'a> {
     r_rest: Vec<usize>,
     /// Scheme of the probe-join output: `prefix.join(operand)`.
     schema: Schema,
-    /// Distinct entries the materialized fallback operand would hold —
-    /// keeps `operand_tuples` identical between the two paths.
+    /// Distinct entries of `r − d_r` (before any pushed selection) — what
+    /// the indexed side charges `operand_tuples`.
     logical_len: u64,
 }
 
 /// Plan an indexed `B = 0` operand, or `None` when the materialized
-/// fallback must be used: no prefix yet (position 0), a pushed selection
-/// filters the operand, the join against the prefix is a cross product,
-/// or no maintained index covers the join key.
+/// fallback must be used: no prefix yet (position 0), the join against
+/// the prefix is a cross product, or no maintained index covers the join
+/// key. A pushed selection `cond` is applied per posting.
 fn indexed_zero<'a>(
     prefix_schema: Option<&Schema>,
     old: &'a Relation,
     update: Option<&'a OperandUpdate>,
-    cond: &Condition,
+    cond: &'a Condition,
 ) -> Option<IndexedZero<'a>> {
-    if !cond.is_trivially_true() {
-        return None;
-    }
     let prefix = prefix_schema?;
     let (l_key, r_key, r_rest) = algebra::join_key_positions(prefix, old.schema()).ok()?;
     if r_key.is_empty() {
@@ -408,10 +625,12 @@ fn indexed_zero<'a>(
             (old.len() as u64).saturating_sub(fully)
         }
     };
+    let filter = (!cond.is_trivially_true()).then(|| (cond, old.schema()));
     let schema = prefix.join(old.schema());
     Some(IndexedZero {
         index,
         deletes,
+        filter,
         probe_positions,
         r_rest,
         schema,
@@ -421,10 +640,11 @@ fn indexed_zero<'a>(
 
 /// The probe loop behind [`probe_join_tagged`] and [`probe_emit_tagged`]:
 /// for each prefix tuple, build its join key, walk the matching postings
-/// of the index, subtract the net deletes (§5.3 `r − d_r`) and hand `sink`
-/// the joined tuple, the prefix tag and the checked product count. The
-/// operand side is tagged `Old`, the identity of [`Tag::combine`], so the
-/// prefix tag carries through unchanged and no combination is ignored.
+/// of the index, subtract the net deletes (§5.3 `r − d_r`), apply the
+/// pushed selection and hand `sink` the joined tuple, the prefix tag and
+/// the checked product count. The operand side is tagged `Old`, the
+/// identity of [`Tag::combine`], so the prefix tag carries through
+/// unchanged and no combination is ignored.
 fn probe_each<F>(
     left: &TaggedRelation,
     ix: &IndexedZero<'_>,
@@ -453,6 +673,11 @@ where
                     rc - dc
                 }
             };
+            if let Some((cond, schema)) = ix.filter {
+                if !cond.eval(schema, rt)? {
+                    continue;
+                }
+            }
             let count = lc
                 .checked_mul(rc)
                 .ok_or_else(|| RelError::CounterOverflow("probe-join count exceeds u64".into()))?;
@@ -468,7 +693,7 @@ where
 }
 
 /// Probe-join a tagged prefix against an indexed `B = 0` operand.
-/// Produces exactly `natural_join_tagged(prefix, tagged_zero(old, deletes))`.
+/// Produces exactly `natural_join_tagged(prefix, tagged_zero(old, deletes, cond))`.
 fn probe_join_tagged(
     left: &TaggedRelation,
     ix: &IndexedZero<'_>,
@@ -526,24 +751,6 @@ fn probe_emit_tagged(
 // Operands and row evaluation
 // ---------------------------------------------------------------------
 
-/// The `B = 0` operand of one position: materialized, or a probe plan
-/// against a maintained index.
-enum TaggedZero<'a> {
-    /// Materialized fallback: surviving old tuples tagged `old`,
-    /// pre-filtered by the pushed condition.
-    Mat(TaggedRelation),
-    /// Indexed: never materialized, probed per prefix tuple.
-    Idx(IndexedZero<'a>),
-}
-
-struct TaggedOperands<'a> {
-    /// `B = 0` operand. `None` when no row needs it.
-    zero: Option<TaggedZero<'a>>,
-    /// `B = 1` operand: tagged, pre-filtered change set. `None` for
-    /// untouched relations.
-    one: Option<TaggedRelation>,
-}
-
 /// One operand chosen for a truth-table row position.
 enum TaggedPick<'b, 'a> {
     Rel(&'b TaggedRelation),
@@ -551,29 +758,12 @@ enum TaggedPick<'b, 'a> {
 }
 
 impl TaggedPick<'_, '_> {
-    /// Distinct entries the operand contributes (`operand_tuples` parity
-    /// between the indexed and materialized paths).
+    /// Distinct entries the operand contributes (`operand_tuples`): the
+    /// materialized operand's size, or `|r − d_r|` for an indexed one.
     fn logical_len(&self) -> u64 {
         match self {
             TaggedPick::Rel(r) => r.len() as u64,
             TaggedPick::Idx(ix) => ix.logical_len,
-        }
-    }
-}
-
-fn pick_tagged<'b, 'a>(
-    operands: &'b [TaggedOperands<'a>],
-    j: usize,
-    one: bool,
-) -> TaggedPick<'b, 'a> {
-    if one {
-        // ivm-lint: allow(no-panic) — truth_table::rows sets B=1 only at updated positions, whose `one` operand is always materialized
-        TaggedPick::Rel(operands[j].one.as_ref().expect("B=1 only for updated"))
-    } else {
-        // ivm-lint: allow(no-panic) — every operand's zero plan is built before differentiation starts
-        match operands[j].zero.as_ref().expect("zero operand needed") {
-            TaggedZero::Mat(r) => TaggedPick::Rel(r),
-            TaggedZero::Idx(ix) => TaggedPick::Idx(ix),
         }
     }
 }
@@ -623,132 +813,93 @@ fn tagged_one(u: &OperandUpdate, cond: &Condition) -> Result<TaggedRelation> {
     Ok(out)
 }
 
-fn tagged_differential<'a>(
-    ctx: &RowCtx<'_>,
-    old: &[&'a Relation],
-    updates: &[Option<&'a OperandUpdate>],
-    pushed: &[&Condition],
+/// Output of one or more groups: the tagged accumulator, the signed
+/// output of fused last-operand probes, and the work counters.
+struct GroupOut {
+    acc: TaggedRelation,
+    fused: DeltaRelation,
+    stats: DiffStats,
+}
+
+impl GroupOut {
+    fn empty(schema: &Schema) -> Self {
+        GroupOut {
+            acc: TaggedRelation::empty(schema.clone()),
+            fused: DeltaRelation::empty(schema.clone()),
+            stats: DiffStats::default(),
+        }
+    }
+
+    fn merge(&mut self, other: GroupOut) -> Result<()> {
+        self.stats += other.stats;
+        self.acc
+            .merge(&other.acc)
+            .map_err(crate::error::IvmError::from)?;
+        self.fused
+            .merge(&other.fused)
+            .map_err(crate::error::IvmError::from)
+    }
+}
+
+/// Evaluate every group and fold the results into the view transaction.
+/// Groups are the unit of parallelism: when their operand tuples clear
+/// the pool's grain rule ([`Pool::for_work`]) they fan out over the pool
+/// in contiguous chunks, each running the same sequential code as width
+/// 1; width beyond one worker per group goes into the hash-partitioned
+/// joins. Accumulators are keyed tagged maps and merging is additive, so
+/// the delta and every work counter are identical at every width.
+fn evaluate(
+    residual: &Condition,
+    out_schema: &Schema,
+    operands: &Operands,
+    groups: &[Group<'_>],
     opts: &DiffOptions,
+    obs: &Obs,
 ) -> Result<DifferentialResult> {
-    let p = old.len();
-    let mut operands: Vec<TaggedOperands<'a>> = Vec::with_capacity(p);
-    let mut prefix_schema: Option<Schema> = None;
-    for i in 0..p {
-        let zero = if zero_operand_needed(i, updates) {
-            let idx = if opts.use_indexes {
-                indexed_zero(prefix_schema.as_ref(), old[i], updates[i], pushed[i])
-            } else {
-                None
-            };
-            Some(match idx {
-                Some(ix) => TaggedZero::Idx(ix),
-                None => TaggedZero::Mat(tagged_zero(
-                    old[i],
-                    updates[i].map(|u| &u.deletes),
-                    pushed[i],
-                )?),
-            })
-        } else {
-            None
-        };
-        let one = match updates[i] {
-            None => None,
-            Some(u) => Some(tagged_one(u, pushed[i])?),
-        };
-        prefix_schema = Some(match prefix_schema {
-            None => old[i].schema().clone(),
-            Some(s) => s.join(old[i].schema()),
-        });
-        operands.push(TaggedOperands { zero, one });
-    }
-
-    let mut stats = DiffStats::default();
-    let mut acc = TaggedRelation::empty(ctx.out_schema.clone());
-    // Signed output of fused last-operand probes (sequential DFS only);
-    // merged into the accumulator's delta at the end.
-    let mut fused = DeltaRelation::empty(ctx.out_schema.clone());
-
-    let pool = Pool::for_work(opts.threads, row_work(&operands));
-    if !pool.is_sequential() {
-        let updated: Vec<usize> = (0..p).filter(|&i| operands[i].one.is_some()).collect();
-        let rows = truth_table::rows(p, &updated);
-        // Fewer rows than workers (k = 1 in particular): spend the spare
-        // parallelism inside the joins instead of across rows.
-        let join_threads = if rows.len() < pool.threads() {
-            pool.threads()
-        } else {
-            1
-        };
-        let chunks = pool.map_chunks_observed(
-            rows.len(),
-            |range| {
-                eval_tagged_rows(
-                    ctx,
-                    &operands,
-                    &rows[range],
-                    opts.share_prefixes,
-                    join_threads,
-                )
-            },
-            ctx.obs,
-        );
-        for chunk in chunks {
-            let (chunk_acc, chunk_stats) = chunk?;
-            stats += chunk_stats;
-            acc.merge(&chunk_acc)
-                .map_err(crate::error::IvmError::from)?;
-        }
-    } else if opts.share_prefixes {
-        let mut updated_after = vec![false; p + 1];
-        for j in (0..p).rev() {
-            updated_after[j] = updated_after[j + 1] || operands[j].one.is_some();
-        }
-        dfs_tagged(
-            ctx,
-            &operands,
-            &updated_after,
-            0,
-            None,
-            false,
-            &mut acc,
-            &mut fused,
-            &mut stats,
-        )?;
-    } else {
-        let updated: Vec<usize> = (0..p).filter(|&i| operands[i].one.is_some()).collect();
-        for row in truth_table::rows(p, &updated) {
-            stats.rows_evaluated += 1;
-            let picks: Vec<TaggedPick<'_, 'a>> = row
-                .iter()
-                .enumerate()
-                .map(|(j, &one)| pick_tagged(&operands, j, one))
-                .collect();
-            stats.operand_tuples += picks.iter().map(TaggedPick::logical_len).sum::<u64>();
-            // ivm-lint: allow(no-unchecked-index) — p ≥ 1 operands, so every truth-table row has a first input
-            let mut joined = match &picks[0] {
-                TaggedPick::Rel(r) => (*r).clone(),
-                // ivm-lint: allow(no-panic) — position 0 has no prefix, so indexed_zero never plans an index there
-                TaggedPick::Idx(_) => unreachable!("indexed zero requires a prefix"),
-            };
-            for pick in &picks[1..] {
-                stats.joins_performed += 1;
-                joined = match pick {
-                    TaggedPick::Rel(r) => algebra::natural_join_tagged(&joined, r)?,
-                    TaggedPick::Idx(ix) => probe_join_tagged(&joined, ix, &mut stats)?,
-                };
+    let work = groups
+        .iter()
+        .map(|g| g.work(operands))
+        .fold(0, usize::saturating_add);
+    let pool = Pool::for_work(opts.threads, work);
+    let join_threads = (pool.threads() / groups.len()).max(1);
+    let chunks = pool.map_chunks_observed(
+        groups.len(),
+        |range| -> Result<GroupOut> {
+            let mut out = GroupOut::empty(out_schema);
+            for group in &groups[range] {
+                let run = GroupRun::new(residual, obs, operands, group, join_threads);
+                if opts.share_prefixes {
+                    run.dfs(0, None, false, &mut out)?;
+                } else {
+                    run.flat(&mut out)?;
+                }
             }
-            emit_tagged_leaf(ctx, &joined, &mut acc)?;
+            Ok(out)
+        },
+        obs,
+    );
+    let mut total: Option<GroupOut> = None;
+    for chunk in chunks {
+        let chunk = chunk?;
+        match &mut total {
+            None => total = Some(chunk),
+            Some(t) => t.merge(chunk)?,
         }
     }
+    let GroupOut {
+        acc,
+        fused,
+        mut stats,
+    } = total.unwrap_or_else(|| GroupOut::empty(out_schema));
 
-    if ctx.obs.enabled() {
+    if obs.enabled() {
         // Tag-algebra outcome of the whole run: how many distinct row
         // output entries carried each tag. `old` entries are context that
         // cancels out of the delta below — pure carrying cost.
         let (tag_ins, tag_del, tag_old) = acc.tag_counts();
-        ctx.obs.add(names::DIFF_TAG_INSERTS, tag_ins);
-        ctx.obs.add(names::DIFF_TAG_DELETES, tag_del);
-        ctx.obs.add(names::DIFF_TAG_OLDS, tag_old);
+        obs.add(names::DIFF_TAG_INSERTS, tag_ins);
+        obs.add(names::DIFF_TAG_DELETES, tag_del);
+        obs.add(names::DIFF_TAG_OLDS, tag_old);
     }
     // Consume the accumulator into the delta (no tuple clones), fold in
     // the fused probe output, and read the output tallies off the signed
@@ -772,36 +923,6 @@ fn tagged_differential<'a>(
     Ok(DifferentialResult { delta, stats })
 }
 
-/// Operand tuples the truth-table rows read in all — the work estimate
-/// the pool's grain rule sizes the row fan-out by. Of the 2^k − 1 rows, an
-/// updated position reads its `B = 1` operand in 2^(k−1) of them and its
-/// `B = 0` operand in the other 2^(k−1) − 1; an unchanged position reads
-/// its `B = 0` operand in every row.
-fn row_work(operands: &[TaggedOperands<'_>]) -> usize {
-    let k = operands.iter().filter(|o| o.one.is_some()).count();
-    if k == 0 {
-        return 0;
-    }
-    let rows = truth_table::row_count(k);
-    let ones = 1usize << (k - 1);
-    operands
-        .iter()
-        .map(|o| {
-            let zero = match &o.zero {
-                None => 0,
-                Some(TaggedZero::Mat(r)) => r.len(),
-                Some(TaggedZero::Idx(ix)) => usize::try_from(ix.logical_len).unwrap_or(usize::MAX),
-            };
-            match &o.one {
-                Some(one) => ones
-                    .saturating_mul(one.len())
-                    .saturating_add((rows - ones).saturating_mul(zero)),
-                None => rows.saturating_mul(zero),
-            }
-        })
-        .fold(0, usize::saturating_add)
-}
-
 /// Apply the residual condition and final projection to a row result and
 /// merge it into the accumulator.
 fn emit_tagged_leaf(
@@ -821,261 +942,167 @@ fn emit_tagged_leaf(
     acc.merge(&projected).map_err(crate::error::IvmError::from)
 }
 
-/// Evaluate a contiguous chunk of truth-table rows into a chunk-local
-/// accumulator — the unit of work one pool worker runs. With `share` an
-/// incremental join stack is kept across consecutive rows (truncated to
-/// the common prefix, then extended), the chunk-local analogue of the DFS
-/// prefix sharing; rows inside a chunk are in truth-table order, so the
-/// sharing opportunities are the same ones the DFS exploits. `join_threads`
-/// flows into the hash-partitioned joins for the few-rows case.
-fn eval_tagged_rows(
-    ctx: &RowCtx<'_>,
-    operands: &[TaggedOperands<'_>],
-    rows: &[truth_table::Row],
-    share: bool,
+/// The sequential evaluation of one group.
+struct GroupRun<'r, 'a> {
+    ctx: RowCtx<'r>,
+    operands: &'r Operands,
+    group: &'r Group<'a>,
+    /// `updated_after[j]`: some slot at `j` or later offers `B = 1`.
+    updated_after: Vec<bool>,
+    /// Width of the hash-partitioned joins.
     join_threads: usize,
-) -> Result<(TaggedRelation, DiffStats)> {
-    let p = operands.len();
-    let mut acc = TaggedRelation::empty(ctx.out_schema.clone());
-    let mut stats = DiffStats::default();
-    // stack[j] = join of the operands chosen for positions 0..=j of the
-    // current row; reusable entries survive row-to-row truncation.
-    // pruned[j] = some prefix 0..=j went empty without a join — the same
-    // subtrees the sequential DFS prunes, kept so `rows_evaluated` reports
-    // the identical number at every thread count.
-    let mut stack: Vec<TaggedRelation> = Vec::with_capacity(p);
-    let mut pruned: Vec<bool> = Vec::with_capacity(p);
-    let mut prev: Option<&truth_table::Row> = None;
-    for row in rows {
-        let keep = if !share {
-            0
+}
+
+impl<'r, 'a> GroupRun<'r, 'a> {
+    fn new(
+        residual: &'r Condition,
+        obs: &'r Obs,
+        operands: &'r Operands,
+        group: &'r Group<'a>,
+        join_threads: usize,
+    ) -> Self {
+        let p = group.slots.len();
+        let mut updated_after = vec![false; p + 1];
+        for j in (0..p).rev() {
+            updated_after[j] = updated_after[j + 1] || group.slots[j].one;
+        }
+        GroupRun {
+            ctx: RowCtx {
+                residual,
+                final_proj: group.final_proj.as_deref(),
+                obs,
+            },
+            operands,
+            group,
+            updated_after,
+            join_threads,
+        }
+    }
+
+    fn pick(&self, j: usize, one: bool) -> TaggedPick<'r, 'a> {
+        let slot = &self.group.slots[j];
+        let materialized = if one {
+            &self.operands.ones[slot.rel]
         } else {
-            match prev {
-                None => 0,
-                Some(pr) => pr
-                    .iter()
-                    .zip(row.iter())
-                    .take_while(|(a, b)| a == b)
-                    .count(),
+            // ivm-lint: allow(no-panic) — the DFS and the row set only pick B = 0 where the slot offers it
+            match slot.zero.as_ref().expect("zero side offered") {
+                ZeroPlan::Idx(ix) => return TaggedPick::Idx(ix),
+                ZeroPlan::Mat => &self.operands.zeros[slot.rel],
             }
         };
-        stack.truncate(keep);
-        pruned.truncate(keep);
-        for (j, &one) in row.iter().enumerate().skip(keep) {
-            let next = match pick_tagged(operands, j, one) {
-                TaggedPick::Rel(operand) => {
-                    stats.operand_tuples += operand.len() as u64;
-                    if j == 0 {
-                        operand.clone()
-                    } else if stack[j - 1].is_empty() {
-                        // Empty prefixes stay empty; skip the join but keep
-                        // the stack aligned for later rows.
-                        stats.joins_skipped += 1;
-                        TaggedRelation::empty(stack[j - 1].schema().join(operand.schema()))
-                    } else {
-                        stats.joins_performed += 1;
-                        algebra::natural_join_tagged_with(
-                            &stack[j - 1],
-                            operand,
-                            join_threads,
-                            ctx.obs,
-                        )?
-                    }
-                }
-                TaggedPick::Idx(ix) => {
-                    // Indexed zeros only exist at positions j ≥ 1.
-                    stats.operand_tuples += ix.logical_len;
-                    if stack[j - 1].is_empty() {
-                        stats.joins_skipped += 1;
-                        TaggedRelation::empty(ix.schema.clone())
-                    } else {
-                        stats.joins_performed += 1;
-                        probe_join_tagged(&stack[j - 1], ix, &mut stats)?
-                    }
-                }
+        // ivm-lint: allow(no-panic) — Operands::build materializes every side a slot plans as Mat or one
+        TaggedPick::Rel(materialized.as_ref().expect("side materialized"))
+    }
+
+    fn join(
+        &self,
+        prev: &TaggedRelation,
+        pick: &TaggedPick<'_, '_>,
+        stats: &mut DiffStats,
+    ) -> Result<TaggedRelation> {
+        match pick {
+            TaggedPick::Rel(r) => Ok(algebra::natural_join_tagged_with(
+                prev,
+                r,
+                self.join_threads,
+                self.ctx.obs,
+            )?),
+            TaggedPick::Idx(ix) => probe_join_tagged(prev, ix, stats),
+        }
+    }
+
+    /// Prefix-sharing DFS over the slots: every shared join prefix is
+    /// computed once, a zero branch is taken only while it can still
+    /// reach a row with some `B = 1`, and empty prefixes are never
+    /// extended.
+    fn dfs(
+        &self,
+        j: usize,
+        prefix: Option<&TaggedRelation>,
+        any_one: bool,
+        out: &mut GroupOut,
+    ) -> Result<()> {
+        let slots = &self.group.slots;
+        if j == slots.len() {
+            // Reached only on useful rows (pruning guarantees any_one).
+            debug_assert!(any_one);
+            out.stats.rows_evaluated += 1;
+            // ivm-lint: allow(no-panic) — descend only reaches j = p with a prefix built at depth 0
+            let joined = prefix.expect("p ≥ 1 so prefix exists at leaf");
+            return emit_tagged_leaf(&self.ctx, joined, &mut out.acc);
+        }
+        if slots[j].zero.is_some() && (any_one || self.updated_after[j + 1]) {
+            self.descend(j, prefix, any_one, self.pick(j, false), out)?;
+        }
+        if slots[j].one {
+            self.descend(j, prefix, true, self.pick(j, true), out)?;
+        }
+        Ok(())
+    }
+
+    /// Extend `prefix` by the operand picked for slot `j` and recurse. At
+    /// the last slot (and with metrics off) an index probe is fused with
+    /// the residual selection and final projection, emitting straight
+    /// into the signed output — the row result is never materialized.
+    fn descend(
+        &self,
+        j: usize,
+        prefix: Option<&TaggedRelation>,
+        any_one: bool,
+        pick: TaggedPick<'_, '_>,
+        out: &mut GroupOut,
+    ) -> Result<()> {
+        out.stats.operand_tuples += pick.logical_len();
+        let Some(prev) = prefix else {
+            return match pick {
+                TaggedPick::Rel(r) => self.dfs(j + 1, Some(r), any_one, out),
+                // ivm-lint: allow(no-panic) — position 0 has no prefix, so indexed_zero never plans an index there
+                TaggedPick::Idx(_) => unreachable!("indexed zero requires a prefix"),
             };
-            pruned.push(
-                pruned.last().copied().unwrap_or(false) || (j > 0 && stack[j - 1].is_empty()),
-            );
-            stack.push(next);
+        };
+        if prev.is_empty() {
+            // Empty prefixes stay empty; skip the whole subtree.
+            out.stats.joins_skipped += 1;
+            return Ok(());
         }
-        // With sharing, rows the DFS would prune (empty prefix) do not
-        // count as evaluated; without it the flat loop counts every row.
-        if !share || !pruned[p - 1] {
-            stats.rows_evaluated += 1;
-        }
-        emit_tagged_leaf(ctx, &stack[p - 1], &mut acc)?;
-        prev = Some(row);
-    }
-    Ok((acc, stats))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_tagged(
-    ctx: &RowCtx<'_>,
-    operands: &[TaggedOperands<'_>],
-    updated_after: &[bool],
-    j: usize,
-    prefix: Option<&TaggedRelation>,
-    any_one: bool,
-    acc: &mut TaggedRelation,
-    fused: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    if j == operands.len() {
-        // Reached only on useful rows (pruning guarantees any_one).
-        debug_assert!(any_one);
-        stats.rows_evaluated += 1;
-        // ivm-lint: allow(no-panic) — descend only reaches j = p with a prefix built at depth 0
-        let joined = prefix.expect("p ≥ 1 so prefix exists at leaf");
-        return emit_tagged_leaf(ctx, joined, acc);
-    }
-    // Zero branch — pruned when it can never flip any_one.
-    if let Some(zero) = &operands[j].zero {
-        if any_one || updated_after[j + 1] {
-            match zero {
-                TaggedZero::Mat(rel) => descend_tagged(
-                    ctx,
-                    operands,
-                    updated_after,
-                    j,
-                    prefix,
-                    any_one,
-                    rel,
-                    acc,
-                    fused,
-                    stats,
-                )?,
-                TaggedZero::Idx(ix) => descend_tagged_indexed(
-                    ctx,
-                    operands,
-                    updated_after,
-                    j,
-                    prefix,
-                    any_one,
-                    ix,
-                    acc,
-                    fused,
-                    stats,
-                )?,
+        out.stats.joins_performed += 1;
+        if let TaggedPick::Idx(ix) = pick {
+            if j + 1 == self.group.slots.len() && !self.ctx.obs.enabled() {
+                // Last slot: a zero choice here is only descended when a
+                // one was already chosen.
+                debug_assert!(any_one);
+                out.stats.rows_evaluated += 1;
+                return probe_emit_tagged(&self.ctx, prev, ix, &mut out.fused, &mut out.stats);
             }
         }
+        let next = self.join(prev, &pick, &mut out.stats)?;
+        self.dfs(j + 1, Some(&next), any_one, out)
     }
-    // One branch.
-    if let Some(one) = &operands[j].one {
-        descend_tagged(
-            ctx,
-            operands,
-            updated_after,
-            j,
-            prefix,
-            true,
-            one,
-            acc,
-            fused,
-            stats,
-        )?;
-    }
-    Ok(())
-}
 
-#[allow(clippy::too_many_arguments)]
-fn descend_tagged(
-    ctx: &RowCtx<'_>,
-    operands: &[TaggedOperands<'_>],
-    updated_after: &[bool],
-    j: usize,
-    prefix: Option<&TaggedRelation>,
-    any_one: bool,
-    operand: &TaggedRelation,
-    acc: &mut TaggedRelation,
-    fused: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    stats.operand_tuples += operand.len() as u64;
-    match prefix {
-        None => dfs_tagged(
-            ctx,
-            operands,
-            updated_after,
-            j + 1,
-            Some(operand),
-            any_one,
-            acc,
-            fused,
-            stats,
-        ),
-        Some(prev) => {
-            if prev.is_empty() {
-                // Empty prefixes stay empty; skip the whole subtree.
-                stats.joins_skipped += 1;
-                return Ok(());
+    /// Evaluate each row of the group independently (no prefix sharing).
+    fn flat(&self, out: &mut GroupOut) -> Result<()> {
+        for row in self.group.rows() {
+            out.stats.rows_evaluated += 1;
+            let picks: Vec<TaggedPick<'r, 'a>> = row
+                .iter()
+                .enumerate()
+                .map(|(j, &one)| self.pick(j, one))
+                .collect();
+            out.stats.operand_tuples += picks.iter().map(TaggedPick::logical_len).sum::<u64>();
+            // ivm-lint: allow(no-unchecked-index) — p ≥ 1 operands, so every truth-table row has a first input
+            let mut joined = match &picks[0] {
+                TaggedPick::Rel(r) => (*r).clone(),
+                // ivm-lint: allow(no-panic) — position 0 has no prefix, so indexed_zero never plans an index there
+                TaggedPick::Idx(_) => unreachable!("indexed zero requires a prefix"),
+            };
+            for pick in &picks[1..] {
+                out.stats.joins_performed += 1;
+                joined = self.join(&joined, pick, &mut out.stats)?;
             }
-            stats.joins_performed += 1;
-            let next = algebra::natural_join_tagged(prev, operand)?;
-            dfs_tagged(
-                ctx,
-                operands,
-                updated_after,
-                j + 1,
-                Some(&next),
-                any_one,
-                acc,
-                fused,
-                stats,
-            )
+            emit_tagged_leaf(&self.ctx, &joined, &mut out.acc)?;
         }
+        Ok(())
     }
-}
-
-/// DFS descent through an indexed `B = 0` operand: probe-join the prefix
-/// instead of hash-joining a materialized operand. At the last operand
-/// position (and with metrics off) the probe is fused with the residual
-/// selection and final projection, emitting straight into the
-/// accumulator — the row result is never materialized at all.
-#[allow(clippy::too_many_arguments)]
-fn descend_tagged_indexed(
-    ctx: &RowCtx<'_>,
-    operands: &[TaggedOperands<'_>],
-    updated_after: &[bool],
-    j: usize,
-    prefix: Option<&TaggedRelation>,
-    any_one: bool,
-    ix: &IndexedZero<'_>,
-    acc: &mut TaggedRelation,
-    fused: &mut DeltaRelation,
-    stats: &mut DiffStats,
-) -> Result<()> {
-    stats.operand_tuples += ix.logical_len;
-    let Some(prev) = prefix else {
-        debug_assert!(false, "indexed zero requires a prefix (j ≥ 1)");
-        return Ok(());
-    };
-    if prev.is_empty() {
-        stats.joins_skipped += 1;
-        return Ok(());
-    }
-    stats.joins_performed += 1;
-    if j + 1 == operands.len() && !ctx.obs.enabled() {
-        // Last operand: `any_one` is guaranteed — a zero choice here is
-        // only descended when a one was already chosen (`updated_after`
-        // past the end is false).
-        debug_assert!(any_one);
-        stats.rows_evaluated += 1;
-        return probe_emit_tagged(ctx, prev, ix, fused, stats);
-    }
-    let next = probe_join_tagged(prev, ix, stats)?;
-    dfs_tagged(
-        ctx,
-        operands,
-        updated_after,
-        j + 1,
-        Some(&next),
-        any_one,
-        acc,
-        fused,
-        stats,
-    )
 }
 
 /// A §5.2 counter as a signed delta count, or `CounterOverflow` — the
@@ -1544,6 +1571,55 @@ mod tests {
                 assert_eq!(par.stats.rows_evaluated, seq.stats.rows_evaluated);
                 if !share {
                     assert_eq!(par.stats.rows_evaluated, 7);
+                }
+            }
+        }
+    }
+
+    /// The pivot groups partition the truth table: for every set of
+    /// updated operands the flat loop evaluates each of the 2^k − 1 rows
+    /// exactly once, the delta matches the single-table engine, and
+    /// every work counter is identical at every width.
+    #[test]
+    fn pivot_groups_cover_every_row_once() {
+        let mut db = Database::new();
+        let names = ["R1", "R2", "R3", "R4"];
+        for (i, name) in names.iter().enumerate() {
+            let a = format!("A{i}");
+            let b = format!("A{}", i + 1);
+            db.create(*name, Schema::new([a.as_str(), b.as_str()]).unwrap())
+                .unwrap();
+            for v in 0..12 {
+                db.load(name, [[v, v % 4]]).unwrap();
+            }
+        }
+        let view = SpjExpr::new(names, Atom::lt_const("A2", 3).into(), None);
+        for mask in 1u32..16 {
+            let mut txn = Transaction::new();
+            for (i, name) in names.iter().enumerate() {
+                if mask >> i & 1 == 1 {
+                    let v = i as i64 + 1;
+                    txn.insert(*name, [v, (v + 1) % 4]).unwrap();
+                    txn.delete(*name, [2, 2]).unwrap();
+                }
+            }
+            let k = mask.count_ones();
+            let single = differential_delta(&view, &db, &txn, &DiffOptions::plain()).unwrap();
+            for share_prefixes in [false, true] {
+                let opts = |threads| DiffOptions {
+                    share_prefixes,
+                    threads,
+                    ..DiffOptions::default()
+                };
+                let seq = differential_delta(&view, &db, &txn, &opts(1)).unwrap();
+                assert_eq!(seq.delta, single.delta, "mask {mask:04b}");
+                if !share_prefixes {
+                    assert_eq!(seq.stats.rows_evaluated, (1 << k) - 1, "mask {mask:04b}");
+                }
+                for threads in [2, 8] {
+                    let par = differential_delta(&view, &db, &txn, &opts(threads)).unwrap();
+                    assert_eq!(par.delta, seq.delta, "mask {mask:04b} threads {threads}");
+                    assert_eq!(par.stats, seq.stats, "mask {mask:04b} threads {threads}");
                 }
             }
         }

@@ -20,7 +20,9 @@ pub struct DiffStats {
     /// Join operations skipped thanks to prefix sharing or empty-operand
     /// pruning.
     pub joins_skipped: usize,
-    /// Tuples (counted with multiplicity) fed into row evaluations.
+    /// Tuples fed into row evaluations: each materialized operand's
+    /// distinct entries; an index-probed `B = 0` operand charges
+    /// `|r − d_r|`, before any selection pushed onto it.
     pub operand_tuples: u64,
     /// Net inserted tuple occurrences in the produced view delta.
     pub output_inserts: u64,
@@ -29,7 +31,9 @@ pub struct DiffStats {
     /// Join-index probes issued (one per prefix tuple per probe join).
     /// Zero on the materialized fallback path — the only stats field,
     /// with `index_probe_rows`, allowed to differ between the indexed
-    /// and fallback executions of the same maintenance pass.
+    /// and fallback executions of the same maintenance pass (and
+    /// `operand_tuples`, when a selection was pushed onto a probed
+    /// operand).
     pub index_probes: u64,
     /// Index postings visited by probes (including fully-deleted postings
     /// skipped during §5.3 `r − d_r` subtraction).

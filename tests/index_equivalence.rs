@@ -98,7 +98,8 @@ fn build_txn(rng: &mut StdRng, db: &Database, p: usize, domain: i64) -> Transact
 
 /// Prefix-sharing × thread-count grid; selection pushdown and
 /// reordering stay on (their interaction with probe planning — pushed
-/// conditions disable probing per-operand — is exactly what we exercise).
+/// conditions are checked per posting, pivot groups choose the probe
+/// keys — is exactly what we exercise).
 fn option_grid(use_indexes: bool) -> Vec<DiffOptions> {
     let mut out = Vec::new();
     for share_prefixes in [true, false] {
@@ -113,6 +114,26 @@ fn option_grid(use_indexes: bool) -> Vec<DiffOptions> {
         }
     }
     out
+}
+
+/// A chain view with the `sales` shape: a single-operand atom on an end
+/// attribute (pushed onto one operand) and a bound on a shared attribute
+/// (pushed onto both neighbours), with or without a projection.
+fn build_selected_view(rng: &mut StdRng, p: usize, domain: i64) -> SpjExpr {
+    let end = if rng.gen_bool(0.5) { 0 } else { p };
+    let shared = rng.gen_range(0..=p);
+    let condition = Condition::conjunction([
+        Atom::ge_const(format!("A{end}"), rng.gen_range(0..domain)),
+        Atom::le_const(format!("A{shared}"), rng.gen_range(0..domain)),
+    ]);
+    let projection = rng
+        .gen_bool(0.5)
+        .then(|| vec![AttrName::new("A0"), AttrName::new(format!("A{p}"))]);
+    SpjExpr::new(
+        (0..p).map(|i| format!("R{i}")).collect::<Vec<_>>(),
+        condition,
+        projection,
+    )
 }
 
 /// Zero the only fields allowed to differ between indexed and fallback
@@ -157,6 +178,39 @@ proptest! {
                 on.share_prefixes, on.threads,
             );
             prop_assert_eq!(fallback.stats.index_probes, 0);
+        }
+    }
+
+    /// Selection-aware probes: with selections pushed onto the indexed
+    /// operands, probing ≡ the hash-build fallback — identical delta, row,
+    /// join and output counts at every share/thread combination.
+    /// `operand_tuples` may differ: an indexed operand charges `|r − d_r|`
+    /// before the pushed selection, the fallback its filtered size.
+    #[test]
+    fn selected_views_agree_with_and_without_indexes(
+        seed in any::<u64>(),
+        p in 1usize..=3,
+        size in 0usize..=12,
+        domain in 2i64..=6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = build_db(&mut rng, p, size, domain);
+        add_chain_indexes(&mut db, p);
+        let view = build_selected_view(&mut rng, p, domain);
+        let txn = build_txn(&mut rng, &db, p, domain);
+
+        for (on, off) in option_grid(true).into_iter().zip(option_grid(false)) {
+            let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
+            let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
+            let ctx = format!("share={} threads={}", on.share_prefixes, on.threads);
+            prop_assert!(indexed.delta == fallback.delta, "{}: delta diverged", ctx);
+            let (a, b) = (indexed.stats, fallback.stats);
+            prop_assert_eq!(a.rows_evaluated, b.rows_evaluated, "{}", ctx);
+            prop_assert_eq!(a.joins_performed, b.joins_performed, "{}", ctx);
+            prop_assert_eq!(a.joins_skipped, b.joins_skipped, "{}", ctx);
+            prop_assert_eq!(a.output_inserts, b.output_inserts, "{}", ctx);
+            prop_assert_eq!(a.output_deletes, b.output_deletes, "{}", ctx);
+            prop_assert_eq!(b.index_probes, 0);
         }
     }
 
@@ -252,6 +306,82 @@ fn covered_join_probes_the_index() {
     assert!(indexed.stats.index_probes > 0, "covered join never probed");
     assert_eq!(indexed.delta, fallback.delta);
     assert_eq!(scrub_probes(indexed.stats), scrub_probes(fallback.stats));
+}
+
+/// A selective 3-way join with a selection pushed onto every operand
+/// and two changed operands must probe: each truth-table row starts at a
+/// change set, and the pushed selections are applied per posting instead
+/// of forcing the materialized fallback. Reading fewer `orders` postings
+/// than `orders` holds is the O(|Δ|)-not-O(|r|) guard.
+#[test]
+fn selected_operands_probe_the_index() {
+    let mut db = Database::new();
+    db.create("orders", Schema::new(["OID", "CUST", "AMT"]).unwrap())
+        .unwrap();
+    db.create("customers", Schema::new(["CUST", "REGION"]).unwrap())
+        .unwrap();
+    db.create("regions", Schema::new(["REGION", "RNAME"]).unwrap())
+        .unwrap();
+    let orders = 2000i64;
+    db.load("orders", (0..orders).map(|i| [i, i % 200, (i * 37) % 1000]))
+        .unwrap();
+    db.load("customers", (0..200i64).map(|c| [c, c % 50]))
+        .unwrap();
+    db.load("regions", (0..50i64).map(|r| [r, (r * 7) % 13]))
+        .unwrap();
+    for (rel, key) in [
+        ("orders", vec!["CUST"]),
+        ("customers", vec!["CUST"]),
+        ("customers", vec!["REGION"]),
+        ("customers", vec!["CUST", "REGION"]),
+        ("regions", vec!["REGION"]),
+    ] {
+        let key: Vec<AttrName> = key.into_iter().map(AttrName::new).collect();
+        db.ensure_index(rel, &key).unwrap();
+    }
+    let view = SpjExpr::new(
+        ["orders", "customers", "regions"],
+        Condition::conjunction([Atom::ge_const("AMT", 500), Atom::le_const("REGION", 39)]),
+        Some(vec![
+            "OID".into(),
+            "CUST".into(),
+            "AMT".into(),
+            "RNAME".into(),
+        ]),
+    );
+    let mut txn = Transaction::new();
+    for i in 0..10i64 {
+        txn.insert("orders", [orders + i, i * 13, 600 + i]).unwrap();
+        txn.delete("orders", [i, i % 200, (i * 37) % 1000]).unwrap();
+        let c = 100 + i;
+        txn.delete("customers", [c, c % 50]).unwrap();
+        txn.insert("customers", [c, (c + 1) % 50]).unwrap();
+    }
+
+    for threads in [1usize, 2] {
+        let on = DiffOptions {
+            threads,
+            ..DiffOptions::default()
+        };
+        let off = DiffOptions {
+            use_indexes: false,
+            ..on
+        };
+        let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
+        let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
+        assert!(
+            indexed.stats.index_probes > 0,
+            "threads={threads}: selected operands never probed"
+        );
+        assert!(
+            indexed.stats.index_probe_rows < orders as u64,
+            "threads={threads}: probed {} postings, |orders| = {orders}",
+            indexed.stats.index_probe_rows
+        );
+        assert!(!indexed.delta.is_empty());
+        assert_eq!(indexed.delta, fallback.delta, "threads={threads}");
+        assert_eq!(indexed.stats.rows_evaluated, fallback.stats.rows_evaluated);
+    }
 }
 
 /// Fresh scratch directory for one durability test; removed on drop.
