@@ -98,7 +98,7 @@ fn bench_stream_maintenance(c: &mut Criterion) {
                 (m.database().clone(), expr, txns)
             },
             |(mut db, expr, txns)| {
-                let mut total = 0u64;
+                let mut total = 0u128;
                 for txn in &txns {
                     db.apply(txn).unwrap();
                     total += full_reval::recompute(&expr, &db).unwrap().total_count();

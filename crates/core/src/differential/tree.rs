@@ -52,6 +52,7 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ivm_relational::algebra;
 use ivm_relational::database::Database;
@@ -143,16 +144,18 @@ fn recurse(
 }
 
 /// A materialized general-algebra view maintained by [`tree_delta`].
+/// Like [`crate::view::MaterializedView`], it keeps its contents behind a
+/// copy-on-write `Arc` that readers share.
 #[derive(Debug, Clone)]
 pub struct MaterializedExpr {
     expr: Expr,
-    data: Relation,
+    data: Arc<Relation>,
 }
 
 impl MaterializedExpr {
     /// Materialize by full evaluation.
     pub fn materialize(expr: Expr, db: &Database) -> Result<Self> {
-        let data = expr.eval(db)?;
+        let data = Arc::new(expr.eval(db)?);
         Ok(MaterializedExpr { expr, data })
     }
 
@@ -160,7 +163,10 @@ impl MaterializedExpr {
     /// trusted to be the materialization `expr` had when it was
     /// checkpointed (the recovery path).
     pub fn from_saved(expr: Expr, data: Relation) -> Self {
-        MaterializedExpr { expr, data }
+        MaterializedExpr {
+            expr,
+            data: Arc::new(data),
+        }
     }
 
     /// The defining expression.
@@ -173,23 +179,32 @@ impl MaterializedExpr {
         &self.data
     }
 
+    /// The current contents as a shared pointer (see
+    /// [`crate::view::MaterializedView::shared_contents`]).
+    pub fn shared_contents(&self) -> &Arc<Relation> {
+        &self.data
+    }
+
     /// Fold a transaction in differentially. `db_before` must be the
     /// database state the current contents correspond to.
     pub fn update(&mut self, db_before: &Database, txn: &Transaction) -> Result<()> {
         let delta = tree_delta(&self.expr, db_before, txn)?;
-        self.data.apply_delta(&delta)?;
-        Ok(())
+        self.apply(&delta)
     }
 
-    /// Apply a precomputed maintenance delta (e.g. from [`tree_delta`]).
-    pub fn apply(&mut self, delta: &ivm_relational::delta::DeltaRelation) -> Result<()> {
-        self.data.apply_delta(delta)?;
+    /// Apply a precomputed maintenance delta (e.g. from [`tree_delta`]),
+    /// copying the contents first only if another holder shares them.
+    pub fn apply(&mut self, delta: &DeltaRelation) -> Result<()> {
+        if delta.is_empty() {
+            return Ok(());
+        }
+        Arc::make_mut(&mut self.data).apply_delta(delta)?;
         Ok(())
     }
 
     /// Debug helper: contents equal a fresh evaluation.
     pub fn consistent_with(&self, db: &Database) -> Result<bool> {
-        Ok(self.expr.eval(db)? == self.data)
+        Ok(self.expr.eval(db)? == *self.data)
     }
 }
 
@@ -341,5 +356,37 @@ mod tests {
         txn.delete("R", [1, 10]).unwrap();
         mv.update(&before, &txn).unwrap();
         assert_eq!(mv.contents().count(&Tuple::from([10])), 1);
+    }
+
+    #[test]
+    fn contents_are_copied_on_write_only_when_shared() {
+        let before = db();
+        let e = Expr::base("R").project(["B"]);
+        let mut mv = MaterializedExpr::materialize(e, &before).unwrap();
+        let held = Arc::clone(mv.shared_contents());
+        // An empty delta writes nothing, so even a shared view keeps its
+        // pointer.
+        mv.apply(&DeltaRelation::empty(held.schema().clone()))
+            .unwrap();
+        assert!(Arc::ptr_eq(&held, mv.shared_contents()));
+        // A real change while `held` is alive goes to a fresh copy.
+        let mut txn = Transaction::new();
+        txn.delete("R", [1, 10]).unwrap();
+        mv.update(&before, &txn).unwrap();
+        assert!(!Arc::ptr_eq(&held, mv.shared_contents()));
+        assert_eq!(
+            held.count(&Tuple::from([10])),
+            2,
+            "the holder's copy is intact"
+        );
+        assert_eq!(mv.contents().count(&Tuple::from([10])), 1);
+        // Unshared, the next change is made in place.
+        drop(held);
+        let ptr = Arc::as_ptr(mv.shared_contents());
+        let mut delta = DeltaRelation::empty(mv.contents().schema().clone());
+        delta.add(Tuple::from([10]), -1);
+        mv.apply(&delta).unwrap();
+        assert_eq!(Arc::as_ptr(mv.shared_contents()), ptr);
+        assert!(!mv.contents().contains(&Tuple::from([10])));
     }
 }

@@ -401,15 +401,15 @@ impl ViewManager {
     pub fn snapshots(&self) -> crate::snapshot::SnapshotHub {
         if !self.snapshots.is_armed() {
             self.snapshots.arm();
-            self.publish_snapshot(|_| true);
+            self.publish_snapshot();
         }
         self.snapshots.clone()
     }
 
     /// Publish the committed state of every registered view (no-op while
-    /// the hub is unarmed). `changed` marks views whose contents differ
-    /// from the previous publication; the rest share allocations with it.
-    fn publish_snapshot(&self, changed: impl Fn(&str) -> bool) {
+    /// the hub is unarmed). The snapshot shares each view's `Arc`, so a
+    /// view the commit left alone keeps the previous publication's pointer.
+    fn publish_snapshot(&self) {
         if !self.snapshots.is_armed() {
             return;
         }
@@ -417,13 +417,13 @@ impl ViewManager {
             .views
             .iter()
             .filter(|(_, mv)| mv.kind == ViewKind::User)
-            .map(|(n, mv)| (n.as_str(), mv.view.contents()))
+            .map(|(n, mv)| (n.as_str(), mv.view.shared_contents()))
             .chain(
                 self.tree_views
                     .iter()
-                    .map(|(n, tv)| (n.as_str(), tv.view.contents())),
+                    .map(|(n, tv)| (n.as_str(), tv.view.shared_contents())),
             );
-        self.snapshots.publish(views, changed);
+        self.snapshots.publish(views);
     }
 
     /// Install a fault-injection plan (see [`ivm_storage::FailpointPlan`]).
@@ -679,7 +679,7 @@ impl ViewManager {
             },
         );
         self.rebuild_dag();
-        self.publish_snapshot(|n| n == name);
+        self.publish_snapshot();
         Ok(())
     }
 
@@ -959,7 +959,7 @@ impl ViewManager {
                 stats: MaintenanceStats::default(),
             },
         );
-        self.publish_snapshot(|n| n == name);
+        self.publish_snapshot();
         Ok(())
     }
 
@@ -1235,19 +1235,6 @@ impl ViewManager {
             obs.add(names::MANAGER_MAINTENANCE_RUNS, 1);
             tree_deltas.push((name.clone(), delta));
         }
-        // Views whose materialized contents phase 3 will change; the
-        // post-commit publication reuses allocations for the rest.
-        let mut dirty: std::collections::BTreeSet<String> = deltas
-            .iter()
-            .filter(|(n, full)| *full || emitted.get(n).is_some_and(|d| !d.is_empty()))
-            .map(|(n, _)| n.clone())
-            .collect();
-        dirty.extend(
-            tree_deltas
-                .iter()
-                .filter(|(_, d)| !d.is_empty())
-                .map(|(n, _)| n.clone()),
-        );
         let _apply_span = obs.span(names::SPAN_APPLY);
         // Phase 2: apply to base relations (join indexes are maintained
         // inside each relation's insert/remove).
@@ -1321,7 +1308,7 @@ impl ViewManager {
                            // is the atomic publication point for concurrent readers. A crash
                            // or error anywhere above leaves the previous snapshot current,
                            // so readers never observe a half-applied transaction.
-        self.publish_snapshot(|n| dirty.contains(n));
+        self.publish_snapshot();
         self.maybe_checkpoint()?;
         report.rows_evaluated = report.diff.rows_evaluated;
         Ok(report)
@@ -1398,21 +1385,43 @@ impl ViewManager {
             for l in &listeners {
                 l(name, &delta);
             }
-            self.publish_snapshot(|n| n == name);
+            self.publish_snapshot();
         }
         Ok(())
     }
 
     /// Query a view: refreshes first for [`RefreshPolicy::OnDemand`]
-    /// views, then returns a clone of the contents.
-    pub fn query(&mut self, name: &str) -> Result<Relation> {
-        if let Some(tv) = self.tree_views.get(name) {
-            return Ok(tv.view.contents().clone());
-        }
-        if self.managed(name)?.policy == RefreshPolicy::OnDemand {
+    /// views, then returns the contents as a shared, immutable snapshot.
+    ///
+    /// The result is the view's own `Arc`, not a copy, so a read costs
+    /// O(1) whatever the view's size. It never changes under the holder:
+    /// a later [`ViewManager::execute`] that changes the view writes to a
+    /// fresh copy while the handle is alive (copy-on-write), and a new
+    /// `query` sees the change.
+    pub fn query(&mut self, name: &str) -> Result<Arc<Relation>> {
+        if self.query_refreshes(name)? {
             self.refresh(name)?;
         }
-        Ok(self.managed(name)?.view.contents().clone())
+        self.shared_contents(name)
+    }
+
+    /// Whether [`ViewManager::query`] must fold queued changes in first:
+    /// an on-demand view with changes pending.
+    fn query_refreshes(&self, name: &str) -> Result<bool> {
+        if self.tree_views.contains_key(name) {
+            return Ok(false);
+        }
+        let mv = self.managed(name)?;
+        Ok(mv.policy == RefreshPolicy::OnDemand && !mv.pending.is_empty())
+    }
+
+    /// The shared pointer to a view's current contents, without
+    /// refreshing.
+    fn shared_contents(&self, name: &str) -> Result<Arc<Relation>> {
+        if let Some(tv) = self.tree_views.get(name) {
+            return Ok(Arc::clone(tv.view.shared_contents()));
+        }
+        Ok(Arc::clone(self.managed(name)?.view.shared_contents()))
     }
 
     /// Check every view — including internal shared nodes — against a
@@ -1777,8 +1786,16 @@ impl SharedViewManager {
         self.inner.write().execute(txn)
     }
 
-    /// Query a view (may refresh on-demand views; takes the write lock).
-    pub fn query(&self, name: &str) -> Result<Relation> {
+    /// Query a view (see [`ViewManager::query`]). Takes the read lock, so
+    /// concurrent readers do not serialize; only an on-demand view with
+    /// changes pending takes the write lock to refresh.
+    pub fn query(&self, name: &str) -> Result<Arc<Relation>> {
+        {
+            let m = self.inner.read();
+            if !m.query_refreshes(name)? {
+                return m.shared_contents(name);
+            }
+        }
         self.inner.write().query(name)
     }
 
@@ -2360,6 +2377,74 @@ mod tests {
             before.get("v").unwrap(),
             after.get("v").unwrap()
         ));
+    }
+
+    #[test]
+    fn query_returns_an_isolated_snapshot() {
+        let mut m = manager_with_data();
+        m.register_view("v", view_expr(), RefreshPolicy::Immediate)
+            .unwrap();
+        let held = m.query("v").unwrap();
+        let rows_then = (*held).clone();
+        let mut txn = Transaction::new();
+        txn.insert("R", [3, 10]).unwrap();
+        m.execute(&txn).unwrap();
+        assert_eq!(*held, rows_then, "a held query result never changes");
+        assert!(!held.contains(&Tuple::from([3, 100])));
+        assert!(m.query("v").unwrap().contains(&Tuple::from([3, 100])));
+        m.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn reads_share_the_view_instead_of_copying_it() {
+        let mut m = manager_with_data();
+        m.register_view("v", view_expr(), RefreshPolicy::Immediate)
+            .unwrap();
+        let first = m.query("v").unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &m.query("v").unwrap()),
+            "no write between two queries: one allocation"
+        );
+        let hub = m.snapshots();
+        let q = m.query("v").unwrap();
+        assert!(std::ptr::eq(&*q, hub.latest().get("v").unwrap()));
+        // Relevant to `v` (A < 10) but joining no S tuple: the
+        // differential pass runs and yields an empty delta, which must not
+        // copy the view although the hub and `q` both hold it.
+        let mut txn = Transaction::new();
+        txn.insert("R", [3, 30]).unwrap();
+        assert_eq!(m.execute(&txn).unwrap().views_maintained, 1);
+        let after = m.query("v").unwrap();
+        assert!(Arc::ptr_eq(&q, &after), "an empty delta keeps the pointer");
+        assert!(std::ptr::eq(&*after, hub.latest().get("v").unwrap()));
+    }
+
+    #[test]
+    fn shared_query_reads_under_the_read_lock() {
+        let mut m = manager_with_data();
+        m.register_view("v", view_expr(), RefreshPolicy::Immediate)
+            .unwrap();
+        m.register_view("lazy", view_expr(), RefreshPolicy::OnDemand)
+            .unwrap();
+        let shared = SharedViewManager::new(m);
+        let mut txn = Transaction::new();
+        txn.insert("R", [3, 10]).unwrap();
+        shared.execute(&txn).unwrap();
+        // A read lock held elsewhere does not block `query` on an
+        // immediate view (a query that took the write lock would time
+        // out here).
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = shared.clone();
+        let v = shared.read(|_| {
+            std::thread::spawn(move || tx.send(reader.query("v")));
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+        });
+        let v = v.expect("query waited for the read lock").unwrap();
+        assert!(v.contains(&Tuple::from([3, 100])));
+        // An on-demand view with changes pending still refreshes.
+        let lazy = shared.query("lazy").unwrap();
+        assert_eq!(*lazy, *v);
+        assert!(shared.read(|m| m.stats("lazy").unwrap().maintenance_runs) > 0);
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! reclaims superseded snapshots with *epoch-based reclamation* — the
 //! std-only equivalent of an `arc-swap`/crossbeam-epoch pairing:
 //!
-//! * **Publish** (writer): build the next [`ViewSnapshot`] — unchanged
-//!   views reuse the previous snapshot's `Arc<Relation>`, changed views
-//!   are cloned once — swap it in, bump the global epoch, and move the
-//!   superseded snapshot onto a retire list tagged with the new epoch.
+//! * **Publish** (writer): build the next [`ViewSnapshot`] from the
+//!   `Arc<Relation>` each view already stores — publication copies no
+//!   rows, and a view the commit did not change keeps the very pointer
+//!   the previous snapshot holds — swap it in, bump the global epoch, and
+//!   move the superseded snapshot onto a retire list tagged with the new
+//!   epoch.
 //! * **Pin** (reader): announce the current epoch in a per-reader slot,
 //!   load the pointer, take a strong reference, and un-announce. The pin
 //!   window is three atomic operations long.
@@ -27,6 +29,13 @@
 //!   that announced epoch `e` before the writer's swap is the only kind
 //!   that can still hold the superseded pointer, and its announcement
 //!   (`e` < retire epoch) blocks release until it un-pins.
+//!
+//! Because a published snapshot shares each view's `Arc`, the one copy
+//! left on the write path is copy-on-write inside the view itself:
+//! [`crate::view::MaterializedView::apply`] goes through
+//! [`Arc::make_mut`], which copies a view's relation when the hub (or a
+//! reader) still holds the version about to change — once per changed
+//! view per commit while the hub is armed, and never for an empty delta.
 //!
 //! Readers therefore never take a lock the writer contends on: the write
 //! path is an atomic swap plus a scan of reader slots, and a stalled
@@ -124,8 +133,8 @@ impl Fnv {
 /// Stable digest of a sequence of named relations. Callers must supply
 /// the views in a canonical (name-sorted) order — [`ViewSnapshot::iter`]
 /// already does — so the same logical state always digests identically.
-/// Tuples are folded in [`Relation::sorted`] order with their counts,
-/// never in raw hash order.
+/// Tuples are folded in sorted tuple order with their counts, never in
+/// raw hash order.
 pub fn digest_views<'a>(views: impl IntoIterator<Item = (&'a str, &'a Relation)>) -> u64 {
     let mut h = Fnv::new();
     for (name, rel) in views {
@@ -135,7 +144,9 @@ pub fn digest_views<'a>(views: impl IntoIterator<Item = (&'a str, &'a Relation)>
             h.write(attr.as_str().as_bytes());
             h.write(&[0xFF]);
         }
-        for (tuple, count) in rel.sorted() {
+        let mut rows: Vec<_> = rel.iter().collect();
+        rows.sort_unstable();
+        for (tuple, count) in rows {
             for v in tuple.values() {
                 match v {
                     Value::Int(i) => {
@@ -264,29 +275,18 @@ impl SnapshotHub {
         self.shared.epoch.load(SeqCst)
     }
 
-    /// Publish a new snapshot of `views`. `changed` says whether a view's
-    /// contents differ from the previous snapshot; unchanged views reuse
-    /// the prior `Arc` instead of cloning the relation. Called by the
-    /// single maintaining thread at each commit point.
+    /// Publish a new snapshot of `views`, sharing each view's `Arc`
+    /// rather than copying the relation behind it. Called by the single
+    /// maintaining thread at each commit point.
     pub(crate) fn publish<'a>(
         &self,
-        views: impl IntoIterator<Item = (&'a str, &'a Relation)>,
-        changed: impl Fn(&str) -> bool,
+        views: impl IntoIterator<Item = (&'a str, &'a Arc<Relation>)>,
     ) {
+        let map: BTreeMap<String, Arc<Relation>> = views
+            .into_iter()
+            .map(|(name, rel)| (name.to_owned(), Arc::clone(rel)))
+            .collect();
         let mut w = self.shared.writer.lock();
-        // `current`'s strong count is released only by `reclaim` (after a
-        // swap-out and quiescence) or by `Drop`, both serialized with
-        // this borrow by the writer mutex.
-        // SAFETY: see above — the allocation is live for this borrow.
-        let prev = unsafe { &*self.shared.current.load(SeqCst) };
-        let mut map = BTreeMap::new();
-        for (name, rel) in views {
-            let arc = match prev.views.get(name) {
-                Some(a) if !changed(name) => Arc::clone(a),
-                _ => Arc::new(rel.clone()),
-            };
-            map.insert(name.to_owned(), arc);
-        }
         let next_epoch = self.shared.epoch.load(SeqCst).wrapping_add(1);
         let snap = Arc::new(ViewSnapshot {
             epoch: next_epoch,
@@ -474,14 +474,14 @@ mod tests {
     fn publish_advances_epoch_and_contents() {
         let hub = SnapshotHub::new();
         hub.arm();
-        let r1 = rel(&[1, 2]);
-        hub.publish([("v", &r1)], |_| true);
+        let r1 = Arc::new(rel(&[1, 2]));
+        hub.publish([("v", &r1)]);
         let snap = hub.latest();
         assert_eq!(snap.epoch(), 1);
         assert_eq!(snap.get("v").unwrap().len(), 2);
         assert!(snap.get("w").is_none());
-        let r2 = rel(&[1, 2, 3]);
-        hub.publish([("v", &r2)], |_| true);
+        let r2 = Arc::new(rel(&[1, 2, 3]));
+        hub.publish([("v", &r2)]);
         assert_eq!(hub.latest().get("v").unwrap().len(), 3);
         assert_eq!(hub.epoch(), 2);
     }
@@ -490,14 +490,14 @@ mod tests {
     fn unchanged_views_share_the_relation_allocation() {
         let hub = SnapshotHub::new();
         hub.arm();
-        let r1 = rel(&[1]);
-        let r2 = rel(&[2]);
-        hub.publish([("a", &r1), ("b", &r2)], |_| true);
+        let r1 = Arc::new(rel(&[1]));
+        let r2 = Arc::new(rel(&[2]));
+        hub.publish([("a", &r1), ("b", &r2)]);
         let before = hub.latest();
-        // Publish again with only `b` marked changed: `a` must be the
-        // same allocation, `b` a fresh one.
-        let r2b = rel(&[2, 3]);
-        hub.publish([("a", &r1), ("b", &r2b)], |n| n == "b");
+        // Publish again with only `b` replaced: `a` must be the same
+        // allocation, `b` a fresh one.
+        let r2b = Arc::new(rel(&[2, 3]));
+        hub.publish([("a", &r1), ("b", &r2b)]);
         let after = hub.latest();
         assert!(std::ptr::eq(
             before.get("a").unwrap(),
@@ -514,12 +514,12 @@ mod tests {
     fn old_snapshots_stay_readable_after_supersession() {
         let hub = SnapshotHub::new();
         hub.arm();
-        let r1 = rel(&[1]);
-        hub.publish([("v", &r1)], |_| true);
+        let r1 = Arc::new(rel(&[1]));
+        hub.publish([("v", &r1)]);
         let pinned = hub.latest();
         for i in 0..50 {
-            let r = rel(&(0..=i).collect::<Vec<_>>());
-            hub.publish([("v", &r)], |_| true);
+            let r = Arc::new(rel(&(0..=i).collect::<Vec<_>>()));
+            hub.publish([("v", &r)]);
         }
         // The epoch-1 snapshot must still be intact.
         assert_eq!(pinned.epoch(), 1);
@@ -558,7 +558,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let hub = SnapshotHub::new();
         hub.arm();
-        hub.publish([("v", &rel(&[]))], |_| true);
+        hub.publish([("v", &Arc::new(rel(&[])))]);
         let stop = Arc::new(AtomicBool::new(false));
         let mut joins = Vec::new();
         for _ in 0..4 {
@@ -582,7 +582,7 @@ mod tests {
         }
         for i in 0..500u64 {
             let rows: Vec<i64> = (0..=i as i64).collect();
-            hub.publish([("v", &rel(&rows))], |_| true);
+            hub.publish([("v", &Arc::new(rel(&rows)))]);
         }
         stop.store(true, Ordering::SeqCst);
         for j in joins {

@@ -8,6 +8,7 @@
 //! tuple carries a multiplicity counter.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ivm_relational::database::Database;
 use ivm_relational::delta::DeltaRelation;
@@ -69,17 +70,23 @@ impl fmt::Display for ViewDefinition {
 
 /// A stored view materialization: the definition plus the counted relation
 /// it currently holds.
+///
+/// The contents live behind an `Arc` so readers share them instead of
+/// copying: [`MaterializedView::shared_contents`] hands out the pointer,
+/// and maintenance writes through [`Arc::make_mut`]. A write copies the
+/// relation only while some reader (a published snapshot, a `query`
+/// result) still holds the previous version; an empty delta never writes.
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     def: ViewDefinition,
-    data: Relation,
+    data: Arc<Relation>,
 }
 
 impl MaterializedView {
     /// Materialize a view by full evaluation against the database.
     pub fn materialize(def: ViewDefinition, db: &Database) -> Result<Self> {
         def.validate(db)?;
-        let data = def.expr().eval(db)?;
+        let data = Arc::new(def.expr().eval(db)?);
         Ok(MaterializedView { def, data })
     }
 
@@ -89,7 +96,7 @@ impl MaterializedView {
     pub fn materialize_with(def: ViewDefinition, operands: &[&Relation]) -> Result<Self> {
         let schemas: Vec<&Schema> = operands.iter().map(|r| r.schema()).collect();
         def.expr().validate_with(&schemas)?;
-        let data = def.expr().eval_with(operands)?;
+        let data = Arc::new(def.expr().eval_with(operands)?);
         Ok(MaterializedView { def, data })
     }
 
@@ -106,7 +113,10 @@ impl MaterializedView {
     /// it was checkpointed. This is the recovery path — re-evaluating here
     /// would defeat differential replay.
     pub fn from_saved(def: ViewDefinition, data: Relation) -> Self {
-        MaterializedView { def, data }
+        MaterializedView {
+            def,
+            data: Arc::new(data),
+        }
     }
 
     /// The definition.
@@ -119,23 +129,33 @@ impl MaterializedView {
         &self.data
     }
 
+    /// The current contents as a shared pointer: cloning it is O(1), and
+    /// the relation it points to never changes under the holder.
+    pub fn shared_contents(&self) -> &Arc<Relation> {
+        &self.data
+    }
+
     /// Apply a maintenance delta (the "transaction to update the view" that
-    /// Algorithm 5.1 outputs).
+    /// Algorithm 5.1 outputs). Copies the relation first only if another
+    /// holder shares it; an empty delta leaves it, and its pointer, alone.
     pub fn apply(&mut self, delta: &DeltaRelation) -> Result<()> {
-        self.data.apply_delta(delta)?;
+        if delta.is_empty() {
+            return Ok(());
+        }
+        Arc::make_mut(&mut self.data).apply_delta(delta)?;
         Ok(())
     }
 
     /// Replace the contents wholesale (full re-evaluation refresh).
     pub fn replace(&mut self, data: Relation) {
-        self.data = data;
+        self.data = Arc::new(data);
     }
 
     /// True when the stored contents equal a full re-evaluation against
     /// `db` — the consistency invariant every maintenance path must
     /// preserve.
     pub fn consistent_with(&self, db: &Database) -> Result<bool> {
-        Ok(self.def.expr().eval(db)? == self.data)
+        Ok(self.def.expr().eval(db)? == *self.data)
     }
 }
 

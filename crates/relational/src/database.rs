@@ -143,8 +143,9 @@ impl Database {
         Ok(())
     }
 
-    /// Total number of tuples across all base relations.
-    pub fn total_tuples(&self) -> u64 {
+    /// Total number of tuples across all base relations (exact, like
+    /// [`Relation::total_count`]).
+    pub fn total_tuples(&self) -> u128 {
         self.relations.values().map(Relation::total_count).sum()
     }
 

@@ -37,6 +37,16 @@ impl Relation {
         }
     }
 
+    /// An empty relation over a scheme with room for `capacity` distinct
+    /// tuples before its table grows.
+    pub fn with_capacity(schema: Schema, capacity: usize) -> Self {
+        Relation {
+            schema,
+            tuples: HashMap::with_capacity(capacity),
+            indexes: Vec::new(),
+        }
+    }
+
     /// Build a relation from set-style rows (each with count 1).
     ///
     /// Duplicate rows accumulate counts, matching multiset semantics.
@@ -67,9 +77,10 @@ impl Relation {
         self.tuples.is_empty()
     }
 
-    /// Sum of multiplicity counters (the multiset cardinality).
-    pub fn total_count(&self) -> u64 {
-        self.tuples.values().sum()
+    /// Sum of multiplicity counters (the multiset cardinality). Exact:
+    /// each counter may reach `u64::MAX`, so the sum is taken in `u128`.
+    pub fn total_count(&self) -> u128 {
+        self.tuples.values().map(|&c| u128::from(c)).sum()
     }
 
     /// Multiplicity of a tuple (0 when absent).
@@ -398,6 +409,23 @@ mod tests {
         ));
         assert_eq!(r.count(&t), u64::MAX);
         r.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn total_count_is_exact_past_u64_max() {
+        // Regression: `total_count` summed the counters in `u64`, so a
+        // counter at u64::MAX plus one more tuple panicked in debug and
+        // wrapped to 0 in release — and `Display` printed "[0 tuples]".
+        let mut r = Relation::empty(Schema::new(["A"]).unwrap());
+        r.insert(Tuple::from([1]), u64::MAX).unwrap();
+        r.insert(Tuple::from([2]), 1).unwrap();
+        assert_eq!(r.total_count(), u128::from(u64::MAX) + 1);
+        let shown = r.to_string();
+        assert!(
+            shown.starts_with("{A} [18446744073709551616 tuples]"),
+            "{shown}"
+        );
+        assert!(shown.contains(&format!("(1) x{}", u64::MAX)), "{shown}");
     }
 
     #[test]

@@ -283,11 +283,7 @@ impl Codec for Response {
                 out.extend_from_slice(&version.to_le_bytes());
             }
             Response::Pong => out.push(RESP_PONG),
-            Response::Rows { epoch, rows } => {
-                out.push(RESP_ROWS);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                rows.encode_into(out);
-            }
+            Response::Rows { epoch, rows } => put_rows(out, *epoch, rows),
             Response::Executed {
                 views_touched,
                 views_maintained,
@@ -360,9 +356,23 @@ impl Codec for Response {
     }
 }
 
+/// Append the payload of a [`Response::Rows`] for `rows` at `epoch`. The
+/// one `Rows` encoder: the server writes a query answer with it straight
+/// from a borrowed snapshot relation, without building a `Response`.
+pub fn put_rows(out: &mut Vec<u8>, epoch: u64, rows: &Relation) {
+    out.push(RESP_ROWS);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    rows.encode_into(out);
+}
+
 /// Write one message as a frame and flush it.
 pub fn send(w: &mut impl Write, msg: &impl Codec) -> Result<()> {
-    write_frame(w, &msg.encode())?;
+    send_payload(w, &msg.encode())
+}
+
+/// Write an already encoded message payload as a frame and flush it.
+pub fn send_payload(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+    write_frame(w, payload)?;
     w.flush().map_err(ServeError::Io)?;
     Ok(())
 }
@@ -382,6 +392,7 @@ mod tests {
     use super::*;
     use ivm_relational::predicate::Atom;
     use ivm_relational::tuple::Tuple;
+    use ivm_relational::value::Value;
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: &T) {
         let mut buf = Vec::new();
@@ -457,6 +468,31 @@ mod tests {
         for r in &resps {
             roundtrip(r);
         }
+    }
+
+    #[test]
+    fn borrowed_rows_write_the_same_frame_as_a_rows_response() {
+        let mut rel = Relation::empty(Schema::new(["A", "B"]).unwrap());
+        for i in [5i64, -3, 9, 0] {
+            rel.insert(Tuple::from([i, i * 10]), (i.unsigned_abs() % 3) + 1)
+                .unwrap();
+        }
+        rel.insert(Tuple::new(vec![Value::str("x"), Value::Int(1)]), 1)
+            .unwrap();
+        let mut owned = Vec::new();
+        send(
+            &mut owned,
+            &Response::Rows {
+                epoch: 7,
+                rows: rel.clone(),
+            },
+        )
+        .unwrap();
+        let mut payload = Vec::new();
+        put_rows(&mut payload, 7, &rel);
+        let mut borrowed = Vec::new();
+        send_payload(&mut borrowed, &payload).unwrap();
+        assert_eq!(borrowed, owned);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use ivm::prelude::{RefreshPolicy, Schema, SpjExpr, Transaction, ViewManager};
 use ivm::snapshot::{SnapshotHandle, SnapshotHub};
 use ivm_obs::names as metric;
 use ivm_obs::{InMemoryRecorder, JsonLinesRecorder, Obs, Recorder, SpanEvent};
+use ivm_storage::Codec;
 use parking_lot::Mutex;
 
 use crate::error::{Result, ServeError};
@@ -378,12 +379,12 @@ fn session_loop(stream: TcpStream, ctx: &Ctx, tx: &mpsc::Sender<WriteReq>) -> Re
         };
         let stop_after = matches!(req, Request::Shutdown);
         let started = Instant::now();
-        let resp = {
+        let payload = {
             let _span = ctx.obs.span(metric::SPAN_SERVE);
             dispatch(req, ctx, &snapshots, tx)
         };
         ctx.obs.add(metric::SERVE_REQUESTS, 1);
-        protocol::send(&mut writer, &resp)?;
+        protocol::send_payload(&mut writer, &payload)?;
         ctx.obs.observe(
             metric::SERVE_REQUEST_MICROS,
             u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -402,36 +403,40 @@ fn remote_err(message: impl Into<String>) -> Response {
     }
 }
 
+/// Answer a `Query` from the pinned snapshot: the `Rows` payload is
+/// encoded straight from the snapshot's shared relation, never a copy.
+fn query(view: &str, ctx: &Ctx, snapshots: &SnapshotHandle) -> Vec<u8> {
+    let snap = snapshots.latest();
+    ctx.obs.observe(
+        metric::SERVE_SNAPSHOT_AGE_EPOCHS,
+        ctx.hub.epoch().saturating_sub(snap.epoch()),
+    );
+    match snap.get(view) {
+        Some(rows) => {
+            ctx.obs.add(metric::SERVE_ROWS_RETURNED, rows.len() as u64);
+            let mut out = Vec::new();
+            protocol::put_rows(&mut out, snap.epoch(), rows);
+            out
+        }
+        None => remote_err(format!("unknown view '{view}'")).encode(),
+    }
+}
+
+/// Serve one request; returns the encoded response payload.
 fn dispatch(
     req: Request,
     ctx: &Ctx,
     snapshots: &SnapshotHandle,
     tx: &mpsc::Sender<WriteReq>,
-) -> Response {
-    match req {
+) -> Vec<u8> {
+    let resp = match req {
         Request::Hello { .. } => remote_err("duplicate Hello"),
         Request::Ping => Response::Pong,
-        Request::Query { view } => {
-            let snap = snapshots.latest();
-            ctx.obs.observe(
-                metric::SERVE_SNAPSHOT_AGE_EPOCHS,
-                ctx.hub.epoch().saturating_sub(snap.epoch()),
-            );
-            match snap.get(&view) {
-                Some(rows) => {
-                    ctx.obs.add(metric::SERVE_ROWS_RETURNED, rows.len() as u64);
-                    Response::Rows {
-                        epoch: snap.epoch(),
-                        rows: rows.clone(),
-                    }
-                }
-                None => remote_err(format!("unknown view '{view}'")),
-            }
-        }
+        Request::Query { view } => return query(&view, ctx, snapshots),
         Request::Execute { txn } => {
             let (reply_tx, reply_rx) = mpsc::sync_channel(1);
             if tx.send(WriteReq::Execute(txn, reply_tx)).is_err() {
-                return remote_err("server is shutting down");
+                return remote_err("server is shutting down").encode();
             }
             match reply_rx.recv() {
                 Ok(Ok((views_touched, views_maintained))) => Response::Executed {
@@ -445,7 +450,7 @@ fn dispatch(
         Request::Refresh { view } => {
             let (reply_tx, reply_rx) = mpsc::sync_channel(1);
             if tx.send(WriteReq::Refresh(view, reply_tx)).is_err() {
-                return remote_err("server is shutting down");
+                return remote_err("server is shutting down").encode();
             }
             match reply_rx.recv() {
                 Ok(Ok(())) => Response::Done,
@@ -478,7 +483,7 @@ fn dispatch(
                 .send(WriteReq::CreateRelation(name, schema, reply_tx))
                 .is_err()
             {
-                return remote_err("server is shutting down");
+                return remote_err("server is shutting down").encode();
             }
             match reply_rx.recv() {
                 Ok(Ok(())) => Response::Done,
@@ -492,7 +497,7 @@ fn dispatch(
                 .send(WriteReq::RegisterView(name, expr, policy, reply_tx))
                 .is_err()
             {
-                return remote_err("server is shutting down");
+                return remote_err("server is shutting down").encode();
             }
             match reply_rx.recv() {
                 Ok(Ok(())) => Response::Done,
@@ -501,5 +506,6 @@ fn dispatch(
             }
         }
         Request::Shutdown => Response::Done,
-    }
+    };
+    resp.encode()
 }

@@ -461,7 +461,7 @@ fn run_step(
                     .materialize(view)
                     .map_err(|e| format!("oracle query {view}: {e}"))?;
             }
-            if &got != oracle.expected(view) {
+            if *got != *oracle.expected(view) {
                 return Err(format!(
                     "query of view {view} returned contents diverging from the oracle"
                 ));

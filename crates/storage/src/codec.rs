@@ -234,7 +234,10 @@ impl Codec for Schema {
 impl Codec for Relation {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.schema().encode_into(out);
-        let rows = self.sorted();
+        // Sorting references orders exactly as `sorted()` would, without
+        // copying a tuple.
+        let mut rows: Vec<(&Tuple, u64)> = self.iter().collect();
+        rows.sort_unstable();
         out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
         for (tuple, count) in rows {
             tuple.encode_into(out);
@@ -246,7 +249,7 @@ impl Codec for Relation {
         let schema = Schema::decode_from(r)?;
         let n = r.u64()? as usize;
         r.check_count(n, 12)?; // empty tuple (4) + count (8)
-        let mut rel = Relation::empty(schema);
+        let mut rel = Relation::with_capacity(schema, n);
         for _ in 0..n {
             let tuple = Tuple::decode_from(r)?;
             let count = r.u64()?;
@@ -264,7 +267,8 @@ impl Codec for Relation {
 impl Codec for DeltaRelation {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.schema().encode_into(out);
-        let rows = self.sorted();
+        let mut rows: Vec<(&Tuple, i64)> = self.iter().collect();
+        rows.sort_unstable();
         out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
         for (tuple, count) in rows {
             tuple.encode_into(out);

@@ -50,7 +50,7 @@ fn main() -> Result<()> {
     let mut materialized_read = std::time::Duration::ZERO;
     let mut reeval_read = std::time::Duration::ZERO;
     let mut maintenance = std::time::Duration::ZERO;
-    let mut checksum = 0u64;
+    let mut checksum = 0u128;
 
     let mut next_rid = READINGS as i64;
     for t in 0..TXNS {

@@ -96,7 +96,7 @@ fn concurrent_writers_and_readers_at(maintenance_threads: usize) {
     let reader = {
         let shared = shared.clone();
         thread::spawn(move || {
-            let mut checksum = 0u64;
+            let mut checksum = 0u128;
             for _ in 0..200 {
                 checksum = checksum.wrapping_add(shared.query("hot").unwrap().total_count());
                 checksum = checksum.wrapping_add(shared.query("sizes").unwrap().total_count());
@@ -120,7 +120,7 @@ fn concurrent_writers_and_readers_at(maintenance_threads: usize) {
     });
     assert_eq!(
         events,
-        (WRITERS as i64 * PER_WRITER - WRITERS as i64 * 20) as u64
+        (WRITERS as i64 * PER_WRITER - WRITERS as i64 * 20) as u128
     );
     assert!(hot > 0, "some events must be hot");
     assert!(alerts.load(Ordering::SeqCst) > 0);
