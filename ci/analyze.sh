@@ -12,7 +12,8 @@
 #      and concurrency-catalog.toml — grandfathered findings pass,
 #      anything new fails;
 #   4. model-check the snapshot/serve protocols with `ivm-race`: both
-#      clean models must verify (≥500 interleavings each), every seeded
+#      clean models must verify (the snapshot model with ≥500
+#      interleavings, the serve model with all 4 of its own), every seeded
 #      foil must be caught with a replayable counterexample.
 set -euo pipefail
 cd "$(dirname "$0")/.."

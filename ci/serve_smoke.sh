@@ -65,7 +65,7 @@ echo "serve_smoke: server up at $ADDR (pid $SERVER_PID)"
     --shutdown-after | tee "$LOAD_LOG"
 
 # Graceful shutdown must complete promptly — a hang here means session
-# or writer threads failed to join.
+# or session threads failed to join.
 for _ in $(seq 1 100); do
     kill -0 "$SERVER_PID" 2>/dev/null || break
     sleep 0.1

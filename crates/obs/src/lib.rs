@@ -148,6 +148,26 @@ impl Obs {
         }
     }
 
+    /// Run `f` with this thread's open spans set aside, so the spans `f`
+    /// opens record as roots, as if `f` ran on a thread of its own. The
+    /// serving layer runs writes this way: `execute` keeps the paths an
+    /// embedded manager records, not `serve/execute`.
+    pub fn detached<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Puts the outer spans back, also when `f` unwinds.
+        struct Restore(Vec<&'static str>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let outer = std::mem::take(&mut self.0);
+                SPAN_STACK.with(|stack| *stack.borrow_mut() = outer);
+            }
+        }
+        if self.inner.is_none() {
+            return f();
+        }
+        let _restore = Restore(SPAN_STACK.with(|stack| std::mem::take(&mut *stack.borrow_mut())));
+        f()
+    }
+
     /// Time `f` under a span (convenience for single-expression phases).
     pub fn time<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let _guard = self.span(name);
@@ -308,6 +328,25 @@ mod tests {
             let _root = obs.span(names::SPAN_CHECKPOINT);
         }
         assert_eq!(rec.span("checkpoint").count, 1);
+    }
+
+    #[test]
+    fn detached_spans_are_roots_and_the_outer_path_resumes() {
+        let rec = Arc::new(InMemoryRecorder::new());
+        let obs = Obs::new(rec.clone());
+        {
+            let _outer = obs.span(names::SPAN_SERVE);
+            obs.detached(|| {
+                let _exec = obs.span(names::SPAN_EXECUTE);
+                let _filter = obs.span(names::SPAN_FILTER);
+            });
+            let _after = obs.span(names::SPAN_FILTER);
+        }
+        assert_eq!(rec.span("execute").count, 1);
+        assert_eq!(rec.span("execute/filter").count, 1);
+        assert_eq!(rec.span("serve/execute").count, 0);
+        assert_eq!(rec.span("serve/filter").count, 1);
+        assert_eq!(rec.span("serve").count, 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! On top sit faithful models of the two real protocols this repo
 //! ships: [`snapshot_model`] (`SnapshotHub` publish/pin/reclaim —
 //! no reader ever dereferences a freed snapshot, epochs are monotone)
-//! and [`serve_model`] (the serve writer/session handoff and graceful
+//! and [`serve_model`] (the serve sessions' write lock and graceful
 //! shutdown — no lost wakeups, shutdown unblocks every session). Each
 //! carries seeded *foils* (deliberately broken variants: skipped or
 //! underdeclared announce fence, skipped socket shutdown) that the

@@ -1,35 +1,35 @@
-//! A model of the serving layer's writer/session handoff and graceful
-//! shutdown (`crates/serve/src/server.rs`).
+//! A model of the serving layer's write handoff and graceful shutdown
+//! (`crates/serve/src/server.rs`).
 //!
-//! The real protocol: every session thread sends `WriteReq` messages to
-//! the single writer over an mpsc channel and blocks on a rendezvous
-//! reply channel; `Server::stop` flips the `stopping` flag, **shuts down
-//! every session's TCP socket** (the wakeup that unblocks sessions
-//! parked in `read`), joins the sessions, drops the main writer sender,
-//! and joins the writer — which exits its `recv` loop only once *all*
-//! senders are gone. The load-bearing invariants:
+//! The real protocol: every session thread runs its own writes while
+//! holding the one `Mutex<ViewManager>`, then parks reading its socket;
+//! `Server::stop` flips the `stopping` flag, **shuts down every
+//! session's TCP socket** (the wakeup that unblocks sessions parked in
+//! `read`), joins the sessions, and takes the manager back out of the
+//! lock (`Mutex::into_inner`). The load-bearing invariants:
 //!
-//! * **No lost wakeup**: every session is eventually unblocked by the
-//!   socket shutdown and every in-flight request still gets its reply
-//!   (the writer drains the queue before exiting, because blocked
-//!   sessions still hold their sender clones).
-//! * **Shutdown unblocks all sessions**: the join loop terminates.
+//! * **One write at a time, none lost**: every session's request runs
+//!   under the lock, and the manager comes back only after all of them,
+//!   with the lock free.
+//! * **Shutdown unblocks all sessions**: the join terminates.
 //!
-//! In the model, each session sends one request, consumes its reply,
-//! then parks "reading the socket" until its socket is closed; the
-//! stopper closes sockets one by one, joins sessions, drops the main
-//! sender, joins the writer. The seeded foil
-//! [`ServeFoil::SkipSocketShutdown`] elides the socket-close steps —
-//! the exact lost-wakeup bug `begin_stop` exists to prevent — and the
-//! checker reports it as a deadlock with a replayable schedule
-//! (sessions parked forever, stopper parked in join, writer parked in
-//! `recv`).
+//! In the model, each session tries the lock and, finding it held, waits
+//! until it is free (as a `std::sync::Mutex` parks a contended locker);
+//! it runs its request and releases the lock, then parks on its socket
+//! until the socket is closed. The stopper sets the flag, closes the
+//! sockets one by one, joins the sessions and takes the manager back.
+//! Trying before waiting keeps both lock orders racing from the start,
+//! so the reduction explores each.
+//!
+//! The seeded foil [`ServeFoil::SkipSocketShutdown`] elides the
+//! socket-close steps — the exact lost-wakeup bug `begin_stop` exists to
+//! prevent — and the checker reports it as a deadlock with a replayable
+//! schedule (sessions parked forever, stopper parked in join).
 //!
 //! This model is plain interleaving semantics (no [`crate::mem`]): the
-//! real implementation synchronizes through mutexes and channels, not
-//! hand-rolled orderings, so SeqCst-equivalent exploration is faithful.
-
-use std::collections::VecDeque;
+//! real implementation synchronizes through mutexes and socket
+//! shutdown, not hand-rolled orderings, so SeqCst-equivalent exploration
+//! is faithful.
 
 use crate::dpor::{Access, DporModel};
 use crate::explore::{fnv1a, Model, Status, FNV_OFFSET};
@@ -45,7 +45,7 @@ pub enum ServeFoil {
 }
 
 /// Model parameters: `sessions` concurrent sessions, each with one
-/// in-flight request at shutdown time.
+/// write in flight at shutdown time.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeModel {
     /// Number of session threads.
@@ -54,61 +54,49 @@ pub struct ServeModel {
     pub foil: ServeFoil,
 }
 
-/// Session progress: send request → await reply → park on socket →
-/// finished (sender dropped).
-const SENT: usize = 1;
-const REPLIED: usize = 2;
-const EXITED: usize = 3;
+/// Session progress: try the lock (→ holding, or → waiting while another
+/// session holds it) → run the request and release → park on the socket
+/// → exited.
+const WAITING: usize = 1;
+const HOLDING: usize = 2;
+const PARKED: usize = 3;
+const EXITED: usize = 4;
 
 /// Execution state of [`ServeModel`]. Threads `0..S` are sessions,
-/// thread `S` is the writer, thread `S + 1` is the stopper.
+/// thread `S` is the stopper.
 #[derive(Debug, Clone)]
 pub struct ServeState {
     /// Per-session program counter (`0..=EXITED`).
     spc: Vec<usize>,
-    /// The mpsc request queue (session ids).
-    queue: VecDeque<usize>,
-    /// Per-session delivered-reply flag (the rendezvous channel).
-    replied: Vec<bool>,
+    /// The session holding the manager lock, if any.
+    holder: Option<usize>,
+    /// Sessions whose request ran under the lock, in lock order.
+    ran: Vec<usize>,
     /// Per-session socket state (closed ⇒ a parked read returns).
     socket_closed: Vec<bool>,
-    /// Live `writer_tx` clones: one per unfinished session, plus main's.
-    senders: usize,
     /// The `stopping` flag (modeled for fidelity; sessions learn of
     /// shutdown through their socket, as in the real code).
     stopping: bool,
-    /// Requests the writer has processed.
-    processed: usize,
-    /// Writer exited its recv loop.
-    writer_done: bool,
+    /// Requests the manager held when the stopper took it back, or
+    /// `None` while it is shared (or was taken with the lock held).
+    returned: Option<usize>,
     /// Stopper program counter.
     stpc: usize,
 }
 
 impl ServeModel {
-    fn writer(&self) -> usize {
-        self.sessions
-    }
-
     /// Stopper pc layout: 0 set flag, `1..=S` close socket `pc-1` (the
-    /// foil skips straight past these), `S+1` join sessions, `S+2` drop
-    /// main sender, `S+3` join writer.
+    /// foil skips straight past these), `S+1` join sessions, `S+2` take
+    /// the manager back.
     fn close_slot(&self, stpc: usize) -> Option<usize> {
         (stpc >= 1 && stpc <= self.sessions).then(|| stpc - 1)
     }
 
-    // DPOR object ids.
-    fn obj_queue(&self) -> usize {
-        0
-    }
-    fn obj_reply(&self, s: usize) -> usize {
-        1 + s
-    }
-    fn obj_stopping(&self) -> usize {
-        1 + self.sessions
-    }
-    fn obj_writer_done(&self) -> usize {
-        2 + self.sessions
+    // DPOR object ids: the lock, the flag, then one per session socket.
+    const LOCK: usize = 0;
+    const STOPPING: usize = 1;
+    fn obj_socket(&self, s: usize) -> usize {
+        2 + s
     }
 }
 
@@ -118,66 +106,39 @@ impl Model for ServeModel {
     fn init(&self) -> ServeState {
         ServeState {
             spc: vec![0; self.sessions],
-            queue: VecDeque::new(),
-            replied: vec![false; self.sessions],
+            holder: None,
+            ran: Vec::new(),
             socket_closed: vec![false; self.sessions],
-            senders: self.sessions + 1,
             stopping: false,
-            processed: 0,
-            writer_done: false,
+            returned: None,
             stpc: 0,
         }
     }
 
     fn threads(&self) -> usize {
-        self.sessions + 2
+        self.sessions + 1
     }
 
     fn status(&self, s: &ServeState, t: usize) -> Status {
-        if t < self.sessions {
-            match s.spc[t] {
-                0 => Status::Runnable,
-                SENT => {
-                    if s.replied[t] {
-                        Status::Runnable
-                    } else {
-                        Status::Blocked
-                    }
-                }
-                REPLIED => {
-                    if s.socket_closed[t] {
-                        Status::Runnable
-                    } else {
-                        Status::Blocked
-                    }
-                }
-                _ => Status::Finished,
-            }
-        } else if t == self.writer() {
-            if s.writer_done {
-                Status::Finished
-            } else if !s.queue.is_empty() || s.senders == 0 {
+        let runnable = |ready: bool| {
+            if ready {
                 Status::Runnable
             } else {
                 Status::Blocked
             }
+        };
+        if t < self.sessions {
+            match s.spc[t] {
+                WAITING => runnable(s.holder.is_none()),
+                0 | HOLDING => Status::Runnable,
+                PARKED => runnable(s.socket_closed[t]),
+                _ => Status::Finished,
+            }
         } else {
-            let after_close = 1 + self.sessions;
-            if s.stpc == after_close {
-                // Join sessions: blocked until every session exited.
-                if s.spc.iter().all(|&pc| pc == EXITED) {
-                    Status::Runnable
-                } else {
-                    Status::Blocked
-                }
-            } else if s.stpc == after_close + 2 {
-                // Join writer.
-                if s.writer_done {
-                    Status::Runnable
-                } else {
-                    Status::Blocked
-                }
-            } else if s.stpc > after_close + 2 {
+            let join = 1 + self.sessions;
+            if s.stpc == join {
+                runnable(s.spc.iter().all(|&pc| pc == EXITED))
+            } else if s.stpc > join + 1 {
                 Status::Finished
             } else {
                 Status::Runnable
@@ -187,23 +148,20 @@ impl Model for ServeModel {
 
     fn step(&self, s: &mut ServeState, t: usize) {
         if t < self.sessions {
-            match s.spc[t] {
-                0 => s.queue.push_back(t),
-                SENT => {}           // reply consumed; fall through to socket read
-                _ => s.senders -= 1, // socket closed: exit, dropping sender
-            }
-            s.spc[t] += 1;
-        } else if t == self.writer() {
-            if let Some(session) = s.queue.pop_front() {
-                if let Some(r) = s.replied.get_mut(session) {
-                    *r = true;
+            s.spc[t] = match s.spc[t] {
+                0 | WAITING if s.holder.is_none() => {
+                    s.holder = Some(t);
+                    HOLDING
                 }
-                s.processed += 1;
-            } else {
-                // All senders gone and the queue is drained: recv fails,
-                // the writer loop exits.
-                s.writer_done = true;
-            }
+                0 => WAITING,
+                HOLDING => {
+                    s.ran.push(t);
+                    s.holder = None;
+                    PARKED
+                }
+                // Socket closed: the read returns, the session exits.
+                _ => EXITED,
+            };
         } else {
             if s.stpc == 0 {
                 s.stopping = true;
@@ -213,33 +171,26 @@ impl Model for ServeModel {
                     return;
                 }
             } else if let Some(session) = self.close_slot(s.stpc) {
-                if let Some(c) = s.socket_closed.get_mut(session) {
-                    *c = true;
-                }
+                s.socket_closed[session] = true;
             } else if s.stpc == 2 + self.sessions {
-                s.senders -= 1; // drop main writer_tx
+                // `Mutex::into_inner`: the manager comes back only unheld.
+                s.returned = s.holder.is_none().then_some(s.ran.len());
             }
             s.stpc += 1;
         }
     }
 
     fn check(&self, s: &ServeState) -> Result<(), String> {
-        if !s.writer_done {
-            return Err("writer never exited its recv loop".into());
+        let mut ran = s.ran.clone();
+        ran.sort_unstable();
+        if ran != (0..self.sessions).collect::<Vec<_>>() {
+            return Err(format!("writes ran as {:?}, not once per session", s.ran));
         }
-        if s.processed != self.sessions || !s.queue.is_empty() {
+        if s.returned != Some(self.sessions) {
             return Err(format!(
-                "writer processed {} of {} requests ({} still queued)",
-                s.processed,
-                self.sessions,
-                s.queue.len()
+                "manager taken back holding {:?} of {} writes (lock holder {:?})",
+                s.returned, self.sessions, s.holder
             ));
-        }
-        if let Some(sess) = s.replied.iter().position(|&r| !r) {
-            return Err(format!("session {sess} never received its reply"));
-        }
-        if s.senders != 0 {
-            return Err(format!("{} sender clone(s) leaked", s.senders));
         }
         if !s.stopping {
             return Err("execution finished without stopping".into());
@@ -252,28 +203,19 @@ impl DporModel for ServeModel {
     fn access(&self, s: &ServeState, t: usize) -> Access {
         if t < self.sessions {
             match s.spc[t] {
-                0 => Access::Write(self.obj_queue()),
-                SENT => Access::Read(self.obj_reply(t)),
-                // Exiting decrements the shared sender count (which can
-                // enable the writer's final step) after a socket read.
-                _ => Access::Global,
+                0 | WAITING | HOLDING => Access::Write(Self::LOCK),
+                // Exiting reads the socket its close wrote, and enables
+                // the stopper's join (which is `Global`).
+                _ => Access::Write(self.obj_socket(t)),
             }
-        } else if t == self.writer() {
-            // Pops the queue and delivers a reply (or consumes the
-            // senders-gone condition): several objects, keep it Global.
-            Access::Global
+        } else if s.stpc == 0 {
+            Access::Write(Self::STOPPING)
+        } else if let Some(session) = self.close_slot(s.stpc) {
+            Access::Write(self.obj_socket(session))
         } else {
-            let after_close = 1 + self.sessions;
-            if s.stpc == 0 {
-                Access::Write(self.obj_stopping())
-            } else if self.close_slot(s.stpc).is_some() {
-                // Closing a socket unblocks that session.
-                Access::Global
-            } else if s.stpc == after_close || s.stpc == after_close + 1 {
-                Access::Global
-            } else {
-                Access::Read(self.obj_writer_done())
-            }
+            // Join reads every session; the take-back reads the lock and
+            // the request count.
+            Access::Global
         }
     }
 
@@ -282,11 +224,14 @@ impl DporModel for ServeModel {
         for &pc in &s.spc {
             h = fnv1a(h, &[pc as u8]);
         }
-        for &r in &s.replied {
-            h = fnv1a(h, &[r as u8]);
+        for &t in &s.ran {
+            h = fnv1a(h, &[t as u8]);
         }
-        h = fnv1a(h, &(s.processed as u64).to_le_bytes());
-        h = fnv1a(h, &[s.writer_done as u8, s.stopping as u8, s.senders as u8]);
+        h = fnv1a(h, &[s.holder.map_or(0, |t| t as u8 + 1), s.stopping as u8]);
+        h = fnv1a(
+            h,
+            &(s.returned.map_or(u64::MAX, |n| n as u64)).to_le_bytes(),
+        );
         h
     }
 }
@@ -294,7 +239,7 @@ impl DporModel for ServeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpor::DporExplorer;
+    use crate::dpor::{exhaustive_final_digests, DporExplorer};
     use crate::explore::replays_to_deadlock;
 
     #[test]
@@ -304,7 +249,14 @@ mod tests {
             foil: ServeFoil::None,
         };
         let stats = DporExplorer::default().explore(&m).unwrap();
-        assert!(stats.executions >= 500, "{stats:?}");
+        assert!(stats.executions >= 4, "{stats:?}");
+        // The reduction still reaches both lock orders, exactly the
+        // outcomes exhaustive search reaches.
+        assert_eq!(stats.final_digests.len(), 2);
+        assert_eq!(
+            stats.final_digests,
+            exhaustive_final_digests(&m, 1_000_000).unwrap()
+        );
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! this crate puts that engine behind a network front end with the
 //! concurrency contract a serving system needs:
 //!
-//! * [`server`] — a TCP server with **one writer thread** (owning the
-//!   [`ivm::prelude::ViewManager`]) and **snapshot-isolated reader
-//!   sessions**: every query resolves against an immutable
-//!   [`ivm::snapshot::ViewSnapshot`] published atomically at a commit
-//!   boundary. Readers never block the writer and never observe a
+//! * [`server`] — a TCP server whose session threads run writes **one at
+//!   a time under one lock** on the [`ivm::prelude::ViewManager`] and
+//!   serve **snapshot-isolated reads**: every query resolves against an
+//!   immutable [`ivm::snapshot::ViewSnapshot`] published atomically at a
+//!   commit boundary. Readers never block a write and never observe a
 //!   half-applied transaction.
 //! * [`protocol`] — the length-prefixed, CRC32-framed wire format
 //!   (reusing [`ivm_storage::frame`], so torn connections surface as

@@ -1,33 +1,39 @@
-//! The TCP server: one writer thread, many snapshot-isolated readers.
+//! The TCP server: writes run one at a time on the session threads,
+//! reads are snapshot-isolated.
 //!
 //! Concurrency model (the tentpole invariant):
 //!
-//! * **One writer.** A dedicated thread owns the [`ViewManager`] and
-//!   drains a channel of write requests (transactions, refreshes, DDL).
-//!   Nothing else ever touches the manager, so the maintenance path is
-//!   exactly the single-threaded engine the simulation harness verifies.
+//! * **One write at a time.** The [`ViewManager`] sits behind one
+//!   `std::sync::Mutex`. A session runs each write request (transaction,
+//!   refresh, DDL) on its own thread while holding that lock, so writes
+//!   are serial and the maintenance path is exactly the single-threaded
+//!   engine the simulation harness verifies. A write that panics poisons
+//!   the lock: it and every later write answer `writer unavailable`, and
+//!   [`Server::stop`] returns an error instead of a half-applied manager.
 //! * **Many readers.** Each client connection gets a session thread with
 //!   its own [`SnapshotHandle`]. Reads resolve against the latest
 //!   *published* [`ivm::snapshot::ViewSnapshot`] — an immutable,
-//!   atomically-swapped image of every view at a commit boundary. A
-//!   reader never takes a lock the writer waits on, and can never
-//!   observe a half-applied transaction.
+//!   atomically-swapped image of every view at a commit boundary. A read
+//!   never takes the manager lock, and since `execute` publishes before
+//!   the lock is released, can never observe a half-applied transaction.
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] (or
 //! [`Server::stop`]) flips a flag, unblocks the accept loop with a
 //! self-connection, and shuts down every session socket so blocked
 //! reads return immediately. [`Server::stop`] then joins everything and
-//! hands the [`ViewManager`] back to the caller.
+//! takes the [`ViewManager`] back out of its lock for the caller.
 
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ivm::prelude::{RefreshPolicy, Schema, SpjExpr, Transaction, ViewManager};
+use ivm::prelude::ViewManager;
 use ivm::snapshot::{SnapshotHandle, SnapshotHub};
 use ivm_obs::names as metric;
 use ivm_obs::{InMemoryRecorder, JsonLinesRecorder, Obs, Recorder, SpanEvent};
@@ -59,64 +65,14 @@ impl Recorder for Tee {
     }
 }
 
-/// A write request queued for the writer thread. Replies carry the
-/// error already rendered: the session only forwards it to the wire.
-enum WriteReq {
-    Execute(
-        Transaction,
-        mpsc::SyncSender<std::result::Result<(u32, u32), String>>,
-    ),
-    Refresh(String, mpsc::SyncSender<std::result::Result<(), String>>),
-    CreateRelation(
-        String,
-        Schema,
-        mpsc::SyncSender<std::result::Result<(), String>>,
-    ),
-    RegisterView(
-        String,
-        SpjExpr,
-        RefreshPolicy,
-        mpsc::SyncSender<std::result::Result<(), String>>,
-    ),
-}
-
-fn writer_loop(mut mgr: ViewManager, rx: mpsc::Receiver<WriteReq>, obs: Obs) -> ViewManager {
-    while let Ok(req) = rx.recv() {
-        match req {
-            WriteReq::Execute(txn, reply) => {
-                let out = mgr
-                    .execute(&txn)
-                    .map(|r| {
-                        obs.add(metric::SERVE_TXNS_EXECUTED, 1);
-                        (r.views_touched as u32, r.views_maintained as u32)
-                    })
-                    .map_err(|e| e.to_string());
-                let _ = reply.send(out);
-            }
-            WriteReq::Refresh(view, reply) => {
-                let _ = reply.send(mgr.refresh(&view).map_err(|e| e.to_string()));
-            }
-            WriteReq::CreateRelation(name, schema, reply) => {
-                let _ = reply.send(mgr.create_relation(name, schema).map_err(|e| e.to_string()));
-            }
-            WriteReq::RegisterView(name, expr, policy, reply) => {
-                let _ = reply.send(
-                    mgr.register_view(name, expr, policy)
-                        .map_err(|e| e.to_string()),
-                );
-            }
-        }
-    }
-    mgr
-}
-
 /// Shared shutdown machinery: the flag, the listener address (for the
-/// self-connect that unblocks `accept`), and a clone of every live
-/// session socket (shut down so blocked reads return).
+/// self-connect that unblocks `accept`), and a clone of every open
+/// session socket, keyed by session id (shut down so blocked reads
+/// return; each session removes its own when it ends).
 struct Control {
     addr: SocketAddr,
     stopping: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
+    conns: Mutex<HashMap<usize, TcpStream>>,
 }
 
 impl Control {
@@ -125,32 +81,41 @@ impl Control {
             return;
         }
         let _ = TcpStream::connect(self.addr);
-        for conn in self.conns.lock().iter() {
+        for conn in self.conns.lock().values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
+    }
+
+    /// Keep `conn` so `begin_stop` can wake session `id`; false once
+    /// stopping. The flag is read under the lock `begin_stop` takes after
+    /// setting it, so no socket registers unseen by the shutdown sweep.
+    fn register(&self, id: usize, conn: TcpStream) -> bool {
+        let mut conns = self.conns.lock();
+        if self.stopping.load(SeqCst) {
+            return false;
+        }
+        conns.insert(id, conn);
+        true
     }
 }
 
 /// Everything a session thread needs, shared across sessions.
 struct Ctx {
+    /// Writes lock it; poisoned once a write panics mid-flight.
+    manager: std::sync::Mutex<ViewManager>,
     hub: SnapshotHub,
     obs: Obs,
     recorder: Arc<InMemoryRecorder>,
-    control: Arc<Control>,
+    control: Control,
 }
 
 /// A running serving engine. Dropping without [`Server::stop`] leaks the
 /// background threads until process exit — tests and the binary both go
 /// through `stop`/[`Server::join`].
 pub struct Server {
-    addr: SocketAddr,
-    control: Arc<Control>,
-    recorder: Arc<InMemoryRecorder>,
-    hub: SnapshotHub,
-    writer_tx: mpsc::Sender<WriteReq>,
-    writer_handle: thread::JoinHandle<ViewManager>,
-    accept_handle: thread::JoinHandle<()>,
-    sessions: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    ctx: Arc<Ctx>,
+    /// Yields the handles of the sessions it started and has not reaped.
+    accept_handle: thread::JoinHandle<Vec<thread::JoinHandle<()>>>,
     jsonl: Option<Arc<JsonLinesRecorder>>,
 }
 
@@ -182,103 +147,93 @@ impl Server {
         };
         let tee: Arc<dyn Recorder> = Arc::new(Tee(sinks));
         let manager = manager.with_recorder(tee.clone());
-        let hub = manager.snapshots();
-        let obs = Obs::new(tee);
-
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let control = Arc::new(Control {
-            addr: local,
-            stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
-        let (writer_tx, writer_rx) = mpsc::channel();
-        let writer_obs = obs.clone();
-        let writer_handle = thread::Builder::new()
-            .name("ivm-serve-writer".into())
-            .spawn(move || writer_loop(manager, writer_rx, writer_obs))?;
-
         let ctx = Arc::new(Ctx {
-            hub: hub.clone(),
-            obs,
-            recorder: recorder.clone(),
-            control: control.clone(),
+            hub: manager.snapshots(),
+            manager: std::sync::Mutex::new(manager),
+            obs: Obs::new(tee),
+            recorder,
+            control: Control {
+                addr: listener.local_addr()?,
+                stopping: AtomicBool::new(false),
+                conns: Mutex::new(HashMap::new()),
+            },
         });
-        let sessions: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_sessions = sessions.clone();
+
         let accept_ctx = ctx.clone();
-        let accept_tx = writer_tx.clone();
         let accept_handle = thread::Builder::new()
             .name("ivm-serve-accept".into())
             .spawn(move || {
-                for incoming in listener.incoming() {
-                    if accept_ctx.control.stopping.load(SeqCst) {
+                let control = &accept_ctx.control;
+                let mut sessions: Vec<thread::JoinHandle<()>> = Vec::new();
+                for (id, incoming) in listener.incoming().enumerate() {
+                    if control.stopping.load(SeqCst) {
                         break;
                     }
-                    let stream = match incoming {
-                        Ok(s) => s,
-                        Err(_) => continue,
+                    let Ok(stream) = incoming else { continue };
+                    // Without a clone to shut down, `begin_stop` could
+                    // never wake this session: refuse the connection.
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
                     };
-                    if let Ok(clone) = stream.try_clone() {
-                        accept_ctx.control.conns.lock().push(clone);
+                    if !control.register(id, clone) {
+                        break;
                     }
                     let ctx = accept_ctx.clone();
-                    let tx = accept_tx.clone();
                     let spawned = thread::Builder::new()
                         .name("ivm-serve-session".into())
-                        .spawn(move || run_session(stream, ctx, tx));
-                    if let Ok(handle) = spawned {
-                        accept_sessions.lock().push(handle);
+                        .spawn(move || run_session(stream, id, ctx));
+                    match spawned {
+                        Ok(handle) => {
+                            sessions.retain(|h| !h.is_finished());
+                            sessions.push(handle);
+                        }
+                        Err(_) => drop(control.conns.lock().remove(&id)),
                     }
                 }
+                sessions
             })?;
 
         Ok(Server {
-            addr: local,
-            control,
-            recorder,
-            hub,
-            writer_tx,
-            writer_handle,
+            ctx,
             accept_handle,
-            sessions,
             jsonl,
         })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.control.addr
     }
 
     /// The snapshot hub — in-process readers can watch the same
     /// publication stream the sessions serve from.
     pub fn hub(&self) -> SnapshotHub {
-        self.hub.clone()
+        self.ctx.hub.clone()
     }
 
     /// Point-in-time metric snapshot (engine + `serve.*`).
     pub fn stats(&self) -> ivm_obs::Snapshot {
-        self.recorder.snapshot()
+        self.ctx.recorder.snapshot()
     }
 
     /// True once a shutdown has been requested (by [`Server::stop`] or a
     /// client's `Shutdown` command).
     pub fn stopping(&self) -> bool {
-        self.control.stopping.load(SeqCst)
+        self.ctx.control.stopping.load(SeqCst)
     }
 
     /// Stop serving: unblock and join every thread, flush the JSONL
     /// recorder, and return the [`ViewManager`] in its final state.
     pub fn stop(self) -> Result<ViewManager> {
-        self.control.begin_stop();
+        self.ctx.control.begin_stop();
         self.finish()
     }
 
     /// Block until some client requests shutdown, then tear down as
     /// [`Server::stop`] does.
     pub fn join(self) -> Result<ViewManager> {
-        while !self.control.stopping.load(SeqCst) {
+        while !self.stopping() {
             thread::sleep(Duration::from_millis(25));
         }
         self.finish()
@@ -286,24 +241,17 @@ impl Server {
 
     fn finish(self) -> Result<ViewManager> {
         // Order matters: accept loop first (no new sessions), then the
-        // sessions (they hold writer senders), then the writer (exits
-        // when the last sender drops).
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.accept_handle.join();
-        loop {
-            let drained: Vec<_> = std::mem::take(&mut *self.sessions.lock());
-            if drained.is_empty() {
-                break;
-            }
-            for h in drained {
-                let _ = h.join();
-            }
+        // sessions (the other holders of the context), then the manager
+        // comes back out of its lock.
+        let _ = TcpStream::connect(self.addr());
+        for session in self.accept_handle.join().unwrap_or_default() {
+            let _ = session.join();
         }
-        drop(self.writer_tx);
-        let manager = self
-            .writer_handle
-            .join()
-            .map_err(|_| ServeError::Protocol("writer thread panicked".into()))?;
+        let ctx = Arc::try_unwrap(self.ctx)
+            .map_err(|_| ServeError::Protocol("a session outlived shutdown".into()))?;
+        let manager = ctx.manager.into_inner().map_err(|_| {
+            ServeError::Protocol("a write panicked; the manager is poisoned".into())
+        })?;
         if let Some(j) = &self.jsonl {
             j.flush()?;
         }
@@ -311,13 +259,14 @@ impl Server {
     }
 }
 
-fn run_session(stream: TcpStream, ctx: Arc<Ctx>, tx: mpsc::Sender<WriteReq>) {
+fn run_session(stream: TcpStream, id: usize, ctx: Arc<Ctx>) {
     ctx.obs.add(metric::SERVE_SESSIONS_OPENED, 1);
-    let _ = session_loop(stream, &ctx, &tx);
+    let _ = session_loop(stream, &ctx);
+    ctx.control.conns.lock().remove(&id);
     ctx.obs.add(metric::SERVE_SESSIONS_CLOSED, 1);
 }
 
-fn session_loop(stream: TcpStream, ctx: &Ctx, tx: &mpsc::Sender<WriteReq>) -> Result<()> {
+fn session_loop(stream: TcpStream, ctx: &Ctx) -> Result<()> {
     // A response larger than the write buffer leaves in two writes; with
     // Nagle on, the second waits for the client's delayed ACK (~40 ms).
     stream.set_nodelay(true)?;
@@ -381,7 +330,7 @@ fn session_loop(stream: TcpStream, ctx: &Ctx, tx: &mpsc::Sender<WriteReq>) -> Re
         let started = Instant::now();
         let payload = {
             let _span = ctx.obs.span(metric::SPAN_SERVE);
-            dispatch(req, ctx, &snapshots, tx)
+            dispatch(req, ctx, &snapshots)
         };
         ctx.obs.add(metric::SERVE_REQUESTS, 1);
         protocol::send_payload(&mut writer, &payload)?;
@@ -422,42 +371,46 @@ fn query(view: &str, ctx: &Ctx, snapshots: &SnapshotHandle) -> Vec<u8> {
     }
 }
 
-/// Serve one request; returns the encoded response payload.
-fn dispatch(
-    req: Request,
+/// Run one write under the manager lock and render its outcome: an
+/// engine error becomes its message, a panic or a lock some earlier
+/// write poisoned becomes `writer unavailable`. The manager's spans are
+/// recorded as roots, the same paths an embedded manager records.
+fn write<T>(
     ctx: &Ctx,
-    snapshots: &SnapshotHandle,
-    tx: &mpsc::Sender<WriteReq>,
-) -> Vec<u8> {
+    op: impl FnOnce(&mut ViewManager) -> ivm::prelude::Result<T>,
+    done: impl FnOnce(T) -> Response,
+) -> Response {
+    // The guard drops inside the unwind boundary, so a panicking write
+    // poisons the lock on its way out.
+    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut mgr = ctx.manager.lock().ok()?;
+        Some(ctx.obs.detached(|| op(&mut mgr)))
+    }));
+    match ran {
+        Ok(Some(Ok(out))) => done(out),
+        Ok(Some(Err(e))) => remote_err(e.to_string()),
+        Ok(None) | Err(_) => remote_err("writer unavailable"),
+    }
+}
+
+/// Serve one request; returns the encoded response payload.
+fn dispatch(req: Request, ctx: &Ctx, snapshots: &SnapshotHandle) -> Vec<u8> {
     let resp = match req {
         Request::Hello { .. } => remote_err("duplicate Hello"),
         Request::Ping => Response::Pong,
         Request::Query { view } => return query(&view, ctx, snapshots),
-        Request::Execute { txn } => {
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            if tx.send(WriteReq::Execute(txn, reply_tx)).is_err() {
-                return remote_err("server is shutting down").encode();
-            }
-            match reply_rx.recv() {
-                Ok(Ok((views_touched, views_maintained))) => Response::Executed {
-                    views_touched,
-                    views_maintained,
-                },
-                Ok(Err(msg)) => remote_err(msg),
-                Err(_) => remote_err("writer unavailable"),
-            }
-        }
-        Request::Refresh { view } => {
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            if tx.send(WriteReq::Refresh(view, reply_tx)).is_err() {
-                return remote_err("server is shutting down").encode();
-            }
-            match reply_rx.recv() {
-                Ok(Ok(())) => Response::Done,
-                Ok(Err(msg)) => remote_err(msg),
-                Err(_) => remote_err("writer unavailable"),
-            }
-        }
+        Request::Execute { txn } => write(
+            ctx,
+            |mgr| mgr.execute(&txn),
+            |report| {
+                ctx.obs.add(metric::SERVE_TXNS_EXECUTED, 1);
+                Response::Executed {
+                    views_touched: report.views_touched as u32,
+                    views_maintained: report.views_maintained as u32,
+                }
+            },
+        ),
+        Request::Refresh { view } => write(ctx, |mgr| mgr.refresh(&view), |()| Response::Done),
         Request::Stats => Response::StatsText {
             text: ctx.recorder.snapshot().to_string(),
         },
@@ -477,35 +430,67 @@ fn dispatch(
                 digest: snap.digest(),
             }
         }
-        Request::CreateRelation { name, schema } => {
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            if tx
-                .send(WriteReq::CreateRelation(name, schema, reply_tx))
-                .is_err()
-            {
-                return remote_err("server is shutting down").encode();
-            }
-            match reply_rx.recv() {
-                Ok(Ok(())) => Response::Done,
-                Ok(Err(msg)) => remote_err(msg),
-                Err(_) => remote_err("writer unavailable"),
-            }
-        }
-        Request::RegisterView { name, expr, policy } => {
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            if tx
-                .send(WriteReq::RegisterView(name, expr, policy, reply_tx))
-                .is_err()
-            {
-                return remote_err("server is shutting down").encode();
-            }
-            match reply_rx.recv() {
-                Ok(Ok(())) => Response::Done,
-                Ok(Err(msg)) => remote_err(msg),
-                Err(_) => remote_err("writer unavailable"),
-            }
-        }
+        Request::CreateRelation { name, schema } => write(
+            ctx,
+            |mgr| mgr.create_relation(name, schema),
+            |()| Response::Done,
+        ),
+        Request::RegisterView { name, expr, policy } => write(
+            ctx,
+            |mgr| mgr.register_view(name, expr, policy),
+            |()| Response::Done,
+        ),
         Request::Shutdown => Response::Done,
     };
     resp.encode()
+}
+
+#[cfg(test)]
+mod tests {
+    use ivm::prelude::{Transaction, ViewManager};
+
+    use super::*;
+    use crate::{scenario, Client};
+
+    /// A write that panics while it holds the lock fences off the
+    /// manager: it and every later write answer `writer unavailable`,
+    /// reads keep serving the last published snapshot, and `stop`
+    /// refuses to hand back the half-applied manager.
+    #[test]
+    fn a_panicking_write_fences_off_the_manager() {
+        let mut mgr = ViewManager::new();
+        scenario::install(&mut mgr).unwrap();
+        let server = Server::start(mgr, "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        let mut txn = Transaction::new();
+        txn.insert("orders", [1, 7, 80]).unwrap();
+        c.execute(txn).unwrap();
+        let (epoch, rows) = c.query("big_orders").unwrap();
+
+        let unavailable = remote_err("writer unavailable");
+        let panicked = write(
+            &server.ctx,
+            |_| -> ivm::prelude::Result<()> { panic!("write fails mid-flight") },
+            |()| Response::Done,
+        );
+        assert_eq!(panicked, unavailable);
+        assert_eq!(
+            write(
+                &server.ctx,
+                |mgr| mgr.refresh("big_orders"),
+                |()| Response::Done
+            ),
+            unavailable
+        );
+        let mut txn = Transaction::new();
+        txn.insert("orders", [2, 8, 99]).unwrap();
+        match c.execute(txn) {
+            Err(ServeError::Remote(message)) => assert_eq!(message, "writer unavailable"),
+            other => panic!("expected writer unavailable, got {other:?}"),
+        }
+
+        assert_eq!(c.query("big_orders").unwrap(), (epoch, rows));
+        drop(c);
+        assert!(server.stop().is_err());
+    }
 }

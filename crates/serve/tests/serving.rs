@@ -406,3 +406,59 @@ fn mid_size_responses_do_not_wait_for_delayed_acks() {
     c.shutdown().unwrap();
     server.join().unwrap();
 }
+
+/// Writes from several sessions run one at a time under the manager lock:
+/// four clients commit 250 transactions each on disjoint keys at once,
+/// every commit is acknowledged, lands in the final state and publishes
+/// exactly one epoch.
+#[test]
+fn four_writer_sessions_commit_concurrently() {
+    const WRITERS: i64 = 4;
+    const TXNS: i64 = 250;
+
+    let mut mgr = ViewManager::new();
+    mgr.create_relation("R", Schema::new(["A", "B"]).unwrap())
+        .unwrap();
+    mgr.register_view(
+        "v_hi",
+        SpjExpr::new(["R"], Atom::gt_const("B", 49).into(), None),
+        RefreshPolicy::Immediate,
+    )
+    .unwrap();
+    let server = Server::start(mgr, "127.0.0.1:0").unwrap();
+    let epoch0 = server.hub().epoch();
+    let addr = server.addr();
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for i in 0..TXNS {
+                    let key = w * TXNS + i;
+                    let mut txn = Transaction::new();
+                    txn.insert("R", [key, key % 100]).unwrap();
+                    c.execute(txn).unwrap();
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+
+    let commits = (WRITERS * TXNS) as u64;
+    assert_eq!(server.hub().epoch(), epoch0 + commits);
+    assert_eq!(
+        wait_for_counter(&server, "serve.txns_executed", commits),
+        commits
+    );
+    let mut mgr = server.stop().unwrap();
+    mgr.verify_consistency().unwrap();
+    assert_eq!(mgr.snapshots().epoch(), epoch0 + commits);
+    let r = mgr.database().relation("R").unwrap();
+    assert_eq!(r.len() as i64, WRITERS * TXNS);
+    for key in 0..WRITERS * TXNS {
+        assert!(r.contains(&Tuple::from([key, key % 100])), "lost {key}");
+    }
+    assert_eq!(mgr.view_contents("v_hi").unwrap().len(), 500);
+}
