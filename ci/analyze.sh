@@ -11,10 +11,9 @@
 #   3. scan the real workspace against the committed lint-baseline.toml
 #      and concurrency-catalog.toml — grandfathered findings pass,
 #      anything new fails;
-#   4. model-check the snapshot/serve protocols with `ivm-race`: both
-#      clean models must verify (the snapshot model with ≥500
-#      interleavings, the serve model with all 4 of its own), every seeded
-#      foil must be caught with a replayable counterexample.
+#   4. model-check the serve protocol with `ivm-race`: the clean model
+#      must verify with all 4 of its interleavings, and the seeded
+#      lost-wakeup foil must be caught with a replayable deadlock.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,9 +46,9 @@ start_ns=$(date +%s%N)
 target/release/ivm-race
 elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
 echo "model-check wall time: ${elapsed_ms} ms"
-# The full DPOR sweep (two clean protocols, three foils, the litmus in
-# both memory modes) finishes in well under a second; the budget only
-# guards against a state-space explosion slipping into a model.
+# The DPOR sweep (one clean model, one foil) finishes in milliseconds;
+# the budget only guards against a state-space explosion slipping into
+# a model.
 if [ "$elapsed_ms" -gt 60000 ]; then
     echo "ERROR: model checking took ${elapsed_ms} ms (> 60000 ms budget)" >&2
     exit 1

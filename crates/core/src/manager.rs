@@ -397,7 +397,9 @@ impl ViewManager {
     /// registration — publishes a new immutable [`crate::snapshot::ViewSnapshot`]
     /// atomically. Clone the hub (or call
     /// [`crate::snapshot::SnapshotHub::reader`]) from as many threads as
-    /// needed; readers never block maintenance.
+    /// needed. Readers and publication share one lock that either side
+    /// holds only for a pointer clone or swap, never while maintaining a
+    /// view or encoding a response.
     pub fn snapshots(&self) -> crate::snapshot::SnapshotHub {
         if !self.snapshots.is_armed() {
             self.snapshots.arm();

@@ -1,34 +1,37 @@
-//! Lock-free snapshot publication: concurrent readers over maintained views.
+//! Snapshot publication: concurrent readers over maintained views.
 //!
 //! The paper's economics assume a view is *read* far more often than its
 //! operands are updated — maintenance cost is paid at write time so that
 //! queries are cheap. This module supplies the serving half of that
-//! bargain: a single-writer, many-reader publication scheme in which the
-//! [`crate::manager::ViewManager`] (the writer) publishes an immutable
-//! [`ViewSnapshot`] of every registered view at each commit point, and any
-//! number of reader threads retrieve the latest snapshot without ever
-//! blocking the writer or observing a half-applied transaction.
+//! bargain: the [`crate::manager::ViewManager`] (the writer) publishes an
+//! immutable [`ViewSnapshot`] of every registered view at each commit
+//! point, and any number of reader threads retrieve the latest snapshot
+//! without ever observing a half-applied transaction.
 //!
 //! # Design
 //!
-//! The hub keeps the current snapshot behind an atomic pointer and
-//! reclaims superseded snapshots with *epoch-based reclamation* — the
-//! std-only equivalent of an `arc-swap`/crossbeam-epoch pairing:
+//! The hub keeps the current snapshot as an `Arc<ViewSnapshot>` behind
+//! one reader-writer lock, and `Arc` reference counting decides when a
+//! superseded snapshot is freed:
 //!
 //! * **Publish** (writer): build the next [`ViewSnapshot`] from the
 //!   `Arc<Relation>` each view already stores — publication copies no
 //!   rows, and a view the commit did not change keeps the very pointer
-//!   the previous snapshot holds — swap it in, bump the global epoch, and
-//!   move the superseded snapshot onto a retire list tagged with the new
-//!   epoch.
-//! * **Pin** (reader): announce the current epoch in a per-reader slot,
-//!   load the pointer, take a strong reference, and un-announce. The pin
-//!   window is three atomic operations long.
-//! * **Reclaim** (writer): a retired snapshot is released only once every
-//!   announced reader epoch has advanced past its retire epoch. A reader
-//!   that announced epoch `e` before the writer's swap is the only kind
-//!   that can still hold the superseded pointer, and its announcement
-//!   (`e` < retire epoch) blocks release until it un-pins.
+//!   the previous snapshot holds — then take the write lock, number the
+//!   snapshot one past the current epoch, wrap it in an `Arc` and swap it
+//!   in. Numbering under the lock keeps epochs one apart even if two
+//!   threads publish at once. The superseded `Arc` is dropped after the
+//!   lock is released, so no snapshot is ever freed inside the critical
+//!   section.
+//! * **Read**: take the read lock and clone the current `Arc`. A reader
+//!   holding an old snapshot keeps it alive by its own reference; the
+//!   last holder to drop it frees it.
+//!
+//! Neither side holds the lock for longer than a pointer operation: a
+//! reader only clones an `Arc` under it, a write only swaps one. Nobody
+//! holds it while encoding a response or maintaining a view, so a reader
+//! waits on a write for at most one swap, and a write waits on readers
+//! for at most the clones already in flight.
 //!
 //! Because a published snapshot shares each view's `Arc`, the one copy
 //! left on the write path is copy-on-write inside the view itself:
@@ -37,29 +40,19 @@
 //! reader) still holds the version about to change — once per changed
 //! view per commit while the hub is armed, and never for an empty delta.
 //!
-//! Readers therefore never take a lock the writer contends on: the write
-//! path is an atomic swap plus a scan of reader slots, and a stalled
-//! reader delays only memory reclamation, never publication. The hub is
-//! *lazily armed* — until [`crate::manager::ViewManager::snapshots`] is
-//! first called, commits skip publication entirely and non-serving
-//! managers pay a single atomic load per transaction.
-//!
-//! Reader slots are nodes in a lock-free Treiber list. Registration
-//! reuses a released slot or pushes a new node; nodes are freed only when
-//! the hub itself drops, so a slot pointer held by a
-//! [`SnapshotHandle`] stays valid for the handle's whole life.
+//! The hub is *lazily armed* — until
+//! [`crate::manager::ViewManager::snapshots`] is first called, commits
+//! skip publication entirely and non-serving managers pay a single atomic
+//! load per transaction.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use ivm_relational::relation::Relation;
 use ivm_relational::value::Value;
-
-/// Slot value meaning "this reader is not currently pinned".
-const IDLE: u64 = u64::MAX;
 
 /// An immutable, consistent image of every registered view as of one
 /// commit point. Cheap to hold: views unchanged since the previous
@@ -167,72 +160,18 @@ pub fn digest_views<'a>(views: impl IntoIterator<Item = (&'a str, &'a Relation)>
     h.0
 }
 
-/// One reader's registration: an announce word the writer scans before
-/// reclaiming, threaded into a lock-free list that lives as long as the
-/// hub. `in_use` is false once the owning handle drops; the node is then
-/// recycled by the next registration instead of freed.
-struct Slot {
-    announced: AtomicU64,
-    in_use: AtomicBool,
-    next: AtomicPtr<Slot>,
-}
-
-/// Writer-private bookkeeping. Only [`SnapshotHub::publish`] (called by
-/// the single maintaining thread) and `Drop` touch this; readers never
-/// acquire the mutex, so it is not on any reader/writer contention path.
-struct WriterState {
-    /// Superseded snapshots awaiting quiescence: `(retire_epoch, ptr)`
-    /// where `ptr` owns one strong count transferred from `current`.
-    retired: Vec<(u64, *const ViewSnapshot)>,
-}
-
-// SAFETY: the raw pointers in `retired` are `Arc`-owned allocations whose
-// strong counts are manipulated only under the enclosing mutex; moving
-// the vector between threads moves ownership of those counts with it.
-unsafe impl Send for WriterState {}
-
 struct Shared {
-    /// The current snapshot as `Arc::into_raw`; holds one strong count.
-    current: AtomicPtr<ViewSnapshot>,
-    /// Global publication epoch; equals the current snapshot's epoch.
-    epoch: AtomicU64,
+    /// The current snapshot. Readers hold the read lock only to clone the
+    /// `Arc`; a publish holds the write lock only to swap it.
+    current: RwLock<Arc<ViewSnapshot>>,
     /// Publication only happens once a reader has asked for the hub.
     armed: AtomicBool,
-    /// Head of the reader-slot list.
-    readers: AtomicPtr<Slot>,
-    writer: Mutex<WriterState>,
-}
-
-impl Drop for Shared {
-    fn drop(&mut self) {
-        // No readers exist once the last hub/handle clone (and thus this
-        // `Shared`) drops, so the strong count `current` holds (minted by
-        // `Arc::into_raw` at construction or publish) can be released.
-        // SAFETY: see above — we own the count and nobody else can read
-        // the pointer anymore.
-        unsafe { drop(Arc::from_raw(self.current.load(SeqCst))) };
-        let retired = std::mem::take(&mut self.writer.get_mut().retired);
-        for (_, ptr) in retired {
-            // SAFETY: each retired entry owns the strong count that
-            // `current` held before the snapshot was superseded.
-            unsafe { Arc::decrement_strong_count(ptr) };
-        }
-        let mut node = self.readers.load(SeqCst);
-        while !node.is_null() {
-            // SAFETY: slot nodes are `Box::into_raw` allocations pushed by
-            // `register`; they are only freed here, after every handle
-            // (which keeps `Shared` alive via its `Arc`) is gone.
-            let boxed = unsafe { Box::from_raw(node) };
-            node = boxed.next.load(SeqCst);
-        }
-    }
 }
 
 /// The publication side of the snapshot scheme. Cloneable; all clones
-/// share one epoch, one current snapshot and one reader registry. The
-/// [`crate::manager::ViewManager`] owns one and publishes through it at
-/// every commit once armed; anyone holding a clone can spawn readers
-/// with [`SnapshotHub::reader`].
+/// share one current snapshot. The [`crate::manager::ViewManager`] owns
+/// one and publishes through it at every commit once armed; anyone
+/// holding a clone can spawn readers with [`SnapshotHub::reader`].
 #[derive(Clone)]
 pub struct SnapshotHub {
     shared: Arc<Shared>,
@@ -247,13 +186,8 @@ impl SnapshotHub {
         });
         SnapshotHub {
             shared: Arc::new(Shared {
-                current: AtomicPtr::new(Arc::into_raw(initial) as *mut ViewSnapshot),
-                epoch: AtomicU64::new(0),
+                current: RwLock::new(initial),
                 armed: AtomicBool::new(false),
-                readers: AtomicPtr::new(std::ptr::null_mut()),
-                writer: Mutex::new(WriterState {
-                    retired: Vec::new(),
-                }),
             }),
         }
     }
@@ -272,119 +206,38 @@ impl SnapshotHub {
 
     /// The epoch of the most recent publication (`0` before the first).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(SeqCst)
+        self.shared.current.read().epoch
     }
 
     /// Publish a new snapshot of `views`, sharing each view's `Arc`
-    /// rather than copying the relation behind it. Called by the single
-    /// maintaining thread at each commit point.
+    /// rather than copying the relation behind it. Called at each commit
+    /// point.
     pub(crate) fn publish<'a>(
         &self,
         views: impl IntoIterator<Item = (&'a str, &'a Arc<Relation>)>,
     ) {
-        let map: BTreeMap<String, Arc<Relation>> = views
+        let views: BTreeMap<String, Arc<Relation>> = views
             .into_iter()
             .map(|(name, rel)| (name.to_owned(), Arc::clone(rel)))
             .collect();
-        let mut w = self.shared.writer.lock();
-        let next_epoch = self.shared.epoch.load(SeqCst).wrapping_add(1);
-        let snap = Arc::new(ViewSnapshot {
-            epoch: next_epoch,
-            views: map,
-        });
-        let old = self
-            .shared
-            .current
-            .swap(Arc::into_raw(snap) as *mut ViewSnapshot, SeqCst);
-        self.shared.epoch.store(next_epoch, SeqCst);
-        w.retired.push((next_epoch, old as *const ViewSnapshot));
-        self.reclaim(&mut w);
+        let superseded = {
+            let mut current = self.shared.current.write();
+            let epoch = current.epoch.wrapping_add(1);
+            std::mem::replace(&mut *current, Arc::new(ViewSnapshot { epoch, views }))
+        };
+        // Freed (if no reader still holds it) outside the lock.
+        drop(superseded);
     }
 
-    /// Release every retired snapshot whose retire epoch all currently
-    /// announced readers have advanced past. A reader still holding a
-    /// superseded pointer necessarily announced an epoch below that
-    /// snapshot's retire epoch before the swap (see module docs), so it
-    /// holds reclamation back until it un-pins.
-    fn reclaim(&self, w: &mut WriterState) {
-        if w.retired.is_empty() {
-            return;
-        }
-        let mut min_announced = IDLE;
-        let mut node = self.shared.readers.load(SeqCst);
-        while !node.is_null() {
-            // SAFETY: slot nodes are freed only when `Shared` drops; the
-            // hub's own `Arc` keeps `Shared` alive here.
-            let slot = unsafe { &*node };
-            min_announced = min_announced.min(slot.announced.load(SeqCst));
-            node = slot.next.load(SeqCst);
-        }
-        w.retired.retain(|&(retire_epoch, ptr)| {
-            if min_announced >= retire_epoch {
-                // Every reader that could still be taking a reference
-                // announced an epoch < `retire_epoch` and would have kept
-                // `min_announced` below it, so none remains mid-pin.
-                // SAFETY: this entry owns the strong count `current` held
-                // before the swap; releasing it is the writer's right.
-                unsafe { Arc::decrement_strong_count(ptr) };
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Register a reader. The handle is `Send` (move it into the serving
-    /// thread) but deliberately not `Sync`: one handle per thread.
+    /// A reader handle for a serving thread.
     pub fn reader(&self) -> SnapshotHandle {
-        // Recycle a released slot if one exists.
-        let mut node = self.shared.readers.load(SeqCst);
-        while !node.is_null() {
-            // SAFETY: slot nodes live until `Shared` drops (kept alive by
-            // our `Arc`).
-            let slot = unsafe { &*node };
-            if slot
-                .in_use
-                .compare_exchange(false, true, SeqCst, SeqCst)
-                .is_ok()
-            {
-                slot.announced.store(IDLE, SeqCst);
-                return SnapshotHandle {
-                    shared: Arc::clone(&self.shared),
-                    slot: node,
-                };
-            }
-            node = slot.next.load(SeqCst);
-        }
-        // None free: push a fresh node (Treiber stack).
-        let fresh = Box::into_raw(Box::new(Slot {
-            announced: AtomicU64::new(IDLE),
-            in_use: AtomicBool::new(true),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
-        loop {
-            let head = self.shared.readers.load(SeqCst);
-            // SAFETY: `fresh` is the valid allocation made above and not
-            // yet visible to any other thread.
-            unsafe { &*fresh }.next.store(head, SeqCst);
-            if self
-                .shared
-                .readers
-                .compare_exchange(head, fresh, SeqCst, SeqCst)
-                .is_ok()
-            {
-                return SnapshotHandle {
-                    shared: Arc::clone(&self.shared),
-                    slot: fresh,
-                };
-            }
-        }
+        SnapshotHandle { hub: self.clone() }
     }
 
-    /// Current snapshot via a throwaway reader registration — for callers
-    /// that need one snapshot, not a serving loop.
+    /// The most recently published snapshot: one read-lock acquisition
+    /// and one `Arc` clone.
     pub fn latest(&self) -> Arc<ViewSnapshot> {
-        self.reader().latest()
+        Arc::clone(&self.shared.current.read())
     }
 }
 
@@ -394,56 +247,21 @@ impl Default for SnapshotHub {
     }
 }
 
-/// A registered reader: hands out the latest published [`ViewSnapshot`]
-/// wait-free with respect to the writer. Dropping the handle releases its
-/// slot for reuse.
+/// A reader: hands out the latest published [`ViewSnapshot`]. `Send`, so
+/// it can move into the serving thread.
 pub struct SnapshotHandle {
-    shared: Arc<Shared>,
-    slot: *const Slot,
+    hub: SnapshotHub,
 }
-
-// SAFETY: the slot pointer targets a node that outlives `shared` — which
-// the handle keeps alive — and the handle is the slot's unique owner
-// (`in_use` was won by CAS), so moving it to another thread is sound.
-unsafe impl Send for SnapshotHandle {}
 
 impl SnapshotHandle {
-    /// The most recently published snapshot. Three atomic operations of
-    /// pin window; never blocks on the writer, and the writer never
-    /// blocks on this.
+    /// The most recently published snapshot (see [`SnapshotHub::latest`]).
     pub fn latest(&self) -> Arc<ViewSnapshot> {
-        // SAFETY: slot nodes live until `Shared` drops, and `self.shared`
-        // keeps it alive.
-        let slot = unsafe { &*self.slot };
-        let e = self.shared.epoch.load(SeqCst);
-        slot.announced.store(e, SeqCst);
-        let ptr = self.shared.current.load(SeqCst);
-        // We announced epoch `e` before loading `ptr`. If `ptr` is
-        // retired at some epoch `k`, the writer's swap preceded the bump
-        // to `k`; had the swap also preceded our load we would have read
-        // the newer pointer instead. So our announce — with `e < k` —
-        // was visible before any reclaim scan that could free `ptr`.
-        // SAFETY: per the argument above, the reclaim scan sees our
-        // announce and keeps `ptr` alive until the un-announce below,
-        // which happens only after the count is raised.
-        unsafe { Arc::increment_strong_count(ptr) };
-        slot.announced.store(IDLE, SeqCst);
-        // SAFETY: the increment above minted a strong count we own.
-        unsafe { Arc::from_raw(ptr) }
+        self.hub.latest()
     }
 
-    /// Epoch of the most recent publication, without pinning.
+    /// Epoch of the most recent publication.
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(SeqCst)
-    }
-}
-
-impl Drop for SnapshotHandle {
-    fn drop(&mut self) {
-        // SAFETY: the node outlives the handle (kept alive by `shared`).
-        let slot = unsafe { &*self.slot };
-        slot.announced.store(IDLE, SeqCst);
-        slot.in_use.store(false, SeqCst);
+        self.hub.epoch()
     }
 }
 
@@ -528,16 +346,26 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled_across_handle_lifetimes() {
+    fn superseded_snapshots_are_released() {
         let hub = SnapshotHub::new();
-        let h1 = hub.reader();
-        let first_slot = h1.slot;
-        drop(h1);
-        let h2 = hub.reader();
-        assert!(std::ptr::eq(first_slot, h2.slot));
-        // A second live handle gets a different slot.
-        let h3 = hub.reader();
-        assert!(!std::ptr::eq(h2.slot, h3.slot));
+        hub.arm();
+        let r1 = Arc::new(rel(&[1]));
+        hub.publish([("v", &r1)]);
+        assert_eq!(hub.epoch(), hub.latest().epoch());
+        hub.publish([("v", &Arc::new(rel(&[2])))]);
+        assert_eq!(hub.epoch(), hub.latest().epoch());
+        // No reader held the epoch-1 snapshot: only the test's own handle
+        // on `r1` is left.
+        assert_eq!(Arc::strong_count(&r1), 1);
+
+        hub.publish([("v", &r1)]);
+        assert_eq!(hub.epoch(), hub.latest().epoch());
+        let held = hub.latest();
+        hub.publish([("v", &Arc::new(rel(&[3])))]);
+        assert_eq!(hub.epoch(), hub.latest().epoch());
+        assert_eq!(Arc::strong_count(&r1), 2, "a held snapshot keeps r1");
+        drop(held);
+        assert_eq!(Arc::strong_count(&r1), 1);
     }
 
     #[test]

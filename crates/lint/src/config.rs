@@ -34,7 +34,7 @@ impl Default for LintConfig {
                 "crates/relational/src/index.rs".into(),
                 "crates/parallel/src/".into(),
                 "crates/storage/src/wal.rs".into(),
-                // The serving layer's per-request path: snapshot pin/unpin
+                // The serving layer's per-request path: snapshot read
                 // and wire decode run once per client operation.
                 "crates/core/src/snapshot.rs".into(),
                 "crates/serve/src/protocol.rs".into(),

@@ -26,7 +26,7 @@
 //! Declaring accesses too coarsely ([`Access::Global`]) is always
 //! *sound* — it only costs pruning — so protocol models lean
 //! conservative: any step that touches several objects (a
-//! release-store flushing a buffer, a reclaim scan) is `Global`.
+//! join that waits on every session thread) is `Global`.
 //!
 //! Soundness note on enabledness: a transition that *unblocks* another
 //! thread must be dependent with that thread's next step. The models in

@@ -16,10 +16,7 @@
 //!
 //! Exhaustive enumeration is the ground truth but scales as the
 //! factorial of the step count; [`crate::dpor`] layers partial-order
-//! reduction on top for the protocol-sized models, and
-//! [`crate::mem`] supplies modeled atomics with *declared* memory
-//! orderings so weaker-than-`SeqCst` behaviours become scheduling
-//! choices this same explorer can enumerate.
+//! reduction on top for the protocol-sized models.
 
 use std::fmt;
 

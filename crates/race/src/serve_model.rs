@@ -26,10 +26,9 @@
 //! prevent — and the checker reports it as a deadlock with a replayable
 //! schedule (sessions parked forever, stopper parked in join).
 //!
-//! This model is plain interleaving semantics (no [`crate::mem`]): the
-//! real implementation synchronizes through mutexes and socket
-//! shutdown, not hand-rolled orderings, so SeqCst-equivalent exploration
-//! is faithful.
+//! This model is plain interleaving semantics: the real implementation
+//! synchronizes through mutexes and socket shutdown, not hand-rolled
+//! orderings, so SeqCst-equivalent exploration is faithful.
 
 use crate::dpor::{Access, DporModel};
 use crate::explore::{fnv1a, Model, Status, FNV_OFFSET};

@@ -8,7 +8,8 @@
 //!   a time under one lock** on the [`ivm::prelude::ViewManager`] and
 //!   serve **snapshot-isolated reads**: every query resolves against an
 //!   immutable [`ivm::snapshot::ViewSnapshot`] published atomically at a
-//!   commit boundary. Readers never block a write and never observe a
+//!   commit boundary. A read takes the snapshot lock only to clone an
+//!   `Arc`, so it never waits on maintenance and never observes a
 //!   half-applied transaction.
 //! * [`protocol`] — the length-prefixed, CRC32-framed wire format
 //!   (reusing [`ivm_storage::frame`], so torn connections surface as

@@ -352,7 +352,7 @@ fn remote_err(message: impl Into<String>) -> Response {
     }
 }
 
-/// Answer a `Query` from the pinned snapshot: the `Rows` payload is
+/// Answer a `Query` from the latest snapshot: the `Rows` payload is
 /// encoded straight from the snapshot's shared relation, never a copy.
 fn query(view: &str, ctx: &Ctx, snapshots: &SnapshotHandle) -> Vec<u8> {
     let snap = snapshots.latest();

@@ -602,70 +602,28 @@ fn cross_check_metrics(
 
 // --- State digest -----------------------------------------------------
 
-/// FNV-1a, 64-bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
-fn digest_relation(h: &mut Fnv, rel: &Relation) {
-    for attr in rel.schema().attrs() {
-        h.write(attr.as_str().as_bytes());
-        h.write(&[0xFF]);
-    }
-    for (tuple, count) in rel.sorted() {
-        for v in tuple.values() {
-            match v {
-                Value::Int(i) => {
-                    h.write(&[0x01]);
-                    h.write_u64(*i as u64);
-                }
-                Value::Str(s) => {
-                    h.write(&[0x02]);
-                    h.write(s.as_bytes());
-                    h.write(&[0x00]);
-                }
-            }
-        }
-        h.write(&[0xFE]);
-        h.write_u64(count);
-    }
-}
-
-/// Stable hash of the engine's final state (sorted relations, sorted
-/// views, tuples in [`Relation::sorted`] order — never raw hash-map
-/// order, which varies).
+/// Stable hash of the engine's final state: every base relation in name
+/// order, then every view in the oracle's order, each digested by
+/// [`digest_views`] (tuples in sorted order — never raw hash-map order,
+/// which varies) and folded together. The tag keeps a relation apart from
+/// a view with the same name and contents.
 pub fn state_digest(mgr: &ViewManager, oracle: &Oracle) -> u64 {
-    let mut h = Fnv::new();
-    let mut rel_names: Vec<&str> = mgr.database().relation_names().collect();
+    const RELATION: u64 = 0xFD;
+    const VIEW: u64 = 0xFC;
+    let db = mgr.database();
+    let mut rel_names: Vec<&str> = db.relation_names().collect();
     rel_names.sort_unstable();
-    for name in rel_names {
-        h.write(name.as_bytes());
-        h.write(&[0xFD]);
-        if let Ok(rel) = mgr.database().relation(name) {
-            digest_relation(&mut h, rel);
-        }
-    }
-    for name in oracle.view_names() {
-        h.write(name.as_bytes());
-        h.write(&[0xFC]);
-        if let Ok(rel) = mgr.view_contents(name) {
-            digest_relation(&mut h, rel);
-        }
-    }
-    h.0
+    let relations = rel_names
+        .into_iter()
+        .filter_map(|name| Some((RELATION, name, db.relation(name).ok()?)));
+    let views = oracle
+        .view_names()
+        .filter_map(|name| Some((VIEW, name, mgr.view_contents(name).ok()?)));
+    relations
+        .chain(views)
+        .fold(0, |acc: u64, (tag, name, rel)| {
+            acc.rotate_left(5) ^ tag ^ digest_views([(name, rel)])
+        })
 }
 
 #[cfg(test)]
