@@ -23,9 +23,17 @@
 //!    recovery-equivalence property test via
 //!    [`MaintenanceStats::full_recomputes`]).
 //!
+//! A checkpoint neither copies nor decodes the database. The image
+//! ([`CheckpointData`]) borrows the live database, view contents and
+//! pending deltas and is encoded straight from them. WAL compaction learns
+//! the fallback image's LSN from [`checkpoint::verified_lsn`], a frame and
+//! checksum check that never decodes the image, and copies the kept WAL
+//! frames verbatim.
+//!
 //! Maintenance statistics are deliberately ephemeral: counters describe a
 //! process lifetime, not the database, and restart at zero after recovery.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
@@ -158,7 +166,7 @@ fn policy_from_u8(byte: u8) -> Result<RefreshPolicy> {
     }
 }
 
-fn install_stored_view(mgr: &mut ViewManager, stored: StoredView) -> Result<()> {
+fn install_stored_view(mgr: &mut ViewManager, stored: StoredView<'static>) -> Result<()> {
     if mgr.views.contains_key(&stored.name) || mgr.tree_views.contains_key(&stored.name) {
         return Err(
             StorageError::Corrupt(format!("checkpoint stores view {} twice", stored.name)).into(),
@@ -172,8 +180,11 @@ fn install_stored_view(mgr: &mut ViewManager, stored: StoredView) -> Result<()> 
             pending,
         } => {
             let def = ViewDefinition::new(stored.name.clone(), expr)?;
-            let view = MaterializedView::from_saved(def, stored.data);
-            let pending: BTreeMap<String, DeltaRelation> = pending.into_iter().collect();
+            let view = MaterializedView::from_saved(def, stored.data.into_owned());
+            let pending: BTreeMap<String, DeltaRelation> = pending
+                .into_iter()
+                .map(|(rel, delta)| (rel, delta.into_owned()))
+                .collect();
             // Internal shared common-subexpression nodes carry the
             // reserved prefix; dependency edges and strata are rebuilt
             // from the effective expressions once every view is in
@@ -201,7 +212,8 @@ fn install_stored_view(mgr: &mut ViewManager, stored: StoredView) -> Result<()> 
         }
         StoredViewKind::Tree { expr } => {
             let base_relations = expr.base_relations();
-            let view = crate::differential::MaterializedExpr::from_saved(expr, stored.data);
+            let view =
+                crate::differential::MaterializedExpr::from_saved(expr, stored.data.into_owned());
             mgr.tree_views.insert(
                 stored.name,
                 ManagedTreeView {
@@ -261,7 +273,7 @@ impl ViewManager {
             report.checkpoint_seq = Some(seq);
             report.checkpoint_lsn = data.last_lsn;
             report.checkpoints_skipped = skipped.len();
-            mgr.db = data.db;
+            mgr.db = data.db.into_owned();
             for stored in data.views {
                 install_stored_view(&mut mgr, stored)?;
             }
@@ -379,10 +391,10 @@ impl ViewManager {
                     pending: mv
                         .pending
                         .iter()
-                        .map(|(rel, delta)| (rel.clone(), delta.clone()))
+                        .map(|(rel, delta)| (rel.clone(), Cow::Borrowed(delta)))
                         .collect(),
                 },
-                data: mv.view.contents().clone(),
+                data: Cow::Borrowed(mv.view.contents()),
             });
         }
         for (name, tv) in &self.tree_views {
@@ -391,19 +403,24 @@ impl ViewManager {
                 kind: StoredViewKind::Tree {
                     expr: tv.view.expr().clone(),
                 },
-                data: tv.view.contents().clone(),
+                data: Cow::Borrowed(tv.view.contents()),
             });
         }
         let data = CheckpointData {
             last_lsn,
-            db: self.db.clone(),
+            db: Cow::Borrowed(&self.db),
             views,
         };
         let seq = checkpoint::list_checkpoints(&state.dir)?
             .first()
             .map(|newest| newest + 1)
             .unwrap_or(1);
-        checkpoint::write_checkpoint(&state.dir, seq, &data)?;
+        let image = checkpoint::write_checkpoint(&state.dir, seq, &data)?;
+        if obs.enabled() {
+            if let Ok(meta) = std::fs::metadata(&image) {
+                obs.add(names::CHECKPOINT_BYTES, meta.len());
+            }
+        }
         // The image is on disk but old checkpoints are not yet pruned and
         // the WAL is not yet compacted. A crash here must leave recovery
         // free to pick either the new image or an older one — both replay
@@ -420,13 +437,13 @@ impl ViewManager {
         // below that image's LSN can never be replayed again and are safe
         // to drop. With fewer than two retained checkpoints there is no
         // fallback image yet, so the log is kept whole; and a checkpoint
-        // that cannot be read back must not license dropping anything.
+        // whose frame fails its check must not license dropping anything.
         let retained = checkpoint::list_checkpoints(&state.dir)?;
         if retained.len() >= 2 {
             let oldest_seq = *retained.last().expect("retained is non-empty");
-            match checkpoint::read_checkpoint(checkpoint::checkpoint_path(&state.dir, oldest_seq)) {
-                Ok(oldest) => {
-                    state.wal.compact_through(oldest.last_lsn)?;
+            match checkpoint::verified_lsn(checkpoint::checkpoint_path(&state.dir, oldest_seq)) {
+                Ok(oldest_lsn) => {
+                    state.wal.compact_through(oldest_lsn)?;
                 }
                 Err(e) if e.is_corruption() => {}
                 Err(e) => return Err(e.into()),
@@ -476,7 +493,7 @@ impl ViewManager {
         let obs = self.obs.clone();
         if let Some(state) = self.durability.as_mut() {
             let before = state.wal.stats();
-            state.wal.append(&WalRecord::Txn(txn.clone()))?;
+            state.wal.append_txn(txn)?;
             state.wal.sync()?;
             state.txns_since_checkpoint += 1;
             emit_wal_delta(&obs, before, state.wal.stats());

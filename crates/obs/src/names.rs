@@ -131,6 +131,9 @@ pub const WAL_COMPACTIONS: &str = "wal.compactions";
 pub const WAL_BYTES_RECLAIMED: &str = "wal.bytes_reclaimed";
 /// Counter: checkpoints written.
 pub const CHECKPOINTS_WRITTEN: &str = "checkpoint.written";
+/// Counter: bytes of checkpoint images written, frame header included
+/// (compare one image with `MAX_FRAME_LEN`, the 64 MiB frame limit).
+pub const CHECKPOINT_BYTES: &str = "checkpoint.bytes";
 
 // --- serving layer ----------------------------------------------------
 
@@ -212,6 +215,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     WAL_COMPACTIONS,
     WAL_BYTES_RECLAIMED,
     CHECKPOINTS_WRITTEN,
+    CHECKPOINT_BYTES,
     SERVE_REQUESTS,
     SERVE_PROTOCOL_ERRORS,
     SERVE_SESSIONS_OPENED,

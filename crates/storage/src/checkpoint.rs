@@ -7,12 +7,20 @@
 //! loads the newest checkpoint that passes its checksum and replays only
 //! WAL records with higher LSNs.
 //!
+//! [`CheckpointData`] borrows its large parts — the database, each view's
+//! materialization, pending deltas — so a writer encodes the image straight
+//! from live state without copying it; decoding yields owned values. Code
+//! that needs only an image's LSN (WAL compaction) calls [`verified_lsn`],
+//! which checks the frame's checksum in a fixed buffer and reads the LSN
+//! from the payload header without decoding the image.
+//!
 //! Durability of the write itself uses the classic temp-and-rename dance:
 //! the image is written to `checkpoint-<seq>.tmp`, synced, renamed to
 //! `checkpoint-<seq>.ckpt`, and the directory is synced. A crash at any
 //! point leaves either the previous checkpoint set intact or the new file
 //! fully in place — never a half-written `.ckpt`.
 
+use std::borrow::Cow;
 use std::fs::{self, File, OpenOptions};
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -21,7 +29,7 @@ use ivm_relational::prelude::*;
 
 use crate::codec::{ByteReader, Codec};
 use crate::error::{Result, StorageError};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{check_frame, read_frame, write_frame};
 use crate::wal::FORMAT_VERSION;
 
 /// Record-kind tag distinguishing checkpoint payloads from WAL records if
@@ -34,7 +42,7 @@ const TMP_SUFFIX: &str = ".tmp";
 
 /// How a stored view is maintained, with the state each kind needs.
 #[derive(Debug, Clone)]
-pub enum StoredViewKind {
+pub enum StoredViewKind<'a> {
     /// An SPJ view in the paper's normal form.
     Spj {
         /// Effective (plan) expression actually maintained. Operands may
@@ -48,7 +56,7 @@ pub enum StoredViewKind {
         policy: u8,
         /// Accumulated, relevance-filtered operand deltas not yet folded
         /// in (deferred / on-demand policies), keyed by operand name.
-        pending: Vec<(String, DeltaRelation)>,
+        pending: Vec<(String, Cow<'a, DeltaRelation>)>,
     },
     /// A general-algebra view maintained by tree deltas.
     Tree {
@@ -59,32 +67,33 @@ pub enum StoredViewKind {
 
 /// One view's persistent state inside a checkpoint.
 #[derive(Debug, Clone)]
-pub struct StoredView {
+pub struct StoredView<'a> {
     /// View name.
     pub name: String,
     /// Maintenance kind and definition.
-    pub kind: StoredViewKind,
+    pub kind: StoredViewKind<'a>,
     /// The materialization at checkpoint time, counters included. Stored so
     /// recovery reinstalls views **without re-evaluating them**.
-    pub data: Relation,
+    pub data: Cow<'a, Relation>,
 }
 
-/// A complete system image.
+/// A complete system image. A writer fills it with borrows of live state;
+/// [`read_checkpoint`] returns it fully owned.
 #[derive(Debug, Clone)]
-pub struct CheckpointData {
+pub struct CheckpointData<'a> {
     /// LSN of the last WAL record reflected in this image; replay resumes
     /// strictly after it.
     pub last_lsn: u64,
     /// The base database.
-    pub db: Database,
+    pub db: Cow<'a, Database>,
     /// Every registered view.
-    pub views: Vec<StoredView>,
+    pub views: Vec<StoredView<'a>>,
 }
 
 const VIEW_SPJ: u8 = 0x00;
 const VIEW_TREE: u8 = 0x01;
 
-impl Codec for StoredView {
+impl Codec for StoredView<'_> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
         out.extend_from_slice(self.name.as_bytes());
@@ -116,7 +125,7 @@ impl Codec for StoredView {
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
         let name = r.str()?;
-        let data = Relation::decode_from(r)?;
+        let data = Cow::Owned(Relation::decode_from(r)?);
         let kind = match r.u8()? {
             VIEW_SPJ => {
                 let expr = SpjExpr::decode_from(r)?;
@@ -128,7 +137,7 @@ impl Codec for StoredView {
                 for _ in 0..n {
                     let relation = r.str()?;
                     let delta = DeltaRelation::decode_from(r)?;
-                    pending.push((relation, delta));
+                    pending.push((relation, Cow::Owned(delta)));
                 }
                 StoredViewKind::Spj {
                     expr,
@@ -150,7 +159,7 @@ impl Codec for StoredView {
     }
 }
 
-impl Codec for CheckpointData {
+impl Codec for CheckpointData<'_> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.last_lsn.to_le_bytes());
         self.db.encode_into(out);
@@ -162,7 +171,7 @@ impl Codec for CheckpointData {
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
         let last_lsn = r.u64()?;
-        let db = Database::decode_from(r)?;
+        let db = Cow::Owned(Database::decode_from(r)?);
         let n = r.u32()? as usize;
         r.check_count(n, 24)?;
         let mut views = Vec::with_capacity(n);
@@ -197,8 +206,14 @@ fn parse_seq(file_name: &str) -> Option<u64> {
 /// Atomically persist a checkpoint as `checkpoint-<seq>.ckpt` in `dir`.
 /// Write-to-temp, sync, rename, sync-directory: a crash anywhere leaves the
 /// directory with either the old set of checkpoints or the old set plus a
-/// complete new one.
-pub fn write_checkpoint(dir: impl AsRef<Path>, seq: u64, data: &CheckpointData) -> Result<PathBuf> {
+/// complete new one. A failed write (an image over
+/// [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN) included) removes the
+/// temp file and leaves no `.ckpt` behind.
+pub fn write_checkpoint(
+    dir: impl AsRef<Path>,
+    seq: u64,
+    data: &CheckpointData<'_>,
+) -> Result<PathBuf> {
     let dir = dir.as_ref();
     let mut payload = vec![FORMAT_VERSION, KIND_CHECKPOINT];
     data.encode_into(&mut payload);
@@ -211,10 +226,15 @@ pub fn write_checkpoint(dir: impl AsRef<Path>, seq: u64, data: &CheckpointData) 
         .truncate(true)
         .open(&tmp_path)
         .map_err(|e| StorageError::io(format!("create {}", tmp_path.display()), e))?;
-    write_frame(&mut tmp, &payload)?;
-    tmp.sync_all()
-        .map_err(|e| StorageError::io("sync checkpoint temp file", e))?;
+    let written = write_frame(&mut tmp, &payload).and_then(|()| {
+        tmp.sync_all()
+            .map_err(|e| StorageError::io("sync checkpoint temp file", e))
+    });
     drop(tmp);
+    if let Err(e) = written {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
+    }
     fs::rename(&tmp_path, &final_path)
         .map_err(|e| StorageError::io(format!("rename into {}", final_path.display()), e))?;
     sync_dir(dir)?;
@@ -235,15 +255,16 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
     }
 }
 
-/// Read and validate one checkpoint file.
-pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointData> {
-    let path = path.as_ref();
-    let file = File::open(path)
-        .map_err(|e| StorageError::io(format!("open checkpoint {}", path.display()), e))?;
-    let mut reader = BufReader::new(file);
-    let payload = read_frame(&mut reader, 0)?
-        .ok_or_else(|| StorageError::Corrupt(format!("checkpoint {} is empty", path.display())))?;
-    let mut r = ByteReader::new(&payload);
+fn open_checkpoint(path: &Path) -> Result<File> {
+    File::open(path).map_err(|e| StorageError::io(format!("open checkpoint {}", path.display()), e))
+}
+
+fn empty_checkpoint(path: &Path) -> StorageError {
+    StorageError::Corrupt(format!("checkpoint {} is empty", path.display()))
+}
+
+/// Check an image payload's `[version][kind]` prefix.
+fn check_image_header(r: &mut ByteReader<'_>) -> Result<()> {
     let version = r.u8()?;
     if version != FORMAT_VERSION {
         return Err(StorageError::UnsupportedVersion(version));
@@ -252,6 +273,16 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointData> {
     if kind != KIND_CHECKPOINT {
         return Err(StorageError::UnknownRecordKind(kind));
     }
+    Ok(())
+}
+
+/// Read and validate one checkpoint file.
+pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointData<'static>> {
+    let path = path.as_ref();
+    let mut reader = BufReader::new(open_checkpoint(path)?);
+    let payload = read_frame(&mut reader, 0)?.ok_or_else(|| empty_checkpoint(path))?;
+    let mut r = ByteReader::new(&payload);
+    check_image_header(&mut r)?;
     let data = CheckpointData::decode_from(&mut r)?;
     if r.remaining() > 0 {
         return Err(StorageError::Corrupt(format!(
@@ -260,6 +291,22 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointData> {
         )));
     }
     Ok(data)
+}
+
+/// The `last_lsn` of a checkpoint file whose frame passes its checksum,
+/// without decoding the image: the payload streams through the CRC in a
+/// fixed buffer and only its `[version][kind][last_lsn]` header is kept.
+///
+/// A torn, checksum-failing, oversize, wrong-version or wrong-kind file
+/// fails with the same typed error [`read_checkpoint`] returns for it.
+pub fn verified_lsn(path: impl AsRef<Path>) -> Result<u64> {
+    let path = path.as_ref();
+    let mut head = [0u8; 10];
+    let len = check_frame(&mut open_checkpoint(path)?, 0, &mut head)?
+        .ok_or_else(|| empty_checkpoint(path))?;
+    let mut r = ByteReader::new(&head[..head.len().min(len as usize)]);
+    check_image_header(&mut r)?;
+    r.u64()
 }
 
 /// Checkpoint sequence numbers present in `dir`, descending (newest first).
@@ -293,7 +340,7 @@ pub fn list_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<u64>> {
 #[allow(clippy::type_complexity)]
 pub fn latest_checkpoint(
     dir: impl AsRef<Path>,
-) -> Result<Option<(u64, CheckpointData, Vec<(u64, StorageError)>)>> {
+) -> Result<Option<(u64, CheckpointData<'static>, Vec<(u64, StorageError)>)>> {
     let dir = dir.as_ref();
     let mut skipped = Vec::new();
     for seq in list_checkpoints(dir)? {
@@ -325,7 +372,7 @@ mod tests {
     use super::*;
     use crate::temp::scratch_dir;
 
-    fn sample_checkpoint() -> CheckpointData {
+    fn sample_checkpoint() -> CheckpointData<'static> {
         let mut db = Database::new();
         db.create("R", Schema::new(["A", "B"]).unwrap()).unwrap();
         db.load("R", [[1, 10], [2, 20]]).unwrap();
@@ -335,7 +382,7 @@ mod tests {
         pending.add(Tuple::from([3, 30]), 1);
         CheckpointData {
             last_lsn: 17,
-            db,
+            db: Cow::Owned(db),
             views: vec![
                 StoredView {
                     name: "V".into(),
@@ -343,22 +390,22 @@ mod tests {
                         expr: SpjExpr::new(["R"], Condition::always_true(), None),
                         user_expr: SpjExpr::new(["R"], Condition::always_true(), None),
                         policy: 1,
-                        pending: vec![("R".into(), pending)],
+                        pending: vec![("R".into(), Cow::Owned(pending))],
                     },
-                    data: view_data.clone(),
+                    data: Cow::Owned(view_data.clone()),
                 },
                 StoredView {
                     name: "T".into(),
                     kind: StoredViewKind::Tree {
                         expr: Expr::base("R").project(["A"]),
                     },
-                    data: view_data,
+                    data: Cow::Owned(view_data),
                 },
             ],
         }
     }
 
-    fn same_checkpoint(a: &CheckpointData, b: &CheckpointData) -> bool {
+    fn same_checkpoint(a: &CheckpointData<'_>, b: &CheckpointData<'_>) -> bool {
         // Relation/DeltaRelation have no PartialEq; compare via encoding,
         // which is deterministic.
         a.encode() == b.encode()
@@ -402,6 +449,72 @@ mod tests {
         let removed = prune_checkpoints(&dir, 2).unwrap();
         assert_eq!(removed, vec![2, 1]);
         assert_eq!(list_checkpoints(&dir).unwrap(), vec![4, 3]);
+    }
+
+    #[test]
+    fn verified_lsn_reads_the_header_of_a_valid_image() {
+        let dir = scratch_dir("ckpt-verified-lsn");
+        let path = write_checkpoint(&dir, 1, &sample_checkpoint()).unwrap();
+        assert_eq!(verified_lsn(&path).unwrap(), 17);
+        assert_eq!(read_checkpoint(&path).unwrap().last_lsn, 17);
+    }
+
+    #[test]
+    fn verified_lsn_rejects_what_read_checkpoint_rejects() {
+        let dir = scratch_dir("ckpt-verified-bad");
+        let good = std::fs::read(write_checkpoint(&dir, 1, &sample_checkpoint()).unwrap()).unwrap();
+        // A well-framed payload with a valid checksum but the wrong kind.
+        let mut wrong_kind = Vec::new();
+        let mut payload = vec![FORMAT_VERSION, KIND_CHECKPOINT + 1];
+        payload.extend_from_slice(&17u64.to_le_bytes());
+        write_frame(&mut wrong_kind, &payload).unwrap();
+        // ... and one with a valid checksum but a foreign format version.
+        let mut wrong_version = Vec::new();
+        payload[0] = FORMAT_VERSION + 1;
+        write_frame(&mut wrong_version, &payload).unwrap();
+        // A valid frame whose payload is too short to hold an LSN.
+        let mut short = Vec::new();
+        write_frame(&mut short, &[FORMAT_VERSION, KIND_CHECKPOINT, 1]).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x04;
+        let mut oversize = good.clone();
+        oversize[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+
+        let cases: [(&str, &[u8]); 8] = [
+            ("empty", &[]),
+            ("torn header", &good[..5]),
+            ("torn payload", &good[..good.len() - 1]),
+            ("bit flip", &flipped),
+            ("oversize", &oversize),
+            ("wrong kind", &wrong_kind),
+            ("wrong version", &wrong_version),
+            ("short", &short),
+        ];
+        for (label, bytes) in cases {
+            let path = dir.join(format!("{label}.ckpt"));
+            std::fs::write(&path, bytes).unwrap();
+            let want = read_checkpoint(&path).unwrap_err();
+            let got = verified_lsn(&path).unwrap_err();
+            assert!(want.is_corruption(), "{label}: {want}");
+            assert_eq!(got, want, "{label}");
+        }
+        let path = dir.join("wrong kind.ckpt");
+        assert!(matches!(
+            verified_lsn(&path),
+            Err(StorageError::UnknownRecordKind(k)) if k == KIND_CHECKPOINT + 1
+        ));
+    }
+
+    #[test]
+    fn oversize_image_leaves_no_file_behind() {
+        let dir = scratch_dir("ckpt-oversize");
+        let mut data = sample_checkpoint();
+        data.views[0].name = "v".repeat(crate::frame::MAX_FRAME_LEN as usize);
+        let err = write_checkpoint(&dir, 1, &data).unwrap_err();
+        assert!(matches!(err, StorageError::PayloadTooLarge { .. }));
+        let left: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "files left behind: {left:?}");
+        assert!(latest_checkpoint(&dir).unwrap().is_none());
     }
 
     #[test]

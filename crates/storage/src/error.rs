@@ -49,6 +49,13 @@ pub enum StorageError {
         /// The declared payload length.
         declared: u64,
     },
+    /// A writer was handed a payload larger than
+    /// [`crate::frame::MAX_FRAME_LEN`]. Nothing was written: readers reject
+    /// such a frame as corrupt, so it could never be read back.
+    PayloadTooLarge {
+        /// The payload's length in bytes.
+        len: u64,
+    },
     /// The payload began with a format version this build does not speak.
     UnsupportedVersion(u8),
     /// A record tag byte was not one of the known kinds.
@@ -106,6 +113,11 @@ impl fmt::Display for StorageError {
                 f,
                 "frame at offset {offset} declares an implausible payload of \
                  {declared} bytes; length prefix is corrupt"
+            ),
+            StorageError::PayloadTooLarge { len } => write!(
+                f,
+                "refused to write a {len}-byte payload: frames hold at most {} bytes",
+                crate::frame::MAX_FRAME_LEN
             ),
             StorageError::UnsupportedVersion(v) => {
                 write!(

@@ -21,7 +21,7 @@
 //! everything from the first bad frame on is discarded.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ivm_relational::prelude::*;
@@ -89,10 +89,7 @@ impl WalRecord {
     }
 
     fn encode_payload(&self, lsn: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(FORMAT_VERSION);
-        out.push(self.kind());
-        out.extend_from_slice(&lsn.to_le_bytes());
+        let mut out = payload_header(self.kind(), lsn);
         match self {
             WalRecord::Txn(txn) => txn.encode_into(&mut out),
             WalRecord::CreateRelation { name, schema } => {
@@ -115,28 +112,23 @@ impl WalRecord {
         out
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord)> {
-        let mut r = ByteReader::new(payload);
-        let version = r.u8()?;
-        if version != FORMAT_VERSION {
-            return Err(StorageError::UnsupportedVersion(version));
-        }
-        let kind = r.u8()?;
-        let lsn = r.u64()?;
+    /// Decode the body that follows a `kind` header.
+    fn decode_body(kind: u8, body: &[u8]) -> Result<WalRecord> {
+        let r = &mut ByteReader::new(body);
         let record = match kind {
-            KIND_TXN => WalRecord::Txn(Transaction::decode_from(&mut r)?),
+            KIND_TXN => WalRecord::Txn(Transaction::decode_from(r)?),
             KIND_CREATE_RELATION => WalRecord::CreateRelation {
                 name: r.str()?,
-                schema: Schema::decode_from(&mut r)?,
+                schema: Schema::decode_from(r)?,
             },
             KIND_REGISTER_VIEW => WalRecord::RegisterView {
                 name: r.str()?,
-                expr: SpjExpr::decode_from(&mut r)?,
+                expr: SpjExpr::decode_from(r)?,
                 policy: r.u8()?,
             },
             KIND_REGISTER_TREE_VIEW => WalRecord::RegisterTreeView {
                 name: r.str()?,
-                expr: Expr::decode_from(&mut r)?,
+                expr: Expr::decode_from(r)?,
             },
             tag => return Err(StorageError::UnknownRecordKind(tag)),
         };
@@ -146,7 +138,76 @@ impl WalRecord {
                 r.remaining()
             )));
         }
-        Ok((lsn, record))
+        Ok(record)
+    }
+}
+
+/// A record payload's `[version][kind][lsn]` header.
+fn payload_header(kind: u8, lsn: u64) -> Vec<u8> {
+    let mut out = vec![FORMAT_VERSION, kind];
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out
+}
+
+/// Bytes of [`payload_header`]: version, kind, LSN.
+const PAYLOAD_HEADER_LEN: usize = 10;
+
+/// One checked frame of a log: its LSN and kind, and the whole payload.
+struct Frame {
+    lsn: u64,
+    kind: u8,
+    payload: Vec<u8>,
+}
+
+/// Walks a log's frames in order, checking what every reader of the log
+/// relies on without decoding any record body: each frame's CRC
+/// ([`read_frame`]), the payload's format version, and strictly increasing
+/// LSNs. A violation is a typed corruption error that ends the valid
+/// prefix.
+struct Frames<R> {
+    reader: R,
+    /// Byte offset of the next frame.
+    offset: u64,
+    last_lsn: Option<u64>,
+}
+
+impl<R: Read> Frames<R> {
+    /// The next frame, or `Ok(None)` at a clean end of file.
+    fn next(&mut self) -> Result<Option<Frame>> {
+        let Some(payload) = read_frame(&mut self.reader, self.offset)? else {
+            return Ok(None);
+        };
+        let mut r = ByteReader::new(&payload);
+        let version = r.u8()?;
+        if version != FORMAT_VERSION {
+            return Err(StorageError::UnsupportedVersion(version));
+        }
+        let kind = r.u8()?;
+        let lsn = r.u64()?;
+        if let Some(previous) = self.last_lsn.filter(|&prev| lsn <= prev) {
+            return Err(StorageError::LsnOutOfOrder {
+                previous,
+                found: lsn,
+            });
+        }
+        self.last_lsn = Some(lsn);
+        self.offset += framed_len(payload.len());
+        Ok(Some(Frame { lsn, kind, payload }))
+    }
+}
+
+/// The frames of the log at `path`, or `None` when there is no file — a
+/// system that crashed before its first append is indistinguishable from a
+/// fresh one.
+fn frames(path: &Path) -> Result<Option<Frames<BufReader<File>>>> {
+    match File::open(path) {
+        Ok(f) => Ok(Some(Frames {
+            reader: BufReader::new(f),
+            offset: 0,
+            last_lsn: None,
+        })),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(StorageError::io(format!("open wal {}", path.display()), e)),
     }
 }
 
@@ -262,9 +323,26 @@ impl Wal {
 
     /// Append one record; returns its assigned LSN. The record is framed
     /// and buffered — call [`Wal::sync`] to make it durable.
+    ///
+    /// A record whose encoding exceeds
+    /// [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN) is refused with
+    /// [`StorageError::PayloadTooLarge`]; nothing is written and the LSN is
+    /// not consumed.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
+        self.append_payload(record.encode_payload(self.next_lsn))
+    }
+
+    /// [`Wal::append`] of a [`WalRecord::Txn`], encoded from the borrowed
+    /// transaction: same bytes on disk, without copying the transaction
+    /// into a record first.
+    pub fn append_txn(&mut self, txn: &Transaction) -> Result<u64> {
+        let mut payload = payload_header(KIND_TXN, self.next_lsn);
+        txn.encode_into(&mut payload);
+        self.append_payload(payload)
+    }
+
+    fn append_payload(&mut self, payload: Vec<u8>) -> Result<u64> {
         let lsn = self.next_lsn;
-        let payload = record.encode_payload(lsn);
         write_frame(&mut self.file, &payload)?;
         self.next_lsn += 1;
         self.end_offset += framed_len(payload.len());
@@ -311,6 +389,11 @@ impl Wal {
     /// temp file and atomically renaming it into place. Returns the new
     /// file length in bytes.
     ///
+    /// Kept records are copied frame by frame, their payloads verbatim:
+    /// each frame's checksum, version and LSN order are checked as
+    /// [`Wal::scan`] checks them, but no record is decoded. The copy stops
+    /// at the first frame that fails those checks, as a scan would.
+    ///
     /// The caller is responsible for only passing LSNs that are covered by
     /// a durable checkpoint that recovery is guaranteed to find — records
     /// below that point can never be replayed again, so removing them loses
@@ -318,16 +401,18 @@ impl Wal {
     /// crash at any instant leaves either the old complete log or the new
     /// complete log, never a mix.
     pub fn compact_through(&mut self, up_to_lsn: u64) -> Result<u64> {
-        // Make sure the scan below sees every buffered frame.
+        // Make sure the walk below sees every buffered frame.
         self.sync()?;
-        let scan = Wal::scan(&self.path)?;
-        if scan
-            .records
-            .first()
-            .map(|(lsn, _)| *lsn > up_to_lsn)
-            .unwrap_or(true)
-        {
-            return Ok(self.end_offset); // nothing to drop
+        let Some(mut frames) = frames(&self.path)? else {
+            return Ok(self.end_offset);
+        };
+        let mut next = || match frames.next() {
+            Err(e) if e.is_corruption() => Ok(None),
+            other => other,
+        };
+        match next()? {
+            Some(first) if first.lsn <= up_to_lsn => {}
+            _ => return Ok(self.end_offset), // nothing to drop
         }
 
         let tmp_path = self.path.with_extension("compact");
@@ -339,11 +424,10 @@ impl Wal {
             .map_err(|e| StorageError::io(format!("create {}", tmp_path.display()), e))?;
         let mut writer = BufWriter::new(tmp);
         let mut new_len = 0u64;
-        for (lsn, record) in &scan.records {
-            if *lsn > up_to_lsn {
-                let payload = record.encode_payload(*lsn);
-                write_frame(&mut writer, &payload)?;
-                new_len += framed_len(payload.len());
+        while let Some(frame) = next()? {
+            if frame.lsn > up_to_lsn {
+                write_frame(&mut writer, &frame.payload)?;
+                new_len += framed_len(frame.payload.len());
             }
         }
         writer
@@ -385,69 +469,35 @@ impl Wal {
     /// would destroy data that might be readable later. LSNs must increase
     /// strictly; a regression marks the offending frame as corrupt.
     pub fn scan(path: impl AsRef<Path>) -> Result<WalScan> {
-        let path = path.as_ref();
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(WalScan {
-                    records: Vec::new(),
-                    valid_len: 0,
-                    truncated_by: None,
-                })
-            }
-            Err(e) => return Err(StorageError::io(format!("open wal {}", path.display()), e)),
-        };
-        let mut reader = BufReader::new(file);
         let mut records = Vec::new();
-        let mut offset = 0u64;
-        let mut last_lsn: Option<u64> = None;
+        let Some(mut frames) = frames(path.as_ref())? else {
+            return Ok(WalScan {
+                records,
+                valid_len: 0,
+                truncated_by: None,
+            });
+        };
         loop {
-            match read_frame(&mut reader, offset) {
-                Ok(None) => {
-                    return Ok(WalScan {
-                        records,
-                        valid_len: offset,
-                        truncated_by: None,
-                    })
-                }
-                Ok(Some(payload)) => {
-                    let frame_len = framed_len(payload.len());
-                    match WalRecord::decode_payload(&payload) {
-                        Ok((lsn, record)) => {
-                            if let Some(prev) = last_lsn {
-                                if lsn <= prev {
-                                    return Ok(WalScan {
-                                        records,
-                                        valid_len: offset,
-                                        truncated_by: Some(StorageError::LsnOutOfOrder {
-                                            previous: prev,
-                                            found: lsn,
-                                        }),
-                                    });
-                                }
-                            }
-                            last_lsn = Some(lsn);
-                            records.push((lsn, record));
-                            offset += frame_len;
+            let start = frames.offset;
+            let truncated_by = match frames.next() {
+                Ok(None) => None,
+                Ok(Some(frame)) => {
+                    match WalRecord::decode_body(frame.kind, &frame.payload[PAYLOAD_HEADER_LEN..]) {
+                        Ok(record) => {
+                            records.push((frame.lsn, record));
+                            continue;
                         }
-                        Err(e) => {
-                            return Ok(WalScan {
-                                records,
-                                valid_len: offset,
-                                truncated_by: Some(e),
-                            })
-                        }
+                        Err(e) => Some(e),
                     }
                 }
-                Err(e) if e.is_corruption() => {
-                    return Ok(WalScan {
-                        records,
-                        valid_len: offset,
-                        truncated_by: Some(e),
-                    })
-                }
+                Err(e) if e.is_corruption() => Some(e),
                 Err(e) => return Err(e),
-            }
+            };
+            return Ok(WalScan {
+                records,
+                valid_len: start,
+                truncated_by,
+            });
         }
     }
 }
@@ -605,5 +655,97 @@ mod tests {
             scan.truncated_by,
             Some(StorageError::LsnOutOfOrder { .. })
         ));
+    }
+
+    #[test]
+    fn append_txn_writes_the_bytes_of_append() {
+        let dir = scratch_dir("wal-append-txn");
+        let (a, b) = (dir.join("a.log"), dir.join("b.log"));
+        let mut owned = Wal::create(&a, 3).unwrap();
+        let mut borrowed = Wal::create(&b, 3).unwrap();
+        for _ in 0..2 {
+            let txn = sample_txn();
+            assert_eq!(
+                owned.append(&WalRecord::Txn(txn.clone())).unwrap(),
+                borrowed.append_txn(&txn).unwrap()
+            );
+        }
+        owned.sync().unwrap();
+        borrowed.sync().unwrap();
+        assert_eq!(owned.stats(), borrowed.stats());
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    }
+
+    #[test]
+    fn oversize_record_is_refused_before_the_commit_point() {
+        let dir = scratch_dir("wal-oversize");
+        let path = dir.join(WAL_FILE);
+        let mut wal = Wal::create(&path, 1).unwrap();
+        wal.append(&WalRecord::Txn(sample_txn())).unwrap();
+        wal.sync().unwrap();
+        let (len, next) = (wal.len_bytes(), wal.next_lsn());
+
+        let huge = WalRecord::CreateRelation {
+            name: "r".repeat(crate::frame::MAX_FRAME_LEN as usize),
+            schema: Schema::new(["A"]).unwrap(),
+        };
+        let err = wal.append(&huge).unwrap_err();
+        assert!(matches!(err, StorageError::PayloadTooLarge { .. }));
+        wal.sync().unwrap();
+        assert_eq!(wal.len_bytes(), len);
+        assert_eq!(wal.next_lsn(), next);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+
+        // The handle stays usable and the log stays clean.
+        assert_eq!(wal.append(&WalRecord::Txn(sample_txn())).unwrap(), next);
+        wal.sync().unwrap();
+        let scan = Wal::scan(&path).unwrap();
+        assert!(scan.truncated_by.is_none());
+        assert_eq!(scan.last_lsn(), Some(next));
+    }
+
+    #[test]
+    fn compaction_copies_kept_frames_verbatim() {
+        let dir = scratch_dir("wal-compact-verbatim");
+        let path = dir.join(WAL_FILE);
+        let mut wal = Wal::create(&path, 1).unwrap();
+        let mut ends = Vec::new();
+        for i in 0..4 {
+            let mut txn = sample_txn();
+            txn.insert("T", [i]).unwrap();
+            wal.append_txn(&txn).unwrap();
+            ends.push(wal.len_bytes());
+        }
+        wal.sync().unwrap();
+        let before = std::fs::read(&path).unwrap();
+        wal.compact_through(2).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            &before[ends[1] as usize..],
+            "kept frames changed"
+        );
+    }
+
+    #[test]
+    fn compaction_stops_at_a_corrupt_frame_like_scan() {
+        let dir = scratch_dir("wal-compact-corrupt");
+        let path = dir.join(WAL_FILE);
+        let mut wal = Wal::create(&path, 1).unwrap();
+        let mut ends = Vec::new();
+        for _ in 0..4 {
+            wal.append(&WalRecord::Txn(sample_txn())).unwrap();
+            ends.push(wal.len_bytes());
+        }
+        wal.sync().unwrap();
+        // Damage record 4: compaction through 1 keeps 2 and 3 only.
+        crate::fault::flip_byte(&path, ends[3] - 1, 0x10).unwrap();
+        let new_len = wal.compact_through(1).unwrap();
+        assert_eq!(new_len, ends[2] - ends[0]);
+        let scan = Wal::scan(&path).unwrap();
+        assert!(scan.truncated_by.is_none());
+        assert_eq!(
+            scan.records.iter().map(|(lsn, _)| *lsn).collect::<Vec<_>>(),
+            vec![2, 3]
+        );
     }
 }

@@ -426,3 +426,73 @@ fn checkpoint_on_memory_manager_is_typed_error() {
     assert!(matches!(err, IvmError::Storage(_)));
     assert!(err.to_string().contains("ViewManager::open"));
 }
+
+/// Pins the checkpoint format: a fixed scenario covering every persisted
+/// part (two base relations, an Immediate join view, a Deferred view with
+/// pending deltas, a tree view) must produce an image of exactly this
+/// length and CRC-32. Any change to how images are encoded fails here,
+/// and images written before such a change could no longer be restored.
+#[test]
+fn checkpoint_image_bytes_are_pinned() {
+    let dir = TestDir::new("ckpt-golden");
+    let mut m = ViewManager::open(dir.path()).unwrap();
+    setup(&mut m);
+    for i in 0..6 {
+        apply_step(&mut m, (0, true, i, i % 4));
+        apply_step(&mut m, (1, true, i % 4, 10 + i));
+    }
+    apply_step(&mut m, (0, false, 2, 2));
+    // The deferred view has not folded its queued changes in.
+    assert!(m.view_contents("v_def").unwrap().is_empty());
+    assert!(!m.view_contents("v_join").unwrap().is_empty());
+    assert!(!m.view_contents("v_tree").unwrap().is_empty());
+    let seq = m.checkpoint().unwrap();
+    let image = std::fs::read(dir.path().join(format!("checkpoint-{seq:016}.ckpt"))).unwrap();
+    assert_eq!(image.len(), 1275);
+    assert_eq!(ivm_storage::frame::crc32(&image), 0xce29_ddc3);
+}
+
+/// A fallback image whose frame fails its check licenses no compaction:
+/// with checkpoint 1 corrupt, writing checkpoint 2 keeps the whole log, so
+/// even when checkpoint 2 is lost as well, recovery replays from LSN 1 and
+/// lands in the uninterrupted state.
+#[test]
+fn corrupt_fallback_image_blocks_wal_compaction() {
+    let dir = TestDir::new("compact-guard");
+    let steps: Vec<Step> = (0..12).map(|i| (i as u8, true, i, i % 5)).collect();
+    let mut reference = ViewManager::new();
+    setup(&mut reference);
+    for &step in &steps {
+        apply_step(&mut reference, step);
+    }
+    {
+        let mut m = ViewManager::open(dir.path()).unwrap();
+        setup(&mut m);
+        for &step in &steps[..8] {
+            apply_step(&mut m, step);
+        }
+        let first = m.checkpoint().unwrap();
+        let ckpt = dir.path().join(format!("checkpoint-{first:016}.ckpt"));
+        fault::corrupt(&ckpt, CorruptSpec::FlipByte(FaultPos::Fraction(1, 2), 0x20)).unwrap();
+        for &step in &steps[8..] {
+            apply_step(&mut m, step);
+        }
+        let before = fault::file_len(dir.wal()).unwrap();
+        let second = m.checkpoint().unwrap();
+        let status = m.durability_status().unwrap();
+        assert_eq!(
+            status.wal_file_bytes, before,
+            "WAL shrank behind a corrupt image"
+        );
+        assert_eq!(status.wal.compactions, 0);
+        let ckpt = dir.path().join(format!("checkpoint-{second:016}.ckpt"));
+        fault::corrupt(&ckpt, CorruptSpec::FlipByte(FaultPos::Fraction(1, 3), 0x20)).unwrap();
+    }
+    let recovered = ViewManager::open(dir.path()).unwrap();
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.checkpoint_seq, None);
+    assert!(report.wal_truncated.is_none());
+    // Five DDL records, then every step.
+    assert_eq!(report.wal_records_replayed, 5 + steps.len());
+    assert_same_state(&recovered, &reference);
+}
