@@ -1,8 +1,10 @@
 //! E17 — the parallel differential engine on the §5.3 truth-table
 //! workload: wall-clock of one differential pass at growing maintenance
 //! thread counts, against the 1-thread sequential oracle. Three shapes:
-//! many rows (k = 4 → 15 rows, parallelized across rows), one row
-//! (k = 1, where the spare width flows into hash-partitioned joins), and
+//! many rows (k = 4 → 15 rows, parallelized across pivot groups), one
+//! row (k = 1: a single group, so every width runs the sequential engine;
+//! kept as the record that hash-partitioned joins never beat one thread
+//! here and were removed), and
 //! one changed tuple per updated operand, far below the pool's grain,
 //! where every width runs the sequential engine and costs what one
 //! thread costs.
@@ -46,9 +48,9 @@ fn bench_rows_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_partitioned_join(c: &mut Criterion) {
-    // k = 1 leaves a single truth-table row; parallelism flows into the
-    // hash-partitioned build+probe of each join instead.
+fn bench_single_row(c: &mut Criterion) {
+    // k = 1 leaves a single truth-table row in one pivot group: nothing
+    // fans out, so every width should cost what one thread costs.
     let mut group = c.benchmark_group("e17_parallel_join");
     group.sample_size(12);
     let p = 3;
@@ -99,7 +101,7 @@ fn bench_one_change(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_rows_parallel,
-    bench_partitioned_join,
+    bench_single_row,
     bench_one_change
 );
 criterion_main!(benches);

@@ -54,9 +54,9 @@
 //!   and the results are merged. An indexed operand is priced by the
 //!   change-set tuples that probe it, not by its |r|. The accumulators are
 //!   keyed tagged maps and merging is additive, so the delta and every
-//!   work counter are identical for every thread count; width beyond one
-//!   worker per group (`k = 1` in particular) is spent inside the joins
-//!   via the hash-partitioned `natural_join_tagged_with`;
+//!   work counter are identical for every thread count. This is the
+//!   engine's only fan-out: a group's joins run on the thread that
+//!   evaluates the group;
 //! * **index probing** — when a `B = 0` operand carries a maintained
 //!   [`JoinIndex`] covering the join key against the group's accumulated
 //!   prefix, the engine neither materializes the operand nor hash-builds
@@ -64,7 +64,8 @@
 //!   (`IndexedZero`, `probe_join_tagged`), subtracting `d_r` and applying
 //!   the operand's pushed selection per posting. At the last operand
 //!   position the probe is additionally fused with the residual selection
-//!   and final projection, emitting straight into the row accumulator.
+//!   and final projection, emitting straight into the signed output,
+//!   with or without a metrics recorder installed.
 //!   Falls back to the materialized build when no index covers the key or
 //!   `use_indexes` is off — with identical deltas, rows and joins either
 //!   way. Only the probe counters differ, and `operand_tuples` when a
@@ -103,12 +104,11 @@ pub struct DiffOptions {
     pub push_selections: bool,
     /// Join change sets first in a connectivity-preserving greedy order.
     pub reorder_operands: bool,
-    /// Maximum worker threads for views of one stratum, relevance
-    /// filtering, truth-table rows and partitioned joins; each fan-out
-    /// uses fewer when its work is small ([`Pool::for_work`]). `1` forces
-    /// the sequential path (the deterministic oracle the tests compare
-    /// against); `0` means one worker per available core. The resulting
-    /// delta is identical at every width.
+    /// Maximum worker threads for relevance filtering and pivot groups;
+    /// each fan-out uses fewer when its work is small ([`Pool::for_work`]).
+    /// `1` forces the sequential path (the deterministic oracle the tests
+    /// compare against); `0` means one worker per available core. The
+    /// resulting delta is identical at every width.
     pub threads: usize,
     /// Probe maintained [`JoinIndex`]es for `B = 0` operands instead of
     /// materializing and hash-building them, where one covers the join
@@ -710,10 +710,10 @@ fn probe_join_tagged(
 /// Fused last-operand probe: probe, residual selection, final projection
 /// and tag-to-sign conversion in one pass, emitting straight into the
 /// final signed delta without materializing the joined relation *or* the
-/// tagged accumulator entry. Only used when metrics are disabled — the
-/// fused path cannot observe the per-row output histogram or the tag
-/// tallies. Semantically identical to [`probe_join_tagged`] →
-/// [`emit_tagged_leaf`] → `into_delta`.
+/// tagged accumulator entry. Semantically identical to
+/// [`probe_join_tagged`] → [`emit_tagged_leaf`] → `into_delta`. With
+/// metrics on, the leaf's distinct `(tuple, tag)` entries are collected
+/// on the side so it reports what [`emit_tagged_leaf`] would.
 fn probe_emit_tagged(
     ctx: &RowCtx<'_>,
     left: &TaggedRelation,
@@ -731,6 +731,10 @@ fn probe_emit_tagged(
                 .collect::<ivm_relational::error::Result<_>>()?,
         ),
     };
+    let mut leaf = ctx
+        .obs
+        .enabled()
+        .then(|| TaggedRelation::empty(fused.schema().clone()));
     probe_each(left, ix, stats, |tuple, tag, count| {
         if !trivial && !ctx.residual.eval(&ix.schema, &tuple)? {
             return Ok(());
@@ -739,12 +743,19 @@ fn probe_emit_tagged(
             None => tuple,
             Some(ps) => tuple.project_positions(ps),
         };
+        if let Some(leaf) = &mut leaf {
+            leaf.add(tuple.clone(), tag, 1);
+        }
         // The prefix holds the row's one-substituted operands (the zero
         // here is last), so its tag is Insert or Delete — Old is the
         // combine identity and contributes nothing regardless.
         fused.add(tuple, tag.delta_count(count)?);
         Ok(())
-    })
+    })?;
+    if let Some(leaf) = &leaf {
+        observe_leaf(ctx.obs, leaf);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -844,9 +855,8 @@ impl GroupOut {
 /// Evaluate every group and fold the results into the view transaction.
 /// Groups are the unit of parallelism: when their operand tuples clear
 /// the pool's grain rule ([`Pool::for_work`]) they fan out over the pool
-/// in contiguous chunks, each running the same sequential code as width
-/// 1; width beyond one worker per group goes into the hash-partitioned
-/// joins. Accumulators are keyed tagged maps and merging is additive, so
+/// in contiguous chunks, each running the same sequential code as one
+/// thread. Accumulators are keyed tagged maps and merging is additive, so
 /// the delta and every work counter are identical at every width.
 fn evaluate(
     residual: &Condition,
@@ -861,13 +871,12 @@ fn evaluate(
         .map(|g| g.work(operands))
         .fold(0, usize::saturating_add);
     let pool = Pool::for_work(opts.threads, work);
-    let join_threads = (pool.threads() / groups.len()).max(1);
     let chunks = pool.map_chunks_observed(
         groups.len(),
         |range| -> Result<GroupOut> {
             let mut out = GroupOut::empty(out_schema);
             for group in &groups[range] {
-                let run = GroupRun::new(residual, obs, operands, group, join_threads);
+                let run = GroupRun::new(residual, obs, operands, group);
                 if opts.share_prefixes {
                     run.dfs(0, None, false, &mut out)?;
                 } else {
@@ -892,15 +901,6 @@ fn evaluate(
         mut stats,
     } = total.unwrap_or_else(|| GroupOut::empty(out_schema));
 
-    if obs.enabled() {
-        // Tag-algebra outcome of the whole run: how many distinct row
-        // output entries carried each tag. `old` entries are context that
-        // cancels out of the delta below — pure carrying cost.
-        let (tag_ins, tag_del, tag_old) = acc.tag_counts();
-        obs.add(names::DIFF_TAG_INSERTS, tag_ins);
-        obs.add(names::DIFF_TAG_DELETES, tag_del);
-        obs.add(names::DIFF_TAG_OLDS, tag_old);
-    }
     // Consume the accumulator into the delta (no tuple clones), fold in
     // the fused probe output, and read the output tallies off the signed
     // counts — identical sums to splitting into insert/delete sets,
@@ -936,10 +936,20 @@ fn emit_tagged_leaf(
         Some(attrs) => algebra::project_tagged(&selected, attrs)?,
     };
     if ctx.obs.enabled() {
-        ctx.obs
-            .observe(names::DIFF_ROW_OUTPUT_TUPLES, projected.len() as u64);
+        observe_leaf(ctx.obs, &projected);
     }
     acc.merge(&projected).map_err(crate::error::IvmError::from)
+}
+
+/// Report one row leaf's output: its distinct `(tuple, tag)` entries,
+/// and how many of them carried each tag. `old` entries are context that
+/// cancels out of the delta — pure carrying cost.
+fn observe_leaf(obs: &Obs, leaf: &TaggedRelation) {
+    obs.observe(names::DIFF_ROW_OUTPUT_TUPLES, leaf.len() as u64);
+    let (tag_ins, tag_del, tag_old) = leaf.tag_counts();
+    obs.add(names::DIFF_TAG_INSERTS, tag_ins);
+    obs.add(names::DIFF_TAG_DELETES, tag_del);
+    obs.add(names::DIFF_TAG_OLDS, tag_old);
 }
 
 /// The sequential evaluation of one group.
@@ -949,8 +959,6 @@ struct GroupRun<'r, 'a> {
     group: &'r Group<'a>,
     /// `updated_after[j]`: some slot at `j` or later offers `B = 1`.
     updated_after: Vec<bool>,
-    /// Width of the hash-partitioned joins.
-    join_threads: usize,
 }
 
 impl<'r, 'a> GroupRun<'r, 'a> {
@@ -959,7 +967,6 @@ impl<'r, 'a> GroupRun<'r, 'a> {
         obs: &'r Obs,
         operands: &'r Operands,
         group: &'r Group<'a>,
-        join_threads: usize,
     ) -> Self {
         let p = group.slots.len();
         let mut updated_after = vec![false; p + 1];
@@ -975,7 +982,6 @@ impl<'r, 'a> GroupRun<'r, 'a> {
             operands,
             group,
             updated_after,
-            join_threads,
         }
     }
 
@@ -1001,12 +1007,7 @@ impl<'r, 'a> GroupRun<'r, 'a> {
         stats: &mut DiffStats,
     ) -> Result<TaggedRelation> {
         match pick {
-            TaggedPick::Rel(r) => Ok(algebra::natural_join_tagged_with(
-                prev,
-                r,
-                self.join_threads,
-                self.ctx.obs,
-            )?),
+            TaggedPick::Rel(r) => Ok(algebra::natural_join_tagged(prev, r)?),
             TaggedPick::Idx(ix) => probe_join_tagged(prev, ix, stats),
         }
     }
@@ -1041,9 +1042,9 @@ impl<'r, 'a> GroupRun<'r, 'a> {
     }
 
     /// Extend `prefix` by the operand picked for slot `j` and recurse. At
-    /// the last slot (and with metrics off) an index probe is fused with
-    /// the residual selection and final projection, emitting straight
-    /// into the signed output — the row result is never materialized.
+    /// the last slot an index probe is fused with the residual selection
+    /// and final projection, emitting straight into the signed output —
+    /// the row result is never materialized.
     fn descend(
         &self,
         j: usize,
@@ -1067,7 +1068,7 @@ impl<'r, 'a> GroupRun<'r, 'a> {
         }
         out.stats.joins_performed += 1;
         if let TaggedPick::Idx(ix) = pick {
-            if j + 1 == self.group.slots.len() && !self.ctx.obs.enabled() {
+            if j + 1 == self.group.slots.len() {
                 // Last slot: a zero choice here is only descended when a
                 // one was already chosen.
                 debug_assert!(any_one);
@@ -1629,7 +1630,7 @@ mod tests {
     /// is an insert of `u64::MAX` view tuples, which no signed delta can
     /// hold. Both `B = 0` paths — the index probe and the materialized
     /// fallback — must reject it instead of wrapping the count to `-1`,
-    /// with and without metrics (which disable the fused probe) and at
+    /// with and without metrics (the fused probe runs either way) and at
     /// every thread count.
     #[test]
     fn counts_beyond_i64_are_rejected() {

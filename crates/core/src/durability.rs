@@ -362,7 +362,7 @@ impl ViewManager {
     /// std::fs::remove_dir_all(&dir).ok();
     /// ```
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let obs = self.obs.clone();
+        let obs = self.options.recorder.clone();
         let _ckpt_span = obs.span(names::SPAN_CHECKPOINT);
         let Some(state) = self.durability.as_mut() else {
             return Err(StorageError::NoDurableState(
@@ -478,7 +478,7 @@ impl ViewManager {
 
     /// Append one DDL record and sync (the commit point for DDL).
     pub(crate) fn log_record(&mut self, record: WalRecord) -> Result<()> {
-        let obs = self.obs.clone();
+        let obs = self.options.recorder.clone();
         if let Some(state) = self.durability.as_mut() {
             let before = state.wal.stats();
             state.wal.append(&record)?;
@@ -490,7 +490,7 @@ impl ViewManager {
 
     /// Append a transaction record and sync (the commit point for data).
     pub(crate) fn log_txn(&mut self, txn: &Transaction) -> Result<()> {
-        let obs = self.obs.clone();
+        let obs = self.options.recorder.clone();
         if let Some(state) = self.durability.as_mut() {
             let before = state.wal.stats();
             state.wal.append_txn(txn)?;

@@ -146,8 +146,8 @@ pub type ChangeListener = Arc<dyn Fn(&str, &DeltaRelation) + Send + Sync>;
 
 /// Manager-wide configuration in one bundle: the differential-engine
 /// options plus the knobs that live on the manager itself. `diff.threads`
-/// governs every maintenance hot path (truth-table rows, relevance
-/// checks, partitioned joins): `0` means one worker per available core
+/// bounds the two maintenance fan-outs (relevance checks and the pivot
+/// groups of truth-table rows): `0` means one worker per available core
 /// (the default), `1` forces the fully sequential paths — the
 /// deterministic oracle the thread-invariance tests compare against.
 /// Results are identical at every width; only wall-clock changes.
@@ -297,12 +297,10 @@ pub struct ViewManager {
     pub(crate) strata: Vec<Vec<String>>,
     /// Reverse dependency edges: node name → views consuming its delta.
     pub(crate) dependents: BTreeMap<String, Vec<String>>,
-    pub(crate) options: DiffOptions,
-    pub(crate) strategy: MaintenanceStrategy,
-    pub(crate) filtering_enabled: bool,
-    /// Metrics/tracing handle; the disabled handle (default) makes every
-    /// emission site a single `Option` check.
-    pub(crate) obs: Obs,
+    /// Engine options, strategy, filtering switch and metrics handle; the
+    /// disabled handle (default) makes every emission site a single
+    /// `Option` check.
+    pub(crate) options: ManagerOptions,
     /// Durable-state machinery (`None` for the default, purely in-memory
     /// manager). Installed by [`ViewManager::open`].
     pub(crate) durability: Option<Box<crate::durability::DurabilityState>>,
@@ -349,13 +347,7 @@ impl ViewManager {
             tree_views: BTreeMap::new(),
             strata: Vec::new(),
             dependents: BTreeMap::new(),
-            options: DiffOptions {
-                threads: 0,
-                ..DiffOptions::default()
-            },
-            strategy: MaintenanceStrategy::default(),
-            filtering_enabled: true,
-            obs: Obs::disabled(),
+            options: ManagerOptions::default(),
             durability: None,
             failpoints: None,
             snapshots: crate::snapshot::SnapshotHub::new(),
@@ -364,30 +356,27 @@ impl ViewManager {
 
     /// Override the differential-engine options.
     pub fn with_options(mut self, options: DiffOptions) -> Self {
-        self.options = options;
+        self.options.diff = options;
         self
     }
 
     /// Apply a full [`ManagerOptions`] bundle.
     pub fn with_manager_options(mut self, opts: ManagerOptions) -> Self {
-        self.options = opts.diff;
-        self.strategy = opts.strategy;
-        self.filtering_enabled = opts.filtering;
-        self.obs = opts.recorder;
+        self.options = opts;
         self
     }
 
     /// Install a metrics/tracing recorder (see `docs/OBSERVABILITY.md`
     /// for the emitted metric catalog).
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.obs = Obs::new(recorder);
+        self.options.recorder = Obs::new(recorder);
         self
     }
 
     /// The manager's metrics handle (disabled unless a recorder was
     /// installed).
     pub fn observability(&self) -> &Obs {
-        &self.obs
+        &self.options.recorder
     }
 
     /// The snapshot-publication hub for concurrent readers (see
@@ -446,20 +435,20 @@ impl ViewManager {
     /// Override only the maintenance worker thread count (`0` = available
     /// cores, `1` = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
+        self.options.diff.threads = threads;
         self
     }
 
     /// Override the maintenance strategy for immediate views.
     pub fn with_strategy(mut self, strategy: MaintenanceStrategy) -> Self {
-        self.strategy = strategy;
+        self.options.strategy = strategy;
         self
     }
 
     /// Disable the §4 relevance filter (ablation: differential maintenance
     /// runs on every update).
     pub fn with_filtering(mut self, enabled: bool) -> Self {
-        self.filtering_enabled = enabled;
+        self.options.filtering = enabled;
         self
     }
 
@@ -627,7 +616,7 @@ impl ViewManager {
             .unwrap_or_else(|| plan.effective.clone());
         let built = self.derive_indexes_for(&indexed_expr)?;
         if built > 0 {
-            self.obs.add(names::INDEX_BUILDS, built as u64);
+            self.options.recorder.add(names::INDEX_BUILDS, built as u64);
         }
         if self.durability.is_some() {
             // The *user* expression is logged; replay re-derives the
@@ -1078,7 +1067,7 @@ impl ViewManager {
     /// assert!(report.rows_evaluated >= 1);
     /// ```
     pub fn execute(&mut self, txn: &Transaction) -> Result<MaintenanceReport> {
-        let obs = self.obs.clone();
+        let obs = self.options.recorder.clone();
         let _execute_span = obs.span(names::SPAN_EXECUTE);
         obs.add(names::MANAGER_TRANSACTIONS, 1);
         let mut report = MaintenanceReport::default();
@@ -1110,14 +1099,9 @@ impl ViewManager {
         let mut emitted: HashMap<String, DeltaRelation> = HashMap::new();
         let mut nodes_maintained: u64 = 0;
         for stratum in &self.strata {
-            let mut work = 0;
             let touched: Vec<&String> = stratum
                 .iter()
-                .filter(|n| {
-                    let w = Self::node_work(&self.views[n.as_str()], txn, &emitted);
-                    work += w;
-                    w > 0
-                })
+                .filter(|n| Self::node_work(&self.views[n.as_str()], txn, &emitted) > 0)
                 .collect();
             if touched.is_empty() {
                 continue;
@@ -1126,44 +1110,11 @@ impl ViewManager {
                 obs.observe(names::DAG_STRATUM_WIDTH, touched.len() as u64);
             }
             // Nodes within one stratum are independent (their operands
-            // live strictly below): fan them out when the changes they
-            // consume clear the pool's grain. Spans are per-thread, so
-            // only a stratum that runs whole on this thread emits the
-            // per-node filter/differentiate spans.
-            let pool = ivm_parallel::Pool::for_work(self.options.threads, work);
-            let chunks = pool.map_chunks_observed(
-                touched.len(),
-                |range| {
-                    let inline = range.len() == touched.len();
-                    touched[range]
-                        .iter()
-                        .map(|name| {
-                            compute_node_outcome(
-                                &self.db,
-                                &self.views,
-                                &self.views[name.as_str()],
-                                txn,
-                                &emitted,
-                                &self.options,
-                                self.strategy,
-                                self.filtering_enabled,
-                                self.dependents.get(*name).is_some_and(|d| !d.is_empty()),
-                                &obs,
-                                inline,
-                            )
-                        })
-                        .collect::<Result<Vec<NodeOutcome>>>()
-                },
-                &obs,
-            );
-            let mut outcomes = Vec::with_capacity(touched.len());
-            for chunk in chunks {
-                outcomes.extend(chunk?);
-            }
-            // Apply outcomes sequentially in stratum order: stats,
-            // metrics and the emitted-delta map stay deterministic at
-            // every thread count.
-            for (name, outcome) in touched.into_iter().zip(outcomes) {
+            // live strictly below), so each node's outcome is computed
+            // against the pre-transaction state and applied in stratum
+            // order before the next node runs.
+            for name in touched {
+                let outcome = self.compute_node_outcome(name, txn, &emitted)?;
                 let mv = self.views.get_mut(name).expect("view exists");
                 mv.stats.transactions_seen += 1;
                 report.views_touched += 1;
@@ -1323,7 +1274,7 @@ impl ViewManager {
         if self.tree_views.contains_key(name) {
             return Ok(()); // tree views are maintained immediately
         }
-        let options = self.options;
+        let options = self.options.diff;
         let mv = self.managed_mut(name)?;
         if mv.pending.is_empty() {
             return Ok(());
@@ -1366,7 +1317,7 @@ impl ViewManager {
                 }
             }
         }
-        let obs = self.obs.clone();
+        let obs = self.options.recorder.clone();
         let result = {
             let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
             crate::differential::differential_delta_parts_observed(
@@ -1524,9 +1475,8 @@ pub(crate) fn derive_view_indexes_resolved(
 }
 
 /// Outcome of computing one DAG node's maintenance for a transaction,
-/// produced against immutable pre-transaction state (so independent
-/// nodes of one stratum can fan out over the parallel pool) and applied
-/// sequentially in deterministic stratum order afterwards.
+/// produced against immutable pre-transaction state and applied in
+/// deterministic stratum order afterwards.
 struct NodeOutcome {
     fstats: FilterStats,
     /// Relevance filters built during this computation, cached onto the
@@ -1549,205 +1499,195 @@ enum NodeAction {
     Deferred(Vec<(String, DeltaRelation)>),
 }
 
-/// Compute what maintaining `mv` for `txn` requires, without mutating
-/// anything. Base operands go through the §4 relevance filter; view
-/// operands consume the delta their node emitted earlier this
-/// transaction (`emitted`). `emit_spans` is false when the stratum fans
-/// out (spans are per-thread and would interleave).
-#[allow(clippy::too_many_arguments)]
-fn compute_node_outcome(
-    db: &Database,
-    views: &BTreeMap<String, ManagedView>,
-    mv: &ManagedView,
-    txn: &Transaction,
-    emitted: &HashMap<String, DeltaRelation>,
-    options: &DiffOptions,
-    strategy: MaintenanceStrategy,
-    filtering_enabled: bool,
-    has_dependents: bool,
-    obs: &Obs,
-    emit_spans: bool,
-) -> Result<NodeOutcome> {
-    let expr = mv.view.definition().expr();
-    let mut fstats = FilterStats::default();
-    let mut new_filters: Vec<(String, RelevanceFilter)> = Vec::new();
-    // Filter each distinct touched *base* operand once; self-joins reuse
-    // the filtered sets at every position.
-    let mut filtered_base: Vec<(String, Relation, Relation)> = Vec::new();
-    {
-        let _filter_span = emit_spans.then(|| obs.span(names::SPAN_FILTER));
-        for op in &expr.relations {
-            if !db.contains_relation(op)
-                || filtered_base.iter().any(|(n, _, _)| n == op)
-                || txn.changes_to(op) == 0
-            {
-                continue;
-            }
-            let rel = db.relation(op)?;
-            let (inserts, deletes) = if !filtering_enabled {
-                (
-                    txn.insert_set(op, rel.schema())?,
-                    txn.delete_set(op, rel.schema())?,
-                )
-            } else {
-                let f = match mv.filters.get(op.as_str()) {
-                    Some(f) => {
-                        obs.add(names::FILTER_GRAPH_CACHE_HITS, 1);
-                        f
+impl ViewManager {
+    /// Compute what maintaining node `name` for `txn` requires, without
+    /// mutating anything. Base operands go through the §4 relevance
+    /// filter; view operands consume the delta their node emitted earlier
+    /// this transaction (`emitted`).
+    fn compute_node_outcome(
+        &self,
+        name: &str,
+        txn: &Transaction,
+        emitted: &HashMap<String, DeltaRelation>,
+    ) -> Result<NodeOutcome> {
+        let (db, obs, options) = (&self.db, &self.options.recorder, &self.options.diff);
+        let mv = &self.views[name];
+        let expr = mv.view.definition().expr();
+        let mut fstats = FilterStats::default();
+        let mut new_filters: Vec<(String, RelevanceFilter)> = Vec::new();
+        // Filter each distinct touched *base* operand once.
+        let mut filtered_base: Vec<(&str, OperandUpdate)> = Vec::new();
+        {
+            let _filter_span = obs.span(names::SPAN_FILTER);
+            for op in &expr.relations {
+                if !db.contains_relation(op)
+                    || filtered_base.iter().any(|(n, _)| n == op)
+                    || txn.changes_to(op) == 0
+                {
+                    continue;
+                }
+                let rel = db.relation(op)?;
+                let (inserts, deletes) = if !self.options.filtering {
+                    (
+                        txn.insert_set(op, rel.schema())?,
+                        txn.delete_set(op, rel.schema())?,
+                    )
+                } else {
+                    let f = match mv.filters.get(op.as_str()) {
+                        Some(f) => {
+                            obs.add(names::FILTER_GRAPH_CACHE_HITS, 1);
+                            f
+                        }
+                        None => {
+                            let built = RelevanceFilter::new_observed(expr, db, op, obs)?;
+                            new_filters.push((op.clone(), built));
+                            &new_filters.last().expect("just pushed").1
+                        }
+                    };
+                    let (kept_ins, ins_stats) =
+                        f.filter_with(txn.inserted(op), options.threads, obs)?;
+                    let (kept_del, del_stats) =
+                        f.filter_with(txn.deleted(op), options.threads, obs)?;
+                    fstats += ins_stats;
+                    fstats += del_stats;
+                    let mut ins = Relation::empty(rel.schema().clone());
+                    for t in kept_ins {
+                        ins.insert(t, 1)?;
                     }
-                    None => {
-                        let built = RelevanceFilter::new_observed(expr, db, op, obs)?;
-                        new_filters.push((op.clone(), built));
-                        &new_filters.last().expect("just pushed").1
+                    let mut del = Relation::empty(rel.schema().clone());
+                    for t in kept_del {
+                        del.insert(t, 1)?;
                     }
+                    (ins, del)
                 };
-                let (kept_ins, ins_stats) =
-                    f.filter_with(txn.inserted(op), options.threads, obs)?;
-                let (kept_del, del_stats) = f.filter_with(txn.deleted(op), options.threads, obs)?;
-                fstats += ins_stats;
-                fstats += del_stats;
-                let mut ins = Relation::empty(rel.schema().clone());
-                for t in kept_ins {
-                    ins.insert(t, 1)?;
-                }
-                let mut del = Relation::empty(rel.schema().clone());
-                for t in kept_del {
-                    del.insert(t, 1)?;
-                }
-                (ins, del)
-            };
-            filtered_base.push((op.clone(), inserts, deletes));
-        }
-    }
-    if obs.enabled() {
-        obs.add(names::FILTER_TUPLES_CHECKED, fstats.checked as u64);
-        obs.add(names::FILTER_TUPLES_ADMITTED, fstats.relevant as u64);
-        obs.add(names::FILTER_TUPLES_FILTERED, fstats.irrelevant as u64);
-    }
-    // Per-position old state and net update, all pre-apply.
-    let mut old: Vec<&Relation> = Vec::with_capacity(expr.arity());
-    let mut updates: Vec<Option<OperandUpdate>> = Vec::with_capacity(expr.arity());
-    let mut shared_hits = 0usize;
-    let mut counted_shared: Vec<&str> = Vec::new();
-    for op in &expr.relations {
-        if db.contains_relation(op) {
-            old.push(db.relation(op)?);
-            match filtered_base.iter().find(|(n, _, _)| n == op) {
-                Some((_, ins, del)) if !(ins.is_empty() && del.is_empty()) => {
-                    updates.push(Some(OperandUpdate {
-                        inserts: ins.clone(),
-                        deletes: del.clone(),
-                    }));
-                }
-                _ => updates.push(None),
+                filtered_base.push((op, OperandUpdate { inserts, deletes }));
             }
-        } else {
-            let up = views
-                .get(op.as_str())
-                .ok_or_else(|| IvmError::UnknownView(op.clone()))?;
-            old.push(up.view.contents());
-            match emitted.get(op.as_str()).filter(|d| !d.is_empty()) {
-                Some(d) => {
-                    if up.kind == ViewKind::Shared && !counted_shared.contains(&op.as_str()) {
-                        counted_shared.push(op.as_str());
-                        shared_hits += 1;
+        }
+        if obs.enabled() {
+            obs.add(names::FILTER_TUPLES_CHECKED, fstats.checked as u64);
+            obs.add(names::FILTER_TUPLES_ADMITTED, fstats.relevant as u64);
+            obs.add(names::FILTER_TUPLES_FILTERED, fstats.irrelevant as u64);
+        }
+        // Per-position old state and net update, all pre-apply. The
+        // filtered sets move into their operand's first position; only a
+        // self-join's later positions copy them.
+        let mut old: Vec<&Relation> = Vec::with_capacity(expr.arity());
+        let mut updates: Vec<Option<OperandUpdate>> = Vec::with_capacity(expr.arity());
+        let mut shared_hits = 0usize;
+        let mut counted_shared: Vec<&str> = Vec::new();
+        for op in &expr.relations {
+            if db.contains_relation(op) {
+                old.push(db.relation(op)?);
+                let first = expr.relations.iter().position(|o| o == op);
+                let update = match first.and_then(|i| updates.get(i)) {
+                    Some(earlier) => earlier.clone(),
+                    None => filtered_base
+                        .iter()
+                        .position(|(n, _)| n == op)
+                        .map(|i| filtered_base.swap_remove(i).1)
+                        .filter(|u| !u.is_empty()),
+                };
+                updates.push(update);
+            } else {
+                let up = self
+                    .views
+                    .get(op.as_str())
+                    .ok_or_else(|| IvmError::UnknownView(op.clone()))?;
+                old.push(up.view.contents());
+                match emitted.get(op.as_str()).filter(|d| !d.is_empty()) {
+                    Some(d) => {
+                        if up.kind == ViewKind::Shared && !counted_shared.contains(&op.as_str()) {
+                            counted_shared.push(op.as_str());
+                            shared_hits += 1;
+                        }
+                        updates.push(Some(operand_update_from_delta(d)?));
                     }
-                    updates.push(Some(operand_update_from_delta(d)?));
+                    None => updates.push(None),
                 }
-                None => updates.push(None),
             }
         }
-    }
-    if !updates.iter().any(Option::is_some) {
-        return Ok(NodeOutcome {
+        if !updates.iter().any(Option::is_some) {
+            return Ok(NodeOutcome {
+                fstats,
+                new_filters,
+                shared_hits: 0,
+                action: NodeAction::Skipped,
+            });
+        }
+        let action = match mv.policy {
+            RefreshPolicy::Deferred | RefreshPolicy::OnDemand => {
+                // Queue per-operand deltas for a later refresh: filtered
+                // base update sets plus upstream view deltas, one entry
+                // per distinct operand.
+                let mut adds: Vec<(String, DeltaRelation)> = Vec::new();
+                for (op, update) in expr.relations.iter().zip(&updates) {
+                    let Some(u) = update else { continue };
+                    if adds.iter().any(|(n, _)| n == op) {
+                        continue;
+                    }
+                    let mut d = u.inserts.to_delta();
+                    for (t, c) in u.deletes.iter() {
+                        d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
+                    }
+                    adds.push((op.clone(), d));
+                }
+                NodeAction::Deferred(adds)
+            }
+            RefreshPolicy::Immediate if self.prefers_full(name, expr, &old, &updates)? => {
+                NodeAction::FullRecompute
+            }
+            RefreshPolicy::Immediate => {
+                let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
+                NodeAction::Maintained(differential_delta_parts_observed(
+                    expr, &old, &updates, options, obs,
+                )?)
+            }
+        };
+        Ok(NodeOutcome {
             fstats,
             new_filters,
-            shared_hits: 0,
-            action: NodeAction::Skipped,
-        });
+            shared_hits,
+            action,
+        })
     }
-    match mv.policy {
-        RefreshPolicy::Deferred | RefreshPolicy::OnDemand => {
-            // Queue per-operand deltas for a later refresh: filtered base
-            // update sets plus upstream view deltas, one entry per
-            // distinct operand.
-            let mut adds: Vec<(String, DeltaRelation)> = Vec::new();
-            for (op, ins, del) in &filtered_base {
-                if ins.is_empty() && del.is_empty() {
-                    continue;
-                }
-                let mut d = ins.to_delta();
-                for (t, c) in del.iter() {
-                    d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
-                }
-                adds.push((op.clone(), d));
-            }
-            for op in &expr.relations {
-                if db.contains_relation(op) || adds.iter().any(|(n, _)| n == op) {
-                    continue;
-                }
-                if let Some(d) = emitted.get(op.as_str()).filter(|d| !d.is_empty()) {
-                    adds.push((op.clone(), d.clone()));
-                }
-            }
-            Ok(NodeOutcome {
-                fstats,
-                new_filters,
-                shared_hits,
-                action: NodeAction::Deferred(adds),
-            })
+
+    /// Whether the strategy maintains immediate node `name` by full
+    /// re-evaluation. A node with dependents never is: they consume its
+    /// delta within the same transaction, so differential is mandatory.
+    fn prefers_full(
+        &self,
+        name: &str,
+        expr: &SpjExpr,
+        old: &[&Relation],
+        updates: &[Option<OperandUpdate>],
+    ) -> Result<bool> {
+        if self.dependents.get(name).is_some_and(|d| !d.is_empty()) {
+            return Ok(false);
         }
-        RefreshPolicy::Immediate => {
-            let use_full = if has_dependents {
-                // Dependents consume this node's delta within the same
-                // transaction: differential is mandatory regardless of
-                // strategy.
-                false
-            } else {
-                match strategy {
-                    MaintenanceStrategy::AlwaysDifferential => false,
-                    MaintenanceStrategy::AlwaysFull => true,
-                    MaintenanceStrategy::CostBased => {
-                        // §6 sizes: view operands price in their upstream
-                        // cardinality and delta.
-                        let mut sizes = Vec::new();
-                        for ((op, update), oldr) in expr.relations.iter().zip(&updates).zip(&old) {
-                            let changed = update.as_ref().map_or(0, OperandUpdate::len) as u64;
-                            let (old_len, indexed) = if db.contains_relation(op) {
-                                let r = db.relation(op)?;
-                                (r.len() as u64, r.index_count() > 0)
-                            } else {
-                                (oldr.len() as u64, false)
-                            };
-                            sizes.push(crate::cost::OperandSize {
-                                old: old_len,
-                                changed,
-                                indexed,
-                            });
-                        }
-                        !crate::cost::prefer_differential(&sizes)
-                    }
+        Ok(match self.options.strategy {
+            MaintenanceStrategy::AlwaysDifferential => false,
+            MaintenanceStrategy::AlwaysFull => true,
+            MaintenanceStrategy::CostBased => {
+                // §6 sizes: view operands price in their upstream
+                // cardinality and delta.
+                let mut sizes = Vec::new();
+                for ((op, update), oldr) in expr.relations.iter().zip(updates).zip(old) {
+                    let changed = update.as_ref().map_or(0, OperandUpdate::len) as u64;
+                    let (old_len, indexed) = if self.db.contains_relation(op) {
+                        let r = self.db.relation(op)?;
+                        (r.len() as u64, r.index_count() > 0)
+                    } else {
+                        (oldr.len() as u64, false)
+                    };
+                    sizes.push(crate::cost::OperandSize {
+                        old: old_len,
+                        changed,
+                        indexed,
+                    });
                 }
-            };
-            if use_full {
-                return Ok(NodeOutcome {
-                    fstats,
-                    new_filters,
-                    shared_hits,
-                    action: NodeAction::FullRecompute,
-                });
+                !crate::cost::prefer_differential(&sizes)
             }
-            let result = {
-                let _diff_span = emit_spans.then(|| obs.span(names::SPAN_DIFFERENTIATE));
-                differential_delta_parts_observed(expr, &old, &updates, options, obs)?
-            };
-            Ok(NodeOutcome {
-                fstats,
-                new_filters,
-                shared_hits,
-                action: NodeAction::Maintained(result),
-            })
-        }
+        })
     }
 }
 
@@ -2305,9 +2245,9 @@ mod tests {
             filtering: false,
             ..ManagerOptions::default().with_threads(2)
         });
-        assert_eq!(m.strategy, MaintenanceStrategy::AlwaysFull);
-        assert!(!m.filtering_enabled);
-        assert_eq!(m.options.threads, 2);
+        assert_eq!(m.options.strategy, MaintenanceStrategy::AlwaysFull);
+        assert!(!m.options.filtering);
+        assert_eq!(m.options.diff.threads, 2);
     }
 
     #[test]

@@ -9,19 +9,8 @@
 //!
 //! Counter products use `checked_mul` throughout and surface
 //! [`RelError::CounterOverflow`] instead of wrapping in release builds.
-//!
-//! The plain and tagged flavours also have a `*_with(l, r, threads, obs)`
-//! form that, when the combined operands clear the pool's grain rule
-//! ([`Pool::for_work`]), hash-partitions both operands by their join key
-//! and joins the partitions on a scoped worker pool. Tuples with equal
-//! keys land in the same partition, partitions are therefore key-disjoint,
-//! and the output relations are keyed maps — so the merged result is
-//! identical to the sequential join for every thread count.
 
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
-
-use ivm_parallel::{Obs, Pool};
 
 use crate::attribute::AttrName;
 use crate::delta::DeltaRelation;
@@ -134,88 +123,16 @@ where
     Ok(())
 }
 
-/// Scatter tuples into `parts` buckets by the hash of their join key, so
-/// equal keys always share a bucket. With an empty key (cross product)
-/// every tuple lands in one bucket and the join stays sequential — which
-/// is correct, since a cross product cannot be key-partitioned.
-fn partition_by_key<'a, P: Copy>(
-    items: &[(&'a Tuple, P)],
-    key: &[usize],
-    parts: usize,
-) -> Vec<Vec<(&'a Tuple, P)>> {
-    let mut out: Vec<Vec<(&'a Tuple, P)>> = (0..parts).map(|_| Vec::new()).collect();
-    for &(t, p) in items {
-        let mut h = DefaultHasher::new();
-        key_of(t, key).hash(&mut h);
-        out[(h.finish() % parts as u64) as usize].push((t, p));
-    }
-    out
-}
-
-/// Shared skeleton of the two partitioned joins: size the fan-out by the
-/// combined operand tuples (the pool's grain rule), fan the key-disjoint
-/// partitions out on the pool, and hand each pair of partitions to
-/// `join_part` (which returns its locally accumulated output rows for
-/// in-order merging). Cross products (empty join key) stay sequential.
-fn partitioned<'a, P, R, F>(
-    lts: Vec<(&'a Tuple, P)>,
-    rts: Vec<(&'a Tuple, P)>,
-    l_key: &[usize],
-    r_key: &[usize],
-    threads: usize,
-    obs: &Obs,
-    join_part: F,
-) -> Result<Vec<Vec<R>>>
-where
-    P: Copy + Send + Sync,
-    R: Send,
-    F: Fn(&[(&'a Tuple, P)], &[(&'a Tuple, P)]) -> Result<Vec<R>> + Sync,
-{
-    let pool = Pool::for_work(threads, lts.len() + rts.len());
-    if pool.is_sequential() || l_key.is_empty() {
-        return Ok(vec![join_part(&lts, &rts)?]);
-    }
-    let parts = pool.threads();
-    let l_parts = partition_by_key(&lts, l_key, parts);
-    let r_parts = partition_by_key(&rts, r_key, parts);
-    let pairs: Vec<_> = l_parts.into_iter().zip(r_parts).collect();
-    pool.try_map_observed(&pairs, |(lp, rp)| join_part(lp, rp), obs)
-}
-
-/// `l ⋈ r` over plain counted relations, fanned out over up to `threads`
-/// workers when the operands clear the pool's grain ([`Pool::for_work`]).
-/// `threads = 1` is the sequential oracle; `0` means one worker per core.
-/// Output is identical at every width; `obs` times the partition chunks.
-pub fn natural_join_with(
-    l: &Relation,
-    r: &Relation,
-    threads: usize,
-    obs: &Obs,
-) -> Result<Relation> {
-    let schema = l.schema().join(r.schema());
+/// `l ⋈ r` over plain counted relations.
+pub fn natural_join(l: &Relation, r: &Relation) -> Result<Relation> {
     let (l_key, r_key, r_rest) = join_key_positions(l.schema(), r.schema())?;
     let lts: Vec<(&Tuple, u64)> = l.iter().collect();
     let rts: Vec<(&Tuple, u64)> = r.iter().collect();
-    let chunks = partitioned(lts, rts, &l_key, &r_key, threads, obs, |lp, rp| {
-        let mut acc: Vec<(Tuple, u64)> = Vec::new();
-        hash_join_slices(lp, rp, &l_key, &r_key, &r_rest, |t, lc, rc| {
-            acc.push((t, mul_counts(lc, rc)?));
-            Ok(())
-        })?;
-        Ok(acc)
+    let mut out = Relation::empty(l.schema().join(r.schema()));
+    hash_join_slices(&lts, &rts, &l_key, &r_key, &r_rest, |t, lc, rc| {
+        out.insert(t, mul_counts(lc, rc)?)
     })?;
-    let mut out = Relation::empty(schema);
-    for chunk in chunks {
-        for (t, c) in chunk {
-            out.insert(t, c)?;
-        }
-    }
     Ok(out)
-}
-
-/// `l ⋈ r` over plain counted relations (sequential form).
-pub fn natural_join(l: &Relation, r: &Relation) -> Result<Relation> {
-    natural_join_with(l, r, 1, &Obs::disabled())
 }
 
 /// `l ⋈ r` over signed deltas (bilinear in the signed counts).
@@ -232,47 +149,26 @@ pub fn natural_join_delta(l: &DeltaRelation, r: &DeltaRelation) -> Result<DeltaR
 }
 
 /// `l ⋈ r` over tagged relations; tags combine via [`Tag::combine`], and
-/// `insert ⋈ delete` pairs are dropped. Fanned out like
-/// [`natural_join_with`].
-pub fn natural_join_tagged_with(
-    l: &TaggedRelation,
-    r: &TaggedRelation,
-    threads: usize,
-    obs: &Obs,
-) -> Result<TaggedRelation> {
-    let schema = l.schema().join(r.schema());
+/// `insert ⋈ delete` pairs are dropped.
+pub fn natural_join_tagged(l: &TaggedRelation, r: &TaggedRelation) -> Result<TaggedRelation> {
     let (l_key, r_key, r_rest) = join_key_positions(l.schema(), r.schema())?;
     let lts: Vec<(&Tuple, (Tag, u64))> = l.iter().map(|(t, tag, c)| (t, (tag, c))).collect();
     let rts: Vec<(&Tuple, (Tag, u64))> = r.iter().map(|(t, tag, c)| (t, (tag, c))).collect();
-    let chunks = partitioned(lts, rts, &l_key, &r_key, threads, obs, |lp, rp| {
-        let mut acc: Vec<(Tuple, Tag, u64)> = Vec::new();
-        hash_join_slices(
-            lp,
-            rp,
-            &l_key,
-            &r_key,
-            &r_rest,
-            |t, (ltag, lc), (rtag, rc)| {
-                if let Some(tag) = ltag.combine(rtag) {
-                    acc.push((t, tag, mul_counts(lc, rc)?));
-                }
-                Ok(())
-            },
-        )?;
-        Ok(acc)
-    })?;
-    let mut out = TaggedRelation::empty(schema);
-    for chunk in chunks {
-        for (t, tag, c) in chunk {
-            out.add(t, tag, c);
-        }
-    }
+    let mut out = TaggedRelation::empty(l.schema().join(r.schema()));
+    hash_join_slices(
+        &lts,
+        &rts,
+        &l_key,
+        &r_key,
+        &r_rest,
+        |t, (ltag, lc), (rtag, rc)| {
+            if let Some(tag) = ltag.combine(rtag) {
+                out.add(t, tag, mul_counts(lc, rc)?);
+            }
+            Ok(())
+        },
+    )?;
     Ok(out)
-}
-
-/// `l ⋈ r` over tagged relations (sequential form).
-pub fn natural_join_tagged(l: &TaggedRelation, r: &TaggedRelation) -> Result<TaggedRelation> {
-    natural_join_tagged_with(l, r, 1, &Obs::disabled())
 }
 
 #[cfg(test)]
@@ -412,86 +308,5 @@ mod tests {
         tr.add(Tuple::from([10, 100]), Tag::Old, 2);
         let err = natural_join_tagged(&tl, &tr).unwrap_err();
         assert!(matches!(err, RelError::CounterOverflow(_)));
-    }
-
-    /// Build a pair of relations big enough to clear the pool's grain
-    /// (4,000 combined tuples: up to three workers), with skewed key
-    /// multiplicity so partitions are uneven.
-    fn big_pair() -> (Relation, Relation) {
-        let mut r = Relation::empty(ab());
-        let mut s = Relation::empty(bc());
-        for i in 0..2000i64 {
-            r.insert(Tuple::from([i, i % 37]), (i % 3 + 1) as u64)
-                .unwrap();
-            s.insert(Tuple::from([i % 37, i]), (i % 2 + 1) as u64)
-                .unwrap();
-        }
-        (r, s)
-    }
-
-    #[test]
-    fn partitioned_join_matches_sequential() {
-        let off = Obs::disabled();
-        let (r, s) = big_pair();
-        let seq = natural_join_with(&r, &s, 1, &off).unwrap();
-        for threads in [2, 3, 8] {
-            assert_eq!(natural_join_with(&r, &s, threads, &off).unwrap(), seq);
-        }
-        let mut tl = TaggedRelation::empty(ab());
-        let mut tr = TaggedRelation::empty(bc());
-        for (i, (t, c)) in r.iter().enumerate() {
-            let tag = [Tag::Old, Tag::Insert, Tag::Delete][i % 3];
-            tl.add(t.clone(), tag, c);
-        }
-        for (i, (t, c)) in s.iter().enumerate() {
-            let tag = [Tag::Insert, Tag::Old][i % 2];
-            tr.add(t.clone(), tag, c);
-        }
-        let seq_t = natural_join_tagged_with(&tl, &tr, 1, &off).unwrap();
-        assert_eq!(natural_join_tagged_with(&tl, &tr, 4, &off).unwrap(), seq_t);
-    }
-
-    /// Partitioned-join fan-outs recorded at `width`, and the result.
-    fn observed_join(r: &Relation, s: &Relation, threads: usize) -> (Relation, u64) {
-        let rec = std::sync::Arc::new(ivm_obs::InMemoryRecorder::new());
-        let out = natural_join_with(r, s, threads, &Obs::new(rec.clone())).unwrap();
-        (out, rec.counter(ivm_obs::names::POOL_CHUNKS))
-    }
-
-    #[test]
-    fn joins_partition_only_above_the_grain() {
-        // Above the grain: the join really fans out, with the result of
-        // width 1.
-        let (r, s) = big_pair();
-        let (seq, seq_chunks) = observed_join(&r, &s, 1);
-        assert_eq!(seq_chunks, 0, "width 1 never dispatches");
-        for threads in [2, 3, 8] {
-            let (par, chunks) = observed_join(&r, &s, threads);
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(chunks, threads.min(3) as u64, "threads={threads}");
-        }
-        // The small unit cases stay sequential at every width.
-        let (small_r, small_s) = (
-            Relation::from_rows(ab(), [[1, 10], [2, 20]]).unwrap(),
-            Relation::from_rows(bc(), [[10, 5]]).unwrap(),
-        );
-        let (small_seq, _) = observed_join(&small_r, &small_s, 1);
-        let (small_par, chunks) = observed_join(&small_r, &small_s, 8);
-        assert_eq!(small_par, small_seq);
-        assert_eq!(chunks, 0, "below the grain nothing is dispatched");
-    }
-
-    #[test]
-    fn partitioned_cross_product_stays_correct() {
-        // Empty join key: cannot be key-partitioned; must still be right.
-        let mut r = Relation::empty(ab());
-        let mut s = Relation::empty(Schema::new(["C", "D"]).unwrap());
-        for i in 0..1200i64 {
-            r.insert(Tuple::from([i, i]), 1).unwrap();
-            s.insert(Tuple::from([i, -i]), 1).unwrap();
-        }
-        let off = Obs::disabled();
-        let seq = natural_join_with(&r, &s, 1, &off).unwrap();
-        assert_eq!(natural_join_with(&r, &s, 4, &off).unwrap(), seq);
     }
 }

@@ -23,10 +23,7 @@ mod project;
 mod select;
 mod setops;
 
-pub use join::{
-    join_key_positions, natural_join, natural_join_delta, natural_join_tagged,
-    natural_join_tagged_with, natural_join_with,
-};
+pub use join::{join_key_positions, natural_join, natural_join_delta, natural_join_tagged};
 pub use product::product;
 pub use project::{project, project_delta, project_tagged};
 pub use select::{select, select_delta, select_tagged};

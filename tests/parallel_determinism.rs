@@ -8,8 +8,9 @@
 //! The proptest inputs are small, so the pool's grain rule keeps them on
 //! the sequential paths at every width. The fixed cases at the end use
 //! inputs that clear the grain, check through `pool.chunks` that the
-//! fan-out really happened, and compare against width 1; one more pins
-//! that a two-tuple transaction dispatches nothing at the default width.
+//! fan-out really happened, and compare against width 1; one checks that
+//! a wide stratum still records each node's spans, and one pins that a
+//! two-tuple transaction dispatches nothing at the default width.
 
 use std::sync::Arc;
 
@@ -289,35 +290,6 @@ fn truth_table_rows_fan_out_above_the_grain() {
     }
 }
 
-#[test]
-fn single_row_spends_the_width_on_partitioned_joins() {
-    // k = 1 leaves one truth-table row: no row fan-out, but its join of
-    // the change set with an unindexed 3,000-tuple operand partitions.
-    let mut rng = StdRng::seed_from_u64(11);
-    let domain = 1000;
-    let db = build_db(&mut rng, 2, 3000, domain);
-    let view = SpjExpr::new(["R0", "R1"], Condition::always_true(), None);
-    let txn = bulk_txn(&db, &["R0"], 1500, domain);
-    let (rec1, obs1) = recorded();
-    let opts = |threads| DiffOptions {
-        threads,
-        ..DiffOptions::default()
-    };
-    let oracle = differential_delta_observed(&view, &db, &txn, &opts(1), &obs1).unwrap();
-    assert_eq!(chunks(&rec1), 0);
-    assert!(!oracle.delta.is_empty());
-    for threads in [2usize, 4] {
-        let (rec, obs) = recorded();
-        let par = differential_delta_observed(&view, &db, &txn, &opts(threads), &obs).unwrap();
-        assert!(
-            chunks(&rec) > 0,
-            "threads={threads}: join did not partition"
-        );
-        assert_eq!(par.delta, oracle.delta, "threads={threads}");
-        assert_eq!(par.stats.rows_evaluated, oracle.stats.rows_evaluated);
-    }
-}
-
 /// A manager over chain relations `R0(A0,A1)`, `R1(A1,A2)` loaded from
 /// `db`, with `views` registered immediate, at `threads` workers.
 fn chain_manager(
@@ -377,10 +349,10 @@ fn chunks_vs_width_one(
 }
 
 #[test]
-fn wide_stratum_fans_out_above_the_grain() {
+fn wide_stratum_records_every_nodes_spans() {
     // Two independent views in one stratum, each consuming 1,500
-    // changes: below the grain each on its own (filter and engine stay
-    // sequential), above it together — the stratum fans out.
+    // changes: the stratum's nodes run one after another on the calling
+    // thread, so each records its own filter and differentiate span.
     let mut rng = StdRng::seed_from_u64(3);
     let domain = 1000;
     let db = build_db(&mut rng, 2, 2000, domain);
@@ -395,13 +367,33 @@ fn wide_stratum_fans_out_above_the_grain() {
         ),
     ];
     let txn = bulk_txn(&db, &["R0", "R1"], 750, domain);
-    for threads in [2usize, 4] {
+    let (mut seq, _) = chain_manager(&db, &views, 1);
+    let (mut par, rec) = chain_manager(&db, &views, 2);
+    let spans = |path: &str| rec.span(path).count;
+    let (filters, diffs) = (spans("execute/filter"), spans("execute/differentiate"));
+    let seq_report = seq.execute(&txn).unwrap();
+    let par_report = par.execute(&txn).unwrap();
+    assert_eq!(par_report, seq_report);
+    assert_eq!(par_report.views_maintained, 2, "both views maintained");
+    for (name, _) in &views {
         assert_eq!(
-            chunks_vs_width_one(&db, &views, &txn, threads),
-            2,
-            "threads={threads}: one chunk per view"
+            par.view_contents(name).unwrap(),
+            seq.view_contents(name).unwrap(),
+            "view {name}"
         );
     }
+    par.verify_consistency().unwrap();
+    assert_eq!(rec.histogram(metric_names::DAG_STRATUM_WIDTH).max, 2);
+    assert_eq!(
+        spans("execute/filter") - filters,
+        2,
+        "one filter span per node"
+    );
+    assert_eq!(
+        spans("execute/differentiate") - diffs,
+        2,
+        "one differentiate span per node"
+    );
 }
 
 #[test]
