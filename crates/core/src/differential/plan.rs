@@ -1,13 +1,13 @@
-//! Row-evaluation planning: join ordering and selection pushdown.
+//! Row-evaluation planning: join ordering.
 //!
 //! §5.3 closes with two open optimizations: "we can further reduce the
 //! cost of materializing the view by using an algorithm to determine a
 //! good order for execution of the joins" (efficient solutions "are being
 //! investigated"), and §5.4 points at Wong–Youssefi-style decomposition
-//! for evaluating each row's SPJ expression. This module supplies
-//! practical versions of both:
+//! for evaluating each row's SPJ expression. The engine uses practical
+//! versions of both:
 //!
-//! * **Operand ordering** ([`order_operands`]): a greedy
+//! * **Operand ordering** ([`order_operands`], this module): a greedy
 //!   smallest-change-first order that starts from the cheapest *updated*
 //!   operand and grows only through operands connected by shared
 //!   attributes (avoiding accidental cross products). Because change sets
@@ -15,68 +15,17 @@
 //!   the dominant effect in differential evaluation.
 //!   [`order_operands_from`] forces the first operand: the engine roots
 //!   each pivot group of truth-table rows at that group's change set.
-//! * **Selection pushdown** ([`push_selections`]): for single-conjunction
+//! * **Selection pushdown**
+//!   ([`ivm_relational::expr::push_selections`]): for single-conjunction
 //!   conditions, every atom whose variables fall within one operand's
 //!   scheme is applied to that operand *before* any join (and removed from
 //!   the residual condition evaluated on the joined rows). Atoms are
 //!   pushed to every operand that can evaluate them — for natural-join
-//!   views a bound on a shared attribute prunes both sides.
+//!   views a bound on a shared attribute prunes both sides. It lives next
+//!   to `SpjExpr` because full evaluation pushes selections the same way.
 
 use ivm_relational::attribute::AttrName;
-use ivm_relational::predicate::{Condition, Conjunction};
 use ivm_relational::schema::Schema;
-
-/// Result of decomposing a condition for pushdown.
-#[derive(Debug, Clone)]
-pub struct Pushdown {
-    /// Per-operand condition to apply before joining
-    /// ([`Condition::always_true`] when nothing pushes).
-    pub per_operand: Vec<Condition>,
-    /// The residual condition evaluated on joined rows.
-    pub residual: Condition,
-}
-
-/// Decompose `condition` over the operand schemes.
-///
-/// Pushdown only applies to single-conjunction conditions; a multi-disjunct
-/// DNF is returned unchanged as the residual (pushing per-disjunct atoms
-/// independently would be unsound).
-pub fn push_selections(condition: &Condition, schemas: &[&Schema]) -> Pushdown {
-    if condition.disjuncts.len() != 1 {
-        return Pushdown {
-            per_operand: vec![Condition::always_true(); schemas.len()],
-            residual: condition.clone(),
-        };
-    }
-    let conj = &condition.disjuncts[0];
-    let mut pushed: Vec<Vec<_>> = vec![Vec::new(); schemas.len()];
-    let mut residual = Vec::new();
-    for atom in &conj.atoms {
-        let mut placed = false;
-        for (i, schema) in schemas.iter().enumerate() {
-            if atom.vars().all(|v| schema.contains(v)) {
-                pushed[i].push(atom.clone());
-                placed = true;
-            }
-        }
-        if !placed {
-            residual.push(atom.clone());
-        }
-    }
-    Pushdown {
-        per_operand: pushed
-            .into_iter()
-            .map(|atoms| {
-                if atoms.is_empty() {
-                    Condition::always_true()
-                } else {
-                    Condition::from(Conjunction::new(atoms))
-                }
-            })
-            .collect(),
-        residual: Condition::from(Conjunction::new(residual)),
-    }
-}
 
 /// Greedy connected operand order for differential row evaluation.
 ///
@@ -149,44 +98,9 @@ pub fn order_operands_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivm_relational::predicate::Atom;
 
     fn s(attrs: &[&str]) -> Schema {
         Schema::new(attrs.iter().copied()).unwrap()
-    }
-
-    #[test]
-    fn pushdown_splits_by_scheme() {
-        let r = s(&["A", "B"]);
-        let t = s(&["B", "C"]);
-        let cond = Condition::conjunction([
-            Atom::lt_const("A", 10), // → R only
-            Atom::gt_const("B", 0),  // → both (shared)
-            Atom::eq_attr("A", "C"), // residual (spans)
-        ]);
-        let p = push_selections(&cond, &[&r, &t]);
-        assert_eq!(p.per_operand[0].disjuncts[0].atoms.len(), 2); // A<10, B>0
-        assert_eq!(p.per_operand[1].disjuncts[0].atoms.len(), 1); // B>0
-        assert_eq!(p.residual.disjuncts[0].atoms.len(), 1); // A=C
-    }
-
-    #[test]
-    fn pushdown_skips_multi_disjunct_dnf() {
-        let r = s(&["A"]);
-        let cond = Condition::dnf([
-            Conjunction::new([Atom::lt_const("A", 0)]),
-            Conjunction::new([Atom::gt_const("A", 10)]),
-        ]);
-        let p = push_selections(&cond, &[&r]);
-        assert_eq!(p.residual, cond);
-        assert_eq!(p.per_operand[0], Condition::always_true());
-    }
-
-    #[test]
-    fn pushdown_of_trivial_condition() {
-        let r = s(&["A"]);
-        let p = push_selections(&Condition::always_true(), &[&r]);
-        assert!(p.residual.disjuncts[0].atoms.is_empty());
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //!   that cannot reach a non-zero row are never extended (§5.3's "re-using
 //!   partial subexpressions appearing in multiple rows");
 //! * **selection pushdown** — single-operand atoms of the condition filter
-//!   operands before any join ([`crate::differential::plan`]);
+//!   operands before any join
+//!   ([`ivm_relational::expr::push_selections`], shared with full
+//!   evaluation);
 //! * **operand reordering: pivot groups** — the rows are split into one
 //!   group per updated operand `u`: the rows whose first `B = 1` operand
 //!   (in definition order) is `u`. In its group, earlier updated operands
@@ -79,9 +81,9 @@ use ivm_relational::attribute::AttrName;
 use ivm_relational::database::Database;
 use ivm_relational::delta::DeltaRelation;
 use ivm_relational::error::RelError;
-use ivm_relational::expr::SpjExpr;
+use ivm_relational::expr::{push_selections, Pushdown, SpjExpr};
 use ivm_relational::index::JoinIndex;
-use ivm_relational::predicate::Condition;
+use ivm_relational::predicate::{BoundCondition, Condition};
 use ivm_relational::relation::Relation;
 use ivm_relational::schema::Schema;
 use ivm_relational::tagged::{Tag, TaggedRelation};
@@ -253,9 +255,9 @@ pub fn differential_delta_parts_observed(
     // --- planning -----------------------------------------------------
     let schemas: Vec<&Schema> = old.iter().map(|r| r.schema()).collect();
     let pushdown = if opts.push_selections {
-        plan::push_selections(&view.condition, &schemas)
+        push_selections(&view.condition, &schemas)
     } else {
-        plan::Pushdown {
+        Pushdown {
             per_operand: vec![Condition::always_true(); p],
             residual: view.condition.clone(),
         }
@@ -578,9 +580,10 @@ struct IndexedZero<'a> {
     /// Net deletes to subtract per posting (§5.3 `r − d_r`); `None` when
     /// the operand has none.
     deletes: Option<&'a Relation>,
-    /// The selection pushed onto the operand and the operand's scheme,
-    /// checked on each surviving posting; `None` when nothing was pushed.
-    filter: Option<(&'a Condition, &'a Schema)>,
+    /// The selection pushed onto the operand, bound to the operand's
+    /// scheme and checked on each surviving posting; `None` when nothing
+    /// was pushed.
+    filter: Option<BoundCondition<'a>>,
     /// Prefix-tuple positions supplying the key values, aligned with
     /// `index.positions()` order.
     probe_positions: Vec<usize>,
@@ -625,7 +628,7 @@ fn indexed_zero<'a>(
             (old.len() as u64).saturating_sub(fully)
         }
     };
-    let filter = (!cond.is_trivially_true()).then(|| (cond, old.schema()));
+    let filter = (!cond.is_trivially_true()).then(|| cond.bind(old.schema()));
     let schema = prefix.join(old.schema());
     Some(IndexedZero {
         index,
@@ -673,8 +676,8 @@ where
                     rc - dc
                 }
             };
-            if let Some((cond, schema)) = ix.filter {
-                if !cond.eval(schema, rt)? {
+            if let Some(filter) = &ix.filter {
+                if !filter.eval(rt)? {
                     continue;
                 }
             }
@@ -721,7 +724,7 @@ fn probe_emit_tagged(
     fused: &mut DeltaRelation,
     stats: &mut DiffStats,
 ) -> Result<()> {
-    let trivial = ctx.residual.is_trivially_true();
+    let residual = (!ctx.residual.is_trivially_true()).then(|| ctx.residual.bind(&ix.schema));
     let proj: Option<Vec<usize>> = match ctx.final_proj {
         None => None,
         Some(attrs) => Some(
@@ -736,8 +739,10 @@ fn probe_emit_tagged(
         .enabled()
         .then(|| TaggedRelation::empty(fused.schema().clone()));
     probe_each(left, ix, stats, |tuple, tag, count| {
-        if !trivial && !ctx.residual.eval(&ix.schema, &tuple)? {
-            return Ok(());
+        if let Some(residual) = &residual {
+            if !residual.eval(&tuple)? {
+                return Ok(());
+            }
         }
         let tuple = match &proj {
             None => tuple,
@@ -787,6 +792,7 @@ fn tagged_zero(
     cond: &Condition,
 ) -> Result<TaggedRelation> {
     let trivial = cond.is_trivially_true();
+    let cond = cond.bind(old.schema());
     let mut out = TaggedRelation::empty(old.schema().clone());
     for (t, c) in old.iter() {
         if let Some(d) = deletes {
@@ -794,12 +800,12 @@ fn tagged_zero(
             if dc >= c {
                 continue; // fully deleted
             }
-            if trivial || cond.eval(old.schema(), t)? {
+            if trivial || cond.eval(t)? {
                 out.add(t.clone(), Tag::Old, c - dc);
             }
             continue;
         }
-        if trivial || cond.eval(old.schema(), t)? {
+        if trivial || cond.eval(t)? {
             out.add(t.clone(), Tag::Old, c);
         }
     }
@@ -810,14 +816,15 @@ fn tagged_zero(
 fn tagged_one(u: &OperandUpdate, cond: &Condition) -> Result<TaggedRelation> {
     let trivial = cond.is_trivially_true();
     let schema = u.inserts.schema().clone();
-    let mut out = TaggedRelation::empty(schema.clone());
+    let cond = cond.bind(&schema);
+    let mut out = TaggedRelation::empty(schema);
     for (t, c) in u.inserts.iter() {
-        if trivial || cond.eval(&schema, t)? {
+        if trivial || cond.eval(t)? {
             out.add(t.clone(), Tag::Insert, c);
         }
     }
     for (t, c) in u.deletes.iter() {
-        if trivial || cond.eval(&schema, t)? {
+        if trivial || cond.eval(t)? {
             out.add(t.clone(), Tag::Delete, c);
         }
     }

@@ -2,11 +2,20 @@
 //!
 //! "A materialized view can always be brought up to date by re-evaluating
 //! the relational expression that defines it. However, complete
-//! re-evaluation is often wasteful" (§1). This module is that strawman,
+//! re-evaluation is often wasteful" (§1). This module is that baseline,
 //! implemented honestly so the benchmarks can locate where the paper's
 //! differential algorithms actually win — §6 poses exactly that question
 //! ("determine under what circumstances differential re-evaluation is more
 //! efficient than complete re-evaluation").
+//!
+//! [`recompute`] is [`SpjExpr::eval`], which filters before it joins: the
+//! condition's single-operand atoms are applied while each operand is
+//! scanned ([`ivm_relational::expr::push_selections`], the same pushdown
+//! the differential engine uses), and only the surviving tuples are
+//! joined. That is still complete re-evaluation — every base tuple is
+//! read — but a fairer one than joining everything and selecting last, so
+//! the benchmarks measure differential maintenance against a baseline a
+//! real system would run.
 
 use ivm_relational::database::Database;
 use ivm_relational::delta::DeltaRelation;

@@ -2,7 +2,9 @@
 //!
 //! Selection filters tuples by a [`Condition`] and is count- and
 //! tag-transparent: a selected tuple keeps its multiplicity counter (§5.2)
-//! and its tag (§5.3's unary-operator table).
+//! and its tag (§5.3's unary-operator table). Each scan binds the
+//! condition to the operand's scheme once ([`Condition::bind`]) and then
+//! evaluates tuples by position.
 
 use crate::delta::DeltaRelation;
 use crate::error::Result;
@@ -12,9 +14,10 @@ use crate::tagged::TaggedRelation;
 
 /// σ_C over a plain counted relation.
 pub fn select(rel: &Relation, cond: &Condition) -> Result<Relation> {
+    let cond = cond.bind(rel.schema());
     let mut out = Relation::empty(rel.schema().clone());
     for (t, c) in rel.iter() {
-        if cond.eval(rel.schema(), t)? {
+        if cond.eval(t)? {
             out.insert(t.clone(), c)?;
         }
     }
@@ -23,9 +26,10 @@ pub fn select(rel: &Relation, cond: &Condition) -> Result<Relation> {
 
 /// σ_C over a signed delta (linear: applies to each signed tuple).
 pub fn select_delta(rel: &DeltaRelation, cond: &Condition) -> Result<DeltaRelation> {
+    let cond = cond.bind(rel.schema());
     let mut out = DeltaRelation::empty(rel.schema().clone());
     for (t, c) in rel.iter() {
-        if cond.eval(rel.schema(), t)? {
+        if cond.eval(t)? {
             out.add(t.clone(), c);
         }
     }
@@ -34,9 +38,10 @@ pub fn select_delta(rel: &DeltaRelation, cond: &Condition) -> Result<DeltaRelati
 
 /// σ_C over a tagged relation (tags pass through unchanged).
 pub fn select_tagged(rel: &TaggedRelation, cond: &Condition) -> Result<TaggedRelation> {
+    let cond = cond.bind(rel.schema());
     let mut out = TaggedRelation::empty(rel.schema().clone());
     for (t, tag, c) in rel.iter() {
-        if cond.eval(rel.schema(), t)? {
+        if cond.eval(t)? {
             out.add(t.clone(), tag.through_unary(), c);
         }
     }

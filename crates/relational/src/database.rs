@@ -125,7 +125,8 @@ impl Database {
     }
 
     /// Apply a transaction atomically: validate everything first, then
-    /// mutate (`τ(r) = r ∪ i_r − d_r` for every touched relation).
+    /// mutate (`τ(r) = r ∪ i_r − d_r` for every touched relation). Each
+    /// relation's table is reserved for its net inserts before they go in.
     pub fn apply(&mut self, txn: &Transaction) -> Result<()> {
         self.validate(txn)?;
         for name in txn.touched() {
@@ -133,6 +134,7 @@ impl Database {
                 .relations
                 .get_mut(name)
                 .expect("validated relation exists");
+            rel.reserve(txn.inserted(name).count());
             for t in txn.inserted(name) {
                 rel.insert(t.clone(), 1)?;
             }

@@ -7,14 +7,20 @@
 //! ⋈ degenerates to × exactly when the schemes are disjoint, so
 //! [`SpjExpr`] covers both).
 //!
+//! [`push_selections`] decomposes a normal-form condition over the
+//! operands: it is the one selection pushdown, used both by full
+//! evaluation ([`SpjExpr::eval_with`] filters each operand before it
+//! joins) and by the differential engine in the `ivm` crate.
+//!
 //! A general expression tree [`Expr`] is also provided for ad-hoc queries
-//! and for the full re-evaluation baseline; [`Expr::normalize`] rewrites a
+//! and as the literal, unoptimized evaluator; [`Expr::normalize`] rewrites a
 //! pure select/project/join tree into an [`SpjExpr`] by pulling selections
 //! up and composing projections (the identities σ and π commute with ⋈
 //! when attribute names are nominal and projections keep the needed
 //! attributes — we only normalize trees where that is legal, and return
 //! `None` otherwise).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -22,7 +28,7 @@ use crate::algebra;
 use crate::attribute::AttrName;
 use crate::database::Database;
 use crate::error::{RelError, Result};
-use crate::predicate::Condition;
+use crate::predicate::{Condition, Conjunction};
 use crate::relation::Relation;
 use crate::schema::Schema;
 
@@ -171,23 +177,103 @@ impl SpjExpr {
         self.eval_with(&inputs)
     }
 
-    /// Evaluate with explicit positional operands (used by the differential
-    /// engines, which substitute change sets for some operands).
+    /// Evaluate with explicit positional operands (base relations or
+    /// upstream views' contents).
+    ///
+    /// Selections are applied before the joins: [`push_selections`]
+    /// decomposes the condition, each operand is filtered by its pushed
+    /// conjunction while it is scanned (an operand with nothing pushed is
+    /// borrowed as is), the filtered operands are joined in definition
+    /// order, and the residual condition and the projection finish the
+    /// result. The result equals the literal `π_X(σ_C(R₁ ⋈ … ⋈ R_p))`,
+    /// with one difference in failures: a pushed atom also sees operand
+    /// tuples that join with nothing, so a non-integer value there raises
+    /// [`RelError::TypeError`] where the literal tree would not look at
+    /// it. An atom naming an attribute of no operand stays in the
+    /// residual and fails only if some joined row reaches it.
     pub fn eval_with(&self, inputs: &[&Relation]) -> Result<Relation> {
         assert_eq!(inputs.len(), self.relations.len(), "operand count mismatch");
-        let mut iter = inputs.iter();
-        let first = *iter
+        let schemas: Vec<&Schema> = inputs.iter().map(|r| r.schema()).collect();
+        let pushdown = push_selections(&self.condition, &schemas);
+        let mut filtered = inputs.iter().zip(&pushdown.per_operand).map(|(rel, cond)| {
+            if cond.is_trivially_true() {
+                Ok(Cow::Borrowed(*rel))
+            } else {
+                algebra::select(rel, cond).map(Cow::Owned)
+            }
+        });
+        let mut acc = filtered
             .next()
-            .ok_or_else(|| RelError::UnknownRelation("<empty SPJ expression>".into()))?;
-        let mut acc = first.clone();
-        for rel in iter {
-            acc = algebra::natural_join(&acc, rel)?;
+            .ok_or_else(|| RelError::UnknownRelation("<empty SPJ expression>".into()))??;
+        for rel in filtered {
+            acc = Cow::Owned(algebra::natural_join(&acc, &*rel?)?);
         }
-        let selected = algebra::select(&acc, &self.condition)?;
+        // A result still borrowing its operand goes through `select`,
+        // which copies the tuples into a fresh relation without the
+        // operand's indexes.
+        let selected = match acc {
+            Cow::Owned(rel) if pushdown.residual.is_trivially_true() => rel,
+            acc => algebra::select(&acc, &pushdown.residual)?,
+        };
         match &self.projection {
             None => Ok(selected),
             Some(attrs) => algebra::project(&selected, attrs),
         }
+    }
+}
+
+/// A condition decomposed for selection pushdown by [`push_selections`].
+#[derive(Debug, Clone)]
+pub struct Pushdown {
+    /// Per-operand condition to apply before joining
+    /// ([`Condition::always_true`] when nothing pushes).
+    pub per_operand: Vec<Condition>,
+    /// The residual condition evaluated on joined rows.
+    pub residual: Condition,
+}
+
+/// Decompose `condition` over the operand schemes.
+///
+/// For a single-conjunction condition, every atom whose variables all fall
+/// within one operand's scheme is pushed onto that operand and removed from
+/// the residual. An atom is pushed to *every* operand that can evaluate it
+/// — for natural-join views a bound on a shared attribute prunes both
+/// sides. A multi-disjunct DNF is returned unchanged as the residual
+/// (pushing per-disjunct atoms independently would be unsound).
+pub fn push_selections(condition: &Condition, schemas: &[&Schema]) -> Pushdown {
+    if condition.disjuncts.len() != 1 {
+        return Pushdown {
+            per_operand: vec![Condition::always_true(); schemas.len()],
+            residual: condition.clone(),
+        };
+    }
+    let conj = &condition.disjuncts[0];
+    let mut pushed: Vec<Vec<_>> = vec![Vec::new(); schemas.len()];
+    let mut residual = Vec::new();
+    for atom in &conj.atoms {
+        let mut placed = false;
+        for (i, schema) in schemas.iter().enumerate() {
+            if atom.vars().all(|v| schema.contains(v)) {
+                pushed[i].push(atom.clone());
+                placed = true;
+            }
+        }
+        if !placed {
+            residual.push(atom.clone());
+        }
+    }
+    Pushdown {
+        per_operand: pushed
+            .into_iter()
+            .map(|atoms| {
+                if atoms.is_empty() {
+                    Condition::always_true()
+                } else {
+                    Condition::from(Conjunction::new(atoms))
+                }
+            })
+            .collect(),
+        residual: Condition::from(Conjunction::new(residual)),
     }
 }
 
@@ -389,6 +475,57 @@ mod tests {
         assert!(v.contains(&Tuple::from([2, 3])));
         assert!(!v.contains(&Tuple::from([11, 6])), "A<10 filtered");
         assert_eq!(v.total_count(), 2);
+    }
+
+    fn s(attrs: &[&str]) -> Schema {
+        Schema::new(attrs.iter().copied()).unwrap()
+    }
+
+    #[test]
+    fn pushdown_splits_by_scheme() {
+        let r = s(&["A", "B"]);
+        let t = s(&["B", "C"]);
+        let cond = Condition::conjunction([
+            Atom::lt_const("A", 10), // → R only
+            Atom::gt_const("B", 0),  // → both (shared)
+            Atom::eq_attr("A", "C"), // residual (spans)
+        ]);
+        let p = push_selections(&cond, &[&r, &t]);
+        assert_eq!(p.per_operand[0].disjuncts[0].atoms.len(), 2); // A<10, B>0
+        assert_eq!(p.per_operand[1].disjuncts[0].atoms.len(), 1); // B>0
+        assert_eq!(p.residual.disjuncts[0].atoms.len(), 1); // A=C
+    }
+
+    #[test]
+    fn pushdown_skips_multi_disjunct_dnf() {
+        let r = s(&["A"]);
+        let cond = Condition::dnf([
+            Conjunction::new([Atom::lt_const("A", 0)]),
+            Conjunction::new([Atom::gt_const("A", 10)]),
+        ]);
+        let p = push_selections(&cond, &[&r]);
+        assert_eq!(p.residual, cond);
+        assert_eq!(p.per_operand[0], Condition::always_true());
+    }
+
+    #[test]
+    fn pushdown_of_trivial_condition() {
+        let r = s(&["A"]);
+        let p = push_selections(&Condition::always_true(), &[&r]);
+        assert!(p.residual.disjuncts[0].atoms.is_empty());
+    }
+
+    #[test]
+    fn eval_with_result_carries_no_operand_index() {
+        // σ_true(R) with no projection is a copy of R's tuples, not of R:
+        // the operand's join index stays behind.
+        let mut d = db();
+        d.ensure_index("R", &["B".into()]).unwrap();
+        let all = SpjExpr::new(["R"], Condition::always_true(), None);
+        let v = all.eval(&d).unwrap();
+        assert_eq!(v, *d.relation("R").unwrap());
+        assert_eq!(d.relation("R").unwrap().index_count(), 1);
+        assert_eq!(v.index_count(), 0);
     }
 
     #[test]

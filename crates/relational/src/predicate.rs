@@ -168,26 +168,6 @@ impl Atom {
         std::iter::once(&self.left).chain(second)
     }
 
-    fn int_of(value: &Value, attr: &AttrName) -> Result<i64> {
-        value.as_int().ok_or_else(|| {
-            RelError::TypeError(format!(
-                "attribute {attr} holds non-integer value {value}; selection conditions \
-                 are defined over integer domains (§3)"
-            ))
-        })
-    }
-
-    /// Evaluate against a tuple under a scheme. Every variable the atom
-    /// mentions must be an integer attribute of the scheme.
-    pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        let l = Self::int_of(tuple.get(schema, &self.left)?, &self.left)?;
-        let r = match &self.rhs {
-            Rhs::Const(c) => *c,
-            Rhs::AttrPlus(a, c) => Self::int_of(tuple.get(schema, a)?, a)?.saturating_add(*c),
-        };
-        Ok(self.op.eval(l, r))
-    }
-
     /// Rename the variables through `f` (used when renaming apart natural
     /// joins).
     pub fn rename(&self, f: &impl Fn(&AttrName) -> AttrName) -> Atom {
@@ -232,16 +212,6 @@ impl Conjunction {
     /// The set of variables mentioned (the paper's `α(C)`).
     pub fn vars(&self) -> BTreeSet<AttrName> {
         self.atoms.iter().flat_map(Atom::vars).cloned().collect()
-    }
-
-    /// Evaluate against a tuple (logical AND; empty ⇒ true).
-    pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        for atom in &self.atoms {
-            if !atom.eval(schema, tuple)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 
     /// Rename all variables through `f`.
@@ -324,14 +294,36 @@ impl Condition {
         self.disjuncts.len() == 1 && self.disjuncts[0].atoms.is_empty()
     }
 
-    /// Evaluate against a tuple (logical OR of disjuncts).
-    pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        for c in &self.disjuncts {
-            if c.eval(schema, tuple)? {
-                return Ok(true);
-            }
+    /// Resolve every variable to its position in `schema` once, so a scan
+    /// evaluates each tuple by position ([`BoundCondition::eval`]).
+    pub fn bind(&self, schema: &Schema) -> BoundCondition<'_> {
+        let disjuncts = self
+            .disjuncts
+            .iter()
+            .map(|conj| {
+                conj.atoms
+                    .iter()
+                    .map(|atom| BoundAtom {
+                        atom,
+                        left: schema.position(&atom.left),
+                        right: match &atom.rhs {
+                            Rhs::Const(_) => None,
+                            Rhs::AttrPlus(a, _) => schema.position(a),
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        BoundCondition {
+            schema: schema.clone(),
+            disjuncts,
         }
-        Ok(false)
+    }
+
+    /// Evaluate against a tuple under a scheme (logical OR of disjuncts):
+    /// [`Condition::bind`], then [`BoundCondition::eval`].
+    pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
+        self.bind(schema).eval(tuple)
     }
 
     /// Rename all variables through `f`.
@@ -397,6 +389,83 @@ impl fmt::Display for Condition {
     }
 }
 
+/// A [`Condition`] bound to one scheme by [`Condition::bind`]: each
+/// variable is resolved to its tuple position once, so evaluating a scan
+/// costs no name lookup per tuple. Evaluation keeps the by-name
+/// semantics: atoms are evaluated left to right, disjuncts short-circuit,
+/// and an attribute the scheme lacks is reported (as
+/// [`RelError::UnknownAttribute`]) only when an atom that mentions it is
+/// evaluated.
+#[derive(Debug, Clone)]
+pub struct BoundCondition<'a> {
+    /// The bound scheme, kept to name it in errors.
+    schema: Schema,
+    disjuncts: Vec<Vec<BoundAtom<'a>>>,
+}
+
+/// An atom with its variables' positions (`None`: not in the scheme).
+#[derive(Debug, Clone)]
+struct BoundAtom<'a> {
+    atom: &'a Atom,
+    left: Option<usize>,
+    /// Position of the right-hand variable of an `x op y + c` atom.
+    right: Option<usize>,
+}
+
+impl BoundCondition<'_> {
+    /// Evaluate against a tuple of the bound scheme. Every variable an
+    /// evaluated atom mentions must be an integer attribute of the scheme.
+    pub fn eval(&self, tuple: &Tuple) -> Result<bool> {
+        'disjuncts: for conj in &self.disjuncts {
+            for bound in conj {
+                if !self.eval_atom(bound, tuple)? {
+                    continue 'disjuncts;
+                }
+            }
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    #[inline]
+    fn eval_atom(&self, bound: &BoundAtom<'_>, tuple: &Tuple) -> Result<bool> {
+        let atom = bound.atom;
+        let l = self.int_at(bound.left, &atom.left, tuple)?;
+        let r = match &atom.rhs {
+            Rhs::Const(c) => *c,
+            Rhs::AttrPlus(a, c) => self.int_at(bound.right, a, tuple)?.saturating_add(*c),
+        };
+        Ok(atom.op.eval(l, r))
+    }
+
+    #[inline]
+    fn int_at(&self, pos: Option<usize>, attr: &AttrName, tuple: &Tuple) -> Result<i64> {
+        match pos.and_then(|p| tuple.values().get(p)) {
+            Some(Value::Int(i)) => Ok(*i),
+            _ => Err(self.int_error(pos, attr, tuple)),
+        }
+    }
+
+    /// Why `attr` has no integer value in `tuple`.
+    #[cold]
+    fn int_error(&self, pos: Option<usize>, attr: &AttrName, tuple: &Tuple) -> RelError {
+        match pos.map(|p| tuple.values().get(p)) {
+            None => RelError::UnknownAttribute {
+                attr: attr.clone(),
+                scheme: self.schema.to_string(),
+            },
+            Some(None) => RelError::ArityMismatch {
+                expected: self.schema.arity(),
+                got: tuple.arity(),
+            },
+            Some(Some(value)) => RelError::TypeError(format!(
+                "attribute {attr} holds non-integer value {value}; selection conditions \
+                 are defined over integer domains (§3)"
+            )),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,18 +508,20 @@ mod tests {
         }
     }
 
+    /// Evaluate one atom by name (bind-then-evaluate).
+    fn holds(atom: Atom, s: &Schema, t: &Tuple) -> Result<bool> {
+        Condition::from(atom).eval(s, t)
+    }
+
     #[test]
     fn atom_eval_const_and_attr() {
         let s = schema();
         let t = Tuple::from([9, 10, 10]);
-        assert!(Atom::lt_const("A", 10).eval(&s, &t).unwrap());
-        assert!(Atom::eq_attr("B", "C").eval(&s, &t).unwrap());
-        assert!(Atom::cmp_attr("C", CompOp::Ge, "A", 1)
-            .eval(&s, &t)
-            .unwrap()); // 10 >= 9+1
-        assert!(!Atom::cmp_attr("C", CompOp::Gt, "A", 1)
-            .eval(&s, &t)
-            .unwrap()); // !(10 > 10)
+        assert!(holds(Atom::lt_const("A", 10), &s, &t).unwrap());
+        assert!(holds(Atom::eq_attr("B", "C"), &s, &t).unwrap());
+        // 10 >= 9+1, but not 10 > 9+1.
+        assert!(holds(Atom::cmp_attr("C", CompOp::Ge, "A", 1), &s, &t).unwrap());
+        assert!(!holds(Atom::cmp_attr("C", CompOp::Gt, "A", 1), &s, &t).unwrap());
     }
 
     #[test]
@@ -458,7 +529,7 @@ mod tests {
         let s = Schema::new(["A"]).unwrap();
         let t = Tuple::new(vec![Value::str("x")]);
         assert!(matches!(
-            Atom::lt_const("A", 10).eval(&s, &t).unwrap_err(),
+            holds(Atom::lt_const("A", 10), &s, &t).unwrap_err(),
             RelError::TypeError(_)
         ));
     }
@@ -466,18 +537,101 @@ mod tests {
     #[test]
     fn atom_eval_unknown_attr() {
         let t = Tuple::from([1, 2, 3]);
-        assert!(Atom::lt_const("Z", 10).eval(&schema(), &t).is_err());
+        assert!(holds(Atom::lt_const("Z", 10), &schema(), &t).is_err());
     }
 
     #[test]
     fn example_41_condition_evaluation() {
         let s = schema();
+        let c = Condition::from(example_41());
         // (9, 10, 10): satisfies all three conjuncts.
-        assert!(example_41().eval(&s, &Tuple::from([9, 10, 10])).unwrap());
+        assert!(c.eval(&s, &Tuple::from([9, 10, 10])).unwrap());
         // (11, 10, 10): fails A < 10.
-        assert!(!example_41().eval(&s, &Tuple::from([11, 10, 10])).unwrap());
+        assert!(!c.eval(&s, &Tuple::from([11, 10, 10])).unwrap());
         // (9, 10, 4): fails C > 5 (and B = C).
-        assert!(!example_41().eval(&s, &Tuple::from([9, 10, 4])).unwrap());
+        assert!(!c.eval(&s, &Tuple::from([9, 10, 4])).unwrap());
+    }
+
+    #[test]
+    fn bound_eval_equals_named_eval() {
+        // Every operator, constant and attribute-plus-offset atoms, one
+        // and several disjuncts, over a small grid of tuples.
+        let s = schema();
+        let ops = [CompOp::Eq, CompOp::Lt, CompOp::Gt, CompOp::Le, CompOp::Ge];
+        let mut conds = vec![Condition::always_true(), Condition::always_false()];
+        for op in ops {
+            conds.push(Atom::cmp_const("B", op, 2).into());
+            conds.push(Atom::cmp_attr("C", op, "A", -1).into());
+            conds.push(Condition::dnf([
+                Conjunction::new([Atom::cmp_const("A", op, 1), Atom::cmp_attr("B", op, "C", 0)]),
+                Conjunction::new([Atom::cmp_attr("A", op.flipped(), "B", 2)]),
+            ]));
+        }
+        for cond in &conds {
+            let bound = cond.bind(&s);
+            for a in 0..4 {
+                for b in 0..4 {
+                    for c in 0..4 {
+                        let t = Tuple::from([a, b, c]);
+                        let named = cond.disjuncts.iter().any(|conj| {
+                            conj.atoms.iter().all(|atom| {
+                                let at = |x: &AttrName| t.get(&s, x).unwrap().as_int().unwrap();
+                                let r = match &atom.rhs {
+                                    Rhs::Const(k) => *k,
+                                    Rhs::AttrPlus(y, k) => at(y) + k,
+                                };
+                                atom.op.eval(at(&atom.left), r)
+                            })
+                        });
+                        assert_eq!(bound.eval(&t).unwrap(), named, "{cond} on {t}");
+                        assert_eq!(cond.eval(&s, &t).unwrap(), named, "{cond} on {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bound_attr_plus_saturates_at_i64_max() {
+        let s = Schema::new(["A", "B"]).unwrap();
+        // B + 10 saturates to i64::MAX rather than wrapping negative.
+        let cond = Condition::from(Atom::cmp_attr("A", CompOp::Eq, "B", 10));
+        let bound = cond.bind(&s);
+        assert!(bound.eval(&Tuple::from([i64::MAX, i64::MAX - 3])).unwrap());
+        assert!(bound.eval(&Tuple::from([i64::MAX, i64::MAX])).unwrap());
+        let lt = Condition::from(Atom::cmp_attr("A", CompOp::Lt, "B", 1));
+        assert!(!lt
+            .bind(&s)
+            .eval(&Tuple::from([i64::MAX, i64::MAX]))
+            .unwrap());
+    }
+
+    #[test]
+    fn bound_string_value_names_the_attribute() {
+        let s = Schema::new(["A", "NAME"]).unwrap();
+        let cond = Condition::from(Atom::cmp_attr("A", CompOp::Lt, "NAME", 0));
+        let t = Tuple::new(vec![Value::Int(1), Value::str("x")]);
+        match cond.bind(&s).eval(&t).unwrap_err() {
+            RelError::TypeError(msg) => assert!(msg.contains("NAME"), "{msg}"),
+            other => panic!("expected a TypeError, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bound_unknown_attribute_errors_only_when_reached() {
+        let s = Schema::new(["A"]).unwrap();
+        // The first disjunct holds, so the one naming Z is never reached —
+        // as with a by-name lookup.
+        let cond = Condition::dnf([
+            Conjunction::new([Atom::lt_const("A", 5)]),
+            Conjunction::new([Atom::lt_const("Z", 5)]),
+        ]);
+        let bound = cond.bind(&s);
+        assert!(bound.eval(&Tuple::from([1])).unwrap());
+        assert!(matches!(
+            bound.eval(&Tuple::from([9])).unwrap_err(),
+            RelError::UnknownAttribute { .. }
+        ));
     }
 
     #[test]
@@ -491,7 +645,7 @@ mod tests {
 
     #[test]
     fn empty_conjunction_is_true() {
-        assert!(Conjunction::always_true()
+        assert!(Condition::from(Conjunction::always_true())
             .eval(&schema(), &Tuple::from([1, 2, 3]))
             .unwrap());
     }

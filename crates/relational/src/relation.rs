@@ -47,6 +47,12 @@ impl Relation {
         }
     }
 
+    /// Make room for at least `additional` more distinct tuples, so a bulk
+    /// insert does not rehash the table as it grows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tuples.reserve(additional);
+    }
+
     /// Build a relation from set-style rows (each with count 1).
     ///
     /// Duplicate rows accumulate counts, matching multiset semantics.

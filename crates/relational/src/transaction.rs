@@ -9,6 +9,7 @@
 //! not represented at all in this set of changes" — the builder below
 //! cancels such pairs as operations are recorded.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -41,70 +42,88 @@ impl Transaction {
 
     /// Record `insert(R, t)`. Cancels a pending delete of the same tuple;
     /// errors on a duplicate pending insert.
-    pub fn insert(&mut self, relation: impl Into<String>, tuple: impl Into<Tuple>) -> Result<()> {
-        let relation = relation.into();
-        let tuple = tuple.into();
-        let entry = self.changes.entry(relation.clone()).or_default();
-        match entry.get(&tuple) {
-            None => {
-                entry.insert(tuple, Net::Inserted);
-                Ok(())
-            }
-            Some(Net::Deleted) => {
-                // delete(t) then insert(t): net no-op on a tuple of r.
-                entry.remove(&tuple);
-                Ok(())
-            }
-            Some(Net::Inserted) => Err(RelError::InsertExists(format!(
-                "{tuple} inserted twice into {relation} in one transaction"
-            ))),
-        }
+    pub fn insert(&mut self, relation: impl AsRef<str>, tuple: impl Into<Tuple>) -> Result<()> {
+        let relation = relation.as_ref();
+        Self::record(
+            self.net_mut(relation),
+            relation,
+            tuple.into(),
+            Net::Inserted,
+        )
     }
 
     /// Record `delete(R, t)`. Cancels a pending insert of the same tuple;
     /// errors on a duplicate pending delete.
-    pub fn delete(&mut self, relation: impl Into<String>, tuple: impl Into<Tuple>) -> Result<()> {
-        let relation = relation.into();
-        let tuple = tuple.into();
-        let entry = self.changes.entry(relation.clone()).or_default();
-        match entry.get(&tuple) {
-            None => {
-                entry.insert(tuple, Net::Deleted);
-                Ok(())
-            }
-            Some(Net::Inserted) => {
-                // insert(t) then delete(t): "not represented at all" (§3).
-                entry.remove(&tuple);
-                Ok(())
-            }
-            Some(Net::Deleted) => Err(RelError::DeleteMissing(format!(
-                "{tuple} deleted twice from {relation} in one transaction"
-            ))),
-        }
+    pub fn delete(&mut self, relation: impl AsRef<str>, tuple: impl Into<Tuple>) -> Result<()> {
+        let relation = relation.as_ref();
+        Self::record(self.net_mut(relation), relation, tuple.into(), Net::Deleted)
     }
 
-    /// Convenience: record many inserts.
+    /// Convenience: record many inserts, reserving room for them first.
     pub fn insert_all<T: Into<Tuple>>(
         &mut self,
         relation: &str,
         tuples: impl IntoIterator<Item = T>,
     ) -> Result<()> {
+        let tuples = tuples.into_iter();
+        let net = self.net_mut(relation);
+        net.reserve(tuples.size_hint().0);
         for t in tuples {
-            self.insert(relation, t)?;
+            Self::record(net, relation, t.into(), Net::Inserted)?;
         }
         Ok(())
     }
 
-    /// Convenience: record many deletes.
+    /// Convenience: record many deletes, reserving room for them first.
     pub fn delete_all<T: Into<Tuple>>(
         &mut self,
         relation: &str,
         tuples: impl IntoIterator<Item = T>,
     ) -> Result<()> {
+        let tuples = tuples.into_iter();
+        let net = self.net_mut(relation);
+        net.reserve(tuples.size_hint().0);
         for t in tuples {
-            self.delete(relation, t)?;
+            Self::record(net, relation, t.into(), Net::Deleted)?;
         }
         Ok(())
+    }
+
+    /// The net changes of one relation; its name is copied only the first
+    /// time the relation is touched.
+    fn net_mut(&mut self, relation: &str) -> &mut HashMap<Tuple, Net> {
+        if !self.changes.contains_key(relation) {
+            self.changes.insert(relation.to_owned(), HashMap::new());
+        }
+        self.changes
+            .get_mut(relation)
+            .expect("entry inserted above")
+    }
+
+    /// Record one operation in a relation's net changes, hashing the
+    /// tuple once: the opposite pending operation cancels (§3: "not
+    /// represented at all"), a repeat of the same operation is an error.
+    fn record(net: &mut HashMap<Tuple, Net>, relation: &str, tuple: Tuple, op: Net) -> Result<()> {
+        match net.entry(tuple) {
+            Entry::Vacant(e) => {
+                e.insert(op);
+                Ok(())
+            }
+            Entry::Occupied(e) if *e.get() != op => {
+                e.remove();
+                Ok(())
+            }
+            Entry::Occupied(e) => Err(match op {
+                Net::Inserted => RelError::InsertExists(format!(
+                    "{} inserted twice into {relation} in one transaction",
+                    e.key()
+                )),
+                Net::Deleted => RelError::DeleteMissing(format!(
+                    "{} deleted twice from {relation} in one transaction",
+                    e.key()
+                )),
+            }),
+        }
     }
 
     /// True when the transaction has no net effect at all.

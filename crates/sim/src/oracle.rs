@@ -86,15 +86,27 @@ impl Oracle {
     /// engine only accepts *immediate* views as operands, so the current
     /// base state is always the correct input for every level.
     fn eval_from_scratch(&self, expr: &SpjExpr) -> Result<Relation> {
-        let mut owned: Vec<Relation> = Vec::with_capacity(expr.relations.len());
-        for op in &expr.relations {
-            match self.views.get(op) {
-                Some(ov) => owned.push(self.eval_from_scratch(&ov.expr)?),
-                None => owned.push(self.db.relation(op)?.clone()),
-            }
-        }
-        let refs: Vec<&Relation> = owned.iter().collect();
-        expr.eval_with(&refs)
+        self.literal_tree(expr)?.eval(&self.db)
+    }
+
+    /// The definition as the literal tree `π_X(σ_C(R₁ ⋈ … ⋈ R_p))`, each
+    /// view operand replaced by its own literal tree. [`Expr::eval`] joins
+    /// before it selects, so the oracle shares no selection pushdown with
+    /// the engine or with [`SpjExpr::eval_with`].
+    fn literal_tree(&self, expr: &SpjExpr) -> Result<Expr> {
+        let mut operands = expr.relations.iter().map(|op| match self.views.get(op) {
+            Some(ov) => self.literal_tree(&ov.expr),
+            None => Ok(Expr::base(op.as_str())),
+        });
+        let first = operands
+            .next()
+            .ok_or_else(|| RelError::UnknownRelation("<empty SPJ expression>".into()))??;
+        let joined = operands.try_fold(first, |acc, op| Ok::<_, RelError>(acc.join(op?)))?;
+        let selected = joined.select(expr.condition.clone());
+        Ok(match &expr.projection {
+            Some(attrs) => selected.project(attrs.iter().cloned()),
+            None => selected,
+        })
     }
 
     /// Would this transaction be accepted? The engine validates before its

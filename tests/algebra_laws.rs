@@ -6,7 +6,9 @@
 //! * ⋈ is commutative/associative up to column order,
 //! * ⋈ is bilinear over signed deltas (the tree-view join delta rule),
 //! * where tagged and signed joins agree pointwise (all-insert operands)
-//!   and where they deliberately do not (mixed tags).
+//!   and where they deliberately do not (mixed tags),
+//! * full evaluation that pushes selections below its joins
+//!   (`SpjExpr::eval_with`) equals the literal tree `π_X(σ_C(R₁ ⋈ … ⋈ R_p))`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,6 +25,56 @@ fn random_relation(rng: &mut StdRng, schema: &Schema, size: usize, domain: i64) 
         rel.insert(t, rng.gen_range(1..=3)).unwrap();
     }
     rel
+}
+
+/// Operand schemes for a random SPJ expression over `p` operands: with
+/// `disjoint` every operand has attributes of its own (the join is a
+/// cross product, §4's ×); otherwise each draws from one small pool, so
+/// operands share attributes in random patterns (§5.3's ⋈).
+fn random_schemes(rng: &mut StdRng, p: usize, disjoint: bool) -> Vec<Schema> {
+    (0..p)
+        .map(|i| {
+            if disjoint {
+                let arity = rng.gen_range(1..=2);
+                Schema::new((0..arity).map(|j| format!("X{i}_{j}"))).unwrap()
+            } else {
+                let mut attrs: Vec<&str> = ["A", "B", "C", "D"]
+                    .into_iter()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect();
+                if attrs.is_empty() {
+                    attrs.push(["A", "B", "C", "D"][rng.gen_range(0..4)]);
+                }
+                Schema::new(attrs).unwrap()
+            }
+        })
+        .collect()
+}
+
+/// A random atom over `attrs`: a constant bound, or `x op y + c` between
+/// two (possibly equal-operand, possibly cross-operand) attributes.
+fn random_atom(rng: &mut StdRng, attrs: &[AttrName], domain: i64) -> Atom {
+    let ops = [CompOp::Eq, CompOp::Lt, CompOp::Gt, CompOp::Le, CompOp::Ge];
+    let op = ops[rng.gen_range(0..ops.len())];
+    let x = attrs[rng.gen_range(0..attrs.len())].clone();
+    if rng.gen_bool(0.6) {
+        Atom::cmp_const(x, op, rng.gen_range(0..domain))
+    } else {
+        let y = attrs[rng.gen_range(0..attrs.len())].clone();
+        Atom::cmp_attr(x, op, y, rng.gen_range(-1..=1))
+    }
+}
+
+/// The literal tree `π_X(σ_C(R₁ ⋈ … ⋈ R_p))` of an SPJ expression,
+/// evaluated join-first by `Expr::eval`.
+fn literal_tree(e: &SpjExpr) -> Expr {
+    let mut ops = e.relations.iter().map(|r| Expr::base(r.as_str()));
+    let first = ops.next().expect("at least one operand");
+    let selected = ops.fold(first, Expr::join).select(e.condition.clone());
+    match &e.projection {
+        Some(attrs) => selected.project(attrs.iter().cloned()),
+        None => selected,
+    }
 }
 
 fn ab() -> Schema {
@@ -205,6 +257,107 @@ proptest! {
         let back = algebra::difference(&algebra::union(&r, &s).unwrap(), &s).unwrap();
         prop_assert!(back == r);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Full evaluation with selections pushed below the joins equals the
+    /// literal join-then-select tree, on random 1–4-operand expressions:
+    /// disjoint (×) and overlapping (⋈) schemes, bounds on shared
+    /// attributes (pushed to both sides), cross-operand `x op y + c` atoms
+    /// (kept in the residual), multi-disjunct DNF (nothing pushed),
+    /// counters above 1, and empty operands.
+    #[test]
+    fn pushed_eval_equals_literal_tree(
+        seed in any::<u64>(),
+        p in 1..=4usize,
+        disjoint in any::<bool>(),
+        disjuncts in 1..=3usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let domain = 4;
+        let schemes = random_schemes(&mut rng, p, disjoint);
+        let mut db = Database::new();
+        let mut names = Vec::new();
+        for (i, schema) in schemes.iter().enumerate() {
+            // One operand in six is empty.
+            let size = if rng.gen_range(0..6) == 0 { 0 } else { rng.gen_range(1..=8) };
+            let name = format!("R{i}");
+            db.adopt(name.clone(), random_relation(&mut rng, schema, size, domain)).unwrap();
+            names.push(name);
+        }
+        let refs: Vec<&Schema> = schemes.iter().collect();
+        let joined = SpjExpr::new(names.clone(), Condition::always_true(), None)
+            .join_schema_with(&refs)
+            .unwrap();
+        let attrs = joined.attrs();
+        let condition = Condition::dnf((0..disjuncts).map(|_| {
+            let n = rng.gen_range(0..=3);
+            Conjunction::new((0..n).map(|_| random_atom(&mut rng, attrs, domain)))
+        }));
+        let projection = rng.gen_bool(0.5).then(|| {
+            let mut keep: Vec<AttrName> =
+                attrs.iter().filter(|_| rng.gen_bool(0.5)).cloned().collect();
+            if keep.is_empty() {
+                keep.push(attrs[0].clone());
+            }
+            keep
+        });
+        let e = SpjExpr::new(names, condition, projection);
+        let literal = literal_tree(&e).eval(&db).unwrap();
+        let pushed = e.eval(&db).unwrap();
+        prop_assert!(pushed == literal, "{e}\npushed {pushed}\nliteral {literal}");
+        prop_assert_eq!(pushed.schema(), literal.schema());
+    }
+}
+
+/// What the pushed evaluation does with bad data on an operand tuple that
+/// joins with nothing. A pushed atom is evaluated while its operand is
+/// scanned, before any join, so a string value there raises `TypeError`
+/// even though the tuple would never reach a joined row; the literal
+/// join-first tree never looks at it. The differential engine's pushdown
+/// behaves the same way. An atom naming an attribute that no operand has
+/// cannot be pushed: it stays in the residual and, as before, fails only
+/// when some joined row reaches it.
+#[test]
+fn pushed_eval_on_tuples_that_never_join() {
+    let mut db = Database::new();
+    db.create("R", Schema::new(["A", "B"]).unwrap()).unwrap();
+    db.create("S", Schema::new(["B", "C"]).unwrap()).unwrap();
+    db.load(
+        "R",
+        [
+            Tuple::from([1, 10]),
+            Tuple::new([Value::str("x"), Value::Int(99)]),
+        ],
+    )
+    .unwrap();
+    db.load("S", [[10, 5]]).unwrap();
+
+    // (x, 99) finds no S partner; A < 5 is pushed onto R and sees it.
+    let pushed = SpjExpr::new(["R", "S"], Atom::lt_const("A", 5).into(), None);
+    let literal = literal_tree(&pushed);
+    assert_eq!(literal.eval(&db).unwrap().total_count(), 1);
+    assert!(matches!(
+        pushed.eval(&db).unwrap_err(),
+        RelError::TypeError(_)
+    ));
+
+    // Z is in neither operand: residual, evaluated only on joined rows.
+    let unknown = SpjExpr::new(["R", "S"], Atom::lt_const("Z", 5).into(), None);
+    assert!(matches!(
+        unknown.eval(&db).unwrap_err(),
+        RelError::UnknownAttribute { .. }
+    ));
+    let none_join = SpjExpr::new(
+        ["R", "S"],
+        Condition::conjunction([Atom::lt_const("C", 0), Atom::lt_const("Z", 5)]),
+        None,
+    );
+    // C < 0 empties S before the join, so no row reaches Z < 5.
+    assert!(none_join.eval(&db).unwrap().is_empty());
+    assert!(literal_tree(&none_join).eval(&db).unwrap().is_empty());
 }
 
 /// Documents the deliberate local discrepancy between tags and signed
