@@ -684,12 +684,7 @@ where
             let count = lc
                 .checked_mul(rc)
                 .ok_or_else(|| RelError::CounterOverflow("probe-join count exceeds u64".into()))?;
-            let mut vals = Vec::with_capacity(lt.values().len() + ix.r_rest.len());
-            vals.extend_from_slice(lt.values());
-            for &p in &ix.r_rest {
-                vals.push(rt.at(p).clone());
-            }
-            sink(Tuple::new(vals), ltag, count)?;
+            sink(lt.concat_positions(rt, &ix.r_rest), ltag, count)?;
         }
     }
     Ok(())

@@ -204,7 +204,7 @@ impl IntegrityMonitor {
         db.validate(txn)?;
         let violations = self.check(db, txn)?;
         if violations.is_empty() {
-            db.apply(txn)?;
+            db.apply_validated(txn)?;
             Ok(Ok(()))
         } else {
             Ok(Err(violations))

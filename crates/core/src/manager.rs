@@ -1190,8 +1190,9 @@ impl ViewManager {
         }
         let _apply_span = obs.span(names::SPAN_APPLY);
         // Phase 2: apply to base relations (join indexes are maintained
-        // inside each relation's insert/remove).
-        self.db.apply(txn)?;
+        // inside each relation's insert/remove). The transaction was
+        // validated before the WAL append and nothing has changed since.
+        self.db.apply_validated(txn)?;
         if obs.enabled() {
             for rel in txn.touched() {
                 let r = self.db.relation(rel)?;
@@ -1755,6 +1756,7 @@ impl SharedViewManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivm_relational::error::RelError;
     use ivm_relational::predicate::{Atom, Condition};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -2410,6 +2412,62 @@ mod tests {
             .get("v")
             .unwrap()
             .contains(&Tuple::from([3, 100])));
+    }
+
+    #[test]
+    fn invalid_transaction_changes_nothing_durable() {
+        let dir = ivm_storage::temp::scratch_dir("invalid-txn");
+        let mut m = ViewManager::open(&dir).unwrap();
+        m.create_relation("R", Schema::new(["A", "B"]).unwrap())
+            .unwrap();
+        m.create_relation("S", Schema::new(["B", "C"]).unwrap())
+            .unwrap();
+        m.load("R", [[1, 10], [2, 20]]).unwrap();
+        m.load("S", [[10, 100], [20, 200]]).unwrap();
+        m.register_view("v", view_expr(), RefreshPolicy::Immediate)
+            .unwrap();
+        m.register_view(
+            "small",
+            SpjExpr::new(["R"], Atom::lt_const("A", 5).into(), None),
+            RefreshPolicy::Immediate,
+        )
+        .unwrap();
+        let status = m.durability_status().unwrap();
+        let (wal_bytes, next_lsn) = (status.wal_len_bytes, status.next_lsn);
+        let relations = [
+            m.database().relation("R").unwrap().clone(),
+            m.database().relation("S").unwrap().clone(),
+        ];
+        let views = [
+            m.view_contents("v").unwrap().clone(),
+            m.view_contents("small").unwrap().clone(),
+        ];
+        let hub = m.snapshots();
+        let epoch = hub.epoch();
+        // A valid insert next to an insert of a tuple R already holds.
+        let mut txn = Transaction::new();
+        txn.insert("R", [3, 10]).unwrap();
+        txn.insert("R", [1, 10]).unwrap();
+        assert!(matches!(
+            m.execute(&txn).unwrap_err(),
+            IvmError::Relational(RelError::InsertExists(_))
+        ));
+        let status = m.durability_status().unwrap();
+        assert_eq!(status.wal_len_bytes, wal_bytes, "nothing logged");
+        assert_eq!(status.next_lsn, next_lsn);
+        assert_eq!(m.database().relation("R").unwrap(), &relations[0]);
+        assert_eq!(m.database().relation("S").unwrap(), &relations[1]);
+        assert_eq!(m.view_contents("v").unwrap(), &views[0]);
+        assert_eq!(m.view_contents("small").unwrap(), &views[1]);
+        assert_eq!(hub.epoch(), epoch, "nothing published");
+        m.verify_consistency().unwrap();
+        drop(m);
+        // Recovery replays nothing of it either.
+        let m = ViewManager::open(&dir).unwrap();
+        assert_eq!(m.database().relation("R").unwrap(), &relations[0]);
+        assert_eq!(m.view_contents("v").unwrap(), &views[0]);
+        drop(m);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

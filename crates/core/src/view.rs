@@ -225,6 +225,28 @@ mod tests {
     }
 
     #[test]
+    fn apply_shares_rows_with_the_delta_and_the_pinned_copy() {
+        let d = db();
+        let mut mv = MaterializedView::materialize(def(), &d).unwrap();
+        // A pinned reader forces the copy-on-write path in `apply`.
+        let pinned = Arc::clone(mv.shared_contents());
+        let mut delta = DeltaRelation::empty(mv.contents().schema().clone());
+        delta.add(Tuple::from([5]), 1);
+        mv.apply(&delta).unwrap();
+        assert!(!Arc::ptr_eq(&pinned, mv.shared_contents()), "copied");
+        let ptr_in = |rel: &Relation, row: &Tuple| {
+            let (t, _) = rel.iter().find(|(t, _)| *t == row).unwrap();
+            t.values().as_ptr()
+        };
+        let (added, _) = delta.iter().next().unwrap();
+        assert_eq!(ptr_in(mv.contents(), added), added.values().as_ptr());
+        // The copy duplicated table slots, not rows: old rows are shared.
+        for (t, _) in pinned.iter() {
+            assert_eq!(ptr_in(mv.contents(), t), t.values().as_ptr());
+        }
+    }
+
+    #[test]
     fn schema_of_view() {
         let d = db();
         assert_eq!(def().schema(&d).unwrap(), Schema::new(["A"]).unwrap());

@@ -71,12 +71,6 @@ fn key_of(tuple: &Tuple, positions: &[usize]) -> Vec<Value> {
     positions.iter().map(|&p| tuple.at(p).clone()).collect()
 }
 
-fn joined_tuple(lt: &Tuple, rt: &Tuple, r_rest: &[usize]) -> Tuple {
-    let mut values: Vec<Value> = lt.values().to_vec();
-    values.extend(r_rest.iter().map(|&p| rt.at(p).clone()));
-    Tuple::from(values)
-}
-
 /// Hash join over borrowed `(tuple, payload)` slices. The index is always
 /// built over the *smaller* side, which matters in the differential engine
 /// where a tiny change set routinely joins a large old relation. `emit`
@@ -103,7 +97,7 @@ where
         for &(rt, rp) in rts {
             if let Some(matches) = index.get(&key_of(rt, r_key)) {
                 for &(lt, lp) in matches {
-                    emit(joined_tuple(lt, rt, r_rest), lp, rp)?;
+                    emit(lt.concat_positions(rt, r_rest), lp, rp)?;
                 }
             }
         }
@@ -115,7 +109,7 @@ where
         for &(lt, lp) in lts {
             if let Some(matches) = index.get(&key_of(lt, l_key)) {
                 for &(rt, rp) in matches {
-                    emit(joined_tuple(lt, rt, r_rest), lp, rp)?;
+                    emit(lt.concat_positions(rt, r_rest), lp, rp)?;
                 }
             }
         }

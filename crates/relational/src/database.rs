@@ -129,6 +129,21 @@ impl Database {
     /// relation's table is reserved for its net inserts before they go in.
     pub fn apply(&mut self, txn: &Transaction) -> Result<()> {
         self.validate(txn)?;
+        self.apply_validated(txn)
+    }
+
+    /// Apply a transaction that [`Database::validate`] has already accepted
+    /// against this very state, without checking it again. For callers
+    /// that must validate before doing other work (a WAL append, an
+    /// integrity check) and then apply. The state must not have changed
+    /// since the check: an insert of a present tuple would silently raise
+    /// its counter to 2, breaking set semantics. Debug builds re-validate
+    /// to catch a caller that breaks this contract.
+    pub fn apply_validated(&mut self, txn: &Transaction) -> Result<()> {
+        debug_assert!(
+            self.validate(txn).is_ok(),
+            "apply_validated called with a transaction that does not validate"
+        );
         for name in txn.touched() {
             let rel = self
                 .relations
@@ -270,6 +285,37 @@ mod tests {
         let r = d.relation("R").unwrap();
         assert_eq!(r.index_count(), 1);
         r.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn apply_shares_each_row_with_relation_indexes_and_transaction() {
+        let mut d = db();
+        assert!(d.ensure_index("R", &["A".into()]).unwrap());
+        assert!(d.ensure_index("R", &["B".into()]).unwrap());
+        let mut t = Transaction::new();
+        t.insert("R", [9, 90]).unwrap();
+        d.apply(&t).unwrap();
+        let row = Tuple::from([9, 90]);
+        let in_txn = t.inserted("R").find(|x| **x == row).unwrap().values();
+        let r = d.relation("R").unwrap();
+        let (in_rel, _) = r.iter().find(|(x, _)| **x == row).unwrap();
+        assert_eq!(in_rel.values().as_ptr(), in_txn.as_ptr());
+        assert_eq!(r.index_count(), 2);
+        for ix in r.indexes() {
+            let key: Vec<_> = ix.positions().iter().map(|&p| row.at(p).clone()).collect();
+            let (posted, _) = ix.probe(&key).find(|(x, _)| **x == row).unwrap();
+            assert_eq!(posted.values().as_ptr(), in_txn.as_ptr());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not validate")]
+    fn apply_validated_asserts_validity_in_debug_builds() {
+        let mut d = db();
+        let mut t = Transaction::new();
+        t.insert("R", [1, 2]).unwrap(); // already present
+        let _ = d.apply_validated(&t);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! incrementally by [`crate::relation::Relation`] on every insert/remove;
 //! the engine probes it with the accumulated prefix instead of rebuilding.
 //!
+//! A posting holds the relation's own [`Tuple`], which shares its values
+//! (see [`crate::tuple`]): the index adds a pointer and a counter per row,
+//! not a second copy of the row. Maintenance gathers the key of the tuple
+//! being inserted or removed into a reused buffer and looks its bucket up
+//! by that borrowed slice; an owned key is made only when a new bucket is
+//! created.
+//!
 //! Invariants:
 //!
 //! * `positions` is sorted, deduplicated, non-empty, and every position is
@@ -24,13 +31,15 @@ use crate::error::{RelError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Rough per-`Value` footprint used by the memory estimate (enum payload
-/// plus hash-map overhead amortized per stored value).
+/// Rough per-`Value` footprint of a bucket's owned key (enum payload plus
+/// hash-map overhead amortized per stored value).
 const VALUE_BYTES: u64 = 32;
 /// Rough fixed bucket overhead (hash-map slot + `Vec` headers).
 const BUCKET_BYTES: u64 = 48;
-/// Rough fixed posting overhead (inner hash-map slot + counter).
-const POSTING_BYTES: u64 = 24;
+/// Rough posting cost: a `Tuple` pointer (16 bytes) and a `u64` counter
+/// in an inner hash-map slot, plus that table's control byte and slack.
+/// The row the pointer leads to is the relation's and is not charged.
+const POSTING_BYTES: u64 = 32;
 
 /// A hash index on one relation, keyed by a sorted set of column
 /// positions. Postings mirror the relation's multiplicity counters.
@@ -39,6 +48,9 @@ pub struct JoinIndex {
     positions: Vec<usize>,
     buckets: FxHashMap<Vec<Value>, FxHashMap<Tuple, u64>>,
     entries: usize,
+    /// The key of the tuple being inserted or removed, gathered here so
+    /// the bucket lookup borrows it instead of allocating one per call.
+    key: Vec<Value>,
 }
 
 impl JoinIndex {
@@ -50,6 +62,7 @@ impl JoinIndex {
             positions,
             buckets: FxHashMap::default(),
             entries: 0,
+            key: Vec::new(),
         }
     }
 
@@ -74,12 +87,11 @@ impl JoinIndex {
         self.entries
     }
 
-    /// Extract this index's key from a tuple of the indexed relation.
-    fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
-        self.positions
-            .iter()
-            .map(|&p| tuple.at(p).clone())
-            .collect()
+    /// Gather `tuple`'s key values into the reused `key` buffer.
+    fn load_key(&mut self, tuple: &Tuple) {
+        self.key.clear();
+        self.key
+            .extend(self.positions.iter().map(|&p| tuple.at(p).clone()));
     }
 
     /// Record `count` additional occurrences of `tuple`. The relation has
@@ -90,16 +102,23 @@ impl JoinIndex {
         if count == 0 {
             return Ok(());
         }
-        let key = self.key_of(tuple);
-        let bucket = self.buckets.entry(key).or_default();
-        match bucket.get_mut(tuple) {
-            Some(c) => {
-                *c = c.checked_add(count).ok_or_else(|| {
-                    RelError::CounterOverflow(format!("index posting for {tuple} exceeds u64"))
-                })?;
-            }
+        self.load_key(tuple);
+        match self.buckets.get_mut(self.key.as_slice()) {
+            Some(bucket) => match bucket.get_mut(tuple) {
+                Some(c) => {
+                    *c = c.checked_add(count).ok_or_else(|| {
+                        RelError::CounterOverflow(format!("index posting for {tuple} exceeds u64"))
+                    })?;
+                }
+                None => {
+                    bucket.insert(tuple.clone(), count);
+                    self.entries += 1;
+                }
+            },
             None => {
+                let mut bucket = FxHashMap::default();
                 bucket.insert(tuple.clone(), count);
+                self.buckets.insert(self.key.clone(), bucket);
                 self.entries += 1;
             }
         }
@@ -113,8 +132,8 @@ impl JoinIndex {
         if count == 0 {
             return Ok(());
         }
-        let key = self.key_of(tuple);
-        let Some(bucket) = self.buckets.get_mut(&key) else {
+        self.load_key(tuple);
+        let Some(bucket) = self.buckets.get_mut(self.key.as_slice()) else {
             return Err(RelError::NegativeCount(format!(
                 "index has no bucket for tuple {tuple}"
             )));
@@ -134,7 +153,7 @@ impl JoinIndex {
             bucket.remove(tuple);
             self.entries -= 1;
             if bucket.is_empty() {
-                self.buckets.remove(&key);
+                self.buckets.remove(self.key.as_slice());
             }
         }
         Ok(())
@@ -149,15 +168,14 @@ impl JoinIndex {
             .flat_map(|b| b.iter().map(|(t, &c)| (t, c)))
     }
 
-    /// Estimated resident bytes, O(1): postings clone their tuples, so an
-    /// index costs roughly one extra copy of the relation plus hash-map
-    /// overhead.
-    pub fn memory_bytes_estimate(&self, arity: usize) -> u64 {
+    /// Estimated resident bytes, O(1): each bucket owns a copy of its key
+    /// values, and each posting is a pointer to the relation's shared row
+    /// plus a counter, so a posting's price does not grow with the arity.
+    pub fn memory_bytes_estimate(&self) -> u64 {
         let key_len = self.positions.len() as u64;
         let buckets = self.buckets.len() as u64;
         let entries = self.entries as u64;
-        buckets * (key_len * VALUE_BYTES + BUCKET_BYTES)
-            + entries * (arity as u64 * VALUE_BYTES + POSTING_BYTES)
+        buckets * (key_len * VALUE_BYTES + BUCKET_BYTES) + entries * POSTING_BYTES
     }
 
     /// Check this index against the relation's `(tuple, count)` pairs by
@@ -276,8 +294,21 @@ mod tests {
     #[test]
     fn memory_estimate_tracks_growth() {
         let mut ix = JoinIndex::new(vec![0]);
-        let empty = ix.memory_bytes_estimate(2);
+        let empty = ix.memory_bytes_estimate();
         ix.insert(&Tuple::from([1, 2]), 1).unwrap();
-        assert!(ix.memory_bytes_estimate(2) > empty);
+        let one = ix.memory_bytes_estimate();
+        assert!(one > empty);
+        ix.insert(&Tuple::from([1, 3]), 1).unwrap();
+        let posting = ix.memory_bytes_estimate() - one;
+        assert!(posting > 0, "a second posting in the same bucket costs");
+        // The same key and posting shape over rows eight values wide: a
+        // posting points at the row, so its price does not grow with arity.
+        let mut wide = JoinIndex::new(vec![0]);
+        wide.insert(&Tuple::from([1, 2, 0, 0, 0, 0, 0, 0]), 1)
+            .unwrap();
+        assert_eq!(wide.memory_bytes_estimate(), one);
+        wide.insert(&Tuple::from([1, 3, 0, 0, 0, 0, 0, 0]), 1)
+            .unwrap();
+        assert_eq!(wide.memory_bytes_estimate() - one, posting);
     }
 }

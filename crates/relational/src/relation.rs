@@ -276,10 +276,9 @@ impl Relation {
 
     /// Estimated resident bytes across all indexes.
     pub fn index_memory_bytes(&self) -> u64 {
-        let arity = self.schema.arity();
         self.indexes
             .iter()
-            .map(|ix| ix.memory_bytes_estimate(arity))
+            .map(JoinIndex::memory_bytes_estimate)
             .sum()
     }
 

@@ -1,22 +1,38 @@
 //! Tuples.
 //!
-//! A tuple is an ordered vector of [`Value`]s laid out according to a
-//! [`Schema`]. Multiplicity counters (§5.2) and insert/delete tags (§5.3)
+//! A tuple is an ordered, immutable sequence of [`Value`]s laid out
+//! according to a [`Schema`]. Its values live in one shared allocation
+//! (`Arc<[Value]>`), so cloning a tuple bumps a reference count instead of
+//! copying the row: a base relation, every join-index posting over it, the
+//! transaction that inserted the row, the `DeltaRelation`/`TaggedRelation`
+//! entries that carry it and every copy-on-write copy of a view all point
+//! at the same values. Tuples are never mutated in place; an operation
+//! that yields a different row (projection, concatenation, a joined row)
+//! builds a new one, collecting straight into its allocation.
+//!
+//! Multiplicity counters (§5.2) and insert/delete tags (§5.3)
 //! are *not* part of the tuple itself; they are carried by the containing
 //! [`crate::relation::Relation`] / [`crate::tagged::TaggedRelation`], which
 //! mirrors the paper's treatment of the count attribute `N` as metadata
 //! "that need not be explicitly stored" for base relations.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::attribute::AttrName;
 use crate::error::{RelError, Result};
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// An ordered vector of values conforming to some scheme.
+/// An ordered, shared sequence of values conforming to some scheme.
+///
+/// `Hash`, `Eq` and `Ord` are those of the value slice, so a tuple hashes
+/// and compares exactly like its `&[Value]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Tuple(Vec<Value>);
+pub struct Tuple(Arc<[Value]>);
+
+// A tuple is one fat pointer: the row itself lives behind it.
+const _: () = assert!(std::mem::size_of::<Tuple>() == 16);
 
 impl Tuple {
     /// Build a tuple from values.
@@ -71,6 +87,19 @@ impl Tuple {
     pub fn concat(&self, other: &Tuple) -> Tuple {
         Tuple(self.0.iter().chain(other.0.iter()).cloned().collect())
     }
+
+    /// This tuple followed by `other`'s values at `positions`: the row a
+    /// natural join emits, where `positions` are the right operand's
+    /// non-join attributes.
+    pub fn concat_positions(&self, other: &Tuple, positions: &[usize]) -> Tuple {
+        Tuple(
+            self.0
+                .iter()
+                .cloned()
+                .chain(positions.iter().map(|&p| other.0[p].clone()))
+                .collect(),
+        )
+    }
 }
 
 impl<V: Into<Value>, const N: usize> From<[V; N]> for Tuple {
@@ -81,7 +110,7 @@ impl<V: Into<Value>, const N: usize> From<[V; N]> for Tuple {
 
 impl From<Vec<Value>> for Tuple {
     fn from(vs: Vec<Value>) -> Self {
-        Tuple(vs)
+        Tuple(vs.into())
     }
 }
 
@@ -150,6 +179,27 @@ mod tests {
     fn concat() {
         let t = Tuple::from([1, 2]).concat(&Tuple::from([3]));
         assert_eq!(t, Tuple::from([1, 2, 3]));
+        let j = Tuple::from([1, 2]).concat_positions(&Tuple::from([7, 8, 9]), &[2, 0]);
+        assert_eq!(j, Tuple::from([1, 2, 9, 7]));
+    }
+
+    #[test]
+    fn clones_share_one_allocation() {
+        let t = Tuple::from([1, 2, 3]);
+        let c = t.clone();
+        assert_eq!(t.values().as_ptr(), c.values().as_ptr());
+        let v = Tuple::from(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        assert_eq!(v, t);
+        assert_ne!(v.values().as_ptr(), t.values().as_ptr());
+    }
+
+    #[test]
+    fn hashes_like_its_value_slice() {
+        use std::hash::{BuildHasher, RandomState};
+        let t = Tuple::from([4, 5]);
+        let s = RandomState::new();
+        assert_eq!(s.hash_one(&t), s.hash_one(t.values()));
+        assert_eq!(s.hash_one(&t), s.hash_one(t.values().to_vec()));
     }
 
     #[test]

@@ -204,11 +204,25 @@ impl Codec for Tuple {
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
         let arity = r.u32()? as usize;
         r.check_count(arity, 2)?; // tag byte + at least one payload byte
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(Value::decode_from(r)?);
+
+        // Decode straight into the tuple's one allocation: the iterator
+        // has an exact length, so collecting it allocates once. The first
+        // error stops further reads (the rest are placeholders) and is
+        // returned instead of the tuple.
+        let mut failed = None;
+        let tuple = Tuple::new((0..arity).map(|_| {
+            if failed.is_none() {
+                match Value::decode_from(r) {
+                    Ok(v) => return v,
+                    Err(e) => failed = Some(e),
+                }
+            }
+            Value::Int(0)
+        }));
+        match failed {
+            None => Ok(tuple),
+            Some(e) => Err(e),
         }
-        Ok(Tuple::new(values))
     }
 }
 
@@ -662,6 +676,20 @@ mod tests {
             Value::decode(&bytes),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn tuple_decode_reports_the_first_bad_value() {
+        let mut bytes = Tuple::from([1, 2, 3]).encode();
+        let second = 4 + Value::Int(1).encode().len();
+        bytes[second] = 0x7F;
+        match Tuple::decode(&bytes) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("bad value tag 0x7f"), "{msg}"),
+            other => panic!("expected a corrupt-tag error, got {other:?}"),
+        }
+        // A tuple cut short inside its last value fails too.
+        let whole = Tuple::from([1, 2, 3]).encode();
+        assert!(Tuple::decode(&whole[..whole.len() - 1]).is_err());
     }
 
     #[test]
