@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_pr.json}"
 MS="${CRITERION_MEASUREMENT_MS:-120}"
-SMOKE_BENCHES=(select_view relevance_filter join_view serve_qps)
+SMOKE_BENCHES=(select_view relevance_filter join_view serve_qps obs_overhead)
 
 raw=$(for bench in "${SMOKE_BENCHES[@]}"; do
     CRITERION_MEASUREMENT_MS="$MS" cargo bench -p ivm-bench --bench "$bench" 2>/dev/null

@@ -8,16 +8,17 @@
 //! implementation is a plain wall-clock harness: it warms each benchmark
 //! up, times batches (each sized to about a tenth of the budget) until a
 //! fixed measurement budget is spent, and prints the mean iteration time,
-//! then the median and minimum of the per-batch means (plus throughput
-//! when configured):
+//! then the median, median absolute deviation and minimum of the
+//! per-batch means (plus throughput when configured):
 //!
 //! ```text
-//! group/id: 13.47 µs per iter (4455 iters; batch median 13.20 µs, min 12.91 µs)
+//! group/id: 13.47 µs per iter (4455 iters; batch median 13.20 µs, MAD 0.11 µs, min 12.91 µs)
 //! ```
 //!
 //! The mean stays the third field, where `ci/bench_to_json.sh` reads it;
 //! the median and minimum are less sensitive to a batch that a busy host
-//! slowed down. There are no plots or baselines — enough to compare
+//! slowed down, and the MAD says how far the batches spread around the
+//! median, so two runs whose medians differ by less than it do not differ. There are no plots or baselines — enough to compare
 //! differential maintenance against full re-evaluation, not to publish.
 
 #![warn(missing_docs)]
@@ -122,17 +123,28 @@ impl Measurement {
         per_iter(self.total, self.iters)
     }
 
-    /// Median and minimum of the batch means.
-    fn median_min(&self) -> (Duration, Duration) {
+    /// Median, median absolute deviation and minimum of the batch means.
+    fn median_mad_min(&self) -> (Duration, Duration, Duration) {
         let mut means = self.batch_means.clone();
         means.sort_unstable();
-        let mid = means.len() / 2;
-        let median = match means.len() {
-            0 => Duration::ZERO,
-            n if n % 2 == 1 => means[mid],
-            _ => (means[mid - 1] + means[mid]) / 2,
-        };
-        (median, means.first().copied().unwrap_or_default())
+        let mid = median(&means);
+        let mut deviations: Vec<Duration> = means.iter().map(|m| m.abs_diff(mid)).collect();
+        deviations.sort_unstable();
+        (
+            mid,
+            median(&deviations),
+            means.first().copied().unwrap_or_default(),
+        )
+    }
+}
+
+/// Median of sorted durations; zero when there are none.
+fn median(sorted: &[Duration]) -> Duration {
+    let mid = sorted.len() / 2;
+    match sorted.len() {
+        0 => Duration::ZERO,
+        n if n % 2 == 1 => sorted[mid],
+        _ => (sorted[mid - 1] + sorted[mid]) / 2,
     }
 }
 
@@ -284,13 +296,14 @@ impl BenchmarkGroup<'_> {
             return;
         };
         let mean = m.mean();
-        let (median, min) = m.median_min();
+        let (median, mad, min) = m.median_mad_min();
         let mut line = format!(
-            "{}/{id}: {} per iter ({} iters; batch median {}, min {})",
+            "{}/{id}: {} per iter ({} iters; batch median {}, MAD {}, min {})",
             self.name,
             format_duration(mean),
             m.iters,
             format_duration(median),
+            format_duration(mad),
             format_duration(min)
         );
         if let Some(tp) = self.throughput {
@@ -402,19 +415,33 @@ mod tests {
     }
 
     #[test]
-    fn median_and_min_of_batch_means() {
+    fn median_mad_and_min_of_batch_means() {
         let mut m = Measurement::default();
         for (ms, batch) in [(40, 4), (10, 2), (90, 3), (8, 2)] {
             m.record(Duration::from_millis(ms), batch);
         }
         // Batch means 10, 5, 30, 4 ms; mean 148 ms / 11 iterations.
+        // Deviations from the 7.5 ms median: 2.5, 2.5, 3.5, 22.5 ms.
         assert_eq!(m.mean(), Duration::from_nanos(148_000_000 / 11));
         assert_eq!(
-            m.median_min(),
-            (Duration::from_micros(7_500), Duration::from_millis(4))
+            m.median_mad_min(),
+            (
+                Duration::from_micros(7_500),
+                Duration::from_millis(3),
+                Duration::from_millis(4)
+            )
         );
+        // Means 4, 5, 6, 10, 30 ms: median 6, deviations 2, 1, 0, 4, 24.
         m.record(Duration::from_millis(6), 1);
-        assert_eq!(m.median_min().0, Duration::from_millis(6));
+        assert_eq!(
+            m.median_mad_min(),
+            (
+                Duration::from_millis(6),
+                Duration::from_millis(2),
+                Duration::from_millis(4)
+            )
+        );
+        assert_eq!(Measurement::default().median_mad_min().1, Duration::ZERO);
     }
 
     #[test]

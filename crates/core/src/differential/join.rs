@@ -9,6 +9,10 @@
 //!   insertions;
 //! * **delete-only** (Example 5.3): `v' = v − d_v`, "not always cheaper …
 //!   however, this is true when |v| > |d_v|".
+//!
+//! Reference code, not on the maintenance path: `ViewManager` calls the
+//! general engine directly. These helpers give the §5.3 examples their
+//! paper form for the `exp_tables` harness and the paper-example tests.
 
 use ivm_relational::database::Database;
 use ivm_relational::delta::DeltaRelation;

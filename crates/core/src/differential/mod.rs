@@ -12,6 +12,12 @@
 //! * [`spj`] — Algorithm 5.1 for general SPJ views (§5.4): the
 //!   paper-literal tagged engine, with optional prefix sharing across
 //!   rows.
+//!
+//! [`select`], [`project`] and [`join`] are reference code, not on the
+//! maintenance path: they state §5.1–§5.3 in the paper's own form for the
+//! E6/E7 benches, the `exp_*` table harnesses and `tests/paper_examples.rs`.
+//! `ViewManager` maintains every SPJ view, whatever its shape, through
+//! [`spj`], and general trees through [`tree`].
 
 pub mod join;
 pub mod plan;

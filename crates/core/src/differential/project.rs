@@ -8,6 +8,11 @@
 //! `π_X(r₁ − r₂) = π_X(r₁) − π_X(r₂)` holds and the maintenance delta is
 //! simply `+π_X(σ_C(i_r)) − π_X(σ_C(d_r))`, with the view tuple vanishing
 //! only when its counter reaches zero.
+//!
+//! Reference code, not on the maintenance path: `ViewManager` maintains
+//! project views through the general engine ([`crate::differential::spj`]).
+//! This module states §5.2 in the paper's form for the `project_view`
+//! bench and the paper-example tests.
 
 use ivm_relational::algebra;
 use ivm_relational::attribute::AttrName;

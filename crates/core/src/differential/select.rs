@@ -8,6 +8,11 @@
 //! |v| > |d_r|, it is cheaper to update the view by the above sequence of
 //! operations than recomputing the expression V from scratch" — the
 //! `select_view` bench (experiment E6) locates that crossover empirically.
+//!
+//! Reference code, not on the maintenance path: `ViewManager` maintains
+//! select views through the general engine ([`crate::differential::spj`]).
+//! This module states §5.1 in the paper's form for the E6 benches, the
+//! `exp_crossover` harness and the paper-example tests.
 
 use ivm_relational::algebra;
 use ivm_relational::delta::DeltaRelation;

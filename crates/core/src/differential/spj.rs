@@ -49,16 +49,6 @@
 //!   single row never touches that relation's old contents, so they are
 //!   never copied; a materialized operand is built at most once per run
 //!   and shared by every group;
-//! * **parallel groups** — the groups are independent, so when the
-//!   operand tuples they read clear the pool's grain rule
-//!   ([`Pool::for_work`]) they are fanned out over a scoped worker pool in
-//!   contiguous chunks, each running the same sequential code as width 1,
-//!   and the results are merged. An indexed operand is priced by the
-//!   change-set tuples that probe it, not by its |r|. The accumulators are
-//!   keyed tagged maps and merging is additive, so the delta and every
-//!   work counter are identical for every thread count. This is the
-//!   engine's only fan-out: a group's joins run on the thread that
-//!   evaluates the group;
 //! * **index probing** — when a `B = 0` operand carries a maintained
 //!   [`JoinIndex`] covering the join key against the group's accumulated
 //!   prefix, the engine neither materializes the operand nor hash-builds
@@ -75,7 +65,6 @@
 //!   fallback its filtered size.
 
 use ivm_obs::{names, Obs};
-use ivm_parallel::Pool;
 use ivm_relational::algebra;
 use ivm_relational::attribute::AttrName;
 use ivm_relational::database::Database;
@@ -106,11 +95,12 @@ pub struct DiffOptions {
     pub push_selections: bool,
     /// Join change sets first in a connectivity-preserving greedy order.
     pub reorder_operands: bool,
-    /// Maximum worker threads for relevance filtering and pivot groups;
-    /// each fan-out uses fewer when its work is small ([`Pool::for_work`]).
-    /// `1` forces the sequential path (the deterministic oracle the tests
-    /// compare against); `0` means one worker per available core. The
-    /// resulting delta is identical at every width.
+    /// Maximum worker threads for the §4 relevance filter that a
+    /// [`crate::manager::ViewManager`] runs before this engine
+    /// ([`crate::relevance::RelevanceFilter::filter_with`]), which uses
+    /// fewer when its tuples are few: `0` means one worker per available
+    /// core, `1` forces the sequential filter. The differential engine
+    /// always runs on the calling thread.
     pub threads: usize,
     /// Probe maintained [`JoinIndex`]es for `B = 0` operands instead of
     /// materializing and hash-building them, where one covers the join
@@ -125,7 +115,7 @@ impl Default for DiffOptions {
             share_prefixes: true,
             push_selections: true,
             reorder_operands: true,
-            threads: 1,
+            threads: 0,
             use_indexes: true,
         }
     }
@@ -314,9 +304,7 @@ pub fn differential_delta_parts_observed(
 }
 
 /// Shared per-group context: the residual condition and final projection
-/// applied at each row leaf, plus the metrics handle (shared read-only
-/// with pool workers — per-row observations come from whichever thread
-/// evaluated the row).
+/// applied at each row leaf, plus the metrics handle.
 struct RowCtx<'a> {
     residual: &'a Condition,
     final_proj: Option<&'a [AttrName]>,
@@ -427,51 +415,6 @@ impl Group<'_> {
             rows.insert(0, forced);
         }
         rows
-    }
-
-    /// Operand tuples the group's rows read — the work estimate the
-    /// pool's grain rule sizes the group fan-out by. With `f` slots
-    /// offering both sides the group has 2^f rows (less the all-zero one
-    /// when no slot is forced to `B = 1`), and such a slot reads `B = 1`
-    /// in 2^(f−1) of them. An indexed zero is priced by the change-set
-    /// tuples that reach it through the prefix — the probes it serves —
-    /// not by its |r|.
-    fn work(&self, operands: &Operands) -> usize {
-        let free = self.slots.iter().filter(|s| s.free()).count();
-        let all = u32::try_from(free)
-            .ok()
-            .and_then(|f| 1usize.checked_shl(f))
-            .unwrap_or(usize::MAX);
-        let rows = if self.slots.iter().any(Slot::forced) {
-            all
-        } else {
-            all - 1
-        };
-        let half = all / 2;
-        let len = |r: &Option<TaggedRelation>| r.as_ref().map_or(0, TaggedRelation::len);
-        let mut probing = 0usize;
-        let mut total = 0usize;
-        for s in &self.slots {
-            let one = if s.one { len(&operands.ones[s.rel]) } else { 0 };
-            let zero = match &s.zero {
-                None => 0,
-                Some(ZeroPlan::Mat) => len(&operands.zeros[s.rel]),
-                Some(ZeroPlan::Idx(_)) if probing > 0 => probing,
-                Some(ZeroPlan::Idx(ix)) => usize::try_from(ix.logical_len).unwrap_or(usize::MAX),
-            };
-            let (one_rows, zero_rows) = if s.free() {
-                (half, rows - half)
-            } else if s.one {
-                (rows, 0)
-            } else {
-                (0, rows)
-            };
-            total = total
-                .saturating_add(one_rows.saturating_mul(one))
-                .saturating_add(zero_rows.saturating_mul(zero));
-            probing = probing.saturating_add(one);
-        }
-        total
     }
 }
 
@@ -826,8 +769,8 @@ fn tagged_one(u: &OperandUpdate, cond: &Condition) -> Result<TaggedRelation> {
     Ok(out)
 }
 
-/// Output of one or more groups: the tagged accumulator, the signed
-/// output of fused last-operand probes, and the work counters.
+/// Output of the groups: the tagged accumulator, the signed output of
+/// fused last-operand probes, and the work counters.
 struct GroupOut {
     acc: TaggedRelation,
     fused: DeltaRelation,
@@ -842,24 +785,10 @@ impl GroupOut {
             stats: DiffStats::default(),
         }
     }
-
-    fn merge(&mut self, other: GroupOut) -> Result<()> {
-        self.stats += other.stats;
-        self.acc
-            .merge(&other.acc)
-            .map_err(crate::error::IvmError::from)?;
-        self.fused
-            .merge(&other.fused)
-            .map_err(crate::error::IvmError::from)
-    }
 }
 
-/// Evaluate every group and fold the results into the view transaction.
-/// Groups are the unit of parallelism: when their operand tuples clear
-/// the pool's grain rule ([`Pool::for_work`]) they fan out over the pool
-/// in contiguous chunks, each running the same sequential code as one
-/// thread. Accumulators are keyed tagged maps and merging is additive, so
-/// the delta and every work counter are identical at every width.
+/// Evaluate every group into one accumulator and read the view
+/// transaction off it.
 fn evaluate(
     residual: &Condition,
     out_schema: &Schema,
@@ -868,40 +797,20 @@ fn evaluate(
     opts: &DiffOptions,
     obs: &Obs,
 ) -> Result<DifferentialResult> {
-    let work = groups
-        .iter()
-        .map(|g| g.work(operands))
-        .fold(0, usize::saturating_add);
-    let pool = Pool::for_work(opts.threads, work);
-    let chunks = pool.map_chunks_observed(
-        groups.len(),
-        |range| -> Result<GroupOut> {
-            let mut out = GroupOut::empty(out_schema);
-            for group in &groups[range] {
-                let run = GroupRun::new(residual, obs, operands, group);
-                if opts.share_prefixes {
-                    run.dfs(0, None, false, &mut out)?;
-                } else {
-                    run.flat(&mut out)?;
-                }
-            }
-            Ok(out)
-        },
-        obs,
-    );
-    let mut total: Option<GroupOut> = None;
-    for chunk in chunks {
-        let chunk = chunk?;
-        match &mut total {
-            None => total = Some(chunk),
-            Some(t) => t.merge(chunk)?,
+    let mut out = GroupOut::empty(out_schema);
+    for group in groups {
+        let run = GroupRun::new(residual, obs, operands, group);
+        if opts.share_prefixes {
+            run.dfs(0, None, false, &mut out)?;
+        } else {
+            run.flat(&mut out)?;
         }
     }
     let GroupOut {
         acc,
         fused,
         mut stats,
-    } = total.unwrap_or_else(|| GroupOut::empty(out_schema));
+    } = out;
 
     // Consume the accumulator into the delta (no tuple clones), fold in
     // the fused probe output, and read the output tallies off the signed
@@ -1141,15 +1050,12 @@ mod tests {
         for share in [true, false] {
             for push in [true, false] {
                 for reorder in [true, false] {
-                    for threads in [1, 4] {
-                        v.push(DiffOptions {
-                            share_prefixes: share,
-                            push_selections: push,
-                            reorder_operands: reorder,
-                            threads,
-                            use_indexes: true,
-                        });
-                    }
+                    v.push(DiffOptions {
+                        share_prefixes: share,
+                        push_selections: push,
+                        reorder_operands: reorder,
+                        ..DiffOptions::default()
+                    });
                 }
             }
         }
@@ -1522,67 +1428,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_rows_match_sequential_delta() {
-        // Four-way chain with three updated operands → 7 truth-table
-        // rows; the delta must be bit-identical at every width, with and
-        // without intra-chunk prefix sharing.
-        let mut db = Database::new();
-        for (i, name) in ["R1", "R2", "R3", "R4"].iter().enumerate() {
-            let a = format!("A{i}");
-            let b = format!("A{}", i + 1);
-            db.create(*name, Schema::new([a.as_str(), b.as_str()]).unwrap())
-                .unwrap();
-            for v in 0..20 {
-                db.load(name, [[v, v % 6]]).unwrap();
-            }
-        }
-        let view = SpjExpr::new(
-            ["R1", "R2", "R3", "R4"],
-            Atom::lt_const("A0", 18).into(),
-            Some(vec!["A0".into(), "A4".into()]),
-        );
-        let mut txn = Transaction::new();
-        txn.insert("R1", [50, 3]).unwrap();
-        txn.delete("R2", [4, 4]).unwrap();
-        txn.insert("R3", [2, 5]).unwrap();
-        for share in [true, false] {
-            let seq = differential_delta(
-                &view,
-                &db,
-                &txn,
-                &DiffOptions {
-                    share_prefixes: share,
-                    threads: 1,
-                    ..DiffOptions::default()
-                },
-            )
-            .unwrap();
-            for threads in [2, 3, 8] {
-                let par = differential_delta(
-                    &view,
-                    &db,
-                    &txn,
-                    &DiffOptions {
-                        share_prefixes: share,
-                        threads,
-                        ..DiffOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(par.delta, seq.delta, "share {share} threads {threads}");
-                assert_eq!(par.stats.rows_evaluated, seq.stats.rows_evaluated);
-                if !share {
-                    assert_eq!(par.stats.rows_evaluated, 7);
-                }
-            }
-        }
-    }
-
     /// The pivot groups partition the truth table: for every set of
     /// updated operands the flat loop evaluates each of the 2^k − 1 rows
-    /// exactly once, the delta matches the single-table engine, and
-    /// every work counter is identical at every width.
+    /// exactly once and the delta matches the single-table engine.
     #[test]
     fn pivot_groups_cover_every_row_once() {
         let mut db = Database::new();
@@ -1609,20 +1457,18 @@ mod tests {
             let k = mask.count_ones();
             let single = differential_delta(&view, &db, &txn, &DiffOptions::plain()).unwrap();
             for share_prefixes in [false, true] {
-                let opts = |threads| DiffOptions {
+                let opts = DiffOptions {
                     share_prefixes,
-                    threads,
                     ..DiffOptions::default()
                 };
-                let seq = differential_delta(&view, &db, &txn, &opts(1)).unwrap();
-                assert_eq!(seq.delta, single.delta, "mask {mask:04b}");
+                let grouped = differential_delta(&view, &db, &txn, &opts).unwrap();
+                assert_eq!(grouped.delta, single.delta, "mask {mask:04b}");
                 if !share_prefixes {
-                    assert_eq!(seq.stats.rows_evaluated, (1 << k) - 1, "mask {mask:04b}");
-                }
-                for threads in [2, 8] {
-                    let par = differential_delta(&view, &db, &txn, &opts(threads)).unwrap();
-                    assert_eq!(par.delta, seq.delta, "mask {mask:04b} threads {threads}");
-                    assert_eq!(par.stats, seq.stats, "mask {mask:04b} threads {threads}");
+                    assert_eq!(
+                        grouped.stats.rows_evaluated,
+                        (1 << k) - 1,
+                        "mask {mask:04b}"
+                    );
                 }
             }
         }
@@ -1632,8 +1478,7 @@ mod tests {
     /// is an insert of `u64::MAX` view tuples, which no signed delta can
     /// hold. Both `B = 0` paths — the index probe and the materialized
     /// fallback — must reject it instead of wrapping the count to `-1`,
-    /// with and without metrics (the fused probe runs either way) and at
-    /// every thread count.
+    /// with and without metrics (the fused probe runs either way).
     #[test]
     fn counts_beyond_i64_are_rejected() {
         for covering_index in [true, false] {
@@ -1651,29 +1496,25 @@ mod tests {
             txn.insert("S", [10, 200]).unwrap();
             let recorder = Obs::new(std::sync::Arc::new(ivm_obs::InMemoryRecorder::new()));
             for use_indexes in [true, false] {
-                for threads in [1, 2] {
-                    for obs in [Obs::disabled(), recorder.clone()] {
-                        let opts = DiffOptions {
-                            use_indexes,
-                            threads,
-                            ..DiffOptions::default()
-                        };
-                        let res = differential_delta_observed(&view, &db, &txn, &opts, &obs);
-                        let ctx = format!(
-                            "index {covering_index} use_indexes {use_indexes} \
-                             threads {threads} metrics {}: {res:?}",
-                            obs.enabled()
-                        );
-                        assert!(
-                            matches!(
-                                res,
-                                Err(crate::error::IvmError::Relational(
-                                    RelError::CounterOverflow(_)
-                                ))
-                            ),
-                            "{ctx}"
-                        );
-                    }
+                for obs in [Obs::disabled(), recorder.clone()] {
+                    let opts = DiffOptions {
+                        use_indexes,
+                        ..DiffOptions::default()
+                    };
+                    let res = differential_delta_observed(&view, &db, &txn, &opts, &obs);
+                    let ctx = format!(
+                        "index {covering_index} use_indexes {use_indexes} metrics {}: {res:?}",
+                        obs.enabled()
+                    );
+                    assert!(
+                        matches!(
+                            res,
+                            Err(crate::error::IvmError::Relational(
+                                RelError::CounterOverflow(_)
+                            ))
+                        ),
+                        "{ctx}"
+                    );
                 }
             }
         }

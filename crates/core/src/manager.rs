@@ -146,11 +146,11 @@ pub type ChangeListener = Arc<dyn Fn(&str, &DeltaRelation) + Send + Sync>;
 
 /// Manager-wide configuration in one bundle: the differential-engine
 /// options plus the knobs that live on the manager itself. `diff.threads`
-/// bounds the two maintenance fan-outs (relevance checks and the pivot
-/// groups of truth-table rows): `0` means one worker per available core
-/// (the default), `1` forces the fully sequential paths — the
-/// deterministic oracle the thread-invariance tests compare against.
-/// Results are identical at every width; only wall-clock changes.
+/// bounds the one maintenance fan-out, the §4 relevance checks: `0` means
+/// one worker per available core (the default), `1` forces the fully
+/// sequential path — the deterministic oracle the thread-invariance tests
+/// compare against. Results are identical at every width; only
+/// wall-clock changes.
 #[derive(Debug, Clone)]
 pub struct ManagerOptions {
     /// Differential-engine options, worker thread count included.
@@ -161,7 +161,7 @@ pub struct ManagerOptions {
     pub filtering: bool,
     /// Metrics/tracing backend. Defaults to the disabled handle: no
     /// recorder, no clocks read, no overhead (see `docs/OBSERVABILITY.md`
-    /// and the `parallel_spj` bench guard). Attach one with
+    /// and the `obs_overhead` bench guard). Attach one with
     /// [`ManagerOptions::with_recorder`].
     pub recorder: Obs,
 }
@@ -169,10 +169,7 @@ pub struct ManagerOptions {
 impl Default for ManagerOptions {
     fn default() -> Self {
         ManagerOptions {
-            diff: DiffOptions {
-                threads: 0,
-                ..DiffOptions::default()
-            },
+            diff: DiffOptions::default(),
             strategy: MaintenanceStrategy::default(),
             filtering: true,
             recorder: Obs::disabled(),
@@ -186,7 +183,8 @@ impl ManagerOptions {
         ManagerOptions::default().with_threads(1)
     }
 
-    /// Set the worker thread count (`0` = available cores).
+    /// Set the relevance filter's worker thread count (`0` = available
+    /// cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.diff.threads = threads;
         self
@@ -339,7 +337,8 @@ pub(crate) fn fire_failpoint(
 
 impl ViewManager {
     /// A manager over an empty database with default engine options
-    /// (maintenance threads default to one worker per available core).
+    /// (relevance-filter threads default to one worker per available
+    /// core).
     pub fn new() -> Self {
         ViewManager {
             db: Database::new(),
@@ -432,8 +431,8 @@ impl ViewManager {
         self
     }
 
-    /// Override only the maintenance worker thread count (`0` = available
-    /// cores, `1` = sequential).
+    /// Override only the relevance filter's worker thread count (`0` =
+    /// available cores, `1` = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.options.diff.threads = threads;
         self
@@ -521,19 +520,7 @@ impl ViewManager {
         policy: RefreshPolicy,
     ) -> Result<()> {
         let name = name.into();
-        if name.starts_with(SHARED_PREFIX) {
-            return Err(IvmError::UnsupportedView(format!(
-                "view names starting with {SHARED_PREFIX:?} are reserved for internal shared nodes"
-            )));
-        }
-        if self.views.contains_key(&name) || self.tree_views.contains_key(&name) {
-            return Err(IvmError::DuplicateView(name));
-        }
-        if self.db.contains_relation(&name) {
-            return Err(IvmError::UnsupportedView(format!(
-                "view name {name} collides with a base relation"
-            )));
-        }
+        self.check_new_view_name(&name)?;
         if expr.relations.is_empty() {
             return Err(IvmError::UnsupportedView(
                 "an SPJ view needs at least one operand relation".into(),
@@ -924,15 +911,33 @@ impl ViewManager {
         out
     }
 
+    /// The name checks every view registration makes: the name is not
+    /// reserved for internal shared nodes, not taken by another view and
+    /// not a base relation's.
+    fn check_new_view_name(&self, name: &str) -> Result<()> {
+        if name.starts_with(SHARED_PREFIX) {
+            return Err(IvmError::UnsupportedView(format!(
+                "view names starting with {SHARED_PREFIX:?} are reserved for internal shared nodes"
+            )));
+        }
+        if self.views.contains_key(name) || self.tree_views.contains_key(name) {
+            return Err(IvmError::DuplicateView(name.to_owned()));
+        }
+        if self.db.contains_relation(name) {
+            return Err(IvmError::UnsupportedView(format!(
+                "view name {name} collides with a base relation"
+            )));
+        }
+        Ok(())
+    }
+
     /// Register a general-algebra view (any [`Expr`] tree, including ∪
     /// and −), maintained immediately via the recursive delta rules of
     /// [`crate::differential::tree_delta`]. Tree views do not go through
     /// the relevance filter.
     pub fn register_tree_view(&mut self, name: impl Into<String>, expr: Expr) -> Result<()> {
         let name = name.into();
-        if self.views.contains_key(&name) || self.tree_views.contains_key(&name) {
-            return Err(IvmError::DuplicateView(name));
-        }
+        self.check_new_view_name(&name)?;
         let base_relations = expr.base_relations();
         let view = crate::differential::MaterializedExpr::materialize(expr, &self.db)?;
         if self.durability.is_some() {
@@ -1257,11 +1262,12 @@ impl ViewManager {
                 }
             }
         }
-        drop(_apply_span); // a threshold checkpoint is not part of `apply`
-                           // The transaction is committed and every view delta applied: this
-                           // is the atomic publication point for concurrent readers. A crash
-                           // or error anywhere above leaves the previous snapshot current,
-                           // so readers never observe a half-applied transaction.
+        // A threshold checkpoint is not part of `apply`.
+        drop(_apply_span);
+        // The transaction is committed and every view delta applied: this
+        // is the atomic publication point for concurrent readers. A crash
+        // or error anywhere above leaves the previous snapshot current, so
+        // readers never observe a half-applied transaction.
         self.publish_snapshot();
         self.maybe_checkpoint()?;
         report.rows_evaluated = report.diff.rows_evaluated;
@@ -2239,7 +2245,31 @@ mod tests {
     }
 
     #[test]
+    fn tree_views_pass_the_view_name_checks() {
+        let mut m = manager_with_data();
+        let base = || ivm_relational::expr::Expr::base("R");
+        for name in ["R", "~s0"] {
+            assert!(
+                matches!(
+                    m.register_tree_view(name, base()),
+                    Err(IvmError::UnsupportedView(_))
+                ),
+                "tree view {name:?}"
+            );
+            assert!(
+                matches!(
+                    m.register_view(name, view_expr(), RefreshPolicy::Immediate),
+                    Err(IvmError::UnsupportedView(_))
+                ),
+                "SPJ view {name:?}"
+            );
+        }
+        assert_eq!(m.view_names().count(), 0);
+    }
+
+    #[test]
     fn manager_options_bundle_applies() {
+        assert_eq!(ManagerOptions::default().diff, DiffOptions::default());
         let opts = ManagerOptions::sequential().with_threads(4);
         assert_eq!(opts.diff.threads, 4);
         let m = ViewManager::new().with_manager_options(ManagerOptions {

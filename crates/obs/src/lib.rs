@@ -67,8 +67,8 @@ thread_local! {
 /// Every emission method starts with an `Option` check: with no recorder
 /// installed there is no virtual call, no clock read and no allocation,
 /// which is what keeps the instrumented hot paths within the repo's
-/// "< 2% overhead when disabled" budget (measured by the `parallel_spj`
-/// and `wal_append` benches).
+/// "< 2% overhead when disabled" budget (measured by the `obs_overhead`
+/// bench).
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<dyn Recorder>>,

@@ -1,47 +1,46 @@
-//! A std-only scoped worker pool with deterministic chunked map/fan-out.
+//! A std-only scoped worker pool with a deterministic chunked, fallible
+//! map.
 //!
-//! The differential maintenance engine has four embarrassingly parallel
-//! hot paths — the independent views of one DAG stratum, the 2^k − 1
-//! independent truth-table rows of the §5.3 expansion, the per-tuple
-//! relevance test of Algorithm 4.1 (deliberately independent of every
-//! other tuple), and the build+probe phases of large hash joins. This
-//! crate gives them one shared primitive without pulling in `rayon` (the
-//! build container has no network access to crates.io, so like
-//! `crates/compat/*` everything here is plain `std`).
+//! It serves one site: the per-tuple relevance test of Algorithm 4.1
+//! (`RelevanceFilter::filter_with` in the `ivm` crate), where each tuple's
+//! decision is independent of every other tuple and the prebuilt
+//! invariant graphs are shared read-only. The differential engine runs on
+//! the calling thread. Everything here is plain `std`: the build container
+//! has no network access to crates.io, so like `crates/compat/*` it does
+//! without `rayon`.
 //!
 //! Design rules:
 //!
 //! * **Scoped, not pooled-forever.** Workers are `std::thread::scope`
 //!   threads that borrow the caller's data; they live exactly as long as
-//!   one `map`/`try_map` call. No channels, no `unsafe`. The only global
+//!   one `try_map` call. No channels, no `unsafe`. The only global
 //!   state is the machine's thread count ([`available_threads`]), read
 //!   once per process and immutable after that.
 //! * **Parallel only when the work pays for it.** [`Pool::for_work`] is
-//!   the one fan-out rule every call site uses: one worker per [`GRAIN`]
-//!   tuples of estimated work, capped at the requested width, never
-//!   fewer than one. Below two grains a site runs its sequential code
-//!   and spawns nothing. The width depends only on input sizes, so every
-//!   result stays identical at every width.
-//! * **The caller works too.** [`Pool::map_chunks`] spawns a worker for
-//!   every chunk but the first and evaluates chunk 0 on the calling
-//!   thread before joining the workers in input order, so a two-way
-//!   fan-out costs one spawn, not two plus an idle caller.
+//!   the fan-out rule: one worker per [`GRAIN`] tuples of estimated work,
+//!   capped at the requested width, never fewer than one. Below two
+//!   grains the site runs its sequential code and spawns nothing. The
+//!   width depends only on input sizes, so every result stays identical
+//!   at every width.
+//! * **The caller works too.** Every chunk but the first runs on a
+//!   spawned worker; the caller evaluates chunk 0 itself before joining
+//!   the workers in input order, so a two-way fan-out costs one spawn,
+//!   not two plus an idle caller.
 //! * **Deterministic.** Work is split into *contiguous chunks in input
-//!   order* and results are reassembled in input order, so the output of
-//!   every operation is identical for every thread count — `threads = 1`
-//!   is the oracle the property tests compare against.
+//!   order* and results are reassembled in input order, so the output is
+//!   identical for every thread count — `threads = 1` is the oracle the
+//!   property tests compare against.
 //! * **Deterministic errors too.** [`Pool::try_map`] returns the error of
 //!   the *earliest* failing item in input order, regardless of which
 //!   worker hit an error first on the wall clock.
 //! * **Panic transparent.** The first panicking chunk in input order
 //!   re-raises its payload on the calling thread, after every worker has
 //!   finished (the `std::thread::scope` contract).
-//! * **Observable on request.** [`Pool::map_chunks_observed`] and
-//!   [`Pool::try_map_observed`] time each chunk and its start latency
-//!   through an [`ivm_obs::Obs`] handle (`pool.chunk_micros`,
-//!   `pool.queue_wait_micros`, `pool.chunks` — see
-//!   `docs/OBSERVABILITY.md`). With the no-op handle they degenerate to
-//!   the plain calls: one branch, no clocks read, so the fan-out hot path
+//! * **Observable on request.** [`Pool::try_map_observed`] times each
+//!   chunk and its start latency through an [`ivm_obs::Obs`] handle
+//!   (`pool.chunk_micros`, `pool.queue_wait_micros`, `pool.chunks` — see
+//!   `docs/OBSERVABILITY.md`). With the no-op handle it degenerates to
+//!   the plain call: one branch, no clocks read, so the fan-out hot path
 //!   costs nothing extra when nobody is watching.
 //!
 //! # Fan-out example
@@ -51,8 +50,8 @@
 //!
 //! let pool = Pool::new(4);
 //! let items: Vec<i64> = (0..100).collect();
-//! let squares = pool.map(&items, |x| x * x);
-//! assert_eq!(squares[7], 49); // input order, every width
+//! let squares: Result<Vec<i64>, ()> = pool.try_map(&items, |x| Ok(x * x));
+//! assert_eq!(squares.unwrap()[7], 49); // input order, every width
 //!
 //! // The grain rule: 100 tuples of work never fan out; four grains do.
 //! assert!(Pool::for_work(4, items.len()).is_sequential());
@@ -75,8 +74,8 @@ pub use ivm_obs::Obs;
 
 /// Tuples of estimated work that pay for one worker: [`Pool::for_work`]
 /// gives each worker at least this many, so a fan-out starts at two
-/// grains. A scoped spawn costs tens of microseconds; a grain of hash,
-/// join or satisfiability work costs several times that.
+/// grains. A scoped spawn costs tens of microseconds; a grain of
+/// satisfiability work costs several times that.
 pub const GRAIN: usize = 1024;
 
 /// Number of hardware threads, with a conservative fallback of 1 when the
@@ -103,7 +102,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// Split `0..n` into at most `parts` contiguous ranges whose lengths
 /// differ by at most one. Empty ranges are never produced.
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     if n == 0 {
         return Vec::new();
     }
@@ -138,20 +137,14 @@ impl Pool {
 
     /// The pool a call site should fan `work` tuples out over: one worker
     /// per [`GRAIN`] tuples, capped at `threads` (`0` = one per available
-    /// core), never fewer than one. This is the only fan-out threshold in
-    /// the workspace; a site whose pool comes back sequential runs its
-    /// sequential code. The width depends only on `threads` and `work`,
-    /// never on timing, so results are identical at every width.
+    /// core), never fewer than one. A site whose pool comes back
+    /// sequential runs its sequential code. The width depends only on
+    /// `threads` and `work`, never on timing, so results are identical at
+    /// every width.
     pub fn for_work(threads: usize, work: usize) -> Self {
         Pool {
             threads: resolve_threads(threads).min(work / GRAIN).max(1),
         }
-    }
-
-    /// The single-threaded pool: every operation degenerates to a plain
-    /// sequential loop on the calling thread.
-    pub fn sequential() -> Self {
-        Pool { threads: 1 }
     }
 
     /// Worker count this pool fans out to.
@@ -165,16 +158,14 @@ impl Pool {
     }
 
     /// Fan `0..n` out as contiguous index ranges, one per worker, and
-    /// collect each range's result **in range order**. The generic
-    /// building block under [`Pool::map`] / [`Pool::try_map`]; callers
-    /// with chunk-level state (e.g. a shared join prefix across
-    /// truth-table rows) use it directly.
+    /// collect each range's result **in range order**: the building
+    /// block under [`Pool::try_map`].
     ///
     /// Chunk 0 runs on the calling thread while the other chunks run on
     /// spawned workers; the caller then joins the workers in input
     /// order. If chunks panic, the first one in input order re-raises on
     /// the caller once every worker has finished.
-    pub fn map_chunks<R, F>(&self, n: usize, f: F) -> Vec<R>
+    fn map_chunks<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
@@ -203,19 +194,11 @@ impl Pool {
         })
     }
 
-    /// [`Pool::map_chunks`] with per-chunk instrumentation: when `obs`
-    /// has a recorder installed, each chunk reports its start latency
-    /// (`pool.queue_wait_micros` — wall time between fan-out start and
-    /// the chunk body beginning to run; near zero for chunk 0, which the
-    /// caller runs itself) and its body duration
-    /// (`pool.chunk_micros`), plus a `pool.chunks` count. A call that
-    /// does not fan out (one chunk, run inline) records nothing. With the
-    /// disabled handle this is exactly [`Pool::map_chunks`] — the
+    /// `map_chunks` with the per-chunk instrumentation that
+    /// [`Pool::try_map_observed`] describes. With the disabled handle, or
+    /// when the call does not fan out, this is exactly `map_chunks`: the
     /// `enabled` branch is taken once per call, not per chunk.
-    ///
-    /// Timings are observational only: chunk boundaries, work order and
-    /// results are bit-identical with and without a recorder.
-    pub fn map_chunks_observed<R, F>(&self, n: usize, f: F, obs: &Obs) -> Vec<R>
+    fn map_chunks_observed<R, F>(&self, n: usize, f: F, obs: &Obs) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
@@ -243,27 +226,10 @@ impl Pool {
         })
     }
 
-    /// Apply `f` to every item, returning results in input order. Output
-    /// is identical for every pool width.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let chunks = self.map_chunks(items.len(), |range| {
-            items[range].iter().map(&f).collect::<Vec<R>>()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
-    }
-
-    /// Fallible [`Pool::map`]: returns results in input order, or the
-    /// error of the earliest failing item in input order. Each worker
-    /// short-circuits its own chunk on the first error.
+    /// Apply the fallible `f` to every item: the results in input order,
+    /// identical for every pool width, or the error of the earliest
+    /// failing item in input order. Each worker short-circuits its own
+    /// chunk on the first error.
     pub fn try_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
     where
         T: Sync,
@@ -274,8 +240,16 @@ impl Pool {
         self.try_map_observed(items, f, &Obs::disabled())
     }
 
-    /// [`Pool::try_map`] with the per-chunk instrumentation of
-    /// [`Pool::map_chunks_observed`].
+    /// [`Pool::try_map`] with per-chunk instrumentation: when `obs` has a
+    /// recorder installed, each chunk of a fan-out reports its start
+    /// latency (`pool.queue_wait_micros` — wall time between fan-out
+    /// start and the chunk body beginning to run; near zero for chunk 0,
+    /// which the caller runs itself), its body duration
+    /// (`pool.chunk_micros`) and a `pool.chunks` count. A call that runs
+    /// whole on the caller records nothing.
+    ///
+    /// Timings are observational only: chunk boundaries, work order and
+    /// results are bit-identical with and without a recorder.
     pub fn try_map_observed<T, R, E, F>(&self, items: &[T], f: F, obs: &Obs) -> Result<Vec<R>, E>
     where
         T: Sync,
@@ -331,22 +305,24 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_order_at_every_width() {
+    fn try_map_preserves_order_at_every_width() {
         let items: Vec<i64> = (0..1000).collect();
         let expected: Vec<i64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = Pool::new(threads).map(&items, |x| x * x);
-            assert_eq!(got, expected, "threads={threads}");
+            let got: Result<Vec<i64>, ()> = Pool::new(threads).try_map(&items, |x| Ok(x * x));
+            assert_eq!(got.unwrap(), expected, "threads={threads}");
         }
     }
 
     #[test]
-    fn map_runs_every_item_exactly_once() {
+    fn try_map_runs_every_item_exactly_once() {
         let hits = AtomicUsize::new(0);
         let items: Vec<usize> = (0..257).collect();
-        Pool::new(4).map(&items, |_| {
+        let done: Result<Vec<()>, ()> = Pool::new(4).try_map(&items, |_| {
             hits.fetch_add(1, Ordering::SeqCst);
+            Ok(())
         });
+        assert_eq!(done.unwrap().len(), 257);
         assert_eq!(hits.load(Ordering::SeqCst), 257);
     }
 
@@ -374,7 +350,7 @@ mod tests {
     #[test]
     fn zero_resolves_to_available_cores() {
         assert_eq!(Pool::new(0).threads(), available_threads());
-        assert!(Pool::sequential().is_sequential());
+        assert!(Pool::new(1).is_sequential());
     }
 
     #[test]
@@ -455,7 +431,6 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let empty: Vec<u8> = Vec::new();
-        assert!(Pool::new(8).map(&empty, |x| *x).is_empty());
         let r: Result<Vec<u8>, ()> = Pool::new(8).try_map(&empty, |x| Ok(*x));
         assert!(r.unwrap().is_empty());
     }
@@ -464,11 +439,11 @@ mod tests {
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..64).collect();
         let result = std::panic::catch_unwind(|| {
-            Pool::new(4).map(&items, |&x| {
+            Pool::new(4).try_map(&items, |&x| -> Result<usize, ()> {
                 if x == 40 {
                     panic!("boom");
                 }
-                x
+                Ok(x)
             })
         });
         assert!(result.is_err());
@@ -492,7 +467,7 @@ mod tests {
         assert_eq!(wait.count, 3);
         // No fan-out, nothing recorded: one item, or a width-1 pool.
         assert_eq!(pool.map_chunks_observed(1, |r| r.len(), &obs), vec![1]);
-        Pool::sequential().map_chunks_observed(10, |r| r.len(), &obs);
+        Pool::new(1).map_chunks_observed(10, |r| r.len(), &obs);
         assert_eq!(rec.counter(ivm_obs::names::POOL_CHUNKS), 3);
     }
 

@@ -5,7 +5,7 @@
 //! will, so the concurrency-sensitive invariants of this crate — the
 //! *earliest-error-in-input-order* selection of [`crate::Pool::try_map`]
 //! and the *caller-runs-chunk-0, join-in-order, drain-then-propagate*
-//! shutdown of [`crate::Pool::map_chunks`] — are checked against explicit
+//! shutdown of the chunked fan-out under it — are checked against explicit
 //! state-machine **models** instead, explored by the standalone
 //! [`ivm_race`] crate. This module keeps the two pool models next to the
 //! pool they describe.
@@ -195,7 +195,8 @@ impl Model for FirstErrorModel {
 // Model 2: scope shutdown with panic propagation.
 // ---------------------------------------------------------------------
 
-/// State-machine model of [`crate::Pool::map_chunks`]'s shutdown path.
+/// State-machine model of the shutdown path of the chunked fan-out under
+/// [`crate::Pool::try_map`].
 /// Thread 0 is the caller: it runs chunk 0 itself, then joins the
 /// workers of chunks `1..` (threads `1..`) in input order. Each chunk
 /// runs to completion or panics at a scripted step. The first panic the

@@ -1,9 +1,10 @@
 //! Join-key index transparency: probing a maintained index must be an
 //! *invisible* optimization. For any database, view, transaction, row
-//! strategy and thread count, the indexed run and the hash-build fallback must
-//! produce bit-identical deltas, identical engine statistics (probe
-//! counters excepted — those differ by construction), identical
-//! [`MaintenanceReport`]s through the manager, and identical view states.
+//! strategy and manager thread count, the indexed run and the hash-build
+//! fallback must produce bit-identical deltas, identical engine
+//! statistics (probe counters excepted — those differ by construction),
+//! identical [`MaintenanceReport`]s through the manager, and identical
+//! view states.
 //! Recovery must rebuild indexes that checkpoints do not persist.
 
 use std::path::{Path, PathBuf};
@@ -96,22 +97,18 @@ fn build_txn(rng: &mut StdRng, db: &Database, p: usize, domain: i64) -> Transact
     txn
 }
 
-/// Prefix-sharing × thread-count grid; selection pushdown and
-/// reordering stay on (their interaction with probe planning — pushed
+/// Both row strategies (with and without prefix sharing); selection
+/// pushdown and reordering stay on (their interaction with probe planning — pushed
 /// conditions are checked per posting, pivot groups choose the probe
 /// keys — is exactly what we exercise).
 fn option_grid(use_indexes: bool) -> Vec<DiffOptions> {
     let mut out = Vec::new();
     for share_prefixes in [true, false] {
-        for threads in [1usize, 2, 8] {
-            out.push(DiffOptions {
-                share_prefixes,
-                push_selections: true,
-                reorder_operands: true,
-                threads,
-                use_indexes,
-            });
-        }
+        out.push(DiffOptions {
+            share_prefixes,
+            use_indexes,
+            ..DiffOptions::default()
+        });
     }
     out
 }
@@ -148,7 +145,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
     /// Indexed probing ≡ hash-build fallback: identical delta, identical
-    /// stats modulo the probe counters, at every share/thread combination.
+    /// stats modulo the probe counters, with and without prefix sharing.
     #[test]
     fn indexed_and_fallback_agree(
         seed in any::<u64>(),
@@ -168,14 +165,14 @@ proptest! {
             let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
             prop_assert!(
                 indexed.delta == fallback.delta,
-                "share={} threads={}: indexed delta diverged",
-                on.share_prefixes, on.threads,
+                "share={}: indexed delta diverged",
+                on.share_prefixes,
             );
             prop_assert_eq!(
                 scrub_probes(indexed.stats),
                 scrub_probes(fallback.stats),
-                "share={} threads={}: stats diverged",
-                on.share_prefixes, on.threads,
+                "share={}: stats diverged",
+                on.share_prefixes,
             );
             prop_assert_eq!(fallback.stats.index_probes, 0);
         }
@@ -183,7 +180,7 @@ proptest! {
 
     /// Selection-aware probes: with selections pushed onto the indexed
     /// operands, probing ≡ the hash-build fallback — identical delta, row,
-    /// join and output counts at every share/thread combination.
+    /// join and output counts with and without prefix sharing.
     /// `operand_tuples` may differ: an indexed operand charges `|r − d_r|`
     /// before the pushed selection, the fallback its filtered size.
     #[test]
@@ -202,7 +199,7 @@ proptest! {
         for (on, off) in option_grid(true).into_iter().zip(option_grid(false)) {
             let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
             let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
-            let ctx = format!("share={} threads={}", on.share_prefixes, on.threads);
+            let ctx = format!("share={}", on.share_prefixes);
             prop_assert!(indexed.delta == fallback.delta, "{}: delta diverged", ctx);
             let (a, b) = (indexed.stats, fallback.stats);
             prop_assert_eq!(a.rows_evaluated, b.rows_evaluated, "{}", ctx);
@@ -293,10 +290,7 @@ fn covered_join_probes_the_index() {
     txn.insert("R", [100, 3]).unwrap();
     txn.insert("R", [101, 4]).unwrap();
 
-    let on = DiffOptions {
-        threads: 1,
-        ..DiffOptions::default()
-    };
+    let on = DiffOptions::default();
     let off = DiffOptions {
         use_indexes: false,
         ..on
@@ -358,30 +352,25 @@ fn selected_operands_probe_the_index() {
         txn.insert("customers", [c, (c + 1) % 50]).unwrap();
     }
 
-    for threads in [1usize, 2] {
-        let on = DiffOptions {
-            threads,
-            ..DiffOptions::default()
-        };
-        let off = DiffOptions {
-            use_indexes: false,
-            ..on
-        };
-        let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
-        let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
-        assert!(
-            indexed.stats.index_probes > 0,
-            "threads={threads}: selected operands never probed"
-        );
-        assert!(
-            indexed.stats.index_probe_rows < orders as u64,
-            "threads={threads}: probed {} postings, |orders| = {orders}",
-            indexed.stats.index_probe_rows
-        );
-        assert!(!indexed.delta.is_empty());
-        assert_eq!(indexed.delta, fallback.delta, "threads={threads}");
-        assert_eq!(indexed.stats.rows_evaluated, fallback.stats.rows_evaluated);
-    }
+    let on = DiffOptions::default();
+    let off = DiffOptions {
+        use_indexes: false,
+        ..on
+    };
+    let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
+    let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
+    assert!(
+        indexed.stats.index_probes > 0,
+        "selected operands never probed"
+    );
+    assert!(
+        indexed.stats.index_probe_rows < orders as u64,
+        "probed {} postings, |orders| = {orders}",
+        indexed.stats.index_probe_rows
+    );
+    assert!(!indexed.delta.is_empty());
+    assert_eq!(indexed.delta, fallback.delta);
+    assert_eq!(indexed.stats.rows_evaluated, fallback.stats.rows_evaluated);
 }
 
 /// Fresh scratch directory for one durability test; removed on drop.
