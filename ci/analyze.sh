@@ -12,7 +12,7 @@
 #      and concurrency-catalog.toml — grandfathered findings pass,
 #      anything new fails;
 #   4. model-check the serve protocol with `ivm-race`: the clean model
-#      must verify with all 4 of its interleavings, and the seeded
+#      must verify with all 704 of its interleavings, and the seeded
 #      lost-wakeup foil must be caught with a replayable deadlock.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,7 +46,7 @@ start_ns=$(date +%s%N)
 target/release/ivm-race
 elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
 echo "model-check wall time: ${elapsed_ms} ms"
-# The DPOR sweep (one clean model, one foil) finishes in milliseconds;
+# The exhaustive sweep (one clean model, one foil) finishes in milliseconds;
 # the budget only guards against a state-space explosion slipping into
 # a model.
 if [ "$elapsed_ms" -gt 60000 ]; then

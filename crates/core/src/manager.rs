@@ -460,6 +460,7 @@ impl ViewManager {
     /// can rebuild relations created after the last checkpoint.
     pub fn create_relation(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         let name = name.into();
+        check_not_reserved(&name)?;
         if self.views.contains_key(&name) || self.tree_views.contains_key(&name) {
             // Views and relations share the operand namespace now that
             // views can be stacked; a collision would make every later
@@ -915,11 +916,7 @@ impl ViewManager {
     /// reserved for internal shared nodes, not taken by another view and
     /// not a base relation's.
     fn check_new_view_name(&self, name: &str) -> Result<()> {
-        if name.starts_with(SHARED_PREFIX) {
-            return Err(IvmError::UnsupportedView(format!(
-                "view names starting with {SHARED_PREFIX:?} are reserved for internal shared nodes"
-            )));
-        }
+        check_not_reserved(name)?;
         if self.views.contains_key(name) || self.tree_views.contains_key(name) {
             return Err(IvmError::DuplicateView(name.to_owned()));
         }
@@ -1759,6 +1756,18 @@ impl SharedViewManager {
     }
 }
 
+/// Refuse a relation or view name with the prefix reserved for internal
+/// shared nodes: operand resolution finds base relations first, so a
+/// relation named like a shared node would shadow it.
+fn check_not_reserved(name: &str) -> Result<()> {
+    if name.starts_with(SHARED_PREFIX) {
+        return Err(IvmError::UnsupportedView(format!(
+            "names starting with {SHARED_PREFIX:?} are reserved for internal shared nodes"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2265,6 +2274,35 @@ mod tests {
             );
         }
         assert_eq!(m.view_names().count(), 0);
+    }
+
+    #[test]
+    fn base_relations_cannot_take_shared_node_names() {
+        let mut m = ViewManager::new();
+        assert!(matches!(
+            m.create_relation("~s0", Schema::new(["A", "B"]).unwrap()),
+            Err(IvmError::UnsupportedView(_))
+        ));
+        m.create_relation("R", Schema::new(["A", "B"]).unwrap())
+            .unwrap();
+        // Two projections of one core mint shared node `~s0`; an insert
+        // into `R` must reach both views through it.
+        for (name, attr) in [("va", "A"), ("vb", "B")] {
+            m.register_view(
+                name,
+                SpjExpr::new(
+                    ["R"],
+                    Atom::lt_const("A", 5).into(),
+                    Some(vec![attr.into()]),
+                ),
+                RefreshPolicy::Immediate,
+            )
+            .unwrap();
+        }
+        m.load("R", [[3, 30]]).unwrap();
+        m.verify_consistency().unwrap();
+        assert!(m.view_contents("va").unwrap().contains(&Tuple::from([3])));
+        assert!(m.view_contents("vb").unwrap().contains(&Tuple::from([30])));
     }
 
     #[test]

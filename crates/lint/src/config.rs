@@ -101,7 +101,7 @@ mod tests {
         assert!(cfg.is_hot_path("crates/serve/src/protocol.rs"));
         assert!(!cfg.is_hot_path("crates/core/src/manager.rs"));
         assert!(cfg.is_hot_path("crates/serve/src/server.rs"));
-        assert!(cfg.is_hot_path("crates/race/src/dpor.rs"));
+        assert!(cfg.is_hot_path("crates/race/src/explore.rs"));
         assert!(cfg.is_deterministic("crates/race/src/explore.rs"));
         assert!(cfg.is_deterministic("crates/sim/src/rng.rs"));
         assert!(!cfg.is_deterministic("crates/obs/src/lib.rs"));

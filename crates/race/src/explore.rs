@@ -14,9 +14,10 @@
 //! statistics and trace digests, and a reported counterexample is a
 //! replayable schedule (`run with threads [1, 0, 2, ...]`).
 //!
-//! Exhaustive enumeration is the ground truth but scales as the
-//! factorial of the step count; [`crate::dpor`] layers partial-order
-//! reduction on top for the protocol-sized models.
+//! Exhaustive enumeration costs the factorial of the step count, so a
+//! model stays small: the serve model's two sessions and stopper take
+//! 704 interleavings, and [`Explorer::max_interleavings`] turns a model
+//! that outgrows it into an error.
 
 use std::fmt;
 
@@ -105,10 +106,10 @@ impl Default for Explorer {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -4,16 +4,11 @@
 //! The static lints of `ivm-lint` check *tokens*; this crate checks
 //! *interleavings*. A protocol is written as an explicit state machine
 //! ([`Model`]): threads of atomic steps over shared state, an invariant
-//! checked at the end of every complete execution. Two layers make
-//! that checkable at protocol scale:
-//!
-//! 1. [`explore`] — the exhaustive depth-first scheduler promoted from
-//!    `crates/parallel/src/model.rs` (the pool's "mini-loom"), with
-//!    replayable [`ScheduleBug`] counterexamples.
-//! 2. [`dpor`] — dynamic partial-order reduction with sleep sets:
-//!    models declare per-step accesses, and only interleavings that
-//!    reorder *dependent* steps are explored. Property-tested against
-//!    exhaustive exploration for final-state equivalence.
+//! checked at the end of every complete execution. [`explore`] holds
+//! the exhaustive depth-first scheduler promoted from
+//! `crates/parallel/src/model.rs` (the pool's "mini-loom"): it runs
+//! every interleaving of the model's steps and reports a violation as a
+//! replayable [`ScheduleBug`].
 //!
 //! On top sits a faithful model of the serve sessions' write lock and
 //! graceful shutdown, [`serve_model`] (no lost wakeups, shutdown
@@ -30,11 +25,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod dpor;
 pub mod explore;
 pub mod serve_model;
 
-pub use dpor::{exhaustive_final_digests, Access, DporExploration, DporExplorer, DporModel};
 pub use explore::{
     replay, replay_prefix, replays_to_deadlock, Exploration, Explorer, Model, ScheduleBug, Status,
 };

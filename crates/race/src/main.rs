@@ -2,8 +2,8 @@
 //!
 //! Runs under `ci/analyze.sh` as part of the required `analyze` job:
 //!
-//! 1. DPOR-explores the serve model *as written* — it must verify clean
-//!    with at least [`SERVE_MIN_EXECUTIONS`] distinct interleavings.
+//! 1. Explores every interleaving of the serve model *as written* — it
+//!    must verify clean with at least [`SERVE_MIN_INTERLEAVINGS`] of them.
 //! 2. Runs the seeded lost-wakeup foil — the checker must catch it and
 //!    the reported schedule must replay to the same deadlock (self-test:
 //!    a gate that cannot catch a planted bug proves nothing).
@@ -11,11 +11,11 @@
 //! Output is deterministic (counts and digests are pure functions of
 //! the model); exit status is non-zero on any unexpected verdict.
 
-use ivm_race::{replays_to_deadlock, DporExplorer, ServeFoil, ServeModel};
+use ivm_race::{replays_to_deadlock, Explorer, ServeFoil, ServeModel};
 
-/// The serve model's floor is its whole count: two sessions contend for
-/// one lock, and DPOR covers both lock orders in four executions.
-const SERVE_MIN_EXECUTIONS: u64 = 4;
+/// The serve model's floor is its whole count: every interleaving of two
+/// sessions contending for one lock and the stopper that shuts them down.
+const SERVE_MIN_INTERLEAVINGS: u64 = 704;
 
 fn serve_model(foil: ServeFoil) -> ServeModel {
     ServeModel { sessions: 2, foil }
@@ -23,17 +23,17 @@ fn serve_model(foil: ServeFoil) -> ServeModel {
 
 fn run() -> Result<(), String> {
     // 1. The protocol as written.
-    let stats = DporExplorer::default()
+    let stats = Explorer::default()
         .explore(&serve_model(ServeFoil::None))
         .map_err(|bug| format!("serve-shutdown: unexpected violation: {bug}"))?;
     println!(
-        "model serve-shutdown: OK — {} executions ({} sleep-pruned), {} steps, max depth {}, digest {:#018x}",
-        stats.executions, stats.pruned, stats.steps, stats.max_depth, stats.digest
+        "model serve-shutdown: OK — {} interleavings, {} steps, max depth {}, digest {:#018x}",
+        stats.interleavings, stats.steps, stats.max_depth, stats.digest
     );
-    if stats.executions < SERVE_MIN_EXECUTIONS {
+    if stats.interleavings < SERVE_MIN_INTERLEAVINGS {
         return Err(format!(
-            "serve-shutdown: only {} executions, need ≥ {SERVE_MIN_EXECUTIONS}",
-            stats.executions
+            "serve-shutdown: only {} interleavings, need ≥ {SERVE_MIN_INTERLEAVINGS}",
+            stats.interleavings
         ));
     }
 
@@ -41,12 +41,12 @@ fn run() -> Result<(), String> {
     //    schedule must replay to a deadlock.
     let name = "serve-shutdown/skip-socket-shutdown";
     let model = serve_model(ServeFoil::SkipSocketShutdown);
-    let bug = match DporExplorer::default().explore(&model) {
+    let bug = match Explorer::default().explore(&model) {
         Err(bug) => bug,
         Ok(stats) => {
             return Err(format!(
-                "foil {name}: NOT caught ({} executions explored)",
-                stats.executions
+                "foil {name}: NOT caught ({} interleavings explored)",
+                stats.interleavings
             ))
         }
     };

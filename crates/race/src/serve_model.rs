@@ -18,8 +18,8 @@
 //! it runs its request and releases the lock, then parks on its socket
 //! until the socket is closed. The stopper sets the flag, closes the
 //! sockets one by one, joins the sessions and takes the manager back.
-//! Trying before waiting keeps both lock orders racing from the start,
-//! so the reduction explores each.
+//! The explorer runs every interleaving, so it reaches both lock
+//! orders.
 //!
 //! The seeded foil [`ServeFoil::SkipSocketShutdown`] elides the
 //! socket-close steps — the exact lost-wakeup bug `begin_stop` exists to
@@ -30,8 +30,7 @@
 //! synchronizes through mutexes and socket shutdown, not hand-rolled
 //! orderings, so SeqCst-equivalent exploration is faithful.
 
-use crate::dpor::{Access, DporModel};
-use crate::explore::{fnv1a, Model, Status, FNV_OFFSET};
+use crate::explore::{Model, Status};
 
 /// Seeded protocol mutation the checker must catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,13 +88,6 @@ impl ServeModel {
     /// the manager back.
     fn close_slot(&self, stpc: usize) -> Option<usize> {
         (stpc >= 1 && stpc <= self.sessions).then(|| stpc - 1)
-    }
-
-    // DPOR object ids: the lock, the flag, then one per session socket.
-    const LOCK: usize = 0;
-    const STOPPING: usize = 1;
-    fn obj_socket(&self, s: usize) -> usize {
-        2 + s
     }
 }
 
@@ -198,73 +190,51 @@ impl Model for ServeModel {
     }
 }
 
-impl DporModel for ServeModel {
-    fn access(&self, s: &ServeState, t: usize) -> Access {
-        if t < self.sessions {
-            match s.spc[t] {
-                0 | WAITING | HOLDING => Access::Write(Self::LOCK),
-                // Exiting reads the socket its close wrote, and enables
-                // the stopper's join (which is `Global`).
-                _ => Access::Write(self.obj_socket(t)),
-            }
-        } else if s.stpc == 0 {
-            Access::Write(Self::STOPPING)
-        } else if let Some(session) = self.close_slot(s.stpc) {
-            Access::Write(self.obj_socket(session))
-        } else {
-            // Join reads every session; the take-back reads the lock and
-            // the request count.
-            Access::Global
-        }
-    }
-
-    fn digest(&self, s: &ServeState) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &pc in &s.spc {
-            h = fnv1a(h, &[pc as u8]);
-        }
-        for &t in &s.ran {
-            h = fnv1a(h, &[t as u8]);
-        }
-        h = fnv1a(h, &[s.holder.map_or(0, |t| t as u8 + 1), s.stopping as u8]);
-        h = fnv1a(
-            h,
-            &(s.returned.map_or(u64::MAX, |n| n as u64)).to_le_bytes(),
-        );
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpor::{exhaustive_final_digests, DporExplorer};
-    use crate::explore::replays_to_deadlock;
+    use crate::explore::{replay, replays_to_deadlock, Explorer};
+
+    fn serve(foil: ServeFoil) -> ServeModel {
+        ServeModel { sessions: 2, foil }
+    }
 
     #[test]
     fn shutdown_protocol_verifies_clean() {
-        let m = ServeModel {
-            sessions: 2,
-            foil: ServeFoil::None,
-        };
-        let stats = DporExplorer::default().explore(&m).unwrap();
-        assert!(stats.executions >= 4, "{stats:?}");
-        // The reduction still reaches both lock orders, exactly the
-        // outcomes exhaustive search reaches.
-        assert_eq!(stats.final_digests.len(), 2);
-        assert_eq!(
-            stats.final_digests,
-            exhaustive_final_digests(&m, 1_000_000).unwrap()
-        );
+        let stats = Explorer::default()
+            .explore(&serve(ServeFoil::None))
+            .unwrap();
+        assert_eq!(stats.interleavings, 704, "{stats:?}");
+    }
+
+    /// Sessions 0 and 1 each take the lock and run their write, then the
+    /// stopper (thread 2) sets the flag and closes both sockets, the
+    /// sessions exit, and the stopper joins them and takes the manager
+    /// back. `first` and `second` name the lock order.
+    fn lock_order(first: usize, second: usize) -> Vec<usize> {
+        vec![first, first, second, second, 2, 2, 2, 0, 1, 2, 2]
+    }
+
+    #[test]
+    fn session_0_can_take_the_lock_first() {
+        let m = serve(ServeFoil::None);
+        let s = replay(&m, &lock_order(0, 1)).unwrap();
+        assert_eq!(s.ran, [0, 1]);
+        m.check(&s).unwrap();
+    }
+
+    #[test]
+    fn session_1_can_take_the_lock_first() {
+        let m = serve(ServeFoil::None);
+        let s = replay(&m, &lock_order(1, 0)).unwrap();
+        assert_eq!(s.ran, [1, 0]);
+        m.check(&s).unwrap();
     }
 
     #[test]
     fn skipped_socket_shutdown_is_a_caught_lost_wakeup() {
-        let m = ServeModel {
-            sessions: 2,
-            foil: ServeFoil::SkipSocketShutdown,
-        };
-        let bug = DporExplorer::default().explore(&m).unwrap_err();
+        let m = serve(ServeFoil::SkipSocketShutdown);
+        let bug = Explorer::default().explore(&m).unwrap_err();
         assert!(bug.message.contains("deadlock"), "{bug}");
         // The schedule replays to the stuck state: nothing runnable,
         // sessions parked on their sockets forever.
@@ -273,12 +243,9 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let m = ServeModel {
-            sessions: 2,
-            foil: ServeFoil::None,
-        };
-        let a = DporExplorer::default().explore(&m).unwrap();
-        let b = DporExplorer::default().explore(&m).unwrap();
+        let m = serve(ServeFoil::None);
+        let a = Explorer::default().explore(&m).unwrap();
+        let b = Explorer::default().explore(&m).unwrap();
         assert_eq!(a, b);
     }
 }

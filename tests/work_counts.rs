@@ -13,7 +13,10 @@
 //! `regions(REGION, RNAME)`, the join view `sales` and `top_sales` stacked
 //! on it. Each transaction inserts 25 new orders, deletes the 25 oldest
 //! and moves 25 customers to another region (a delete plus an insert):
-//! 100 changes.
+//! 100 changes. The snapshot hub is armed and the previous snapshot is
+//! held across each transaction, as a pinned reader would hold it, so
+//! every view the transaction changes is copied on write; the rows of
+//! those copies are pinned too.
 //!
 //! The point stream follows the `serve_point_small` workload at a
 //! hundredth of its base-relation sizes, through a durable manager in a
@@ -46,6 +49,9 @@ const OPERAND_TUPLES: u64 = 46_149;
 const PROBE_ROWS: u64 = 9_811;
 /// `index.maintenance_rows` over the whole stream.
 const MAINTENANCE_ROWS: u64 = 4_000;
+/// Rows of every view whose contents a commit replaced, over the whole
+/// stream (perfbench's `snapshot.rows_cloned_per_commit` times `TXNS`).
+const ROWS_CLONED: u64 = 16_708;
 
 /// Rows in each of `orders` and `items` for the point stream.
 const POINT_ROWS: i64 = 1_000;
@@ -183,12 +189,20 @@ fn work_counts_are_pinned() {
         .with_manager_options(ManagerOptions::default().with_recorder(recorder.clone()));
     let mut rng = Rng(SEED);
     let (mut orders, mut region) = install(&mut m, &mut rng);
+    let reader = m.snapshots().reader();
     recorder.reset(); // count the stream, not the set-up
     let mut next_key = ORDERS;
+    let mut rows_cloned = 0u64;
     for _ in 0..TXNS {
         let txn = next_txn(&mut rng, &mut orders, &mut next_key, &mut region);
         assert_eq!(txn.size(), 4 * PER_KIND);
+        let prev = reader.latest();
         m.execute(&txn).unwrap();
+        for (name, rel) in reader.latest().iter() {
+            if !prev.get(name).is_some_and(|p| std::ptr::eq(p, rel)) {
+                rows_cloned += rel.len() as u64;
+            }
+        }
     }
     m.verify_consistency().unwrap();
     let counts = [
@@ -201,6 +215,10 @@ fn work_counts_are_pinned() {
         read_counts(&recorder, &counts),
         counts,
         "work counts moved (got, pinned)"
+    );
+    assert_eq!(
+        rows_cloned, ROWS_CLONED,
+        "copy-on-write rows moved (got, pinned)"
     );
 }
 
