@@ -6,8 +6,10 @@
 # The smoke set is the fast, stable subset of the paper-experiment benches
 # (full sweeps stay manual; see crates/bench). Budget per measurement is
 # CRITERION_MEASUREMENT_MS (default 120 ms), small enough for a PR gate.
-# Output pairs with ci/check_bench_regression.sh and the committed
-# BENCH_baseline.json.
+# The value recorded per benchmark is the median of its batch means (the
+# `batch median` field), not the overall mean: one batch that a busy host
+# slowed down moves the mean but not the median. Output pairs with
+# ci/check_bench_regression.sh and the committed BENCH_baseline.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,12 +24,23 @@ done)
 printf '%s\n' "$raw" | awk -v ms="$MS" '
 BEGIN { n = 0 }
 # Bench lines look like:
-#   group/id/param: 13.47 µs per iter (4455 iters)[, 1209999 elem/s]
+#   group/id/param: 13.47 µs per iter (4455 iters; batch median 13.20 µs, MAD 0.11 µs, min 12.91 µs)[, 1209999 elem/s]
 / per iter / {
     name = $1
     sub(/:$/, "", name)
-    value = $2 + 0
-    unit = $3
+    found = 0
+    for (i = 3; i < NF - 1; i++)
+        if ($(i - 1) == "batch" && $i == "median") {
+            value = $(i + 1) + 0
+            unit = $(i + 2)
+            sub(/,$/, "", unit)
+            found = 1
+        }
+    if (!found) {
+        print "bench_to_json: no batch median in: " $0 > "/dev/stderr"
+        bad = 1
+        exit 1
+    }
     mult = 1
     if (unit == "\302\265s") mult = 1e3      # µs, UTF-8
     else if (unit == "ms")   mult = 1e6
@@ -37,6 +50,8 @@ BEGIN { n = 0 }
     n++
 }
 END {
+    if (bad)
+        exit 1
     if (n == 0) {
         print "bench_to_json: parsed zero benchmark lines" > "/dev/stderr"
         exit 1

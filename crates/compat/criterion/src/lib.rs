@@ -15,11 +15,12 @@
 //! group/id: 13.47 µs per iter (4455 iters; batch median 13.20 µs, MAD 0.11 µs, min 12.91 µs)
 //! ```
 //!
-//! The mean stays the third field, where `ci/bench_to_json.sh` reads it;
-//! the median and minimum are less sensitive to a batch that a busy host
-//! slowed down, and the MAD says how far the batches spread around the
-//! median, so two runs whose medians differ by less than it do not differ. There are no plots or baselines — enough to compare
-//! differential maintenance against full re-evaluation, not to publish.
+//! `ci/bench_to_json.sh` reads the batch median: the median and minimum
+//! are less sensitive than the mean to a batch that a busy host slowed
+//! down, and the MAD says how far the batches spread around the median,
+//! so two runs whose medians differ by less than it do not differ. There
+//! are no plots or baselines — enough to compare differential
+//! maintenance against full re-evaluation, not to publish.
 
 #![warn(missing_docs)]
 

@@ -175,7 +175,6 @@ fn install_stored_view(mgr: &mut ViewManager, stored: StoredView<'static>) -> Re
     match stored.kind {
         StoredViewKind::Spj {
             expr,
-            user_expr,
             policy,
             pending,
         } => {
@@ -185,21 +184,12 @@ fn install_stored_view(mgr: &mut ViewManager, stored: StoredView<'static>) -> Re
                 .into_iter()
                 .map(|(rel, delta)| (rel, delta.into_owned()))
                 .collect();
-            // Internal shared common-subexpression nodes carry the
-            // reserved prefix; dependency edges and strata are rebuilt
-            // from the effective expressions once every view is in
-            // (`rebuild_dag` in `open_with_policy`).
-            let kind = if stored.name.starts_with(crate::manager::SHARED_PREFIX) {
-                crate::manager::ViewKind::Shared
-            } else {
-                crate::manager::ViewKind::User
-            };
+            // Dependency edges and strata are rebuilt from the definitions
+            // once every view is in (`rebuild_dag` in `open_with_policy`).
             mgr.views.insert(
                 stored.name,
                 ManagedView {
                     view,
-                    user_expr,
-                    kind,
                     policy: policy_from_u8(policy)?,
                     depends_on: Vec::new(),
                     stratum: 0,
@@ -278,7 +268,7 @@ impl ViewManager {
                 install_stored_view(&mut mgr, stored)?;
             }
             // Dependency edges and strata are derived state: rebuild them
-            // from the restored effective expressions before any replay.
+            // from the restored definitions before any replay.
             mgr.rebuild_dag();
             // Checkpoints persist relation *data* only; join-key indexes
             // are derived state and must be rebuilt from the restored view
@@ -386,7 +376,6 @@ impl ViewManager {
                 name: name.clone(),
                 kind: StoredViewKind::Spj {
                     expr: mv.view.definition().expr().clone(),
-                    user_expr: mv.user_expr.clone(),
                     policy: policy_to_u8(mv.policy),
                     pending: mv
                         .pending

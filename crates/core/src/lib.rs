@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::integrity::{IntegrityMonitor, Violation};
     pub use crate::manager::{
         DagNodeInfo, MaintenanceReport, MaintenanceStats, MaintenanceStrategy, ManagerOptions,
-        RefreshPolicy, SharedViewManager, ViewKind, ViewManager,
+        RefreshPolicy, SharedViewManager, ViewManager,
     };
     pub use crate::relevance::{combination_relevant, relevance_witness, RelevanceFilter};
     pub use crate::snapshot::{digest_views, SnapshotHandle, SnapshotHub, ViewSnapshot};

@@ -41,8 +41,6 @@ use ivm_relational::tuple::Tuple;
 
 use ivm_relational::attribute::AttrName;
 
-use ivm_relational::predicate::Condition;
-
 use crate::differential::{
     differential_delta_parts_observed, DiffOptions, DifferentialResult, OperandUpdate,
 };
@@ -50,12 +48,6 @@ use crate::error::{IvmError, Result};
 use crate::relevance::{FilterStats, RelevanceFilter};
 use crate::stats::DiffStats;
 use crate::view::{MaterializedView, ViewDefinition};
-
-/// Reserved name prefix for internal shared common-subexpression nodes.
-/// User registrations may not use it; everything else treats these nodes
-/// as implementation detail (hidden from [`ViewManager::view_names`] and
-/// from snapshot publication).
-pub(crate) const SHARED_PREFIX: &str = "~s";
 
 /// How an immediate view is brought up to date when a relevant
 /// transaction arrives.
@@ -130,11 +122,6 @@ pub struct MaintenanceReport {
     /// views (equals `diff.rows_evaluated`; identical at every thread
     /// count).
     pub rows_evaluated: usize,
-    /// View-operand deltas consumed from internal shared
-    /// common-subexpression nodes this transaction: one hit per
-    /// (shared node, consuming dependent) pair. A positive value proves
-    /// the shared core was evaluated once and its delta reused.
-    pub shared_hits: usize,
     /// Relevance-filter work for this transaction.
     pub filter: FilterStats,
     /// Differential-engine work for this transaction.
@@ -197,29 +184,12 @@ impl ManagerOptions {
     }
 }
 
-/// Whether a DAG node was registered by a user or synthesized by the
-/// common-subexpression detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViewKind {
-    /// Registered through [`ViewManager::register_view`].
-    User,
-    /// Internal shared node (name prefixed `~s`): the bare core
-    /// `σ_C(R₁ ⋈ … ⋈ R_p)` two or more sibling views project from. It is
-    /// maintained exactly once per transaction; the siblings consume its
-    /// delta. Hidden from [`ViewManager::view_names`] and snapshots.
-    Shared,
-}
-
 pub(crate) struct ManagedView {
+    /// The materialized contents and the definition as registered.
     pub(crate) view: MaterializedView,
-    /// The definition as registered (shared nodes: the maintained core).
-    /// `view.definition()` holds the *effective* plan, which may be a
-    /// projection over a shared node instead.
-    pub(crate) user_expr: SpjExpr,
-    pub(crate) kind: ViewKind,
     pub(crate) policy: RefreshPolicy,
     /// Upstream view operands (deduplicated, operand order). Derived by
-    /// [`ViewManager::rebuild_dag`] from the effective expression.
+    /// [`ViewManager::rebuild_dag`] from the definition.
     pub(crate) depends_on: Vec<String>,
     /// Topological level: 0 for base-only nodes, else 1 + max upstream.
     pub(crate) stratum: usize,
@@ -233,27 +203,12 @@ pub(crate) struct ManagedView {
     pub(crate) stats: MaintenanceStats,
 }
 
-/// How a new registration maps onto the existing DAG (see
-/// [`ViewManager::plan_sharing`]).
-struct SharingPlan {
-    /// The plan actually maintained for the new view.
-    effective: SpjExpr,
-    /// A shared core node to mint first: (name, core expression,
-    /// materialized contents).
-    new_node: Option<(String, SpjExpr, Relation)>,
-    /// A sibling to retroactively re-hang over the shared core:
-    /// (view name, its new effective expression).
-    rewrite: Option<(String, SpjExpr)>,
-}
-
 /// One node of the view dependency DAG, as reported by
 /// [`ViewManager::dag`].
 #[derive(Debug, Clone)]
 pub struct DagNodeInfo {
-    /// Node name (internal shared nodes keep their reserved `~s` names).
+    /// View name.
     pub name: String,
-    /// True for internal shared common-subexpression nodes.
-    pub shared: bool,
     /// Topological stratum (0 = defined over base relations only).
     pub stratum: usize,
     /// Refresh policy.
@@ -262,12 +217,8 @@ pub struct DagNodeInfo {
     pub depends_on: Vec<String>,
     /// Views consuming this node's deltas.
     pub dependents: Vec<String>,
-    /// The definition as registered by the user (for shared nodes: the
-    /// maintained core expression).
-    pub user_expr: SpjExpr,
-    /// The effective plan actually maintained (a projection over a shared
-    /// node when the core is shared).
-    pub effective_expr: SpjExpr,
+    /// The definition as registered, which is also the plan maintained.
+    pub expr: SpjExpr,
     /// Current materialized cardinality (distinct tuples).
     pub rows: usize,
     /// Cumulative maintenance statistics, including last-run figures.
@@ -406,7 +357,6 @@ impl ViewManager {
         let views = self
             .views
             .iter()
-            .filter(|(_, mv)| mv.kind == ViewKind::User)
             .map(|(n, mv)| (n.as_str(), mv.view.shared_contents()))
             .chain(
                 self.tree_views
@@ -460,7 +410,6 @@ impl ViewManager {
     /// can rebuild relations created after the last checkpoint.
     pub fn create_relation(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         let name = name.into();
-        check_not_reserved(&name)?;
         if self.views.contains_key(&name) || self.tree_views.contains_key(&name) {
             // Views and relations share the operand namespace now that
             // views can be stacked; a collision would make every later
@@ -505,13 +454,12 @@ impl ViewManager {
     /// the registering transaction; the stacked view itself may use any
     /// policy.
     ///
-    /// Sibling views sharing the same core `σ_C(R₁ ⋈ … ⋈ R_p)` (same
-    /// operand order, same condition) and differing only in their final
-    /// projection are rewritten over a single shared node that is
-    /// maintained once per transaction (see `docs/PIPELINES.md`).
+    /// Every view is one DAG node, maintained from the expression it was
+    /// registered with: sibling views over the same join are maintained
+    /// independently, each by its own differential run.
     ///
     /// Join-key hash indexes are derived from the equijoin structure of
-    /// the maintained core and built on the base operands; the indexes
+    /// the definition and built on the base operands; the indexes
     /// are maintained inside every subsequent base-table apply and probed
     /// by the differential engines.
     pub fn register_view(
@@ -566,88 +514,26 @@ impl ViewManager {
             let refs: Vec<&Schema> = op_schemas.iter().collect();
             expr.validate_with(&refs)?;
         }
-        // Common-subexpression sharing (syntactic core match), then
-        // materialize the effective plan. All fallible work happens
-        // before the WAL record so a failed registration leaves no trace.
-        let plan = self.plan_sharing(&name, &expr)?;
-        let contents = {
-            let mut inputs: Vec<&Relation> = Vec::with_capacity(plan.effective.arity());
-            for op in &plan.effective.relations {
-                match &plan.new_node {
-                    Some((node_name, _, data)) if node_name == op => inputs.push(data),
-                    _ => inputs.push(self.operand_contents(op)?),
-                }
-            }
-            plan.effective.eval_with(&inputs)?
-        };
-        let def = ViewDefinition::new(name.clone(), plan.effective.clone())?;
-        let node_parts = match plan.new_node {
-            Some((node_name, core, data)) => {
-                let node_def = ViewDefinition::new(node_name.clone(), core.clone())?;
-                Some((node_name, core, data, node_def))
-            }
-            None => None,
-        };
-        let rewrite_parts = match plan.rewrite {
-            Some((partner, new_expr)) => {
-                let rdef = ViewDefinition::new(partner.clone(), new_expr)?;
-                Some((partner, rdef))
-            }
-            None => None,
-        };
-        // Index the equijoin structure of the core actually maintained
-        // (the shared node when one is created, the effective plan
-        // otherwise); only base operands get indexes.
-        let indexed_expr = node_parts
-            .as_ref()
-            .map(|(_, core, _, _)| core.clone())
-            .unwrap_or_else(|| plan.effective.clone());
-        let built = self.derive_indexes_for(&indexed_expr)?;
+        // Materialize, then index. All fallible work happens before the
+        // WAL record so a failed registration leaves no trace.
+        let contents = self.eval_current(&expr)?;
+        let def = ViewDefinition::new(name.clone(), expr.clone())?;
+        let built = self.derive_indexes_for(&expr)?;
         if built > 0 {
             self.options.recorder.add(names::INDEX_BUILDS, built as u64);
         }
         if self.durability.is_some() {
-            // The *user* expression is logged; replay re-derives the
-            // sharing plan deterministically from the rebuilt registry.
             self.log_record(ivm_storage::WalRecord::RegisterView {
                 name: name.clone(),
-                expr: expr.clone(),
+                expr,
                 policy: crate::durability::policy_to_u8(policy),
             })?;
         }
         // Commit point: everything below is infallible.
-        if let Some((node_name, core, data, node_def)) = node_parts {
-            self.views.insert(
-                node_name,
-                ManagedView {
-                    view: MaterializedView::from_saved(node_def, data),
-                    user_expr: core,
-                    kind: ViewKind::Shared,
-                    policy: RefreshPolicy::Immediate,
-                    depends_on: Vec::new(),
-                    stratum: 0,
-                    pending: BTreeMap::new(),
-                    filters: HashMap::new(),
-                    listeners: Vec::new(),
-                    stats: MaintenanceStats::default(),
-                },
-            );
-        }
-        if let Some((partner, rdef)) = rewrite_parts {
-            let p = self
-                .views
-                .get_mut(&partner)
-                .expect("rewrite partner exists");
-            p.view.redefine(rdef);
-            // Plan changed: relevance filters belong to the old plan.
-            p.filters.clear();
-        }
         self.views.insert(
-            name.clone(),
+            name,
             ManagedView {
                 view: MaterializedView::from_saved(def, contents),
-                user_expr: expr,
-                kind: ViewKind::User,
                 policy,
                 depends_on: Vec::new(),
                 stratum: 0,
@@ -690,9 +576,9 @@ impl ViewManager {
         Ok(self.managed(name)?.view.contents())
     }
 
-    /// Evaluate an effective expression against current operand state
-    /// (base relations and materialized upstream views).
-    fn eval_effective(&self, expr: &SpjExpr) -> Result<Relation> {
+    /// Evaluate a definition against current operand state (base
+    /// relations and materialized upstream views).
+    fn eval_current(&self, expr: &SpjExpr) -> Result<Relation> {
         let mut inputs: Vec<&Relation> = Vec::with_capacity(expr.arity());
         for op in &expr.relations {
             inputs.push(self.operand_contents(op)?);
@@ -724,113 +610,10 @@ impl ViewManager {
         Ok(expr.eval_with(&inputs)?)
     }
 
-    /// Decide how a new definition maps onto the existing DAG: reuse an
-    /// existing core node, become one, or mint a shared node for a core
-    /// two projection-bearing siblings have in common. Deterministic over
-    /// the registry state, so WAL replay of user expressions re-derives
-    /// the identical plan.
-    fn plan_sharing(&self, name: &str, expr: &SpjExpr) -> Result<SharingPlan> {
-        let key = expr.core_key();
-        // (a) A node whose output *is* this core already exists: hang the
-        // new view off it with a bare projection.
-        if let Some(node) = self.find_core_node(&key) {
-            return Ok(SharingPlan {
-                effective: SpjExpr::new([node], Condition::always_true(), expr.projection.clone()),
-                new_node: None,
-                rewrite: None,
-            });
-        }
-        // No partner: the definition stands alone (for now).
-        let Some(partner) = self.find_share_partner(&key) else {
-            return Ok(SharingPlan {
-                effective: expr.clone(),
-                new_node: None,
-                rewrite: None,
-            });
-        };
-        let partner_proj = self.views[&partner]
-            .user_expr
-            .projection
-            .clone()
-            .expect("share partner carries a projection");
-        // (b) The new view exposes the bare core itself: register it
-        // as-is and retroactively re-hang the partner off it.
-        if expr.projection.is_none() {
-            return Ok(SharingPlan {
-                effective: expr.clone(),
-                new_node: None,
-                rewrite: Some((
-                    partner,
-                    SpjExpr::new([name], Condition::always_true(), Some(partner_proj)),
-                )),
-            });
-        }
-        // (c) Both siblings project: materialize the core once as an
-        // internal shared node and project both off it. The node name is
-        // a deterministic sequence number (shared nodes are never
-        // removed, so the count is stable across recovery rebuilds).
-        let seq = self
-            .views
-            .keys()
-            .filter(|n| n.starts_with(SHARED_PREFIX))
-            .count();
-        let node_name = format!("{SHARED_PREFIX}{seq}");
-        let core = expr.core();
-        let contents = self.eval_effective(&core)?;
-        Ok(SharingPlan {
-            effective: SpjExpr::new(
-                [node_name.clone()],
-                Condition::always_true(),
-                expr.projection.clone(),
-            ),
-            new_node: Some((node_name.clone(), core, contents)),
-            rewrite: Some((
-                partner,
-                SpjExpr::new([node_name], Condition::always_true(), Some(partner_proj)),
-            )),
-        })
-    }
-
-    /// An existing node whose *output* is exactly the core `key`: an
-    /// internal shared node, or an immediate projection-less user view
-    /// still on its original plan. At most one such node can exist (a
-    /// second candidate would have been rewritten over the first at its
-    /// own registration), so the first match is canonical.
-    fn find_core_node(&self, key: &str) -> Option<String> {
-        for (n, mv) in &self.views {
-            let effective = mv.view.definition().expr();
-            let eligible = effective.projection.is_none()
-                && mv.policy == RefreshPolicy::Immediate
-                && (mv.kind == ViewKind::Shared || mv.user_expr == *effective);
-            if eligible && effective.core_key() == key {
-                return Some(n.clone());
-            }
-        }
-        None
-    }
-
-    /// An immediate user view differing from the core `key` only by its
-    /// final projection and still on its original plan — the candidate
-    /// for a retroactive rewrite onto a shared node. First key-order
-    /// match wins (deterministic).
-    fn find_share_partner(&self, key: &str) -> Option<String> {
-        for (n, mv) in &self.views {
-            if mv.kind == ViewKind::User
-                && mv.policy == RefreshPolicy::Immediate
-                && mv.user_expr.projection.is_some()
-                && mv.user_expr == *mv.view.definition().expr()
-                && mv.user_expr.core_key() == key
-            {
-                return Some(n.clone());
-            }
-        }
-        None
-    }
-
     /// Recompute `depends_on`/`stratum` for every SPJ node and the
-    /// manager's stratum list + reverse edges from the effective
-    /// expressions. Called after every registration and after recovery
-    /// restores the registry.
+    /// manager's stratum list + reverse edges from the definitions.
+    /// Called after every registration and after recovery restores the
+    /// registry.
     pub(crate) fn rebuild_dag(&mut self) {
         let names: Vec<String> = self.views.keys().cloned().collect();
         let mut depends: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -889,7 +672,7 @@ impl ViewManager {
     }
 
     /// The view dependency DAG in topological order (stratum-major, name
-    /// order within a stratum), including internal shared nodes.
+    /// order within a stratum): one node per registered SPJ view.
     pub fn dag(&self) -> Vec<DagNodeInfo> {
         let mut out = Vec::new();
         for stratum in &self.strata {
@@ -897,13 +680,11 @@ impl ViewManager {
                 let mv = &self.views[name];
                 out.push(DagNodeInfo {
                     name: name.clone(),
-                    shared: mv.kind == ViewKind::Shared,
                     stratum: mv.stratum,
                     policy: mv.policy,
                     depends_on: mv.depends_on.clone(),
                     dependents: self.dependents.get(name).cloned().unwrap_or_default(),
-                    user_expr: mv.user_expr.clone(),
-                    effective_expr: mv.view.definition().expr().clone(),
+                    expr: mv.view.definition().expr().clone(),
                     rows: mv.view.contents().len(),
                     stats: mv.stats,
                 });
@@ -913,10 +694,8 @@ impl ViewManager {
     }
 
     /// The name checks every view registration makes: the name is not
-    /// reserved for internal shared nodes, not taken by another view and
-    /// not a base relation's.
+    /// taken by another view and not a base relation's.
     fn check_new_view_name(&self, name: &str) -> Result<()> {
-        check_not_reserved(name)?;
         if self.views.contains_key(name) || self.tree_views.contains_key(name) {
             return Err(IvmError::DuplicateView(name.to_owned()));
         }
@@ -995,11 +774,10 @@ impl ViewManager {
         Ok(self.managed(name)?.stats)
     }
 
-    /// The defining expression of a registered view, as the user wrote it
-    /// (sharing rewrites are plan-internal; see [`ViewManager::dag`] for
-    /// the effective plans).
+    /// The defining expression of a registered SPJ view, exactly as
+    /// registered; it is also the plan the view is maintained from.
     pub fn view_expr(&self, name: &str) -> Result<SpjExpr> {
-        Ok(self.managed(name)?.user_expr.clone())
+        Ok(self.managed(name)?.view.definition().expr().clone())
     }
 
     /// The refresh policy of a registered (SPJ) view.
@@ -1007,13 +785,12 @@ impl ViewManager {
         Ok(self.managed(name)?.policy)
     }
 
-    /// Names of registered views (internal shared nodes are hidden; they
-    /// appear in [`ViewManager::dag`]).
+    /// Names of registered views: SPJ views in name order, then tree
+    /// views in name order.
     pub fn view_names(&self) -> impl Iterator<Item = &str> {
         self.views
-            .iter()
-            .filter(|(_, mv)| mv.kind == ViewKind::User)
-            .map(|(n, _)| n.as_str())
+            .keys()
+            .map(String::as_str)
             .chain(self.tree_views.keys().map(String::as_str))
     }
 
@@ -1125,10 +902,6 @@ impl ViewManager {
                 }
                 mv.stats.filter += outcome.fstats;
                 report.filter += outcome.fstats;
-                if outcome.shared_hits > 0 {
-                    report.shared_hits += outcome.shared_hits;
-                    obs.add(names::DAG_SHARED_HITS, outcome.shared_hits as u64);
-                }
                 match outcome.action {
                     NodeAction::Skipped => {
                         mv.stats.skipped_by_filter += 1;
@@ -1228,7 +1001,7 @@ impl ViewManager {
                 // nodes with dependents are pinned to differential
                 // maintenance because their delta feeds downstream.
                 let expr = self.views[&name].view.definition().expr().clone();
-                let new_contents = self.eval_effective(&expr)?;
+                let new_contents = self.eval_current(&expr)?;
                 let mv = self.views.get_mut(&name).expect("view exists");
                 let mut d = new_contents.to_delta();
                 for (t, c) in mv.view.contents().iter() {
@@ -1381,10 +1154,9 @@ impl ViewManager {
         Ok(Arc::clone(self.managed(name)?.view.shared_contents()))
     }
 
-    /// Check every view — including internal shared nodes — against a
-    /// recursive from-scratch re-evaluation over base relations only (the
-    /// flattened oracle; test/debug helper). Deferred views are compared
-    /// after an implicit refresh.
+    /// Check every view against a recursive from-scratch re-evaluation
+    /// over base relations only (the flattened oracle; test/debug
+    /// helper). Deferred views are compared after an implicit refresh.
     pub fn verify_consistency(&mut self) -> Result<()> {
         let names: Vec<String> = self.views.keys().cloned().collect();
         for name in names {
@@ -1486,9 +1258,6 @@ struct NodeOutcome {
     /// Relevance filters built during this computation, cached onto the
     /// view when the outcome is applied.
     new_filters: Vec<(String, RelevanceFilter)>,
-    /// Upstream deltas consumed from internal shared nodes (one per
-    /// distinct shared operand).
-    shared_hits: usize,
     action: NodeAction,
 }
 
@@ -1577,8 +1346,6 @@ impl ViewManager {
         // self-join's later positions copy them.
         let mut old: Vec<&Relation> = Vec::with_capacity(expr.arity());
         let mut updates: Vec<Option<OperandUpdate>> = Vec::with_capacity(expr.arity());
-        let mut shared_hits = 0usize;
-        let mut counted_shared: Vec<&str> = Vec::new();
         for op in &expr.relations {
             if db.contains_relation(op) {
                 old.push(db.relation(op)?);
@@ -1599,13 +1366,7 @@ impl ViewManager {
                     .ok_or_else(|| IvmError::UnknownView(op.clone()))?;
                 old.push(up.view.contents());
                 match emitted.get(op.as_str()).filter(|d| !d.is_empty()) {
-                    Some(d) => {
-                        if up.kind == ViewKind::Shared && !counted_shared.contains(&op.as_str()) {
-                            counted_shared.push(op.as_str());
-                            shared_hits += 1;
-                        }
-                        updates.push(Some(operand_update_from_delta(d)?));
-                    }
+                    Some(d) => updates.push(Some(operand_update_from_delta(d)?)),
                     None => updates.push(None),
                 }
             }
@@ -1614,7 +1375,6 @@ impl ViewManager {
             return Ok(NodeOutcome {
                 fstats,
                 new_filters,
-                shared_hits: 0,
                 action: NodeAction::Skipped,
             });
         }
@@ -1650,7 +1410,6 @@ impl ViewManager {
         Ok(NodeOutcome {
             fstats,
             new_filters,
-            shared_hits,
             action,
         })
     }
@@ -1754,18 +1513,6 @@ impl SharedViewManager {
     pub fn write<T>(&self, f: impl FnOnce(&mut ViewManager) -> T) -> T {
         f(&mut self.inner.write())
     }
-}
-
-/// Refuse a relation or view name with the prefix reserved for internal
-/// shared nodes: operand resolution finds base relations first, so a
-/// relation named like a shared node would shadow it.
-fn check_not_reserved(name: &str) -> Result<()> {
-    if name.starts_with(SHARED_PREFIX) {
-        return Err(IvmError::UnsupportedView(format!(
-            "names starting with {SHARED_PREFIX:?} are reserved for internal shared nodes"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2256,53 +2003,15 @@ mod tests {
     #[test]
     fn tree_views_pass_the_view_name_checks() {
         let mut m = manager_with_data();
-        let base = || ivm_relational::expr::Expr::base("R");
-        for name in ["R", "~s0"] {
-            assert!(
-                matches!(
-                    m.register_tree_view(name, base()),
-                    Err(IvmError::UnsupportedView(_))
-                ),
-                "tree view {name:?}"
-            );
-            assert!(
-                matches!(
-                    m.register_view(name, view_expr(), RefreshPolicy::Immediate),
-                    Err(IvmError::UnsupportedView(_))
-                ),
-                "SPJ view {name:?}"
-            );
-        }
-        assert_eq!(m.view_names().count(), 0);
-    }
-
-    #[test]
-    fn base_relations_cannot_take_shared_node_names() {
-        let mut m = ViewManager::new();
         assert!(matches!(
-            m.create_relation("~s0", Schema::new(["A", "B"]).unwrap()),
+            m.register_tree_view("R", ivm_relational::expr::Expr::base("R")),
             Err(IvmError::UnsupportedView(_))
         ));
-        m.create_relation("R", Schema::new(["A", "B"]).unwrap())
-            .unwrap();
-        // Two projections of one core mint shared node `~s0`; an insert
-        // into `R` must reach both views through it.
-        for (name, attr) in [("va", "A"), ("vb", "B")] {
-            m.register_view(
-                name,
-                SpjExpr::new(
-                    ["R"],
-                    Atom::lt_const("A", 5).into(),
-                    Some(vec![attr.into()]),
-                ),
-                RefreshPolicy::Immediate,
-            )
-            .unwrap();
-        }
-        m.load("R", [[3, 30]]).unwrap();
-        m.verify_consistency().unwrap();
-        assert!(m.view_contents("va").unwrap().contains(&Tuple::from([3])));
-        assert!(m.view_contents("vb").unwrap().contains(&Tuple::from([30])));
+        assert!(matches!(
+            m.register_view("R", view_expr(), RefreshPolicy::Immediate),
+            Err(IvmError::UnsupportedView(_))
+        ));
+        assert_eq!(m.view_names().count(), 0);
     }
 
     #[test]

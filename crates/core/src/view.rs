@@ -100,14 +100,6 @@ impl MaterializedView {
         Ok(MaterializedView { def, data })
     }
 
-    /// Swap the defining expression while keeping the materialization.
-    /// Used when a view is retroactively rewritten over a shared common
-    /// subexpression node: the rewrite is plan-level only — the rewritten
-    /// expression must evaluate to the same contents.
-    pub fn redefine(&mut self, def: ViewDefinition) {
-        self.def = def;
-    }
-
     /// Reinstall a view from persisted state **without re-evaluating it**:
     /// `data` is trusted to be the materialization the definition had when
     /// it was checkpointed. This is the recovery path — re-evaluating here

@@ -17,7 +17,7 @@
 //!   always-irrelevant `(view, relation)` pairs (the degenerate case of
 //!   Theorem 4.2), predicates implied by the RH digraph's transitive
 //!   closure, and DAG-structure checks over definition *sets* (cycles,
-//!   unresolved operands, shared select-join cores). Surfaced through
+//!   unresolved operands, strata). Surfaced through
 //!   the shell's `\analyze` command.
 //! * **Frontend C** ([`concurrency`]) — concurrency bookkeeping: every
 //!   `Ordering::*` site must be inventoried in `concurrency-catalog.toml`

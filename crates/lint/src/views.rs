@@ -24,9 +24,8 @@
 //! single conditions: [`analyze_dag`] checks that a set of view
 //! definitions (which may reference each other as operands) forms a
 //! dependency DAG — reporting **`view-cycle`** findings for definition
-//! cycles, unresolved operands, the topological strata a maintainer
-//! would use, and groups of siblings with an identical select-join core
-//! (candidates for shared maintenance, see `docs/PIPELINES.md`).
+//! cycles, unresolved operands, and the topological strata a maintainer
+//! would use (see `docs/PIPELINES.md`).
 //!
 //! Results surface as a [`ViewAnalysisReport`] / [`DagAnalysis`] (the
 //! `MaintenanceReport`s of this crate) and through the shell's
@@ -320,8 +319,7 @@ pub fn analyze_view(name: &str, expr: &SpjExpr, db: &Database) -> ViewAnalysisRe
 }
 
 /// Structural verdict over a *set* of view definitions that may
-/// reference each other: does it admit a topological maintenance order,
-/// and where could maintenance work be shared?
+/// reference each other: does it admit a topological maintenance order?
 #[derive(Debug, Clone, Default)]
 pub struct DagAnalysis {
     /// Views by stratum: `strata[0]` depends only on base relations,
@@ -334,9 +332,6 @@ pub struct DagAnalysis {
     /// `(view, operand)` pairs where the operand is neither a base
     /// relation nor a defined view.
     pub unresolved: Vec<(String, String)>,
-    /// Groups (size ≥ 2) of views with an identical select-join core —
-    /// the manager maintains such a core once and fans its delta out.
-    pub sharing: Vec<Vec<String>>,
 }
 
 impl DagAnalysis {
@@ -383,13 +378,6 @@ impl fmt::Display for DagAnalysis {
         )?;
         for (i, level) in self.strata.iter().enumerate() {
             writeln!(f, "  stratum {}: {}", i + 1, level.join(" "))?;
-        }
-        for group in &self.sharing {
-            writeln!(
-                f,
-                "  shared core: {} (identical select-join core; maintained once)",
-                group.join(", ")
-            )?;
         }
         for cycle in &self.cycles {
             let first = cycle.first().map(String::as_str).unwrap_or("?");
@@ -520,19 +508,6 @@ pub fn analyze_dag<'a>(
         analysis.cycles.push(rotated);
     }
     analysis.cycles.sort();
-
-    // Sharing groups: identical select-join core (relations + condition).
-    let mut by_core: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (&name, expr) in &defs {
-        by_core
-            .entry(expr.core_key())
-            .or_default()
-            .push(name.to_owned());
-    }
-    analysis.sharing = by_core
-        .into_values()
-        .filter(|group| group.len() >= 2)
-        .collect();
     analysis
 }
 
@@ -782,17 +757,6 @@ mod tests {
         assert!(a.cycles.is_empty());
         assert!(a.strata.is_empty());
         assert!(a.to_string().contains("unresolved: `v` references `ghost`"));
-    }
-
-    #[test]
-    fn dag_groups_identical_cores() {
-        let cond: Condition = Atom::lt_const("A", 10).into();
-        let p1 = SpjExpr::new(["R", "S"], cond.clone(), Some(vec!["A".into()]));
-        let p2 = SpjExpr::new(["R", "S"], cond, Some(vec!["B".into()]));
-        let other = named(&["R"]);
-        let a = analyze_dag([("p1", &p1), ("p2", &p2), ("other", &other)], &db());
-        assert_eq!(a.sharing, [vec!["p1", "p2"]]);
-        assert!(a.to_string().contains("shared core: p1, p2"));
     }
 
     #[test]

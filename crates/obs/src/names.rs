@@ -93,15 +93,10 @@ pub const MANAGER_FULL_RECOMPUTES: &str = "manager.full_recomputes";
 
 // --- view dependency DAG ----------------------------------------------
 
-/// Counter: DAG nodes (user views *and* internal shared nodes) brought up
-/// to date during transaction commits — differential runs plus full
+/// Counter: DAG nodes (SPJ views) brought up to date during transaction
+/// commits — differential runs plus full
 /// recomputes, but not filter-skips.
 pub const DAG_NODES_MAINTAINED: &str = "dag.nodes_maintained";
-/// Counter: times the delta of a shared internal node (a common
-/// subexpression maintained once) was consumed by a dependent view
-/// instead of being recomputed — one hit per (node, dependent) pair per
-/// transaction.
-pub const DAG_SHARED_HITS: &str = "dag.shared_hits";
 /// Histogram (views): number of DAG nodes maintained together in one
 /// topological stratum of one transaction (the fan-out width the parallel
 /// pool can exploit).
@@ -207,7 +202,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     MANAGER_SKIPPED_BY_FILTER,
     MANAGER_FULL_RECOMPUTES,
     DAG_NODES_MAINTAINED,
-    DAG_SHARED_HITS,
     POOL_CHUNKS,
     WAL_RECORDS_APPENDED,
     WAL_BYTES_APPENDED,

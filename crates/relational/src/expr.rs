@@ -144,28 +144,6 @@ impl SpjExpr {
         Ok(())
     }
 
-    /// The expression's *core*: the same operands and selection with the
-    /// projection dropped — `σ_C(R₁ ⋈ … ⋈ R_p)`. Two views whose cores
-    /// coincide differ only by their final projections, so one maintained
-    /// core can feed both (common-subexpression sharing).
-    pub fn core(&self) -> SpjExpr {
-        SpjExpr {
-            relations: self.relations.clone(),
-            condition: self.condition.clone(),
-            projection: None,
-        }
-    }
-
-    /// A syntactic identity key for the expression's core: equal keys ⟺
-    /// same operand list (same order — join order fixes the output column
-    /// order) and the same selection condition. Used by the view manager
-    /// to detect shareable common subexpressions; deliberately *syntactic*
-    /// (no condition equivalence reasoning), so detection is predictable
-    /// and survives recovery replay byte-for-byte.
-    pub fn core_key(&self) -> String {
-        format!("{}|{}", self.relations.join(","), self.condition)
-    }
-
     /// Full evaluation against the database (the paper's "complete
     /// re-evaluation" baseline).
     pub fn eval(&self, db: &Database) -> Result<Relation> {

@@ -45,13 +45,9 @@ const TMP_SUFFIX: &str = ".tmp";
 pub enum StoredViewKind<'a> {
     /// An SPJ view in the paper's normal form.
     Spj {
-        /// Effective (plan) expression actually maintained. Operands may
-        /// be other stored views (the registry is a dependency DAG).
+        /// The definition, as registered and maintained. Operands may be
+        /// other stored views (the registry is a dependency DAG).
         expr: SpjExpr,
-        /// The expression as registered by the user; differs from `expr`
-        /// when the maintenance layer rewrote the plan over a shared
-        /// common-subexpression node.
-        user_expr: SpjExpr,
         /// Refresh policy, encoded by the maintenance layer (opaque here).
         policy: u8,
         /// Accumulated, relevance-filtered operand deltas not yet folded
@@ -101,13 +97,14 @@ impl Codec for StoredView<'_> {
         match &self.kind {
             StoredViewKind::Spj {
                 expr,
-                user_expr,
                 policy,
                 pending,
             } => {
                 out.push(VIEW_SPJ);
+                // The v2 layout has two expression slots; both hold the
+                // one definition (see `FORMAT_VERSION`).
                 expr.encode_into(out);
-                user_expr.encode_into(out);
+                expr.encode_into(out);
                 out.push(*policy);
                 out.extend_from_slice(&(pending.len() as u32).to_le_bytes());
                 for (relation, delta) in pending {
@@ -129,7 +126,11 @@ impl Codec for StoredView<'_> {
         let kind = match r.u8()? {
             VIEW_SPJ => {
                 let expr = SpjExpr::decode_from(r)?;
-                let user_expr = SpjExpr::decode_from(r)?;
+                if SpjExpr::decode_from(r)? != expr {
+                    return Err(StorageError::Corrupt(format!(
+                        "view {name} stores two different definitions"
+                    )));
+                }
                 let policy = r.u8()?;
                 let n = r.u32()? as usize;
                 r.check_count(n, 16)?;
@@ -141,7 +142,6 @@ impl Codec for StoredView<'_> {
                 }
                 StoredViewKind::Spj {
                     expr,
-                    user_expr,
                     policy,
                     pending,
                 }
@@ -388,7 +388,6 @@ mod tests {
                     name: "V".into(),
                     kind: StoredViewKind::Spj {
                         expr: SpjExpr::new(["R"], Condition::always_true(), None),
-                        user_expr: SpjExpr::new(["R"], Condition::always_true(), None),
                         policy: 1,
                         pending: vec![("R".into(), Cow::Owned(pending))],
                     },
@@ -515,6 +514,55 @@ mod tests {
         let left: Vec<_> = fs::read_dir(&dir).unwrap().collect();
         assert!(left.is_empty(), "files left behind: {left:?}");
         assert!(latest_checkpoint(&dir).unwrap().is_none());
+    }
+
+    #[test]
+    fn image_with_two_different_view_definitions_is_corrupt() {
+        // An image from a build that maintained a view as a projection of
+        // a shared node `~s0` while remembering the expression it was
+        // registered with: the two expression slots differ.
+        let dir = scratch_dir("ckpt-two-definitions");
+        let db = Database::new();
+        let view_data = Relation::empty(Schema::new(["A"]).unwrap());
+        let maintained = SpjExpr::new(["~s0"], Condition::always_true(), Some(vec!["A".into()]));
+        let registered = SpjExpr::new(["R", "S"], Condition::always_true(), Some(vec!["A".into()]));
+        let mut payload = vec![FORMAT_VERSION, KIND_CHECKPOINT];
+        payload.extend_from_slice(&5u64.to_le_bytes());
+        db.encode_into(&mut payload);
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(b"va");
+        view_data.encode_into(&mut payload);
+        payload.push(VIEW_SPJ);
+        maintained.encode_into(&mut payload);
+        registered.encode_into(&mut payload);
+        payload.push(0);
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        let path = checkpoint_path(&dir, 1);
+        let mut file = File::create(&path).unwrap();
+        write_frame(&mut file, &payload).unwrap();
+        drop(file);
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(StorageError::Corrupt(msg)) if msg.contains("two different definitions")
+        ));
+
+        // The same image with the slots equal decodes.
+        let equal = CheckpointData {
+            last_lsn: 5,
+            db: Cow::Owned(db),
+            views: vec![StoredView {
+                name: "va".into(),
+                kind: StoredViewKind::Spj {
+                    expr: registered,
+                    policy: 0,
+                    pending: Vec::new(),
+                },
+                data: Cow::Owned(view_data),
+            }],
+        };
+        let path = write_checkpoint(&dir, 2, &equal).unwrap();
+        assert!(same_checkpoint(&read_checkpoint(&path).unwrap(), &equal));
     }
 
     #[test]

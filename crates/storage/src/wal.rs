@@ -33,8 +33,12 @@ use crate::frame::{framed_len, read_frame, write_frame};
 
 /// On-disk format version understood by this build.
 ///
-/// v2: checkpoint `StoredViewKind::Spj` carries the user expression next
-/// to the effective plan (view-over-view DAG support).
+/// v2: checkpoint `StoredViewKind::Spj` has two expression slots. They were
+/// written for a view maintained from a different plan than the one it was
+/// registered with; every view is now maintained from its registered
+/// definition, so the encoder writes that definition into both slots and
+/// the decoder rejects an image whose slots differ as corrupt. The slot
+/// stays so that the image bytes, and this version, do not change.
 pub const FORMAT_VERSION: u8 = 2;
 
 /// Conventional WAL file name inside a storage directory.

@@ -252,8 +252,7 @@ impl Shell {
     /// (Frontend B of `ivm-lint`). Three forms:
     ///
     /// * `analyze` — every registered view, plus the structural DAG
-    ///   analysis of the whole definition set (strata, reachability,
-    ///   shared select-join cores)
+    ///   analysis of the whole definition set (strata, reachability)
     /// * `analyze <view>` — one registered view
     /// * `analyze from …` — an ad-hoc candidate definition, without
     ///   registering it (the only way to inspect the full report of an
@@ -290,8 +289,8 @@ impl Shell {
             defs.push((name.to_owned(), expr));
         }
         // Whole-set structural analysis: how the definitions stack into a
-        // DAG and where cores coincide. The registry is acyclic by
-        // construction, so this reports strata/sharing, never cycles.
+        // DAG. The registry is acyclic by construction, so this reports
+        // strata, never cycles.
         if rest.is_empty() && !defs.is_empty() {
             let dag = ivm_lint::analyze_dag(
                 defs.iter().map(|(n, e)| (n.as_str(), e)),
@@ -304,9 +303,9 @@ impl Shell {
         Ok(out)
     }
 
-    /// `views` — the dependency DAG, stratum by stratum: every node
-    /// (internal shared cores included), its operands and dependents,
-    /// and per-node maintenance statistics from the last run.
+    /// `views` — the dependency DAG, stratum by stratum: every node, its
+    /// operands and dependents, and per-node maintenance statistics from
+    /// the last run.
     fn cmd_views(&self) -> Result<String> {
         use std::fmt::Write as _;
         let dag = self.manager.dag();
@@ -326,18 +325,17 @@ impl Shell {
                 cur = node.stratum;
                 writeln!(out, "stratum {cur}:").expect("write to string");
             }
-            let role = if node.shared { " [shared core]" } else { "" };
             writeln!(
                 out,
-                "  {}{role} := {} [{}, {} row(s)]",
+                "  {} := {} [{}, {} row(s)]",
                 node.name,
-                node.user_expr,
+                node.expr,
                 policy_name(node.policy),
                 node.rows
             )
             .expect("write to string");
             let ops: Vec<String> = node
-                .effective_expr
+                .expr
                 .relations
                 .iter()
                 .map(|op| {
@@ -734,8 +732,7 @@ impl Shell {
             }
         }
         // Views replay in topological (stratum-major) order so a stacked
-        // view's operands are always registered before it; internal
-        // shared cores are plan-level and re-derived on replay.
+        // view's operands are always registered before it.
         let dag = self.manager.dag();
         let spj: std::collections::BTreeSet<&str> = dag.iter().map(|n| n.name.as_str()).collect();
         for name in self.manager.view_names().filter(|n| !spj.contains(n)) {
@@ -743,11 +740,8 @@ impl Shell {
                 .expect("write to string");
         }
         for node in &dag {
-            if node.shared {
-                continue;
-            }
             let name = node.name.as_str();
-            let expr = &node.user_expr;
+            let expr = &node.expr;
             let policy = match node.policy {
                 RefreshPolicy::Immediate => "",
                 RefreshPolicy::Deferred => " deferred",
@@ -1030,18 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn views_command_shows_shared_cores() {
-        let mut s = seeded();
-        s.dispatch("view pa = from R, S where A < 10 project A")
-            .unwrap();
-        s.dispatch("view pc = from R, S where A < 10 project C")
-            .unwrap();
-        let out = s.dispatch("views").unwrap();
-        assert!(out.contains("[shared core]"), "{out}");
-        assert!(out.contains("~s0"), "{out}");
-    }
-
-    #[test]
     fn analyze_reports_dag_structure() {
         let mut s = seeded();
         s.dispatch("view base = from R, S where A < 10").unwrap();
@@ -1053,7 +1035,6 @@ mod tests {
         let out = s.dispatch("analyze").unwrap();
         assert!(out.contains("dependency DAG"), "{out}");
         assert!(out.contains("acyclic"), "{out}");
-        assert!(out.contains("shared core: pa, pb"), "{out}");
         // Per-view analysis of one view skips the DAG section.
         let one = s.dispatch("analyze top").unwrap();
         assert!(!one.contains("dependency DAG"), "{one}");
@@ -1070,10 +1051,6 @@ mod tests {
         let base_pos = script.find("view z_base").unwrap();
         let top_pos = script.find("view a_top").unwrap();
         assert!(base_pos < top_pos, "{script}");
-        assert!(
-            !script.contains("~s"),
-            "shared nodes are plan-internal: {script}"
-        );
         // The dump replays into an equivalent session.
         let mut replay = Shell::new();
         for line in script.lines() {

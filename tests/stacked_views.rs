@@ -1,7 +1,7 @@
 //! View-over-view dependency DAGs: stacked views must be bit-identical
 //! to their flattened single-view equivalents at every thread count,
-//! shared common subexpressions must be maintained exactly once, and
-//! multi-level DAGs must survive checkpoint/WAL-replay recovery —
+//! sibling views over one join must each be maintained from their own
+//! definition, and multi-level DAGs must survive checkpoint/WAL-replay recovery —
 //! including crashes injected at the most inconsistent instant of a
 //! commit.
 
@@ -122,91 +122,47 @@ proptest! {
     }
 }
 
-/// Sibling views with the same join/selection core and different
-/// projections are rewritten over one internal shared node; the core is
-/// maintained once and its delta consumed by both siblings
-/// (`dag.shared_hits`), and the per-transaction engine work equals one
-/// core run plus two trivial projection runs.
+/// Two sibling projections of one select-join core are two DAG nodes,
+/// each maintained from the expression it was registered with: a write
+/// relevant to both runs each sibling's own maintenance, and no internal
+/// node holds their un-projected core.
 #[test]
-fn shared_core_is_maintained_once() {
-    let recorder = Arc::new(InMemoryRecorder::new());
-    let mut m = ViewManager::new().with_recorder(recorder.clone());
-    create_base(&mut m);
-    let core = |proj: &[&str]| {
-        SpjExpr::new(
-            ["R", "S"],
-            Atom::lt_const("A", 100).into(),
-            Some(proj.iter().map(|a| AttrName::new(*a)).collect()),
-        )
-    };
-    m.register_view("by_a", core(&["A"]), RefreshPolicy::Immediate)
-        .unwrap();
-    m.register_view("by_c", core(&["C"]), RefreshPolicy::Immediate)
-        .unwrap();
-    // One shared node was minted; both user views project off it.
-    let dag = m.dag();
-    let shared: Vec<_> = dag.iter().filter(|n| n.shared).collect();
-    assert_eq!(shared.len(), 1, "expected exactly one shared node");
-    assert_eq!(
-        shared[0].dependents,
-        vec!["by_a".to_string(), "by_c".to_string()]
-    );
-    assert!(!m.view_names().any(|n| n.starts_with("~s")));
-
-    let mut txn = Transaction::new();
-    txn.insert("R", [1, 10]).unwrap();
-    txn.insert("S", [10, 7]).unwrap();
-    let report = m.execute(&txn).unwrap();
-    // The shared core ran once; each sibling consumed its delta.
-    assert_eq!(report.shared_hits, 2);
-    assert_eq!(report.views_maintained, 3); // core + two projections
-    let snapshot = recorder.snapshot();
-    assert_eq!(snapshot.counters.get("dag.shared_hits"), Some(&2));
-    assert_eq!(snapshot.counters.get("dag.nodes_maintained"), Some(&3));
-    // The siblings' runs are pure projections over the core delta: their
-    // single-operand truth tables evaluate exactly one row each, so the
-    // whole transaction costs core-rows + 2 — not 2 × core-rows.
-    let core_rows = m.stats("~s0").unwrap().last_rows_evaluated;
-    assert!(core_rows >= 1);
-    assert_eq!(report.rows_evaluated, core_rows + 2);
-    assert_eq!(m.stats("by_a").unwrap().last_rows_evaluated, 1);
-    assert_eq!(m.stats("by_c").unwrap().last_rows_evaluated, 1);
-
-    // Contents still match independent from-scratch evaluation.
-    m.verify_consistency().unwrap();
-    let by_a = m.query("by_a").unwrap();
-    assert!(by_a.contains(&Tuple::from([1])));
-}
-
-/// A projection-less sibling becomes the core itself: the earlier
-/// projection-bearing view is retroactively re-hung off it (no `~s`
-/// node is needed).
-#[test]
-fn bare_core_view_absorbs_sibling() {
+fn sibling_projections_are_maintained_independently() {
     let mut m = ViewManager::new();
     create_base(&mut m);
-    let cond: Condition = Atom::lt_const("A", 100).into();
-    m.register_view(
-        "proj",
-        SpjExpr::new(["R", "S"], cond.clone(), Some(vec!["A".into()])),
-        RefreshPolicy::Immediate,
-    )
-    .unwrap();
-    m.register_view(
-        "bare",
-        SpjExpr::new(["R", "S"], cond, None),
-        RefreshPolicy::Immediate,
-    )
-    .unwrap();
+    let sibling = |attr: &str| {
+        SpjExpr::new(
+            ["R", "S"],
+            Atom::lt_const("A", 5).into(),
+            Some(vec![AttrName::new(attr)]),
+        )
+    };
+    m.register_view("va", sibling("A"), RefreshPolicy::Immediate)
+        .unwrap();
+    m.register_view("vb", sibling("C"), RefreshPolicy::Immediate)
+        .unwrap();
     let dag = m.dag();
-    assert!(dag.iter().all(|n| !n.shared), "no ~s node should be minted");
-    let proj = dag.iter().find(|n| n.name == "proj").unwrap();
-    assert_eq!(proj.depends_on, vec!["bare".to_string()]);
+    let nodes: Vec<&str> = dag.iter().map(|n| n.name.as_str()).collect();
+    assert_eq!(nodes, ["va", "vb"]);
+    for node in &dag {
+        assert!(
+            node.depends_on.is_empty(),
+            "{} has upstream views",
+            node.name
+        );
+        assert_eq!(node.expr, m.view_expr(&node.name).unwrap());
+    }
+
     let mut txn = Transaction::new();
-    txn.insert("R", [3, 4]).unwrap();
-    txn.insert("S", [4, 5]).unwrap();
+    txn.insert("R", [3, 30]).unwrap();
+    txn.insert("S", [30, 300]).unwrap();
     let report = m.execute(&txn).unwrap();
     assert_eq!(report.views_maintained, 2);
+    for name in ["va", "vb"] {
+        assert_eq!(m.stats(name).unwrap().maintenance_runs, 1, "{name}");
+    }
+    assert!(m.view_contents("va").unwrap().contains(&Tuple::from([3])));
+    assert!(m.view_contents("vb").unwrap().contains(&Tuple::from([300])));
     m.verify_consistency().unwrap();
 }
 
@@ -243,15 +199,6 @@ fn invalid_stackings_are_rejected() {
         .register_view(
             "over_lazy",
             SpjExpr::new(["lazy"], Condition::always_true(), None),
-            RefreshPolicy::Immediate,
-        )
-        .unwrap_err();
-    assert!(matches!(err, IvmError::UnsupportedView(_)));
-    // Reserved shared-node namespace.
-    let err = m
-        .register_view(
-            "~s9",
-            SpjExpr::new(["R"], Condition::always_true(), None),
             RefreshPolicy::Immediate,
         )
         .unwrap_err();
@@ -294,7 +241,7 @@ fn deferred_view_over_immediate_view() {
 }
 
 /// Run `steps` transactions against a durable manager hosting a 3-level
-/// DAG (with a shared node), checkpointing midway, then "crash" and
+/// DAG (with two siblings over one core), checkpointing midway, then "crash" and
 /// recover: the recovered state must match an undisturbed in-memory run
 /// bit-for-bit, without any full re-evaluations during replay.
 fn run_3level_recovery(seed: u64, checkpoint_at: usize, steps: usize) {
@@ -311,7 +258,7 @@ fn run_3level_recovery(seed: u64, checkpoint_at: usize, steps: usize) {
                 Some(proj.iter().map(|a| AttrName::new(*a)).collect()),
             )
         };
-        // Two siblings over the same l1⋈T core: mints a shared node.
+        // Two siblings over the same l1⋈T core.
         m.register_view("l2a", mid(&["A", "D"]), RefreshPolicy::Immediate)
             .unwrap();
         m.register_view("l2b", mid(&["B", "C"]), RefreshPolicy::Immediate)
@@ -351,7 +298,7 @@ fn run_3level_recovery(seed: u64, checkpoint_at: usize, steps: usize) {
     let recovered = ViewManager::open(dir.path()).unwrap();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.checkpoint_seq, Some(1));
-    for name in ["l1", "l2a", "l2b", "l3", "~s0"] {
+    for name in ["l1", "l2a", "l2b", "l3"] {
         let got = recovered.view_contents(name).unwrap();
         let want = oracle.view_contents(name).unwrap();
         assert!(
@@ -361,14 +308,13 @@ fn run_3level_recovery(seed: u64, checkpoint_at: usize, steps: usize) {
         // Replay went through the differential path, not re-evaluation.
         assert_eq!(recovered.stats(name).unwrap().full_recomputes, 0);
     }
-    // The DAG structure itself survived: same strata, same sharing.
+    // The DAG structure itself survived: same strata, same edges.
     let dag = recovered.dag();
     assert_eq!(dag.len(), oracle.dag().len());
     for (r, o) in dag.iter().zip(oracle.dag()) {
         assert_eq!(r.name, o.name);
         assert_eq!(r.stratum, o.stratum);
         assert_eq!(r.depends_on, o.depends_on);
-        assert_eq!(r.shared, o.shared);
     }
 }
 
