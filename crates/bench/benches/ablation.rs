@@ -1,81 +1,13 @@
-//! Ablation of the engine optimizations DESIGN.md calls out: prefix
-//! sharing (§5.3 subexpression reuse), selection pushdown, change-first
-//! operand reordering — each toggled independently against the all-on
-//! default and the all-off "plain Algorithm 5.1".
+//! E14 — the price of generality: the general-tree reference engine
+//! against the SPJ engine on the same SPJ view. (The E13 ablation of the
+//! SPJ engine's optimizations was retired with the switches it toggled;
+//! see EXPERIMENTS.md E13 and E30.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use ivm::differential::{differential_delta, DiffOptions};
 use ivm::prelude::*;
-use ivm_bench::chain_scenario;
-
-fn variants() -> Vec<(&'static str, DiffOptions)> {
-    let on = DiffOptions::default();
-    vec![
-        ("all_on", on),
-        (
-            "no_prefix_sharing",
-            DiffOptions {
-                share_prefixes: false,
-                ..on
-            },
-        ),
-        (
-            "no_pushdown",
-            DiffOptions {
-                push_selections: false,
-                ..on
-            },
-        ),
-        (
-            "no_reorder",
-            DiffOptions {
-                reorder_operands: false,
-                ..on
-            },
-        ),
-        ("plain_paper", DiffOptions::plain()),
-    ]
-}
-
-/// A selective chain view with updates to the middle relations — the shape
-/// where all three optimizations bite.
-fn bench_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_chain");
-    group.sample_size(12);
-    let p = 5;
-    let mut sc = chain_scenario(42, p, 3_000, 600);
-    // Add a selective condition on the first attribute so pushdown has
-    // something to push.
-    sc.view = SpjExpr::new(
-        ivm::workload::Workload::chain_names(p),
-        Atom::lt_const("A0", 120).into(),
-        None,
-    );
-    let txn = sc
-        .workload
-        .multi_transaction(&sc.db, &[("R2", 25, 25), ("R3", 25, 25)])
-        .unwrap();
-
-    // All variants must agree before being timed.
-    let reference = differential_delta(&sc.view, &sc.db, &txn, &DiffOptions::default())
-        .unwrap()
-        .delta;
-    for (name, opts) in variants() {
-        let delta = differential_delta(&sc.view, &sc.db, &txn, &opts)
-            .unwrap()
-            .delta;
-        assert_eq!(delta, reference, "variant {name} diverged");
-    }
-
-    for (name, opts) in variants() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &opts, |b, opts| {
-            b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, opts).unwrap()))
-        });
-    }
-    group.finish();
-}
 
 /// The general-tree reference engine vs the optimized SPJ engine on the
 /// same SPJ view: the price of generality.
@@ -109,5 +41,5 @@ fn bench_tree_vs_spj(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ablation, bench_tree_vs_spj);
+criterion_group!(benches, bench_tree_vs_spj);
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! E9 — the truth-table expansion (§5.3): cost versus the number of
-//! updated relations k (2^k − 1 rows), and the paper's proposed
-//! optimization of re-using partial subexpressions across rows
-//! (prefix-sharing DFS) as an ablation.
+//! updated relations k (2^k − 1 rows) and versus the join width p, for
+//! the engine's prefix-sharing DFS (the paper's proposed re-use of
+//! partial subexpressions across rows). The `shared_prefixes` ids are
+//! kept so the bench history stays comparable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -28,17 +29,7 @@ fn bench_rows_vs_k(c: &mut Criterion) {
         let mut sc = chain_scenario(10, p, 1_000, 500);
         let txn = txn_updating_k(&mut sc, k, 20);
         group.bench_with_input(BenchmarkId::new("shared_prefixes", k), &k, |b, _| {
-            let opts = DiffOptions {
-                share_prefixes: true,
-                ..DiffOptions::default()
-            };
-            b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, &opts).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("independent_rows", k), &k, |b, _| {
-            let opts = DiffOptions {
-                share_prefixes: false,
-                ..DiffOptions::default()
-            };
+            let opts = DiffOptions::default();
             b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, &opts).unwrap()))
         });
     }
@@ -47,24 +38,14 @@ fn bench_rows_vs_k(c: &mut Criterion) {
 
 fn bench_width_scaling(c: &mut Criterion) {
     // Fixed k = 2, growing p: the non-updated operands join into every
-    // row; prefix sharing amortizes them.
+    // row, and prefix sharing amortizes them.
     let mut group = c.benchmark_group("e9_width_scaling");
     group.sample_size(12);
     for p in [2usize, 4, 6] {
         let mut sc = chain_scenario(11, p, 800, 400);
         let txn = txn_updating_k(&mut sc, 2.min(p), 20);
         group.bench_with_input(BenchmarkId::new("shared_prefixes", p), &p, |b, _| {
-            let opts = DiffOptions {
-                share_prefixes: true,
-                ..DiffOptions::default()
-            };
-            b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, &opts).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("independent_rows", p), &p, |b, _| {
-            let opts = DiffOptions {
-                share_prefixes: false,
-                ..DiffOptions::default()
-            };
+            let opts = DiffOptions::default();
             b.iter(|| black_box(differential_delta(&sc.view, &sc.db, &txn, &opts).unwrap()))
         });
     }

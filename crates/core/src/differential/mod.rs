@@ -10,8 +10,8 @@
 //! * [`truth_table`] — the binary expansion over updated relations (§5.3),
 //! * [`join`] — pure join views, Examples 5.2–5.4 (§5.3),
 //! * [`spj`] — Algorithm 5.1 for general SPJ views (§5.4): the
-//!   paper-literal tagged engine, with optional prefix sharing across
-//!   rows.
+//!   paper-literal tagged engine, run as one plan that shares join
+//!   prefixes across rows.
 //!
 //! [`select`], [`project`] and [`join`] are reference code, not on the
 //! maintenance path: they state §5.1–§5.3 in the paper's own form for the

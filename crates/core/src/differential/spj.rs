@@ -23,9 +23,8 @@
 //! the old-only terms, and mixed choices cancel — the "ignore" entries of
 //! the tag table.
 //!
-//! Optimizations (each individually switchable in [`DiffOptions`], all
-//! validated against each other and against full re-evaluation by
-//! property tests):
+//! The engine runs one plan, validated against full re-evaluation by
+//! property tests, with and without maintained indexes:
 //!
 //! * **prefix sharing** — rows are evaluated as a DFS over operand
 //!   positions so every shared join prefix is computed once, and prefixes
@@ -43,8 +42,7 @@
 //!   connectivity-preserving greedy order that starts at `Δu`
 //!   ([`plan::order_operands_from`], §5.3's "good order for execution of
 //!   the joins"): every row is rooted at a change set and no `B = 0`
-//!   operand ever sits at position 0. Without reordering there is one
-//!   group in definition order — the paper-literal table;
+//!   operand ever sits at position 0;
 //! * **lazy operands** — when only one relation changed (`k = 1`), the
 //!   single row never touches that relation's old contents, so they are
 //!   never copied; a materialized operand is built at most once per run
@@ -58,11 +56,11 @@
 //!   position the probe is additionally fused with the residual selection
 //!   and final projection, emitting straight into the signed output,
 //!   with or without a metrics recorder installed.
-//!   Falls back to the materialized build when no index covers the key or
-//!   `use_indexes` is off — with identical deltas, rows and joins either
-//!   way. Only the probe counters differ, and `operand_tuples` when a
-//!   selection was pushed: an indexed operand charges `|r − d_r|`, the
-//!   fallback its filtered size.
+//!   Falls back to the materialized build when no index covers the key —
+//!   with identical deltas, rows and joins either way. Only the probe
+//!   counters differ, and `operand_tuples` when a selection was pushed:
+//!   an indexed operand charges `|r − d_r|`, the fallback its filtered
+//!   size.
 
 use ivm_obs::{names, Obs};
 use ivm_relational::algebra;
@@ -70,7 +68,7 @@ use ivm_relational::attribute::AttrName;
 use ivm_relational::database::Database;
 use ivm_relational::delta::DeltaRelation;
 use ivm_relational::error::RelError;
-use ivm_relational::expr::{push_selections, Pushdown, SpjExpr};
+use ivm_relational::expr::{push_selections, SpjExpr};
 use ivm_relational::index::JoinIndex;
 use ivm_relational::predicate::{BoundCondition, Condition};
 use ivm_relational::relation::Relation;
@@ -80,59 +78,22 @@ use ivm_relational::transaction::Transaction;
 use ivm_relational::tuple::Tuple;
 use ivm_relational::value::Value;
 
-use crate::differential::{plan, truth_table};
+use crate::differential::plan;
 use crate::error::Result;
 use crate::stats::DiffStats;
 
-/// Options controlling a differential run. The defaults enable every
-/// optimization; the flags exist for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options of a maintenance run. The differential engine itself has one
+/// plan and reads none of them; the `differential_delta*` functions take
+/// them for the callers that pass them through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiffOptions {
-    /// Share join prefixes across truth-table rows; `false` evaluates each
-    /// row independently.
-    pub share_prefixes: bool,
-    /// Apply single-operand condition atoms before joining.
-    pub push_selections: bool,
-    /// Join change sets first in a connectivity-preserving greedy order.
-    pub reorder_operands: bool,
     /// Maximum worker threads for the §4 relevance filter that a
     /// [`crate::manager::ViewManager`] runs before this engine
     /// ([`crate::relevance::RelevanceFilter::filter_with`]), which uses
-    /// fewer when its tuples are few: `0` means one worker per available
-    /// core, `1` forces the sequential filter. The differential engine
-    /// always runs on the calling thread.
+    /// fewer when its tuples are few: `0` (the default) means one worker
+    /// per available core, `1` forces the sequential filter. The
+    /// differential engine always runs on the calling thread.
     pub threads: usize,
-    /// Probe maintained [`JoinIndex`]es for `B = 0` operands instead of
-    /// materializing and hash-building them, where one covers the join
-    /// key. `false` forces the materialized fallback everywhere (the
-    /// oracle the indexed-vs-fallback equivalence tests compare against).
-    pub use_indexes: bool,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            share_prefixes: true,
-            push_selections: true,
-            reorder_operands: true,
-            threads: 0,
-            use_indexes: true,
-        }
-    }
-}
-
-impl DiffOptions {
-    /// The paper's plain algorithm with no optimizations beyond the truth
-    /// table itself (ablation baseline).
-    pub fn plain() -> Self {
-        DiffOptions {
-            share_prefixes: false,
-            push_selections: false,
-            reorder_operands: false,
-            threads: 1,
-            use_indexes: false,
-        }
-    }
 }
 
 /// A computed view transaction plus its work counters.
@@ -217,12 +178,12 @@ pub fn differential_delta_parts(
 }
 
 /// [`differential_delta_parts`] with metrics (see
-/// [`differential_delta_observed`]).
+/// [`differential_delta_observed`]). The engine does not read `_opts`.
 pub fn differential_delta_parts_observed(
     view: &SpjExpr,
     old: &[&Relation],
     updates: &[Option<OperandUpdate>],
-    opts: &DiffOptions,
+    _opts: &DiffOptions,
     obs: &Obs,
 ) -> Result<DifferentialResult> {
     assert_eq!(old.len(), view.arity(), "one old state per operand");
@@ -244,43 +205,21 @@ pub fn differential_delta_parts_observed(
 
     // --- planning -----------------------------------------------------
     let schemas: Vec<&Schema> = old.iter().map(|r| r.schema()).collect();
-    let pushdown = if opts.push_selections {
-        push_selections(&view.condition, &schemas)
-    } else {
-        Pushdown {
-            per_operand: vec![Condition::always_true(); p],
-            residual: view.condition.clone(),
-        }
-    };
+    let pushdown = push_selections(&view.condition, &schemas);
     let planner = Planner {
         old,
         changes: &changes,
         pushed: &pushdown.per_operand,
-        k: updated.len(),
-        use_indexes: opts.use_indexes,
         projection: view.projection.as_deref(),
         out_schema: &out_schema,
     };
-    // With reordering, one pivot group per updated operand, each rooted
-    // at its change set; without, the paper's single table in definition
-    // order.
-    let groups: Vec<Group<'_>> = if opts.reorder_operands {
-        updated
-            .iter()
-            .map(|&u| planner.group(Some(u), &pivot_order(&schemas, old, &changes, u)))
-            .collect()
-    } else {
-        vec![planner.group(None, &(0..p).collect::<Vec<_>>())]
-    };
+    // One pivot group per updated operand, each rooted at its change set.
+    let groups: Vec<Group<'_>> = updated
+        .iter()
+        .map(|&u| planner.group(u, &pivot_order(&schemas, old, &changes, u)))
+        .collect();
     let operands = Operands::build(old, &changes, &pushdown.per_operand, &groups)?;
-    let result = evaluate(
-        &pushdown.residual,
-        &out_schema,
-        &operands,
-        &groups,
-        opts,
-        obs,
-    )?;
+    let result = evaluate(&pushdown.residual, &out_schema, &operands, &groups, obs)?;
 
     if obs.enabled() {
         // Aggregate work counters, emitted once per run so the disabled
@@ -370,24 +309,11 @@ struct Slot<'a> {
     one: bool,
 }
 
-impl Slot<'_> {
-    /// Rows of the group choose either side here.
-    fn free(&self) -> bool {
-        self.one && self.zero.is_some()
-    }
-
-    /// Every row of the group reads `B = 1` here.
-    fn forced(&self) -> bool {
-        self.one && self.zero.is_none()
-    }
-}
-
 /// A set of truth-table rows evaluated as one prefix-sharing DFS in one
 /// operand order. The group of updated operand `u` holds the rows whose
 /// first `B = 1` operand in definition order is `u`: earlier updated
 /// operands offer only `B = 0`, `u` only `B = 1`, later ones both. The
-/// groups of all updated operands partition the 2^k − 1 rows. Without
-/// reordering there is one group (no pivot) holding every row.
+/// groups of all updated operands partition the 2^k − 1 rows.
 struct Group<'a> {
     slots: Vec<Slot<'a>>,
     /// The view's projection or, when the group's order disturbs the
@@ -396,62 +322,28 @@ struct Group<'a> {
     final_proj: Option<Vec<AttrName>>,
 }
 
-impl Group<'_> {
-    /// The group's rows in evaluation order (`row[j]` is `B` of slot
-    /// `j`), for the flat loop: every choice over the slots offering both
-    /// sides, the forced sides fixed, the all-zero row left out.
-    fn rows(&self) -> Vec<truth_table::Row> {
-        let forced: truth_table::Row = self.slots.iter().map(Slot::forced).collect();
-        let free: Vec<usize> = (0..self.slots.len())
-            .filter(|&j| self.slots[j].free())
-            .collect();
-        let mut rows = truth_table::rows(self.slots.len(), &free);
-        if forced.contains(&true) {
-            for row in &mut rows {
-                for (b, &f) in row.iter_mut().zip(&forced) {
-                    *b |= f;
-                }
-            }
-            rows.insert(0, forced);
-        }
-        rows
-    }
-}
-
 /// What planning a group needs to know about the run.
 struct Planner<'a> {
     old: &'a [&'a Relation],
     changes: &'a [Option<&'a OperandUpdate>],
     pushed: &'a [Condition],
-    /// Number of updated operands.
-    k: usize,
-    use_indexes: bool,
     projection: Option<&'a [AttrName]>,
     out_schema: &'a Schema,
 }
 
 impl<'a> Planner<'a> {
-    /// Plan the group rooted at `pivot` (or the single pivot-less group)
-    /// over `order`: each slot's sides, and an index probe for each
-    /// `B = 0` side whose join key against the group's prefix is covered.
-    fn group(&self, pivot: Option<usize>, order: &[usize]) -> Group<'a> {
+    /// Plan the group rooted at `pivot` over `order`: each slot's sides,
+    /// and an index probe for each `B = 0` side whose join key against
+    /// the group's prefix is covered.
+    fn group(&self, pivot: usize, order: &[usize]) -> Group<'a> {
         let mut slots = Vec::with_capacity(order.len());
         let mut prefix: Option<Schema> = None;
         for &i in order {
             let change = self.changes[i];
-            let (zero_needed, one) = match pivot {
-                Some(u) => (i != u, change.is_some() && i >= u),
-                // `B = 0` of an updated operand is only read when another
-                // relation is also updated (`k ≥ 2`).
-                None => (change.is_none() || self.k >= 2, change.is_some()),
-            };
-            let zero = zero_needed.then(|| {
-                let probe = if self.use_indexes {
-                    indexed_zero(prefix.as_ref(), self.old[i], change, &self.pushed[i])
-                } else {
-                    None
-                };
-                probe.map_or(ZeroPlan::Mat, ZeroPlan::Idx)
+            let one = change.is_some() && i >= pivot;
+            let zero = (i != pivot).then(|| {
+                indexed_zero(prefix.as_ref(), self.old[i], change, &self.pushed[i])
+                    .map_or(ZeroPlan::Mat, ZeroPlan::Idx)
             });
             let schema = self.old[i].schema();
             prefix = Some(match prefix {
@@ -794,17 +686,11 @@ fn evaluate(
     out_schema: &Schema,
     operands: &Operands,
     groups: &[Group<'_>],
-    opts: &DiffOptions,
     obs: &Obs,
 ) -> Result<DifferentialResult> {
     let mut out = GroupOut::empty(out_schema);
     for group in groups {
-        let run = GroupRun::new(residual, obs, operands, group);
-        if opts.share_prefixes {
-            run.dfs(0, None, false, &mut out)?;
-        } else {
-            run.flat(&mut out)?;
-        }
+        GroupRun::new(residual, obs, operands, group).dfs(0, None, false, &mut out)?;
     }
     let GroupOut {
         acc,
@@ -901,7 +787,7 @@ impl<'r, 'a> GroupRun<'r, 'a> {
         let materialized = if one {
             &self.operands.ones[slot.rel]
         } else {
-            // ivm-lint: allow(no-panic) — the DFS and the row set only pick B = 0 where the slot offers it
+            // ivm-lint: allow(no-panic) — the DFS only picks B = 0 where the slot offers it
             match slot.zero.as_ref().expect("zero side offered") {
                 ZeroPlan::Idx(ix) => return TaggedPick::Idx(ix),
                 ZeroPlan::Mat => &self.operands.zeros[slot.rel],
@@ -909,18 +795,6 @@ impl<'r, 'a> GroupRun<'r, 'a> {
         };
         // ivm-lint: allow(no-panic) — Operands::build materializes every side a slot plans as Mat or one
         TaggedPick::Rel(materialized.as_ref().expect("side materialized"))
-    }
-
-    fn join(
-        &self,
-        prev: &TaggedRelation,
-        pick: &TaggedPick<'_, '_>,
-        stats: &mut DiffStats,
-    ) -> Result<TaggedRelation> {
-        match pick {
-            TaggedPick::Rel(r) => Ok(algebra::natural_join_tagged(prev, r)?),
-            TaggedPick::Idx(ix) => probe_join_tagged(prev, ix, stats),
-        }
     }
 
     /// Prefix-sharing DFS over the slots: every shared join prefix is
@@ -987,33 +861,11 @@ impl<'r, 'a> GroupRun<'r, 'a> {
                 return probe_emit_tagged(&self.ctx, prev, ix, &mut out.fused, &mut out.stats);
             }
         }
-        let next = self.join(prev, &pick, &mut out.stats)?;
+        let next = match pick {
+            TaggedPick::Rel(r) => algebra::natural_join_tagged(prev, r)?,
+            TaggedPick::Idx(ix) => probe_join_tagged(prev, ix, &mut out.stats)?,
+        };
         self.dfs(j + 1, Some(&next), any_one, out)
-    }
-
-    /// Evaluate each row of the group independently (no prefix sharing).
-    fn flat(&self, out: &mut GroupOut) -> Result<()> {
-        for row in self.group.rows() {
-            out.stats.rows_evaluated += 1;
-            let picks: Vec<TaggedPick<'r, 'a>> = row
-                .iter()
-                .enumerate()
-                .map(|(j, &one)| self.pick(j, one))
-                .collect();
-            out.stats.operand_tuples += picks.iter().map(TaggedPick::logical_len).sum::<u64>();
-            // ivm-lint: allow(no-unchecked-index) — p ≥ 1 operands, so every truth-table row has a first input
-            let mut joined = match &picks[0] {
-                TaggedPick::Rel(r) => (*r).clone(),
-                // ivm-lint: allow(no-panic) — position 0 has no prefix, so indexed_zero never plans an index there
-                TaggedPick::Idx(_) => unreachable!("indexed zero requires a prefix"),
-            };
-            for pick in &picks[1..] {
-                out.stats.joins_performed += 1;
-                joined = self.join(&joined, pick, &mut out.stats)?;
-            }
-            emit_tagged_leaf(&self.ctx, &joined, &mut out.acc)?;
-        }
-        Ok(())
     }
 }
 
@@ -1045,35 +897,15 @@ mod tests {
         (db, view)
     }
 
-    fn all_option_combos() -> Vec<DiffOptions> {
-        let mut v = Vec::new();
-        for share in [true, false] {
-            for push in [true, false] {
-                for reorder in [true, false] {
-                    v.push(DiffOptions {
-                        share_prefixes: share,
-                        push_selections: push,
-                        reorder_operands: reorder,
-                        ..DiffOptions::default()
-                    });
-                }
-            }
-        }
-        v
-    }
-
-    /// The central invariant: differential result + old view = new view,
-    /// for every option combination.
+    /// The central invariant: differential result + old view = new view.
     fn check_equivalence(db: &Database, view: &SpjExpr, txn: &Transaction) {
         let mut db_after = db.clone();
         db_after.apply(txn).unwrap();
         let expected = view.eval(&db_after).unwrap();
-        for opts in all_option_combos() {
-            let mut v = view.eval(db).unwrap();
-            let result = differential_delta(view, db, txn, &opts).unwrap();
-            v.apply_delta(&result.delta).unwrap();
-            assert_eq!(v, expected, "options {opts:?}");
-        }
+        let mut v = view.eval(db).unwrap();
+        let result = differential_delta(view, db, txn, &DiffOptions::default()).unwrap();
+        v.apply_delta(&result.delta).unwrap();
+        assert_eq!(v, expected);
     }
 
     #[test]
@@ -1101,6 +933,9 @@ mod tests {
         txn.insert("S", [20, 99]).unwrap();
         txn.delete("S", [10, 15]).unwrap();
         check_equivalence(&db, &view, &txn);
+        // k = 2: the two pivot groups hold the 2² − 1 = 3 rows.
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        assert_eq!(r.stats.rows_evaluated, 3);
     }
 
     #[test]
@@ -1119,11 +954,9 @@ mod tests {
         db.create("T", Schema::new(["Z"]).unwrap()).unwrap();
         let mut txn = Transaction::new();
         txn.insert("T", [1]).unwrap();
-        for opts in all_option_combos() {
-            let r = differential_delta(&view, &db, &txn, &opts).unwrap();
-            assert!(r.delta.is_empty());
-            assert_eq!(r.stats.rows_evaluated, 0);
-        }
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        assert!(r.delta.is_empty());
+        assert_eq!(r.stats.rows_evaluated, 0);
     }
 
     #[test]
@@ -1172,12 +1005,11 @@ mod tests {
         let mut txn = Transaction::new();
         txn.insert("R1", [9, 2]).unwrap();
         txn.insert("R2", [4, 5]).unwrap();
-        let opts = DiffOptions {
-            share_prefixes: false,
-            ..DiffOptions::default()
-        };
-        let r = differential_delta(&view, &db, &txn, &opts).unwrap();
-        assert_eq!(r.stats.rows_evaluated, 3);
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        // Of the 3 rows, `ΔR1 ⋈ ΔR2 ⋈ R3` has an empty prefix (B = 2 vs
+        // B = 4): the DFS skips its last join instead of evaluating it.
+        assert_eq!(r.stats.rows_evaluated, 2);
+        assert_eq!(r.stats.joins_skipped, 1);
         check_equivalence(&db, &view, &txn);
     }
 
@@ -1197,36 +1029,13 @@ mod tests {
         txn.insert("R2", [4, 4]).unwrap();
         txn.insert("R3", [5, 5]).unwrap();
         txn.insert("R4", [6, 6]).unwrap();
-        let shared = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                share_prefixes: true,
-                reorder_operands: false,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
-        let naive = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                share_prefixes: false,
-                reorder_operands: false,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(shared.delta, naive.delta);
-        // Naive: 15 rows × 3 joins = 45; shared DFS: ≤ 2 + 4 + 8 = 14.
-        assert_eq!(naive.stats.joins_performed, 45);
-        assert!(
-            shared.stats.joins_performed <= 14,
-            "shared joins = {}",
-            shared.stats.joins_performed
-        );
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        check_equivalence(&db, &view, &txn);
+        // Evaluating each of the 15 rows on its own would join 15 × 3 = 45
+        // times. The DFS computes each shared prefix once and extends no
+        // empty one: every inserted tuple is dangling here.
+        assert_eq!(r.stats.joins_performed, 7);
+        assert!(r.stats.joins_performed < 45);
     }
 
     #[test]
@@ -1250,20 +1059,11 @@ mod tests {
     #[test]
     fn all_zero_prefix_is_pruned() {
         // p = 2, only the last relation updated: the expensive old ⋈ old
-        // path must never be joined even without reordering.
+        // path must never be joined.
         let (db, view) = setup();
         let mut txn = Transaction::new();
         txn.insert("S", [10, 99]).unwrap();
-        let r = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                reorder_operands: false,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
         assert_eq!(r.stats.rows_evaluated, 1);
         assert_eq!(r.stats.joins_performed, 1);
         check_equivalence(&db, &view, &txn);
@@ -1277,40 +1077,18 @@ mod tests {
         let view = SpjExpr::new(["R", "S"], Atom::lt_const("A", 2).into(), None);
         let mut txn = Transaction::new();
         txn.insert("S", [10, 99]).unwrap();
-        let with = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                push_selections: true,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
-        let without = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                push_selections: false,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(with.delta, without.delta);
-        assert!(
-            with.stats.operand_tuples < without.stats.operand_tuples,
-            "pushdown must shrink operands: {} vs {}",
-            with.stats.operand_tuples,
-            without.stats.operand_tuples
-        );
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        check_equivalence(&db, &view, &txn);
+        // ΔS (1 tuple) and the one R tuple with A < 2; unpushed, the
+        // zero side of R would carry all 3 of its tuples: 1 + 3 = 4.
+        assert_eq!(r.stats.operand_tuples, 2);
+        assert!(r.stats.operand_tuples < 4);
     }
 
     #[test]
     fn reorder_puts_changes_first() {
-        // Chain of 3, only the last updated: with reordering the first
-        // join is change ⋈ R1 (small), without it the DFS still prunes but
-        // must join R0 ⋈ R1 for the useful row.
+        // Chain of 3, only the last updated: the row starts at ΔR2 and
+        // reaches R1, then R0, each with a prefix to probe from.
         let mut db = Database::new();
         db.create("R0", Schema::new(["A0", "A1"]).unwrap()).unwrap();
         db.create("R1", Schema::new(["A1", "A2"]).unwrap()).unwrap();
@@ -1323,36 +1101,26 @@ mod tests {
         let view = SpjExpr::new(["R0", "R1", "R2"], Condition::always_true(), None);
         let mut txn = Transaction::new();
         txn.insert("R2", [2, 999]).unwrap();
-        let reordered = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                reorder_operands: true,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
-        let in_order = differential_delta(
-            &view,
-            &db,
-            &txn,
-            &DiffOptions {
-                reorder_operands: false,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(reordered.delta, in_order.delta);
-        assert!(
-            reordered.stats.operand_tuples <= in_order.stats.operand_tuples,
-            "change-first order must not read more tuples"
-        );
-        // And the delta has the canonical scheme despite reordering.
+        let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        check_equivalence(&db, &view, &txn);
+        // Unindexed, both old operands are materialized: 1 + 35 + 50.
+        assert_eq!(r.stats.operand_tuples, 86);
+        assert_eq!(r.stats.joins_performed, 2);
+        // The delta has the canonical scheme despite reordering.
         assert_eq!(
-            reordered.delta.schema().attrs(),
+            r.delta.schema().attrs(),
             &["A0".into(), "A1".into(), "A2".into(), "A3".into()]
         );
+
+        // Indexed on the join keys: ΔR2 probes R1 once, and the 7 R1
+        // tuples with A2 = 2 probe R0. In definition order R0 would sit at
+        // position 0 with no prefix, and its 50 tuples would each probe R1.
+        db.ensure_index("R1", &["A2".into()]).unwrap();
+        db.ensure_index("R0", &["A1".into()]).unwrap();
+        let indexed = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+        assert_eq!(indexed.delta, r.delta);
+        assert_eq!(indexed.stats.index_probes, 8);
+        assert!(indexed.stats.index_probes < 50);
     }
 
     #[test]
@@ -1368,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn dnf_condition_all_options() {
+    fn dnf_condition() {
         use ivm_relational::predicate::Conjunction;
         let (db, _) = setup();
         let view = SpjExpr::new(
@@ -1429,8 +1197,9 @@ mod tests {
     }
 
     /// The pivot groups partition the truth table: for every set of
-    /// updated operands the flat loop evaluates each of the 2^k − 1 rows
-    /// exactly once and the delta matches the single-table engine.
+    /// updated operands, on data where no join prefix is empty, the DFS
+    /// evaluates each of the 2^k − 1 rows exactly once and the delta
+    /// matches full re-evaluation.
     #[test]
     fn pivot_groups_cover_every_row_once() {
         let mut db = Database::new();
@@ -1440,8 +1209,13 @@ mod tests {
             let b = format!("A{}", i + 1);
             db.create(*name, Schema::new([a.as_str(), b.as_str()]).unwrap())
                 .unwrap();
-            for v in 0..12 {
-                db.load(name, [[v, v % 4]]).unwrap();
+            // Every pair over 0..4 but the four `(a, a + 1 mod 4)` ones:
+            // each value has at least two partners on either side, so no
+            // prefix of any row is empty.
+            for a in 0..4i64 {
+                for b in (0..4).filter(|&b| b != (a + 1) % 4) {
+                    db.load(name, [[a, b]]).unwrap();
+                }
             }
         }
         let view = SpjExpr::new(names, Atom::lt_const("A2", 3).into(), None);
@@ -1449,28 +1223,26 @@ mod tests {
             let mut txn = Transaction::new();
             for (i, name) in names.iter().enumerate() {
                 if mask >> i & 1 == 1 {
-                    let v = i as i64 + 1;
-                    txn.insert(*name, [v, (v + 1) % 4]).unwrap();
+                    for a in 0..4i64 {
+                        txn.insert(*name, [a, (a + 1) % 4]).unwrap();
+                    }
                     txn.delete(*name, [2, 2]).unwrap();
                 }
             }
             let k = mask.count_ones();
-            let single = differential_delta(&view, &db, &txn, &DiffOptions::plain()).unwrap();
-            for share_prefixes in [false, true] {
-                let opts = DiffOptions {
-                    share_prefixes,
-                    ..DiffOptions::default()
-                };
-                let grouped = differential_delta(&view, &db, &txn, &opts).unwrap();
-                assert_eq!(grouped.delta, single.delta, "mask {mask:04b}");
-                if !share_prefixes {
-                    assert_eq!(
-                        grouped.stats.rows_evaluated,
-                        (1 << k) - 1,
-                        "mask {mask:04b}"
-                    );
-                }
-            }
+            let grouped = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+            let mut db_after = db.clone();
+            db_after.apply(&txn).unwrap();
+            let full =
+                crate::full_reval::recompute_delta(&view, &db_after, &view.eval(&db).unwrap())
+                    .unwrap();
+            assert_eq!(grouped.delta, full, "mask {mask:04b}");
+            assert_eq!(grouped.stats.joins_skipped, 0, "mask {mask:04b}");
+            assert_eq!(
+                grouped.stats.rows_evaluated,
+                (1 << k) - 1,
+                "mask {mask:04b}"
+            );
         }
     }
 
@@ -1495,40 +1267,20 @@ mod tests {
             let mut txn = Transaction::new();
             txn.insert("S", [10, 200]).unwrap();
             let recorder = Obs::new(std::sync::Arc::new(ivm_obs::InMemoryRecorder::new()));
-            for use_indexes in [true, false] {
-                for obs in [Obs::disabled(), recorder.clone()] {
-                    let opts = DiffOptions {
-                        use_indexes,
-                        ..DiffOptions::default()
-                    };
-                    let res = differential_delta_observed(&view, &db, &txn, &opts, &obs);
-                    let ctx = format!(
-                        "index {covering_index} use_indexes {use_indexes} metrics {}: {res:?}",
-                        obs.enabled()
-                    );
-                    assert!(
-                        matches!(
-                            res,
-                            Err(crate::error::IvmError::Relational(
-                                RelError::CounterOverflow(_)
-                            ))
-                        ),
-                        "{ctx}"
-                    );
-                }
+            for obs in [Obs::disabled(), recorder] {
+                let res =
+                    differential_delta_observed(&view, &db, &txn, &DiffOptions::default(), &obs);
+                let ctx = format!("index {covering_index} metrics {}: {res:?}", obs.enabled());
+                assert!(
+                    matches!(
+                        res,
+                        Err(crate::error::IvmError::Relational(
+                            RelError::CounterOverflow(_)
+                        ))
+                    ),
+                    "{ctx}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn plain_options_reproduce_paper_algorithm() {
-        let (db, view) = setup();
-        let mut txn = Transaction::new();
-        txn.insert("R", [7, 10]).unwrap();
-        txn.insert("S", [20, 50]).unwrap();
-        let plain = differential_delta(&view, &db, &txn, &DiffOptions::plain()).unwrap();
-        let tuned = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
-        assert_eq!(plain.delta, tuned.delta);
-        assert_eq!(plain.stats.rows_evaluated, 3);
     }
 }

@@ -93,7 +93,6 @@ pub struct IntegrityStats {
 /// A set of integrity assertions checked against candidate transactions.
 pub struct IntegrityMonitor {
     assertions: Vec<PreparedAssertion>,
-    options: DiffOptions,
     stats: IntegrityStats,
 }
 
@@ -102,7 +101,6 @@ impl IntegrityMonitor {
     pub fn new() -> Self {
         IntegrityMonitor {
             assertions: Vec::new(),
-            options: DiffOptions::default(),
             stats: IntegrityStats::default(),
         }
     }
@@ -181,7 +179,12 @@ impl IntegrityMonitor {
             // Stage 2: differential evaluation of the error view. Since
             // the view is empty, any positive delta tuple is a new error.
             self.stats.evaluated += 1;
-            let result = differential_delta(&assertion.error_view, db, &filtered, &self.options)?;
+            let result = differential_delta(
+                &assertion.error_view,
+                db,
+                &filtered,
+                &DiffOptions::default(),
+            )?;
             let (introduced, _removed) = result.delta.split();
             if !introduced.is_empty() {
                 self.stats.violations += 1;

@@ -109,8 +109,10 @@ pub struct MaintenanceStats {
 pub struct MaintenanceReport {
     /// Views whose operand relations the transaction touched.
     pub views_touched: usize,
-    /// Views maintained differentially (including deferred refreshes
-    /// queued — see `views_deferred`).
+    /// Views maintained by this transaction: SPJ views differentially,
+    /// and tree views. Deferred views whose changes were queued count in
+    /// `views_deferred` instead, and full re-evaluations in
+    /// `full_recomputes`.
     pub views_maintained: usize,
     /// Views skipped because the §4 filter proved every tuple irrelevant.
     pub views_skipped: usize,
@@ -118,10 +120,6 @@ pub struct MaintenanceReport {
     pub full_recomputes: usize,
     /// Views whose (filtered) changes were queued for a later refresh.
     pub views_deferred: usize,
-    /// Truth-table rows evaluated by the §5 engine across all immediate
-    /// views (equals `diff.rows_evaluated`; identical at every thread
-    /// count).
-    pub rows_evaluated: usize,
     /// Relevance-filter work for this transaction.
     pub filter: FilterStats,
     /// Differential-engine work for this transaction.
@@ -131,16 +129,16 @@ pub struct MaintenanceReport {
 /// Change listener: called with the view's delta after maintenance.
 pub type ChangeListener = Arc<dyn Fn(&str, &DeltaRelation) + Send + Sync>;
 
-/// Manager-wide configuration in one bundle: the differential-engine
-/// options plus the knobs that live on the manager itself. `diff.threads`
-/// bounds the one maintenance fan-out, the §4 relevance checks: `0` means
-/// one worker per available core (the default), `1` forces the fully
-/// sequential path — the deterministic oracle the thread-invariance tests
-/// compare against. Results are identical at every width; only
-/// wall-clock changes.
+/// Manager-wide configuration in one bundle. `diff.threads` bounds the
+/// one maintenance fan-out, the §4 relevance checks: `0` means one worker
+/// per available core (the default), `1` forces the fully sequential
+/// path — the deterministic oracle the thread-invariance tests compare
+/// against. Results are identical at every width; only wall-clock
+/// changes.
 #[derive(Debug, Clone)]
 pub struct ManagerOptions {
-    /// Differential-engine options, worker thread count included.
+    /// The relevance filter's worker thread count, passed through to the
+    /// differential engine, which reads none of it.
     pub diff: DiffOptions,
     /// How immediate views are maintained.
     pub strategy: MaintenanceStrategy,
@@ -302,12 +300,6 @@ impl ViewManager {
             failpoints: None,
             snapshots: crate::snapshot::SnapshotHub::new(),
         }
-    }
-
-    /// Override the differential-engine options.
-    pub fn with_options(mut self, options: DiffOptions) -> Self {
-        self.options.diff = options;
-        self
     }
 
     /// Apply a full [`ManagerOptions`] bundle.
@@ -843,7 +835,7 @@ impl ViewManager {
     /// txn.insert("R", [1]).unwrap();
     /// let report = m.execute(&txn).unwrap();
     /// assert_eq!(report.views_maintained, 1);
-    /// assert!(report.rows_evaluated >= 1);
+    /// assert!(report.diff.rows_evaluated >= 1);
     /// ```
     pub fn execute(&mut self, txn: &Transaction) -> Result<MaintenanceReport> {
         let obs = self.options.recorder.clone();
@@ -1040,7 +1032,6 @@ impl ViewManager {
         // readers never observe a half-applied transaction.
         self.publish_snapshot();
         self.maybe_checkpoint()?;
-        report.rows_evaluated = report.diff.rows_evaluated;
         Ok(report)
     }
 
@@ -1708,6 +1699,27 @@ mod tests {
             .unwrap()
             .contains(&Tuple::from([3, 100])));
         m.verify_consistency().unwrap();
+    }
+
+    /// A relevant write to a deferred view is queued, not maintained: the
+    /// report counts it in `views_deferred` only, and the refresh that
+    /// folds it in leaves the view equal to full re-evaluation.
+    #[test]
+    fn deferred_write_is_reported_as_deferred_not_maintained() {
+        let mut m = manager_with_data();
+        m.register_view("v", view_expr(), RefreshPolicy::Deferred)
+            .unwrap();
+        let mut txn = Transaction::new();
+        txn.insert("R", [3, 10]).unwrap();
+        let report = m.execute(&txn).unwrap();
+        assert_eq!(report.views_touched, 1);
+        assert_eq!(report.views_deferred, 1);
+        assert_eq!(report.views_maintained, 0);
+        assert_eq!(report.diff.rows_evaluated, 0);
+        m.refresh("v").unwrap();
+        let full = view_expr().eval(m.database()).unwrap();
+        assert_eq!(m.view_contents("v").unwrap(), &full);
+        assert!(full.contains(&Tuple::from([3, 100])));
     }
 
     #[test]

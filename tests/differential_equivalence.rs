@@ -1,8 +1,10 @@
 //! The central correctness property of §5: for *any* database, SPJ view
 //! and transaction, applying the differential delta to the old
 //! materialization yields exactly the full re-evaluation of the view on
-//! the new state — multiplicity counters included — for every option
-//! combination.
+//! the new state — multiplicity counters included. Every case runs twice:
+//! on its index-free database, where each `B = 0` operand takes the
+//! materialized fallback, and on the same rows carrying every join index
+//! `register_view` would derive, where the engine probes them.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -104,28 +106,45 @@ fn build_txn(rng: &mut StdRng, db: &Database, p: usize, domain: i64) -> Transact
     txn
 }
 
-fn all_options() -> Vec<DiffOptions> {
-    let mut out = Vec::with_capacity(8);
-    for share_prefixes in [true, false] {
-        for push_selections in [true, false] {
-            for reorder_operands in [true, false] {
-                out.push(DiffOptions {
-                    share_prefixes,
-                    push_selections,
-                    reorder_operands,
-                    threads: 1,
-                    use_indexes: true,
-                });
-            }
+/// Build every index `register_view` would derive for the chain join:
+/// each relation's shared attribute with each neighbour, plus the
+/// two-attribute union key middle operands expose under reordering
+/// (the same shape as `index_equivalence.rs`).
+fn add_chain_indexes(db: &mut Database, p: usize) {
+    for i in 0..p {
+        let name = format!("R{i}");
+        let mut keys: Vec<Vec<AttrName>> = Vec::new();
+        if i > 0 {
+            keys.push(vec![AttrName::new(format!("A{i}"))]);
+        }
+        if i + 1 < p {
+            keys.push(vec![AttrName::new(format!("A{}", i + 1))]);
+        }
+        if keys.len() == 2 {
+            keys.push(vec![
+                AttrName::new(format!("A{i}")),
+                AttrName::new(format!("A{}", i + 1)),
+            ]);
+        }
+        for key in keys {
+            db.ensure_index(&name, &key).unwrap();
         }
     }
-    out
+}
+
+/// The two databases a case runs on, labelled: the index-free `db` built
+/// by [`build_db`], and the same rows with the chain's join indexes.
+fn index_states(db: Database, p: usize) -> [(&'static str, Database); 2] {
+    let mut indexed = db.clone();
+    add_chain_indexes(&mut indexed, p);
+    [("index-free", db), ("indexed", indexed)]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Differential ≡ full re-evaluation, all options, random everything.
+    /// Differential ≡ full re-evaluation, with and without indexes,
+    /// random everything.
     #[test]
     fn differential_equals_full_reevaluation(
         seed in any::<u64>(),
@@ -147,20 +166,20 @@ proptest! {
         db_after.apply(&txn).unwrap();
         let expected = view.eval(&db_after).unwrap();
 
-        for opts in all_options() {
+        for (label, db) in index_states(db, p) {
             let mut v = view.eval(&db).unwrap();
-            let result = differential_delta(&view, &db, &txn, &opts).unwrap();
+            let result = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
             v.apply_delta(&result.delta).unwrap();
             prop_assert!(
                 v == expected,
-                "options {opts:?} diverged:\ndiff  = {v}\nfull = {expected}",
+                "{label} run diverged:\ndiff  = {v}\nfull = {expected}",
             );
         }
     }
 
-    /// Every row strategy (prefix-sharing DFS, flat loop) and every option
-    /// combination produce the *identical* delta (not just equivalent end
-    /// states).
+    /// The index-free and the indexed run produce the *identical* delta
+    /// (not just equivalent end states): the delta full re-evaluation
+    /// derives from the old and new view.
     #[test]
     fn engines_agree_on_the_delta(
         seed in any::<u64>(),
@@ -178,10 +197,15 @@ proptest! {
         );
         let txn = build_txn(&mut rng, &db, p, domain);
 
-        let reference = differential_delta(&view, &db, &txn, &all_options()[0]).unwrap().delta;
-        for opts in all_options() {
-            let delta = differential_delta(&view, &db, &txn, &opts).unwrap().delta;
-            prop_assert!(delta == reference, "options {opts:?} produced a different delta");
+        let mut db_after = db.clone();
+        db_after.apply(&txn).unwrap();
+        let reference =
+            full_reval::recompute_delta(&view, &db_after, &view.eval(&db).unwrap()).unwrap();
+        for (label, db) in index_states(db, p) {
+            let delta = differential_delta(&view, &db, &txn, &DiffOptions::default())
+                .unwrap()
+                .delta;
+            prop_assert!(delta == reference, "{label} run produced a different delta");
         }
     }
 
@@ -198,8 +222,8 @@ proptest! {
         let relations: Vec<String> = (0..p).map(|i| format!("R{i}")).collect();
         let view = SpjExpr::new(relations, Condition::always_true(), None);
         let txn = Transaction::new();
-        for opts in all_options() {
-            let r = differential_delta(&view, &db, &txn, &opts).unwrap();
+        for (_, db) in index_states(db, p) {
+            let r = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
             prop_assert!(r.delta.is_empty());
             prop_assert_eq!(r.stats.rows_evaluated, 0);
         }
@@ -224,14 +248,6 @@ proptest! {
         );
         let txn = build_txn(&mut rng, &db, p, domain);
 
-        // Forward.
-        let original = view.eval(&db).unwrap();
-        let mut v = original.clone();
-        let fwd = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
-        v.apply_delta(&fwd.delta).unwrap();
-        let mut db_mid = db.clone();
-        db_mid.apply(&txn).unwrap();
-
         // Inverse transaction: swap inserts and deletes.
         let mut inv = Transaction::new();
         for name in txn.touched() {
@@ -242,9 +258,22 @@ proptest! {
                 inv.insert(name, t.clone()).unwrap();
             }
         }
-        let back = differential_delta(&view, &db_mid, &inv, &DiffOptions::default()).unwrap();
-        v.apply_delta(&back.delta).unwrap();
-        prop_assert!(v == original);
+
+        let original = view.eval(&db).unwrap();
+        for (label, db) in index_states(db, p) {
+            // Forward.
+            let mut v = original.clone();
+            let fwd = differential_delta(&view, &db, &txn, &DiffOptions::default()).unwrap();
+            v.apply_delta(&fwd.delta).unwrap();
+            let mut db_mid = db.clone();
+            db_mid.apply(&txn).unwrap();
+            prop_assert!(v == view.eval(&db_mid).unwrap(), "{} forward run", label);
+
+            // Back.
+            let back = differential_delta(&view, &db_mid, &inv, &DiffOptions::default()).unwrap();
+            v.apply_delta(&back.delta).unwrap();
+            prop_assert!(v == original, "{} inverse run", label);
+        }
     }
 }
 
@@ -315,10 +344,12 @@ proptest! {
         let expr = build_tree(&mut rng, depth);
         let txn = build_txn(&mut rng, &db, 2, 5);
 
-        let mut mv = MaterializedExpr::materialize(expr, &db).unwrap();
-        mv.update(&db, &txn).unwrap();
-        let mut after = db.clone();
-        after.apply(&txn).unwrap();
-        prop_assert!(mv.consistent_with(&after).unwrap(), "expr {:?}", mv.expr());
+        for (label, db) in index_states(db, 2) {
+            let mut mv = MaterializedExpr::materialize(expr.clone(), &db).unwrap();
+            mv.update(&db, &txn).unwrap();
+            let mut after = db.clone();
+            after.apply(&txn).unwrap();
+            prop_assert!(mv.consistent_with(&after).unwrap(), "{} expr {:?}", label, mv.expr());
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Join-key index transparency: probing a maintained index must be an
-//! *invisible* optimization. For any database, view, transaction, row
-//! strategy and manager thread count, the indexed run and the hash-build
-//! fallback must produce bit-identical deltas, identical engine
-//! statistics (probe counters excepted — those differ by construction),
-//! identical [`MaintenanceReport`]s through the manager, and identical
-//! view states.
+//! *invisible* optimization. For any database, view, transaction and
+//! manager thread count, the run over indexed relations and the run over
+//! an index-free rebuild of the same rows (the hash-build fallback) must
+//! produce bit-identical deltas and identical engine statistics (probe
+//! counters excepted — those differ by construction), and the manager's
+//! [`MaintenanceReport`]s must match the fallback's statistics.
 //! Recovery must rebuild indexes that checkpoints do not persist.
 
 use std::path::{Path, PathBuf};
@@ -97,18 +97,19 @@ fn build_txn(rng: &mut StdRng, db: &Database, p: usize, domain: i64) -> Transact
     txn
 }
 
-/// Both row strategies (with and without prefix sharing); selection
-/// pushdown and reordering stay on (their interaction with probe planning — pushed
-/// conditions are checked per posting, pivot groups choose the probe
-/// keys — is exactly what we exercise).
-fn option_grid(use_indexes: bool) -> Vec<DiffOptions> {
-    let mut out = Vec::new();
-    for share_prefixes in [true, false] {
-        out.push(DiffOptions {
-            share_prefixes,
-            use_indexes,
-            ..DiffOptions::default()
-        });
+/// The same rows with no index, so every `B = 0` operand takes the
+/// materialized fallback. Base relations are sets, so each row has
+/// count 1.
+fn without_indexes(db: &Database) -> Database {
+    let mut out = Database::new();
+    for name in db.relation_names() {
+        let rel = db.relation(name).unwrap();
+        let rows = rel.iter().map(|(t, _)| t.clone());
+        out.adopt(
+            name,
+            Relation::from_rows(rel.schema().clone(), rows).unwrap(),
+        )
+        .unwrap();
     }
     out
 }
@@ -145,7 +146,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
     /// Indexed probing ≡ hash-build fallback: identical delta, identical
-    /// stats modulo the probe counters, with and without prefix sharing.
+    /// stats modulo the probe counters.
     #[test]
     fn indexed_and_fallback_agree(
         seed in any::<u64>(),
@@ -160,27 +161,21 @@ proptest! {
         let view = SpjExpr::new(relations, Condition::always_true(), None);
         let txn = build_txn(&mut rng, &db, p, domain);
 
-        for (on, off) in option_grid(true).into_iter().zip(option_grid(false)) {
-            let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
-            let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
-            prop_assert!(
-                indexed.delta == fallback.delta,
-                "share={}: indexed delta diverged",
-                on.share_prefixes,
-            );
-            prop_assert_eq!(
-                scrub_probes(indexed.stats),
-                scrub_probes(fallback.stats),
-                "share={}: stats diverged",
-                on.share_prefixes,
-            );
-            prop_assert_eq!(fallback.stats.index_probes, 0);
-        }
+        let opts = DiffOptions::default();
+        let indexed = differential_delta(&view, &db, &txn, &opts).unwrap();
+        let fallback = differential_delta(&view, &without_indexes(&db), &txn, &opts).unwrap();
+        prop_assert!(indexed.delta == fallback.delta, "indexed delta diverged");
+        prop_assert_eq!(
+            scrub_probes(indexed.stats),
+            scrub_probes(fallback.stats),
+            "stats diverged"
+        );
+        prop_assert_eq!(fallback.stats.index_probes, 0);
     }
 
     /// Selection-aware probes: with selections pushed onto the indexed
     /// operands, probing ≡ the hash-build fallback — identical delta, row,
-    /// join and output counts with and without prefix sharing.
+    /// join and output counts.
     /// `operand_tuples` may differ: an indexed operand charges `|r − d_r|`
     /// before the pushed selection, the fallback its filtered size.
     #[test]
@@ -196,25 +191,24 @@ proptest! {
         let view = build_selected_view(&mut rng, p, domain);
         let txn = build_txn(&mut rng, &db, p, domain);
 
-        for (on, off) in option_grid(true).into_iter().zip(option_grid(false)) {
-            let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
-            let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
-            let ctx = format!("share={}", on.share_prefixes);
-            prop_assert!(indexed.delta == fallback.delta, "{}: delta diverged", ctx);
-            let (a, b) = (indexed.stats, fallback.stats);
-            prop_assert_eq!(a.rows_evaluated, b.rows_evaluated, "{}", ctx);
-            prop_assert_eq!(a.joins_performed, b.joins_performed, "{}", ctx);
-            prop_assert_eq!(a.joins_skipped, b.joins_skipped, "{}", ctx);
-            prop_assert_eq!(a.output_inserts, b.output_inserts, "{}", ctx);
-            prop_assert_eq!(a.output_deletes, b.output_deletes, "{}", ctx);
-            prop_assert_eq!(b.index_probes, 0);
-        }
+        let opts = DiffOptions::default();
+        let indexed = differential_delta(&view, &db, &txn, &opts).unwrap();
+        let fallback = differential_delta(&view, &without_indexes(&db), &txn, &opts).unwrap();
+        prop_assert!(indexed.delta == fallback.delta, "delta diverged");
+        let (a, b) = (indexed.stats, fallback.stats);
+        prop_assert_eq!(a.rows_evaluated, b.rows_evaluated);
+        prop_assert_eq!(a.joins_performed, b.joins_performed);
+        prop_assert_eq!(a.joins_skipped, b.joins_skipped);
+        prop_assert_eq!(a.output_inserts, b.output_inserts);
+        prop_assert_eq!(a.output_deletes, b.output_deletes);
+        prop_assert_eq!(b.index_probes, 0);
     }
 
-    /// The full path through the manager: two managers over the same
-    /// data, one probing indexes and one forced to the fallback, must
-    /// produce identical `MaintenanceReport`s (probe counters excepted)
-    /// and identical view contents after every transaction.
+    /// The full path through the manager: a manager probing the indexes
+    /// `register_view` derived must report, for every transaction, the
+    /// engine statistics (probe counters excepted) of the hash-build
+    /// fallback on an index-free rebuild of its pre-transaction database,
+    /// and stay consistent with full re-evaluation.
     #[test]
     fn managers_agree_with_and_without_indexes(
         seed in any::<u64>(),
@@ -224,53 +218,43 @@ proptest! {
         let p = 2;
         let domain = 5;
         let threads = [1usize, 2, 8][thread_pick];
-        let mk = |use_indexes: bool| {
-            ViewManager::new().with_manager_options(ManagerOptions {
-                diff: DiffOptions { use_indexes, threads, ..DiffOptions::default() },
-                ..ManagerOptions::default()
-            })
-        };
-        let mut with_ix = mk(true);
-        let mut without_ix = mk(false);
+        let mut m = ViewManager::new().with_threads(threads);
 
         let mut rng = StdRng::seed_from_u64(seed);
         let db = build_db(&mut rng, p, size, domain);
         for i in 0..p {
             let name = format!("R{i}");
             let rel = db.relation(&name).unwrap();
-            let schema = rel.schema().clone();
             let rows: Vec<Tuple> = rel.sorted().into_iter().map(|(t, _)| t.clone()).collect();
-            for m in [&mut with_ix, &mut without_ix] {
-                m.create_relation(name.clone(), schema.clone()).unwrap();
-                m.load(&name, rows.clone()).unwrap();
-            }
+            m.create_relation(name.clone(), rel.schema().clone()).unwrap();
+            m.load(&name, rows).unwrap();
         }
         let view = SpjExpr::new(
             (0..p).map(|i| format!("R{i}")).collect::<Vec<_>>(),
             Condition::always_true(),
             None,
         );
-        for m in [&mut with_ix, &mut without_ix] {
-            m.register_view("v", view.clone(), RefreshPolicy::Immediate).unwrap();
-        }
-        prop_assert!(with_ix.database().relation("R0").unwrap().index_count() > 0);
+        m.register_view("v", view.clone(), RefreshPolicy::Immediate).unwrap();
+        prop_assert!(m.database().relation("R0").unwrap().index_count() > 0);
 
         for _ in 0..4 {
-            let txn = build_txn(&mut rng, with_ix.database(), p, domain);
-            let a = with_ix.execute(&txn).unwrap();
-            let b = without_ix.execute(&txn).unwrap();
-            let mut a_scrubbed = a;
-            a_scrubbed.diff = scrub_probes(a.diff);
-            let mut b_scrubbed = b;
-            b_scrubbed.diff = scrub_probes(b.diff);
-            prop_assert_eq!(a_scrubbed, b_scrubbed, "reports diverged at threads={}", threads);
-            prop_assert!(
-                with_ix.view_contents("v").unwrap() == without_ix.view_contents("v").unwrap(),
-                "view states diverged at threads={}", threads,
+            let txn = build_txn(&mut rng, m.database(), p, domain);
+            let fallback = differential_delta(
+                &view,
+                &without_indexes(m.database()),
+                &txn,
+                &DiffOptions::default(),
+            )
+            .unwrap();
+            let report = m.execute(&txn).unwrap();
+            prop_assert_eq!(
+                scrub_probes(report.diff),
+                scrub_probes(fallback.stats),
+                "reports diverged at threads={}",
+                threads
             );
+            m.verify_consistency().unwrap();
         }
-        with_ix.verify_consistency().unwrap();
-        without_ix.verify_consistency().unwrap();
     }
 }
 
@@ -290,13 +274,9 @@ fn covered_join_probes_the_index() {
     txn.insert("R", [100, 3]).unwrap();
     txn.insert("R", [101, 4]).unwrap();
 
-    let on = DiffOptions::default();
-    let off = DiffOptions {
-        use_indexes: false,
-        ..on
-    };
-    let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
-    let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
+    let opts = DiffOptions::default();
+    let indexed = differential_delta(&view, &db, &txn, &opts).unwrap();
+    let fallback = differential_delta(&view, &without_indexes(&db), &txn, &opts).unwrap();
     assert!(indexed.stats.index_probes > 0, "covered join never probed");
     assert_eq!(indexed.delta, fallback.delta);
     assert_eq!(scrub_probes(indexed.stats), scrub_probes(fallback.stats));
@@ -352,13 +332,9 @@ fn selected_operands_probe_the_index() {
         txn.insert("customers", [c, (c + 1) % 50]).unwrap();
     }
 
-    let on = DiffOptions::default();
-    let off = DiffOptions {
-        use_indexes: false,
-        ..on
-    };
-    let indexed = differential_delta(&view, &db, &txn, &on).unwrap();
-    let fallback = differential_delta(&view, &db, &txn, &off).unwrap();
+    let opts = DiffOptions::default();
+    let indexed = differential_delta(&view, &db, &txn, &opts).unwrap();
+    let fallback = differential_delta(&view, &without_indexes(&db), &txn, &opts).unwrap();
     assert!(
         indexed.stats.index_probes > 0,
         "selected operands never probed"

@@ -226,28 +226,22 @@ fn truth_table_rows_run_on_the_caller_above_the_grain() {
         Some(vec!["A0".into(), "A3".into()]),
     );
     let txn = bulk_txn(&db, &["R0", "R1"], 20, domain);
-    for share_prefixes in [true, false] {
-        let opts = |threads: usize| DiffOptions {
-            share_prefixes,
-            threads,
-            ..DiffOptions::default()
-        };
-        let (rec1, obs1) = recorded();
-        let oracle = differential_delta_observed(&view, &db, &txn, &opts(1), &obs1).unwrap();
-        assert!(!oracle.delta.is_empty());
-        assert!(
-            oracle.stats.operand_tuples >= 2 * 1024, // two of the pool's grains
-            "the pass must clear two grains: {}",
-            oracle.stats.operand_tuples
-        );
-        assert_eq!(chunks(&rec1), 0, "width 1");
-        for threads in [2usize, 8] {
-            let (rec, obs) = recorded();
-            let run = differential_delta_observed(&view, &db, &txn, &opts(threads), &obs).unwrap();
-            assert_eq!(chunks(&rec), 0, "threads={threads}");
-            assert_eq!(run.delta, oracle.delta, "threads={threads}");
-            assert_eq!(run.stats, oracle.stats, "threads={threads}");
-        }
+    let opts = |threads: usize| DiffOptions { threads };
+    let (rec1, obs1) = recorded();
+    let oracle = differential_delta_observed(&view, &db, &txn, &opts(1), &obs1).unwrap();
+    assert!(!oracle.delta.is_empty());
+    assert!(
+        oracle.stats.operand_tuples >= 2 * 1024, // two of the pool's grains
+        "the pass must clear two grains: {}",
+        oracle.stats.operand_tuples
+    );
+    assert_eq!(chunks(&rec1), 0, "width 1");
+    for threads in [2usize, 8] {
+        let (rec, obs) = recorded();
+        let run = differential_delta_observed(&view, &db, &txn, &opts(threads), &obs).unwrap();
+        assert_eq!(chunks(&rec), 0, "threads={threads}");
+        assert_eq!(run.delta, oracle.delta, "threads={threads}");
+        assert_eq!(run.stats, oracle.stats, "threads={threads}");
     }
 }
 
