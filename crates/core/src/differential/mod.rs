@@ -16,15 +16,14 @@
 //! [`select`], [`project`] and [`join`] are reference code, not on the
 //! maintenance path: they state §5.1–§5.3 in the paper's own form for the
 //! E6/E7 benches, the `exp_*` table harnesses and `tests/paper_examples.rs`.
-//! `ViewManager` maintains every SPJ view, whatever its shape, through
-//! [`spj`], and general trees through [`tree`].
+//! `ViewManager` maintains every view through [`spj`]: an SPJ view is one
+//! term, and a tree with ∪ and − compiles to a signed sum of terms.
 
 pub mod join;
 pub mod plan;
 pub mod project;
 pub mod select;
 pub mod spj;
-pub mod tree;
 pub mod truth_table;
 
 pub use join::{join_view, join_view_delta};
@@ -34,4 +33,3 @@ pub use spj::{
     differential_delta, differential_delta_observed, differential_delta_parts,
     differential_delta_parts_observed, DiffOptions, DifferentialResult, OperandUpdate,
 };
-pub use tree::{tree_delta, MaterializedExpr};

@@ -7,14 +7,14 @@
 //! for evaluating each row's SPJ expression. The engine uses practical
 //! versions of both:
 //!
-//! * **Operand ordering** ([`order_operands`], this module): a greedy
-//!   smallest-change-first order that starts from the cheapest *updated*
-//!   operand and grows only through operands connected by shared
-//!   attributes (avoiding accidental cross products). Because change sets
-//!   are small, putting them first keeps every intermediate result small —
-//!   the dominant effect in differential evaluation.
-//!   [`order_operands_from`] forces the first operand: the engine roots
-//!   each pivot group of truth-table rows at that group's change set.
+//! * **Operand ordering** ([`order_operands_from`], this module): a
+//!   greedy smallest-change-first order that starts from a given
+//!   *updated* operand and grows only through operands connected by
+//!   shared attributes (avoiding accidental cross products). The engine
+//!   roots each pivot group of truth-table rows at that group's change
+//!   set. Because change sets are small, putting them first keeps every
+//!   intermediate result small — the dominant effect in differential
+//!   evaluation.
 //! * **Selection pushdown**
 //!   ([`ivm_relational::expr::push_selections`]): for single-conjunction
 //!   conditions, every atom whose variables fall within one operand's
@@ -27,30 +27,18 @@
 use ivm_relational::attribute::AttrName;
 use ivm_relational::schema::Schema;
 
-/// Greedy connected operand order for differential row evaluation.
+/// Greedy connected operand order for differential row evaluation,
+/// starting at operand `start`.
 ///
 /// `metric[i]` is the expected operand size along the rows that matter:
 /// the change-set size for updated operands, the old size otherwise.
-/// `updated[i]` marks changed operands. The order starts from the
-/// smallest-metric updated operand and repeatedly appends, among operands
-/// sharing an attribute with what has been joined so far, first any
-/// updated one (smallest metric), then the smallest connected one; a
-/// disconnected operand is taken only when nothing connected remains.
-///
-/// Returns the identity permutation when no operand is updated.
-pub fn order_operands(schemas: &[&Schema], metric: &[usize], updated: &[bool]) -> Vec<usize> {
-    let p = schemas.len();
-    let Some(start) = (0..p).filter(|&i| updated[i]).min_by_key(|&i| metric[i]) else {
-        return (0..p).collect();
-    };
-    order_operands_from(schemas, metric, updated, start)
-}
-
-/// [`order_operands`] with a forced first operand: the order starts at
-/// `start` and grows by the same connected preference tiers. The
-/// differential engine roots each pivot group at its change set this way
-/// (`start` is the pivot, `updated` marks the operands whose `B = 1` side
-/// the group reads).
+/// `updated[i]` marks changed operands. After `start`, the order
+/// repeatedly appends, among operands sharing an attribute with what has
+/// been joined so far, first any updated one (smallest metric), then the
+/// smallest connected one; a disconnected operand is taken only when
+/// nothing connected remains. The differential engine roots each pivot
+/// group at its change set this way (`start` is the pivot, `updated`
+/// marks the operands whose `B = 1` side the group reads).
 pub fn order_operands_from(
     schemas: &[&Schema],
     metric: &[usize],
@@ -104,7 +92,7 @@ mod tests {
     }
 
     #[test]
-    fn order_starts_at_smallest_updated_and_stays_connected() {
+    fn order_from_the_chain_end_stays_connected() {
         // Chain R0(A0,A1) R1(A1,A2) R2(A2,A3) R3(A3,A4), updated = {R3}.
         let schemas = [
             s(&["A0", "A1"]),
@@ -113,7 +101,12 @@ mod tests {
             s(&["A3", "A4"]),
         ];
         let refs: Vec<&Schema> = schemas.iter().collect();
-        let order = order_operands(&refs, &[1000, 1000, 1000, 5], &[false, false, false, true]);
+        let order = order_operands_from(
+            &refs,
+            &[1000, 1000, 1000, 5],
+            &[false, false, false, true],
+            3,
+        );
         // Must walk the chain backwards from R3: 3, 2, 1, 0.
         assert_eq!(order, vec![3, 2, 1, 0]);
     }
@@ -123,17 +116,10 @@ mod tests {
         // Star: R0(K,X0) R1(K,X1) R2(K,X2); R1 updated (size 3), R2 small.
         let schemas = [s(&["K", "X0"]), s(&["K", "X1"]), s(&["K", "X2"])];
         let refs: Vec<&Schema> = schemas.iter().collect();
-        let order = order_operands(&refs, &[100, 3, 10], &[false, true, false]);
+        let order = order_operands_from(&refs, &[100, 3, 10], &[false, true, false], 1);
         assert_eq!(order[0], 1, "start at updated");
         assert_eq!(order[1], 2, "then smallest connected");
         assert_eq!(order[2], 0);
-    }
-
-    #[test]
-    fn order_identity_when_nothing_updated() {
-        let schemas = [s(&["A"]), s(&["B"])];
-        let refs: Vec<&Schema> = schemas.iter().collect();
-        assert_eq!(order_operands(&refs, &[1, 1], &[false, false]), vec![0, 1]);
     }
 
     #[test]
@@ -141,7 +127,7 @@ mod tests {
         // R0(A) and R1(B) share nothing; both must still appear.
         let schemas = [s(&["A"]), s(&["B"])];
         let refs: Vec<&Schema> = schemas.iter().collect();
-        let order = order_operands(&refs, &[5, 9], &[true, false]);
+        let order = order_operands_from(&refs, &[5, 9], &[true, false], 0);
         assert_eq!(order.len(), 2);
         assert_eq!(order[0], 0);
     }
@@ -193,9 +179,9 @@ mod tests {
     fn order_two_updated_relations() {
         let schemas = [s(&["A", "B"]), s(&["B", "C"]), s(&["C", "D"])];
         let refs: Vec<&Schema> = schemas.iter().collect();
-        let order = order_operands(&refs, &[4, 1000, 2], &[true, false, true]);
-        // Start at R2 (metric 2 < 4); R1 connects; prefer updated R0? R0 is
-        // not connected to {C,D} — R1 is. Then R0.
+        let order = order_operands_from(&refs, &[4, 1000, 2], &[true, false, true], 2);
+        // From R2: R1 connects; prefer updated R0? R0 is not connected to
+        // {C,D} — R1 is. Then R0.
         assert_eq!(order, vec![2, 1, 0]);
     }
 }

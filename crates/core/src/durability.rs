@@ -16,12 +16,12 @@
 //!    sync is the commit point.
 //! 2. **Checkpoints are differential restart points, not re-evaluations.**
 //!    A checkpoint stores each view's counted materialization verbatim;
-//!    recovery reinstalls it with [`MaterializedView::from_saved`] and
-//!    rolls the WAL tail forward through [`ViewManager::execute`] — the
+//!    recovery reinstalls it as the view's contents and rolls the WAL
+//!    tail forward through [`ViewManager::execute`] — the
 //!    same relevance-filtered differential path used online. Recovery never
 //!    re-evaluates a view from its definition (checked by the
 //!    recovery-equivalence property test via
-//!    [`MaintenanceStats::full_recomputes`]).
+//!    [`crate::manager::MaintenanceStats::full_recomputes`]).
 //!
 //! A checkpoint neither copies nor decodes the database. The image
 //! ([`CheckpointData`]) borrows the live database, view contents and
@@ -34,19 +34,18 @@
 //! process lifetime, not the database, and restart at zero after recovery.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use ivm_obs::{names, Obs};
-use ivm_relational::delta::DeltaRelation;
+use ivm_relational::schema::Schema;
 use ivm_relational::transaction::Transaction;
 
 use ivm_storage::checkpoint::{self, CheckpointData, StoredView, StoredViewKind};
 use ivm_storage::{StorageError, Wal, WalRecord, WalStats, WAL_FILE};
 
-use crate::error::Result;
-use crate::manager::{MaintenanceStats, ManagedTreeView, ManagedView, RefreshPolicy, ViewManager};
-use crate::view::{MaterializedView, ViewDefinition};
+use crate::error::{IvmError, Result};
+use crate::manager::{ManagedView, RefreshPolicy, Term, ViewManager};
 
 /// How much durability a manager provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,55 +165,54 @@ fn policy_from_u8(byte: u8) -> Result<RefreshPolicy> {
     }
 }
 
-fn install_stored_view(mgr: &mut ViewManager, stored: StoredView<'static>) -> Result<()> {
-    if mgr.views.contains_key(&stored.name) || mgr.tree_views.contains_key(&stored.name) {
+/// Reinstall one checkpointed view. `view_schemas` holds every stored
+/// view's scheme, so a tree view compiles over leaves installed after it.
+fn install_stored_view(
+    mgr: &mut ViewManager,
+    stored: StoredView<'static>,
+    view_schemas: &HashMap<String, Schema>,
+) -> Result<()> {
+    if mgr.views.contains_key(&stored.name) {
         return Err(
             StorageError::Corrupt(format!("checkpoint stores view {} twice", stored.name)).into(),
         );
     }
-    match stored.kind {
+    let view = match stored.kind {
         StoredViewKind::Spj {
             expr,
             policy,
             pending,
         } => {
-            let def = ViewDefinition::new(stored.name.clone(), expr)?;
-            let view = MaterializedView::from_saved(def, stored.data.into_owned());
-            let pending: BTreeMap<String, DeltaRelation> = pending
+            if expr.relations.is_empty() {
+                return Err(IvmError::UnsupportedView(
+                    "an SPJ view needs at least one operand relation".into(),
+                ));
+            }
+            let mut view = ManagedView::new(
+                stored.data.into_owned(),
+                vec![Term::new(1, expr)],
+                None,
+                policy_from_u8(policy)?,
+            );
+            view.pending = pending
                 .into_iter()
                 .map(|(rel, delta)| (rel, delta.into_owned()))
                 .collect();
-            // Dependency edges and strata are rebuilt from the definitions
-            // once every view is in (`rebuild_dag` in `open_with_policy`).
-            mgr.views.insert(
-                stored.name,
-                ManagedView {
-                    view,
-                    policy: policy_from_u8(policy)?,
-                    depends_on: Vec::new(),
-                    stratum: 0,
-                    pending,
-                    filters: HashMap::new(),
-                    listeners: Vec::new(),
-                    stats: MaintenanceStats::default(),
-                },
-            );
+            view
         }
         StoredViewKind::Tree { expr } => {
-            let base_relations = expr.base_relations();
-            let view =
-                crate::differential::MaterializedExpr::from_saved(expr, stored.data.into_owned());
-            mgr.tree_views.insert(
-                stored.name,
-                ManagedTreeView {
-                    view,
-                    base_relations,
-                    listeners: Vec::new(),
-                    stats: MaintenanceStats::default(),
-                },
-            );
+            let terms = mgr.compile_tree(&expr, |leaf| view_schemas.get(leaf).cloned())?;
+            ManagedView::new(
+                stored.data.into_owned(),
+                terms,
+                Some(expr),
+                RefreshPolicy::Immediate,
+            )
         }
-    }
+    };
+    // Dependency edges and strata are rebuilt from the terms once every
+    // view is in (`rebuild_dag` in `open_with_policy`).
+    mgr.views.insert(stored.name, view);
     Ok(())
 }
 
@@ -264,20 +262,25 @@ impl ViewManager {
             report.checkpoint_lsn = data.last_lsn;
             report.checkpoints_skipped = skipped.len();
             mgr.db = data.db.into_owned();
+            let view_schemas: HashMap<String, Schema> = data
+                .views
+                .iter()
+                .map(|v| (v.name.clone(), v.data.schema().clone()))
+                .collect();
             for stored in data.views {
-                install_stored_view(&mut mgr, stored)?;
+                install_stored_view(&mut mgr, stored, &view_schemas)?;
             }
             // Dependency edges and strata are derived state: rebuild them
             // from the restored definitions before any replay.
             mgr.rebuild_dag();
             // Checkpoints persist relation *data* only; join-key indexes
             // are derived state and must be rebuilt from the restored view
-            // definitions. (WAL-replayed registrations below re-derive
-            // through `register_view` on their own.)
+            // terms. (WAL-replayed registrations below re-derive through
+            // registration on their own.)
             let exprs: Vec<_> = mgr
                 .views
                 .values()
-                .map(|mv| mv.view.definition().expr().clone())
+                .flat_map(|mv| mv.terms.iter().map(|t| t.expr.clone()))
                 .collect();
             for expr in &exprs {
                 mgr.derive_indexes_for(expr)?;
@@ -370,12 +373,12 @@ impl ViewManager {
         state.wal.sync()?;
         let last_lsn = state.wal.next_lsn() - 1;
 
-        let mut views = Vec::with_capacity(self.views.len() + self.tree_views.len());
+        let mut views = Vec::with_capacity(self.views.len());
         for (name, mv) in &self.views {
-            views.push(StoredView {
-                name: name.clone(),
-                kind: StoredViewKind::Spj {
-                    expr: mv.view.definition().expr().clone(),
+            let kind = match &mv.tree {
+                Some(expr) => StoredViewKind::Tree { expr: expr.clone() },
+                None => StoredViewKind::Spj {
+                    expr: mv.terms[0].expr.clone(),
                     policy: policy_to_u8(mv.policy),
                     pending: mv
                         .pending
@@ -383,16 +386,11 @@ impl ViewManager {
                         .map(|(rel, delta)| (rel.clone(), Cow::Borrowed(delta)))
                         .collect(),
                 },
-                data: Cow::Borrowed(mv.view.contents()),
-            });
-        }
-        for (name, tv) in &self.tree_views {
+            };
             views.push(StoredView {
                 name: name.clone(),
-                kind: StoredViewKind::Tree {
-                    expr: tv.view.expr().clone(),
-                },
-                data: Cow::Borrowed(tv.view.contents()),
+                kind,
+                data: Cow::Borrowed(&mv.contents),
             });
         }
         let data = CheckpointData {

@@ -20,7 +20,8 @@
 //!
 //! [`manager::ViewManager`] packages both behind a database-with-views
 //! API supporting immediate, deferred (§6 snapshot refresh) and on-demand
-//! maintenance; [`full_reval`] is the complete re-evaluation baseline the
+//! maintenance. Views with ∪ and − compile to signed sums of SPJ terms,
+//! each maintained by the same two stages; [`full_reval`] is the complete re-evaluation baseline the
 //! benchmarks compare against.
 //!
 //! # Quick start
@@ -65,7 +66,6 @@ pub mod manager;
 pub mod relevance;
 pub mod snapshot;
 pub mod stats;
-pub mod view;
 pub mod workload;
 
 /// Convenient glob-import of the commonly used types (re-exports the
@@ -85,7 +85,6 @@ pub mod prelude {
     pub use crate::relevance::{combination_relevant, relevance_witness, RelevanceFilter};
     pub use crate::snapshot::{digest_views, SnapshotHandle, SnapshotHub, ViewSnapshot};
     pub use crate::stats::DiffStats;
-    pub use crate::view::{MaterializedView, ViewDefinition};
     pub use crate::workload::Workload;
     pub use ivm_obs::{
         names as metric_names, InMemoryRecorder, JsonLinesRecorder, NoopRecorder, Obs, Recorder,

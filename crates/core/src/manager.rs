@@ -20,10 +20,15 @@
 //!
 //! Orthogonally to *when*, [`MaintenanceStrategy`] controls *how*: always
 //! differentially (the paper's proposal), always by full re-evaluation
-//! (the §1 strawman), or per-transaction via the §6 cost model. General
-//! algebra trees (∪/− included) register through
-//! [`ViewManager::register_tree_view`] and are maintained by the recursive
-//! delta rules of [`crate::differential::tree`].
+//! (the §1 strawman), or per-transaction via the §6 cost model.
+//!
+//! Every view is one node of the dependency DAG, maintained from a signed
+//! sum of SPJ terms `Σ cᵢ·termᵢ`. An SPJ view ([`ViewManager::register_view`])
+//! is the one term `+1·expr`. A general algebra tree with ∪ and −
+//! ([`ViewManager::register_tree_view`]) is compiled by
+//! [`Expr::signed_terms`]: ∪ is `+`, − is `−`, σ and π are linear and ⋈ is
+//! bilinear. Each term goes through the §4 filter and the §5 engine, and
+//! the node's delta is `Σ cᵢ·Δtermᵢ`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -40,6 +45,7 @@ use ivm_relational::transaction::Transaction;
 use ivm_relational::tuple::Tuple;
 
 use ivm_relational::attribute::AttrName;
+use ivm_relational::error::RelError;
 
 use crate::differential::{
     differential_delta_parts_observed, DiffOptions, DifferentialResult, OperandUpdate,
@@ -47,7 +53,6 @@ use crate::differential::{
 use crate::error::{IvmError, Result};
 use crate::relevance::{FilterStats, RelevanceFilter};
 use crate::stats::DiffStats;
-use crate::view::{MaterializedView, ViewDefinition};
 
 /// How an immediate view is brought up to date when a relevant
 /// transaction arrives.
@@ -109,10 +114,9 @@ pub struct MaintenanceStats {
 pub struct MaintenanceReport {
     /// Views whose operand relations the transaction touched.
     pub views_touched: usize,
-    /// Views maintained by this transaction: SPJ views differentially,
-    /// and tree views. Deferred views whose changes were queued count in
-    /// `views_deferred` instead, and full re-evaluations in
-    /// `full_recomputes`.
+    /// Views maintained differentially by this transaction. Deferred
+    /// views whose changes were queued count in `views_deferred` instead,
+    /// and full re-evaluations in `full_recomputes`.
     pub views_maintained: usize,
     /// Views skipped because the §4 filter proved every tuple irrelevant.
     pub views_skipped: usize,
@@ -182,23 +186,85 @@ impl ManagerOptions {
     }
 }
 
+/// One signed SPJ term of a view: `coef · expr`, maintained by the §4
+/// filter and the §5 engine.
+pub(crate) struct Term {
+    pub(crate) coef: i64,
+    pub(crate) expr: SpjExpr,
+    /// Lazily built relevance filters, one per *base* operand relation.
+    pub(crate) filters: HashMap<String, RelevanceFilter>,
+}
+
+impl Term {
+    pub(crate) fn new(coef: i64, expr: SpjExpr) -> Self {
+        Term {
+            coef,
+            expr,
+            filters: HashMap::new(),
+        }
+    }
+}
+
+/// A registered view: one DAG node whose contents are `Σ coef·eval(term)`.
 pub(crate) struct ManagedView {
-    /// The materialized contents and the definition as registered.
-    pub(crate) view: MaterializedView,
+    /// The materialized contents, shared with readers: a write copies
+    /// them only while a reader still holds the previous version.
+    pub(crate) contents: Arc<Relation>,
+    /// The signed terms, at least one. An SPJ view (`tree` is `None`) has
+    /// the one term `+1·definition`.
+    pub(crate) terms: Vec<Term>,
+    /// The tree a tree view was registered with, which the WAL and
+    /// checkpoints store; `None` for an SPJ view.
+    pub(crate) tree: Option<Expr>,
     pub(crate) policy: RefreshPolicy,
     /// Upstream view operands (deduplicated, operand order). Derived by
-    /// [`ViewManager::rebuild_dag`] from the definition.
+    /// [`ViewManager::rebuild_dag`] from the terms.
     pub(crate) depends_on: Vec<String>,
     /// Topological level: 0 for base-only nodes, else 1 + max upstream.
     pub(crate) stratum: usize,
     /// Accumulated operand deltas since the last refresh (deferred
     /// policies only), already relevance-filtered; keyed by operand name
-    /// (base relation or upstream view).
+    /// (base relation or upstream view). Only SPJ views can be deferred,
+    /// so one term's filter decided what is queued.
     pub(crate) pending: BTreeMap<String, DeltaRelation>,
-    /// Lazily built relevance filters, one per *base* operand relation.
-    pub(crate) filters: HashMap<String, RelevanceFilter>,
     pub(crate) listeners: Vec<ChangeListener>,
     pub(crate) stats: MaintenanceStats,
+}
+
+impl ManagedView {
+    pub(crate) fn new(
+        contents: Relation,
+        terms: Vec<Term>,
+        tree: Option<Expr>,
+        policy: RefreshPolicy,
+    ) -> Self {
+        ManagedView {
+            contents: Arc::new(contents),
+            terms,
+            tree,
+            policy,
+            depends_on: Vec::new(),
+            stratum: 0,
+            pending: BTreeMap::new(),
+            listeners: Vec::new(),
+            stats: MaintenanceStats::default(),
+        }
+    }
+
+    /// Every term's operands, repeats included.
+    fn operands(&self) -> impl Iterator<Item = &String> {
+        self.terms.iter().flat_map(|t| &t.expr.relations)
+    }
+
+    /// Apply a maintenance delta, copying the contents first only if a
+    /// reader shares them; an empty delta leaves them, and their pointer,
+    /// alone.
+    fn apply(&mut self, delta: &DeltaRelation) -> Result<()> {
+        if !delta.is_empty() {
+            Arc::make_mut(&mut self.contents).apply_delta(delta)?;
+        }
+        Ok(())
+    }
 }
 
 /// One node of the view dependency DAG, as reported by
@@ -215,30 +281,25 @@ pub struct DagNodeInfo {
     pub depends_on: Vec<String>,
     /// Views consuming this node's deltas.
     pub dependents: Vec<String>,
-    /// The definition as registered, which is also the plan maintained.
+    /// An SPJ view's definition as registered; for a tree view, its first
+    /// signed term.
     pub expr: SpjExpr,
+    /// The plan maintained: the node's contents are `Σ c·eval(term)`. An
+    /// SPJ view has the one term `(1, expr)`.
+    pub terms: Vec<(i64, SpjExpr)>,
+    /// The tree a tree view was registered with; `None` for an SPJ view.
+    pub tree: Option<Expr>,
     /// Current materialized cardinality (distinct tuples).
     pub rows: usize,
     /// Cumulative maintenance statistics, including last-run figures.
     pub stats: MaintenanceStats,
 }
 
-/// A general-algebra view maintained by
-/// [`crate::differential::tree_delta`] (always immediate, no relevance
-/// filtering — there is no SPJ normal form to analyze).
-pub(crate) struct ManagedTreeView {
-    pub(crate) view: crate::differential::MaterializedExpr,
-    pub(crate) base_relations: Vec<String>,
-    pub(crate) listeners: Vec<ChangeListener>,
-    pub(crate) stats: MaintenanceStats,
-}
-
 /// A database plus its registered, automatically maintained views.
 pub struct ViewManager {
     pub(crate) db: Database,
     pub(crate) views: BTreeMap<String, ManagedView>,
-    pub(crate) tree_views: BTreeMap<String, ManagedTreeView>,
-    /// Topological strata of the SPJ-view DAG (stratum 0 first; names in
+    /// Topological strata of the view DAG (stratum 0 first; names in
     /// key order within a stratum). Rebuilt on every registration and
     /// after recovery by [`ViewManager::rebuild_dag`].
     pub(crate) strata: Vec<Vec<String>>,
@@ -292,7 +353,6 @@ impl ViewManager {
         ViewManager {
             db: Database::new(),
             views: BTreeMap::new(),
-            tree_views: BTreeMap::new(),
             strata: Vec::new(),
             dependents: BTreeMap::new(),
             options: ManagerOptions::default(),
@@ -346,15 +406,7 @@ impl ViewManager {
         if !self.snapshots.is_armed() {
             return;
         }
-        let views = self
-            .views
-            .iter()
-            .map(|(n, mv)| (n.as_str(), mv.view.shared_contents()))
-            .chain(
-                self.tree_views
-                    .iter()
-                    .map(|(n, tv)| (n.as_str(), tv.view.shared_contents())),
-            );
+        let views = self.views.iter().map(|(n, mv)| (n.as_str(), &mv.contents));
         self.snapshots.publish(views);
     }
 
@@ -402,7 +454,7 @@ impl ViewManager {
     /// can rebuild relations created after the last checkpoint.
     pub fn create_relation(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         let name = name.into();
-        if self.views.contains_key(&name) || self.tree_views.contains_key(&name) {
+        if self.views.contains_key(&name) {
             // Views and relations share the operand namespace now that
             // views can be stacked; a collision would make every later
             // operand reference ambiguous.
@@ -437,14 +489,14 @@ impl ViewManager {
     }
 
     /// Register and materialize a view. Operands may be base relations
-    /// *or previously registered SPJ views* — registrations form a
-    /// dependency DAG (acyclic by construction: operands must already
-    /// exist and definitions are immutable; self-reference is rejected
-    /// here, and `ivm-lint`'s Frontend B additionally cycle-checks whole
-    /// definition sets ahead of registration). View operands must be
-    /// [`RefreshPolicy::Immediate`] so their deltas are available within
-    /// the registering transaction; the stacked view itself may use any
-    /// policy.
+    /// *or previously registered views* (SPJ or tree) — registrations
+    /// form a dependency DAG (acyclic by construction: operands must
+    /// already exist and definitions are immutable; self-reference is
+    /// rejected here, and `ivm-lint`'s Frontend B additionally
+    /// cycle-checks whole definition sets ahead of registration). View
+    /// operands must be [`RefreshPolicy::Immediate`] so their deltas are
+    /// available within the registering transaction; the stacked view
+    /// itself may use any policy.
     ///
     /// Every view is one DAG node, maintained from the expression it was
     /// registered with: sibling views over the same join are maintained
@@ -460,28 +512,133 @@ impl ViewManager {
         expr: SpjExpr,
         policy: RefreshPolicy,
     ) -> Result<()> {
-        let name = name.into();
-        self.check_new_view_name(&name)?;
         if expr.relations.is_empty() {
             return Err(IvmError::UnsupportedView(
                 "an SPJ view needs at least one operand relation".into(),
             ));
         }
-        // Operand classification: each operand must be a base relation or
-        // an already-registered immediate SPJ view.
+        self.register(name.into(), vec![Term::new(1, expr)], None, policy)
+    }
+
+    /// Register a general-algebra view: any [`Expr`] tree of σ, π, ⋈, ∪
+    /// and −, over base relations and immediate views. The tree is
+    /// compiled to a signed sum of SPJ terms ([`Expr::signed_terms`]),
+    /// materialized as `Σ c·eval(term)` and maintained immediately like
+    /// an SPJ view: each term through the §4 filter and the §5 engine.
+    ///
+    /// A difference must stay *well-formed*: no counter may go negative.
+    /// A transaction that would drive one negative fails with
+    /// `NegativeCount` before anything is logged or applied. A projection
+    /// under a join that drops an attribute of the other operand has no
+    /// SPJ form and fails with [`IvmError::UnsupportedView`]; register
+    /// the projection as its own view and join that view instead.
+    ///
+    /// ```
+    /// use ivm::prelude::*;
+    ///
+    /// let mut m = ViewManager::new();
+    /// m.create_relation("R", Schema::new(["A"]).unwrap()).unwrap();
+    /// m.create_relation("T", Schema::new(["A"]).unwrap()).unwrap();
+    /// m.load("R", [[1], [2]]).unwrap();
+    /// m.load("T", [[2], [3]]).unwrap();
+    ///
+    /// // A counted-union view — outside the SPJ normal form.
+    /// m.register_tree_view("u", Expr::base("R").union(Expr::base("T")))
+    ///     .unwrap();
+    /// assert_eq!(m.view_contents("u").unwrap().count(&Tuple::from([2])), 2);
+    ///
+    /// let mut txn = Transaction::new();
+    /// txn.delete("R", [2]).unwrap();
+    /// m.execute(&txn).unwrap();
+    /// assert_eq!(m.view_contents("u").unwrap().count(&Tuple::from([2])), 1);
+    /// m.verify_consistency().unwrap();
+    /// ```
+    pub fn register_tree_view(&mut self, name: impl Into<String>, expr: Expr) -> Result<()> {
+        let terms = self.compile_tree(&expr, |leaf| {
+            self.views.get(leaf).map(|mv| mv.contents.schema().clone())
+        })?;
+        self.register(name.into(), terms, Some(expr), RefreshPolicy::Immediate)
+    }
+
+    /// Compile a tree view into its terms. `view_schema` resolves a leaf
+    /// that is not a base relation.
+    pub(crate) fn compile_tree(
+        &self,
+        expr: &Expr,
+        view_schema: impl Fn(&str) -> Option<Schema>,
+    ) -> Result<Vec<Term>> {
+        let scheme_of = |leaf: &str| match self.db.schema(leaf) {
+            Ok(schema) => Ok(schema.clone()),
+            Err(e) => view_schema(leaf).ok_or(e),
+        };
+        let terms = expr.signed_terms(&scheme_of).map_err(|e| match e {
+            RelError::ProjectionUnderJoin(_) => IvmError::UnsupportedView(e.to_string()),
+            e => e.into(),
+        })?;
+        if terms.is_empty() {
+            return Err(IvmError::UnsupportedView(
+                "the tree's terms cancel: the view is empty in every state".into(),
+            ));
+        }
+        Ok(terms.into_iter().map(|(c, e)| Term::new(c, e)).collect())
+    }
+
+    /// Check, materialize and index a new view, log its registration,
+    /// and add it to the DAG. All fallible work happens before the WAL
+    /// record so a failed registration leaves no trace.
+    fn register(
+        &mut self,
+        name: String,
+        terms: Vec<Term>,
+        tree: Option<Expr>,
+        policy: RefreshPolicy,
+    ) -> Result<()> {
+        self.check_new_view_name(&name)?;
+        for term in &terms {
+            self.check_operands(&name, &term.expr)?;
+        }
+        let contents = self.eval_terms(&terms, Self::eval_current)?;
+        let mut built = 0;
+        for term in &terms {
+            built += self.derive_indexes_for(&term.expr)?;
+        }
+        if built > 0 {
+            self.options.recorder.add(names::INDEX_BUILDS, built as u64);
+        }
+        if self.durability.is_some() {
+            let record = match &tree {
+                Some(expr) => ivm_storage::WalRecord::RegisterTreeView {
+                    name: name.clone(),
+                    expr: expr.clone(),
+                },
+                None => ivm_storage::WalRecord::RegisterView {
+                    name: name.clone(),
+                    expr: terms[0].expr.clone(),
+                    policy: crate::durability::policy_to_u8(policy),
+                },
+            };
+            self.log_record(record)?;
+        }
+        // Commit point: everything below is infallible.
+        self.views
+            .insert(name, ManagedView::new(contents, terms, tree, policy));
+        self.rebuild_dag();
+        self.publish_snapshot();
+        Ok(())
+    }
+
+    /// Each operand of a new view's term must be a base relation or an
+    /// already-registered immediate view, and the term must resolve
+    /// against their schemes.
+    fn check_operands(&self, name: &str, expr: &SpjExpr) -> Result<()> {
         for op in &expr.relations {
-            if *op == name {
+            if op == name {
                 return Err(IvmError::UnsupportedView(format!(
                     "view {name} cannot reference itself"
                 )));
             }
             if self.db.contains_relation(op) {
                 continue;
-            }
-            if self.tree_views.contains_key(op) {
-                return Err(IvmError::UnsupportedView(format!(
-                    "operand {op} is a tree view; only base relations and SPJ views can be stacked"
-                )));
             }
             match self.views.get(op) {
                 Some(up) if up.policy == RefreshPolicy::Immediate => {}
@@ -491,61 +648,25 @@ impl ViewManager {
                          would feed stale deltas downstream)"
                     )))
                 }
-                None => {
-                    return Err(ivm_relational::error::RelError::UnknownRelation(op.clone()).into())
-                }
+                None => return Err(RelError::UnknownRelation(op.clone()).into()),
             }
         }
-        // Validate the user expression against resolved operand schemes.
         let op_schemas = expr
             .relations
             .iter()
             .map(|op| self.operand_schema(op))
             .collect::<Result<Vec<Schema>>>()?;
-        {
-            let refs: Vec<&Schema> = op_schemas.iter().collect();
-            expr.validate_with(&refs)?;
-        }
-        // Materialize, then index. All fallible work happens before the
-        // WAL record so a failed registration leaves no trace.
-        let contents = self.eval_current(&expr)?;
-        let def = ViewDefinition::new(name.clone(), expr.clone())?;
-        let built = self.derive_indexes_for(&expr)?;
-        if built > 0 {
-            self.options.recorder.add(names::INDEX_BUILDS, built as u64);
-        }
-        if self.durability.is_some() {
-            self.log_record(ivm_storage::WalRecord::RegisterView {
-                name: name.clone(),
-                expr,
-                policy: crate::durability::policy_to_u8(policy),
-            })?;
-        }
-        // Commit point: everything below is infallible.
-        self.views.insert(
-            name,
-            ManagedView {
-                view: MaterializedView::from_saved(def, contents),
-                policy,
-                depends_on: Vec::new(),
-                stratum: 0,
-                pending: BTreeMap::new(),
-                filters: HashMap::new(),
-                listeners: Vec::new(),
-                stats: MaintenanceStats::default(),
-            },
-        );
-        self.rebuild_dag();
-        self.publish_snapshot();
+        let refs: Vec<&Schema> = op_schemas.iter().collect();
+        expr.validate_with(&refs)?;
         Ok(())
     }
 
-    /// The scheme of a base relation or registered SPJ view.
+    /// The scheme of a base relation or registered view.
     fn operand_schema(&self, name: &str) -> Result<Schema> {
         if self.db.contains_relation(name) {
             return Ok(self.db.schema(name)?.clone());
         }
-        Ok(self.managed(name)?.view.contents().schema().clone())
+        Ok(self.managed(name)?.contents.schema().clone())
     }
 
     /// Resolve operand schemes and ensure join-key indexes on the *base*
@@ -560,16 +681,16 @@ impl ViewManager {
         derive_view_indexes_resolved(&mut self.db, &expr.relations, &schemas, &is_base)
     }
 
-    /// The current contents of a base relation or registered SPJ view.
+    /// The current contents of a base relation or registered view.
     fn operand_contents(&self, name: &str) -> Result<&Relation> {
         if self.db.contains_relation(name) {
             return Ok(self.db.relation(name)?);
         }
-        Ok(self.managed(name)?.view.contents())
+        Ok(&self.managed(name)?.contents)
     }
 
-    /// Evaluate a definition against current operand state (base
-    /// relations and materialized upstream views).
+    /// Evaluate a term against current operand state (base relations and
+    /// materialized upstream views).
     fn eval_current(&self, expr: &SpjExpr) -> Result<Relation> {
         let mut inputs: Vec<&Relation> = Vec::with_capacity(expr.arity());
         for op in &expr.relations {
@@ -578,9 +699,32 @@ impl ViewManager {
         Ok(expr.eval_with(&inputs)?)
     }
 
-    /// Flattened-oracle evaluation: recursively re-evaluate `expr` from
+    /// `Σ c·eval(term)` with each term evaluated by `eval`. A single
+    /// `+1` term is its own value; a sum whose counter goes negative — an
+    /// ill-formed difference — fails with `NegativeCount`.
+    fn eval_terms(
+        &self,
+        terms: &[Term],
+        eval: impl Fn(&Self, &SpjExpr) -> Result<Relation>,
+    ) -> Result<Relation> {
+        let (first, rest) = terms.split_first().expect("a view has at least one term");
+        let value = eval(self, &first.expr)?;
+        if first.coef == 1 && rest.is_empty() {
+            return Ok(value);
+        }
+        let mut sum = DeltaRelation::empty(value.schema().clone());
+        add_scaled(&mut sum, &value.to_delta(), first.coef)?;
+        for term in rest {
+            add_scaled(&mut sum, &eval(self, &term.expr)?.to_delta(), term.coef)?;
+        }
+        let mut out = Relation::empty(value.schema().clone());
+        out.apply_delta(&sum)?;
+        Ok(out)
+    }
+
+    /// Flattened-oracle evaluation: recursively re-evaluate a term from
     /// base relations only, resolving view operands by re-evaluating
-    /// *their* definitions from scratch (no materialized view state is
+    /// *their* terms from scratch (no materialized view state is
     /// consulted).
     fn eval_scratch(&self, expr: &SpjExpr) -> Result<Relation> {
         let mut owned: Vec<Option<Relation>> = Vec::with_capacity(expr.arity());
@@ -589,7 +733,7 @@ impl ViewManager {
                 owned.push(None);
             } else {
                 let up = self.managed(op)?;
-                owned.push(Some(self.eval_scratch(up.view.definition().expr())?));
+                owned.push(Some(self.eval_terms(&up.terms, Self::eval_scratch)?));
             }
         }
         let mut inputs: Vec<&Relation> = Vec::with_capacity(expr.arity());
@@ -602,17 +746,15 @@ impl ViewManager {
         Ok(expr.eval_with(&inputs)?)
     }
 
-    /// Recompute `depends_on`/`stratum` for every SPJ node and the
-    /// manager's stratum list + reverse edges from the definitions.
-    /// Called after every registration and after recovery restores the
-    /// registry.
+    /// Recompute `depends_on`/`stratum` for every node and the manager's
+    /// stratum list + reverse edges from the terms. Called after every
+    /// registration and after recovery restores the registry.
     pub(crate) fn rebuild_dag(&mut self) {
         let names: Vec<String> = self.views.keys().cloned().collect();
         let mut depends: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for name in &names {
-            let expr = self.views[name].view.definition().expr();
             let mut ups: Vec<String> = Vec::new();
-            for op in &expr.relations {
+            for op in self.views[name].operands() {
                 if self.views.contains_key(op) && !ups.contains(op) {
                     ups.push(op.clone());
                 }
@@ -664,7 +806,7 @@ impl ViewManager {
     }
 
     /// The view dependency DAG in topological order (stratum-major, name
-    /// order within a stratum): one node per registered SPJ view.
+    /// order within a stratum): one node per registered view.
     pub fn dag(&self) -> Vec<DagNodeInfo> {
         let mut out = Vec::new();
         for stratum in &self.strata {
@@ -676,8 +818,10 @@ impl ViewManager {
                     policy: mv.policy,
                     depends_on: mv.depends_on.clone(),
                     dependents: self.dependents.get(name).cloned().unwrap_or_default(),
-                    expr: mv.view.definition().expr().clone(),
-                    rows: mv.view.contents().len(),
+                    expr: mv.terms[0].expr.clone(),
+                    terms: mv.terms.iter().map(|t| (t.coef, t.expr.clone())).collect(),
+                    tree: mv.tree.clone(),
+                    rows: mv.contents.len(),
                     stats: mv.stats,
                 });
             }
@@ -688,7 +832,7 @@ impl ViewManager {
     /// The name checks every view registration makes: the name is not
     /// taken by another view and not a base relation's.
     fn check_new_view_name(&self, name: &str) -> Result<()> {
-        if self.views.contains_key(name) || self.tree_views.contains_key(name) {
+        if self.views.contains_key(name) {
             return Err(IvmError::DuplicateView(name.to_owned()));
         }
         if self.db.contains_relation(name) {
@@ -699,40 +843,8 @@ impl ViewManager {
         Ok(())
     }
 
-    /// Register a general-algebra view (any [`Expr`] tree, including ∪
-    /// and −), maintained immediately via the recursive delta rules of
-    /// [`crate::differential::tree_delta`]. Tree views do not go through
-    /// the relevance filter.
-    pub fn register_tree_view(&mut self, name: impl Into<String>, expr: Expr) -> Result<()> {
-        let name = name.into();
-        self.check_new_view_name(&name)?;
-        let base_relations = expr.base_relations();
-        let view = crate::differential::MaterializedExpr::materialize(expr, &self.db)?;
-        if self.durability.is_some() {
-            self.log_record(ivm_storage::WalRecord::RegisterTreeView {
-                name: name.clone(),
-                expr: view.expr().clone(),
-            })?;
-        }
-        self.tree_views.insert(
-            name.clone(),
-            ManagedTreeView {
-                view,
-                base_relations,
-                listeners: Vec::new(),
-                stats: MaintenanceStats::default(),
-            },
-        );
-        self.publish_snapshot();
-        Ok(())
-    }
-
     /// Subscribe an alerter to a view's changes.
     pub fn on_change(&mut self, view: &str, listener: ChangeListener) -> Result<()> {
-        if let Some(tv) = self.tree_views.get_mut(view) {
-            tv.listeners.push(listener);
-            return Ok(());
-        }
         self.managed_mut(view)?.listeners.push(listener);
         Ok(())
     }
@@ -752,38 +864,36 @@ impl ViewManager {
     /// Current contents of a view *without* refreshing (deferred views may
     /// be stale).
     pub fn view_contents(&self, name: &str) -> Result<&Relation> {
-        if let Some(tv) = self.tree_views.get(name) {
-            return Ok(tv.view.contents());
-        }
-        Ok(self.managed(name)?.view.contents())
+        Ok(&self.managed(name)?.contents)
     }
 
     /// Maintenance statistics for a view.
     pub fn stats(&self, name: &str) -> Result<MaintenanceStats> {
-        if let Some(tv) = self.tree_views.get(name) {
-            return Ok(tv.stats);
-        }
         Ok(self.managed(name)?.stats)
     }
 
     /// The defining expression of a registered SPJ view, exactly as
-    /// registered; it is also the plan the view is maintained from.
+    /// registered; it is also the plan the view is maintained from. A
+    /// tree view has no single SPJ definition: its terms are in
+    /// [`ViewManager::dag`].
     pub fn view_expr(&self, name: &str) -> Result<SpjExpr> {
-        Ok(self.managed(name)?.view.definition().expr().clone())
+        let mv = self.managed(name)?;
+        match mv.tree {
+            None => Ok(mv.terms[0].expr.clone()),
+            Some(_) => Err(IvmError::UnsupportedView(format!(
+                "view {name} is a tree view, not an SPJ view"
+            ))),
+        }
     }
 
-    /// The refresh policy of a registered (SPJ) view.
+    /// The refresh policy of a registered view.
     pub fn view_policy(&self, name: &str) -> Result<RefreshPolicy> {
         Ok(self.managed(name)?.policy)
     }
 
-    /// Names of registered views: SPJ views in name order, then tree
-    /// views in name order.
+    /// Names of registered views, in name order.
     pub fn view_names(&self) -> impl Iterator<Item = &str> {
-        self.views
-            .keys()
-            .map(String::as_str)
-            .chain(self.tree_views.keys().map(String::as_str))
+        self.views.keys().map(String::as_str)
     }
 
     /// Changed tuples the node consumes this transaction: net changes
@@ -795,11 +905,7 @@ impl ViewManager {
         txn: &Transaction,
         emitted: &HashMap<String, DeltaRelation>,
     ) -> usize {
-        mv.view
-            .definition()
-            .expr()
-            .relations
-            .iter()
+        mv.operands()
             .map(|op| txn.changes_to(op) + emitted.get(op.as_str()).map_or(0, DeltaRelation::len))
             .sum()
     }
@@ -808,10 +914,12 @@ impl ViewManager {
     /// the base relations, and queue changes for deferred views.
     ///
     /// Durable managers follow the *log before apply* discipline: once the
-    /// transaction validates, a WAL record is appended and synced before
-    /// any in-memory state changes. A crash after the sync point replays
-    /// the transaction on recovery; a crash before it loses only work that
-    /// was never acknowledged.
+    /// transaction validates and every view delta is computed (which
+    /// reads but changes nothing), a WAL record is appended and synced
+    /// before any in-memory state changes. A transaction the views refuse
+    /// (an ill-formed difference in a tree view) is never logged. A crash
+    /// after the sync point replays the transaction on recovery; a crash
+    /// before it loses only work that was never acknowledged.
     ///
     /// Returns a [`MaintenanceReport`] describing the work done for this
     /// transaction. With a recorder installed
@@ -843,6 +951,32 @@ impl ViewManager {
         obs.add(names::MANAGER_TRANSACTIONS, 1);
         let mut report = MaintenanceReport::default();
         self.db.validate(txn)?;
+        // Phase 1: stratified delta computation against the
+        // pre-transaction state, bottom-up over the dependency DAG. Each
+        // maintained node's delta (`emitted`) becomes the input delta of
+        // its dependents in the next strata — topological delta flow.
+        // Nodes within one stratum are independent (their operands live
+        // strictly below). Phase 1 only reads, and runs before the WAL
+        // append: a transaction it rejects (an ill-formed difference, a
+        // counter overflow) leaves nothing logged and nothing changed.
+        let mut outcomes: Vec<(String, NodeOutcome)> = Vec::new();
+        let mut emitted: HashMap<String, DeltaRelation> = HashMap::new();
+        for stratum in &self.strata {
+            let touched: Vec<&String> = stratum
+                .iter()
+                .filter(|n| Self::node_work(&self.views[n.as_str()], txn, &emitted) > 0)
+                .collect();
+            if touched.is_empty() {
+                continue;
+            }
+            if obs.enabled() {
+                obs.observe(names::DAG_STRATUM_WIDTH, touched.len() as u64);
+            }
+            for name in touched {
+                let outcome = self.compute_node_outcome(name, txn, &mut emitted)?;
+                outcomes.push((name.clone(), outcome));
+            }
+        }
         if self.durability.is_some() && !txn.is_empty() {
             let _log_span = obs.span(names::SPAN_LOG);
             let wal_path = self.durability.as_deref().map(|s| s.wal_path().to_owned());
@@ -860,100 +994,55 @@ impl ViewManager {
                 wal_path.as_deref(),
             )?;
         }
-        // Phase 1: stratified delta computation against the
-        // pre-transaction state, bottom-up over the dependency DAG. Each
-        // maintained node's delta (`emitted`) becomes the input delta of
-        // its dependents in the next strata — topological delta flow.
-        // `deltas` records apply order; `true` marks a node scheduled for
-        // full re-evaluation after the base update (strategy decision).
-        let mut deltas: Vec<(String, bool)> = Vec::new();
-        let mut emitted: HashMap<String, DeltaRelation> = HashMap::new();
+        // Phase 1's writes: statistics, newly built filters and queued
+        // deferred changes.
         let mut nodes_maintained: u64 = 0;
-        for stratum in &self.strata {
-            let touched: Vec<&String> = stratum
-                .iter()
-                .filter(|n| Self::node_work(&self.views[n.as_str()], txn, &emitted) > 0)
-                .collect();
-            if touched.is_empty() {
-                continue;
+        for (name, outcome) in &mut outcomes {
+            let mv = self.views.get_mut(name.as_str()).expect("view exists");
+            mv.stats.transactions_seen += 1;
+            report.views_touched += 1;
+            for (term, op, f) in outcome.new_filters.drain(..) {
+                mv.terms[term].filters.insert(op, f);
             }
-            if obs.enabled() {
-                obs.observe(names::DAG_STRATUM_WIDTH, touched.len() as u64);
-            }
-            // Nodes within one stratum are independent (their operands
-            // live strictly below), so each node's outcome is computed
-            // against the pre-transaction state and applied in stratum
-            // order before the next node runs.
-            for name in touched {
-                let outcome = self.compute_node_outcome(name, txn, &emitted)?;
-                let mv = self.views.get_mut(name).expect("view exists");
-                mv.stats.transactions_seen += 1;
-                report.views_touched += 1;
-                for (op, f) in outcome.new_filters {
-                    mv.filters.insert(op, f);
+            mv.stats.filter += outcome.fstats;
+            report.filter += outcome.fstats;
+            match &mut outcome.action {
+                NodeAction::Skipped => {
+                    mv.stats.skipped_by_filter += 1;
+                    report.views_skipped += 1;
+                    obs.add(names::MANAGER_SKIPPED_BY_FILTER, 1);
                 }
-                mv.stats.filter += outcome.fstats;
-                report.filter += outcome.fstats;
-                match outcome.action {
-                    NodeAction::Skipped => {
-                        mv.stats.skipped_by_filter += 1;
-                        report.views_skipped += 1;
-                        obs.add(names::MANAGER_SKIPPED_BY_FILTER, 1);
-                    }
-                    NodeAction::Deferred(adds) => {
-                        report.views_deferred += 1;
-                        for (op, d) in adds {
-                            match mv.pending.get_mut(&op) {
-                                Some(acc) => acc.merge(&d)?,
-                                None => {
-                                    mv.pending.insert(op, d);
-                                }
+                NodeAction::Deferred(adds) => {
+                    report.views_deferred += 1;
+                    for (op, d) in adds.drain(..) {
+                        match mv.pending.get_mut(&op) {
+                            Some(acc) => acc.merge(&d)?,
+                            None => {
+                                mv.pending.insert(op, d);
                             }
                         }
                     }
-                    NodeAction::FullRecompute => {
-                        mv.stats.full_recomputes += 1;
-                        report.full_recomputes += 1;
-                        obs.add(names::MANAGER_FULL_RECOMPUTES, 1);
-                        nodes_maintained += 1;
-                        deltas.push((name.clone(), true));
-                    }
-                    NodeAction::Maintained(result) => {
-                        mv.stats.maintenance_runs += 1;
-                        mv.stats.diff += result.stats;
-                        mv.stats.last_rows_evaluated = result.stats.rows_evaluated;
-                        mv.stats.last_delta_tuples = result.delta.len();
-                        report.views_maintained += 1;
-                        report.diff += result.stats;
-                        obs.add(names::MANAGER_MAINTENANCE_RUNS, 1);
-                        nodes_maintained += 1;
-                        emitted.insert(name.clone(), result.delta);
-                        deltas.push((name.clone(), false));
-                    }
+                }
+                NodeAction::FullRecompute => {
+                    mv.stats.full_recomputes += 1;
+                    report.full_recomputes += 1;
+                    obs.add(names::MANAGER_FULL_RECOMPUTES, 1);
+                    nodes_maintained += 1;
+                }
+                NodeAction::Maintained(stats) => {
+                    mv.stats.maintenance_runs += 1;
+                    mv.stats.diff += *stats;
+                    mv.stats.last_rows_evaluated = stats.rows_evaluated;
+                    mv.stats.last_delta_tuples = emitted[name.as_str()].len();
+                    report.views_maintained += 1;
+                    report.diff += *stats;
+                    obs.add(names::MANAGER_MAINTENANCE_RUNS, 1);
+                    nodes_maintained += 1;
                 }
             }
         }
         if nodes_maintained > 0 {
             obs.add(names::DAG_NODES_MAINTAINED, nodes_maintained);
-        }
-        // Phase 1b: tree views (always immediate; read-only against the
-        // pre-transaction state).
-        let mut tree_deltas: Vec<(String, DeltaRelation)> = Vec::new();
-        for (name, tv) in &mut self.tree_views {
-            let touches = tv.base_relations.iter().any(|b| txn.changes_to(b) > 0);
-            if !touches {
-                continue;
-            }
-            tv.stats.transactions_seen += 1;
-            report.views_touched += 1;
-            let delta = {
-                let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
-                crate::differential::tree_delta(tv.view.expr(), &self.db, txn)?
-            };
-            tv.stats.maintenance_runs += 1;
-            report.views_maintained += 1;
-            obs.add(names::MANAGER_MAINTENANCE_RUNS, 1);
-            tree_deltas.push((name.clone(), delta));
         }
         let _apply_span = obs.span(names::SPAN_APPLY);
         // Phase 2: apply to base relations (join indexes are maintained
@@ -982,44 +1071,38 @@ impl ViewManager {
             self.durability.as_deref().map(|s| s.wal_path()),
         )?;
         // Phase 3: apply view deltas (or full recomputations) and notify
-        // listeners. `deltas` is in strata order, so a full re-evaluation
-        // of a stacked node sees its upstream views already up to date.
-        for (name, full) in deltas {
-            let delta = if full {
-                // Full re-evaluation against the new state (operands
-                // resolve to updated base relations and upstream views);
-                // the delta is still derived so listeners see a change
-                // stream. Only dependent-free nodes take this path —
-                // nodes with dependents are pinned to differential
-                // maintenance because their delta feeds downstream.
-                let expr = self.views[&name].view.definition().expr().clone();
-                let new_contents = self.eval_current(&expr)?;
-                let mv = self.views.get_mut(&name).expect("view exists");
-                let mut d = new_contents.to_delta();
-                for (t, c) in mv.view.contents().iter() {
-                    d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
+        // listeners. `outcomes` is in strata order, so a full
+        // re-evaluation of a stacked node sees its upstream views already
+        // up to date.
+        for (name, outcome) in outcomes {
+            let delta = match outcome.action {
+                NodeAction::FullRecompute => {
+                    // Full re-evaluation against the new state (operands
+                    // resolve to updated base relations and upstream
+                    // views); the delta is still derived so listeners see
+                    // a change stream. Only dependent-free nodes without
+                    // negative terms take this path — see `prefers_full`.
+                    let new_contents =
+                        self.eval_terms(&self.views[&name].terms, Self::eval_current)?;
+                    let mv = self.views.get_mut(&name).expect("view exists");
+                    let mut d = new_contents.to_delta();
+                    for (t, c) in mv.contents.iter() {
+                        d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
+                    }
+                    mv.contents = Arc::new(new_contents);
+                    mv.stats.last_delta_tuples = d.len();
+                    d
                 }
-                mv.view.replace(new_contents);
-                mv.stats.last_delta_tuples = d.len();
-                d
-            } else {
-                let d = emitted.remove(&name).expect("delta emitted in phase 1");
-                let mv = self.views.get_mut(&name).expect("view exists");
-                mv.view.apply(&d)?;
-                d
+                NodeAction::Maintained(_) => {
+                    let d = emitted.remove(&name).expect("delta emitted in phase 1");
+                    self.views.get_mut(&name).expect("view exists").apply(&d)?;
+                    d
+                }
+                NodeAction::Skipped | NodeAction::Deferred(_) => continue,
             };
             if !delta.is_empty() {
                 let mv = &self.views[&name];
                 for l in &mv.listeners {
-                    l(&name, &delta);
-                }
-            }
-        }
-        for (name, delta) in tree_deltas {
-            let tv = self.tree_views.get_mut(&name).expect("tree view exists");
-            tv.view.apply(&delta)?;
-            if !delta.is_empty() {
-                for l in &tv.listeners {
                     l(&name, &delta);
                 }
             }
@@ -1039,15 +1122,14 @@ impl ViewManager {
     /// changes with one differential pass (snapshot refresh, §6). No-op for
     /// immediate views or when nothing is pending.
     pub fn refresh(&mut self, name: &str) -> Result<()> {
-        if self.tree_views.contains_key(name) {
-            return Ok(()); // tree views are maintained immediately
-        }
         let options = self.options.diff;
         let mv = self.managed_mut(name)?;
         if mv.pending.is_empty() {
             return Ok(());
         }
         let pending = std::mem::take(&mut mv.pending);
+        // Only SPJ views can be deferred, so the view is its one term.
+        let expr = mv.terms[0].expr.clone();
         // Reconstruct only the *changed* operands as of the last refresh
         // (old = current − pending); untouched operands are borrowed from
         // the live database.
@@ -1058,7 +1140,6 @@ impl ViewManager {
         // in any view tuple (their substituted condition is unsatisfiable
         // in every state), so V(reconstructed) = V(true old) and the
         // differential below is computed against an equivalent baseline.
-        let expr = mv.view.definition().expr().clone();
         let mut reconstructed: HashMap<&str, Relation> = HashMap::new();
         for (operand, delta) in &pending {
             // Operands may be base relations or upstream (immediate)
@@ -1098,7 +1179,7 @@ impl ViewManager {
         mv.stats.diff += result.stats;
         mv.stats.last_rows_evaluated = result.stats.rows_evaluated;
         mv.stats.last_delta_tuples = result.delta.len();
-        mv.view.apply(&result.delta)?;
+        mv.apply(&result.delta)?;
         let changed = !result.delta.is_empty();
         if changed {
             let listeners = mv.listeners.clone();
@@ -1129,9 +1210,6 @@ impl ViewManager {
     /// Whether [`ViewManager::query`] must fold queued changes in first:
     /// an on-demand view with changes pending.
     fn query_refreshes(&self, name: &str) -> Result<bool> {
-        if self.tree_views.contains_key(name) {
-            return Ok(false);
-        }
         let mv = self.managed(name)?;
         Ok(mv.policy == RefreshPolicy::OnDemand && !mv.pending.is_empty())
     }
@@ -1139,10 +1217,7 @@ impl ViewManager {
     /// The shared pointer to a view's current contents, without
     /// refreshing.
     fn shared_contents(&self, name: &str) -> Result<Arc<Relation>> {
-        if let Some(tv) = self.tree_views.get(name) {
-            return Ok(Arc::clone(tv.view.shared_contents()));
-        }
-        Ok(Arc::clone(self.managed(name)?.view.shared_contents()))
+        Ok(Arc::clone(&self.managed(name)?.contents))
     }
 
     /// Check every view against a recursive from-scratch re-evaluation
@@ -1153,17 +1228,10 @@ impl ViewManager {
         for name in names {
             self.refresh(&name)?;
             let mv = self.managed(&name)?;
-            let expected = self.eval_scratch(mv.view.definition().expr())?;
-            if expected != *mv.view.contents() {
+            let expected = self.eval_terms(&mv.terms, Self::eval_scratch)?;
+            if expected != *mv.contents {
                 return Err(IvmError::UnsupportedView(format!(
                     "view {name} diverged from full re-evaluation"
-                )));
-            }
-        }
-        for (name, tv) in &self.tree_views {
-            if !tv.view.consistent_with(&self.db)? {
-                return Err(IvmError::UnsupportedView(format!(
-                    "tree view {name} diverged from full re-evaluation"
                 )));
             }
         }
@@ -1246,17 +1314,17 @@ pub(crate) fn derive_view_indexes_resolved(
 /// deterministic stratum order afterwards.
 struct NodeOutcome {
     fstats: FilterStats,
-    /// Relevance filters built during this computation, cached onto the
-    /// view when the outcome is applied.
-    new_filters: Vec<(String, RelevanceFilter)>,
+    /// Relevance filters built during this computation, as (term index,
+    /// operand, filter), cached onto the view when the outcome is applied.
+    new_filters: Vec<(usize, String, RelevanceFilter)>,
     action: NodeAction,
 }
 
 enum NodeAction {
     /// Touched, but the §4 filter proved every changed tuple irrelevant.
     Skipped,
-    /// Differential delta computed (applied in phase 3).
-    Maintained(DifferentialResult),
+    /// Differential delta computed (in `emitted`, applied in phase 3).
+    Maintained(DiffStats),
     /// Strategy chose full re-evaluation (runs post-apply in phase 3).
     FullRecompute,
     /// Deferred policy: per-operand deltas to queue for a later refresh.
@@ -1265,21 +1333,120 @@ enum NodeAction {
 
 impl ViewManager {
     /// Compute what maintaining node `name` for `txn` requires, without
-    /// mutating anything. Base operands go through the §4 relevance
-    /// filter; view operands consume the delta their node emitted earlier
-    /// this transaction (`emitted`).
+    /// mutating the manager. Each term's base operands go through its §4
+    /// relevance filter; view operands consume the delta their node
+    /// emitted earlier this transaction. A maintained node's delta,
+    /// `Σ c·Δterm`, goes into `emitted`.
     fn compute_node_outcome(
         &self,
         name: &str,
         txn: &Transaction,
-        emitted: &HashMap<String, DeltaRelation>,
+        emitted: &mut HashMap<String, DeltaRelation>,
     ) -> Result<NodeOutcome> {
-        let (db, obs, options) = (&self.db, &self.options.recorder, &self.options.diff);
+        let (obs, options) = (&self.options.recorder, &self.options.diff);
         let mv = &self.views[name];
-        let expr = mv.view.definition().expr();
         let mut fstats = FilterStats::default();
-        let mut new_filters: Vec<(String, RelevanceFilter)> = Vec::new();
-        // Filter each distinct touched *base* operand once.
+        let mut new_filters: Vec<(usize, String, RelevanceFilter)> = Vec::new();
+        let mut touched = false;
+        let mut full = false;
+        let mut adds: Vec<(String, DeltaRelation)> = Vec::new();
+        let mut sum: Option<DifferentialResult> = None;
+        for (i, term) in mv.terms.iter().enumerate() {
+            let (old, updates) =
+                self.term_inputs(i, term, txn, emitted, &mut fstats, &mut new_filters)?;
+            if !updates.iter().any(Option::is_some) {
+                continue;
+            }
+            touched = true;
+            let expr = &term.expr;
+            if mv.policy != RefreshPolicy::Immediate {
+                // Queue per-operand deltas for a later refresh: filtered
+                // base update sets plus upstream view deltas, one entry
+                // per distinct operand.
+                for (op, update) in expr.relations.iter().zip(&updates) {
+                    let Some(u) = update else { continue };
+                    if adds.iter().any(|(n, _)| n == op) {
+                        continue;
+                    }
+                    let mut d = u.inserts.to_delta();
+                    for (t, c) in u.deletes.iter() {
+                        d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
+                    }
+                    adds.push((op.clone(), d));
+                }
+                continue;
+            }
+            full = full || self.prefers_full(name, mv, expr, &old, &updates)?;
+            if full {
+                continue;
+            }
+            let result = {
+                let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
+                differential_delta_parts_observed(expr, &old, &updates, options, obs)?
+            };
+            sum = Some(match sum {
+                None if term.coef == 1 => result,
+                None => {
+                    let mut delta = DeltaRelation::empty(result.delta.schema().clone());
+                    add_scaled(&mut delta, &result.delta, term.coef)?;
+                    DifferentialResult {
+                        delta,
+                        stats: result.stats,
+                    }
+                }
+                Some(mut acc) => {
+                    add_scaled(&mut acc.delta, &result.delta, term.coef)?;
+                    acc.stats += result.stats;
+                    acc
+                }
+            });
+        }
+        if obs.enabled() {
+            obs.add(names::FILTER_TUPLES_CHECKED, fstats.checked as u64);
+            obs.add(names::FILTER_TUPLES_ADMITTED, fstats.relevant as u64);
+            obs.add(names::FILTER_TUPLES_FILTERED, fstats.irrelevant as u64);
+        }
+        let action = if !touched {
+            NodeAction::Skipped
+        } else if mv.policy != RefreshPolicy::Immediate {
+            NodeAction::Deferred(adds)
+        } else if full {
+            NodeAction::FullRecompute
+        } else {
+            let result = sum.expect("a touched immediate node runs at least one term");
+            if mv.terms.iter().any(|t| t.coef < 0) {
+                // Only a negative term can drive a counter below zero: an
+                // ill-formed difference is refused here, before the WAL
+                // append, rather than when the delta is applied.
+                mv.contents.check_delta(&result.delta)?;
+            }
+            emitted.insert(name.to_owned(), result.delta);
+            NodeAction::Maintained(result.stats)
+        };
+        Ok(NodeOutcome {
+            fstats,
+            new_filters,
+            action,
+        })
+    }
+
+    /// Per-position old state and net update of term `i`, all
+    /// pre-apply. Each distinct touched *base* operand is filtered once
+    /// by the term's relevance filter (built and pushed onto
+    /// `new_filters` when the term has none cached); the filtered sets
+    /// move into their operand's first position, and only a self-join's
+    /// later positions copy them.
+    fn term_inputs<'a>(
+        &'a self,
+        i: usize,
+        term: &'a Term,
+        txn: &Transaction,
+        emitted: &HashMap<String, DeltaRelation>,
+        fstats: &mut FilterStats,
+        new_filters: &mut Vec<(usize, String, RelevanceFilter)>,
+    ) -> Result<(Vec<&'a Relation>, Vec<Option<OperandUpdate>>)> {
+        let (db, obs, options) = (&self.db, &self.options.recorder, &self.options.diff);
+        let expr = &term.expr;
         let mut filtered_base: Vec<(&str, OperandUpdate)> = Vec::new();
         {
             let _filter_span = obs.span(names::SPAN_FILTER);
@@ -1297,23 +1464,23 @@ impl ViewManager {
                         txn.delete_set(op, rel.schema())?,
                     )
                 } else {
-                    let f = match mv.filters.get(op.as_str()) {
+                    let f = match term.filters.get(op.as_str()) {
                         Some(f) => {
                             obs.add(names::FILTER_GRAPH_CACHE_HITS, 1);
                             f
                         }
                         None => {
                             let built = RelevanceFilter::new_observed(expr, db, op, obs)?;
-                            new_filters.push((op.clone(), built));
-                            &new_filters.last().expect("just pushed").1
+                            new_filters.push((i, op.clone(), built));
+                            &new_filters.last().expect("just pushed").2
                         }
                     };
                     let (kept_ins, ins_stats) =
                         f.filter_with(txn.inserted(op), options.threads, obs)?;
                     let (kept_del, del_stats) =
                         f.filter_with(txn.deleted(op), options.threads, obs)?;
-                    fstats += ins_stats;
-                    fstats += del_stats;
+                    *fstats += ins_stats;
+                    *fstats += del_stats;
                     let mut ins = Relation::empty(rel.schema().clone());
                     for t in kept_ins {
                         ins.insert(t, 1)?;
@@ -1327,14 +1494,6 @@ impl ViewManager {
                 filtered_base.push((op, OperandUpdate { inserts, deletes }));
             }
         }
-        if obs.enabled() {
-            obs.add(names::FILTER_TUPLES_CHECKED, fstats.checked as u64);
-            obs.add(names::FILTER_TUPLES_ADMITTED, fstats.relevant as u64);
-            obs.add(names::FILTER_TUPLES_FILTERED, fstats.irrelevant as u64);
-        }
-        // Per-position old state and net update, all pre-apply. The
-        // filtered sets move into their operand's first position; only a
-        // self-join's later positions copy them.
         let mut old: Vec<&Relation> = Vec::with_capacity(expr.arity());
         let mut updates: Vec<Option<OperandUpdate>> = Vec::with_capacity(expr.arity());
         for op in &expr.relations {
@@ -1351,71 +1510,32 @@ impl ViewManager {
                 };
                 updates.push(update);
             } else {
-                let up = self
-                    .views
-                    .get(op.as_str())
-                    .ok_or_else(|| IvmError::UnknownView(op.clone()))?;
-                old.push(up.view.contents());
+                old.push(&self.managed(op)?.contents);
                 match emitted.get(op.as_str()).filter(|d| !d.is_empty()) {
                     Some(d) => updates.push(Some(operand_update_from_delta(d)?)),
                     None => updates.push(None),
                 }
             }
         }
-        if !updates.iter().any(Option::is_some) {
-            return Ok(NodeOutcome {
-                fstats,
-                new_filters,
-                action: NodeAction::Skipped,
-            });
-        }
-        let action = match mv.policy {
-            RefreshPolicy::Deferred | RefreshPolicy::OnDemand => {
-                // Queue per-operand deltas for a later refresh: filtered
-                // base update sets plus upstream view deltas, one entry
-                // per distinct operand.
-                let mut adds: Vec<(String, DeltaRelation)> = Vec::new();
-                for (op, update) in expr.relations.iter().zip(&updates) {
-                    let Some(u) = update else { continue };
-                    if adds.iter().any(|(n, _)| n == op) {
-                        continue;
-                    }
-                    let mut d = u.inserts.to_delta();
-                    for (t, c) in u.deletes.iter() {
-                        d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
-                    }
-                    adds.push((op.clone(), d));
-                }
-                NodeAction::Deferred(adds)
-            }
-            RefreshPolicy::Immediate if self.prefers_full(name, expr, &old, &updates)? => {
-                NodeAction::FullRecompute
-            }
-            RefreshPolicy::Immediate => {
-                let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
-                NodeAction::Maintained(differential_delta_parts_observed(
-                    expr, &old, &updates, options, obs,
-                )?)
-            }
-        };
-        Ok(NodeOutcome {
-            fstats,
-            new_filters,
-            action,
-        })
+        Ok((old, updates))
     }
 
     /// Whether the strategy maintains immediate node `name` by full
-    /// re-evaluation. A node with dependents never is: they consume its
-    /// delta within the same transaction, so differential is mandatory.
+    /// re-evaluation, judged on one touched term. A node with dependents
+    /// never is: they consume its delta within the same transaction, so
+    /// differential is mandatory. Nor is a node with a negative term,
+    /// whose delta must be checked before the WAL append.
     fn prefers_full(
         &self,
         name: &str,
+        mv: &ManagedView,
         expr: &SpjExpr,
         old: &[&Relation],
         updates: &[Option<OperandUpdate>],
     ) -> Result<bool> {
-        if self.dependents.get(name).is_some_and(|d| !d.is_empty()) {
+        if self.dependents.get(name).is_some_and(|d| !d.is_empty())
+            || mv.terms.iter().any(|t| t.coef < 0)
+        {
             return Ok(false);
         }
         Ok(match self.options.strategy {
@@ -1443,6 +1563,17 @@ impl ViewManager {
             }
         })
     }
+}
+
+/// `acc += coef · delta`, refusing a count beyond `i64`.
+fn add_scaled(acc: &mut DeltaRelation, delta: &DeltaRelation, coef: i64) -> Result<()> {
+    for (t, n) in delta.iter() {
+        let scaled = n.checked_mul(coef).ok_or_else(|| {
+            RelError::CounterOverflow(format!("{coef} × count {n} of tuple {t} exceeds i64"))
+        })?;
+        acc.add(t.clone(), scaled);
+    }
+    Ok(())
 }
 
 /// Split a counted view delta into the insert/delete relation pair the
@@ -1509,7 +1640,6 @@ impl SharedViewManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivm_relational::error::RelError;
     use ivm_relational::predicate::{Atom, Condition};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -2024,6 +2154,215 @@ mod tests {
             Err(IvmError::UnsupportedView(_))
         ));
         assert_eq!(m.view_names().count(), 0);
+    }
+
+    #[test]
+    fn tree_view_terms_run_the_relevance_filter() {
+        let mut m = manager_with_data();
+        // π_{A,B}(σ_{A<10}(R) ⋈ S) ∪ σ_{A<10}(R): both terms filter on
+        // A < 10.
+        let small = Expr::base("R").select(Atom::lt_const("A", 10));
+        let expr = small
+            .clone()
+            .join(Expr::base("S"))
+            .project(["A", "B"])
+            .union(small);
+        m.register_tree_view("t", expr).unwrap();
+        let mut txn = Transaction::new();
+        txn.insert("R", [50, 10]).unwrap(); // A = 50: irrelevant to every term
+        let report = m.execute(&txn).unwrap();
+        assert_eq!(report.views_touched, 1);
+        assert_eq!(report.views_skipped, 1);
+        assert_eq!(report.views_maintained, 0);
+        assert_eq!(report.filter.irrelevant, 2, "one check per term");
+        assert_eq!(m.stats("t").unwrap().skipped_by_filter, 1);
+        // A relation no term reads leaves the view untouched.
+        m.create_relation("U", Schema::new(["A"]).unwrap()).unwrap();
+        let mut txn = Transaction::new();
+        txn.insert("U", [1]).unwrap();
+        assert_eq!(m.execute(&txn).unwrap().views_touched, 0);
+        m.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn views_without_terms_are_rejected() {
+        let mut m = manager_with_data();
+        let no_operands = SpjExpr::new(Vec::<String>::new(), Condition::always_true(), None);
+        assert!(matches!(
+            m.register_view("v", no_operands, RefreshPolicy::Immediate),
+            Err(IvmError::UnsupportedView(_))
+        ));
+        // R − R: every term cancels, so there is nothing to maintain.
+        assert!(matches!(
+            m.register_tree_view("t", Expr::base("R").difference(Expr::base("R"))),
+            Err(IvmError::UnsupportedView(_))
+        ));
+        assert_eq!(m.view_names().count(), 0);
+    }
+
+    #[test]
+    fn apply_shares_rows_with_the_delta_and_the_pinned_copy() {
+        let mut m = manager_with_data();
+        m.register_view("v", view_expr(), RefreshPolicy::Immediate)
+            .unwrap();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        m.on_change("v", Arc::new(move |_, d| sink.lock().push(d.clone())))
+            .unwrap();
+        // A pinned reader forces the copy-on-write path.
+        let pinned = m.query("v").unwrap();
+        let mut txn = Transaction::new();
+        txn.insert("R", [3, 10]).unwrap();
+        m.execute(&txn).unwrap();
+        let after = m.query("v").unwrap();
+        assert!(!Arc::ptr_eq(&pinned, &after), "copied");
+        let ptr_in = |rel: &Relation, row: &Tuple| {
+            let (t, _) = rel.iter().find(|(t, _)| *t == row).unwrap();
+            t.values().as_ptr()
+        };
+        let delta = seen.lock().pop().unwrap();
+        let (added, _) = delta.iter().next().unwrap();
+        assert_eq!(ptr_in(&after, added), added.values().as_ptr());
+        // The copy duplicated table slots, not rows: old rows are shared.
+        for (t, _) in pinned.iter() {
+            assert_eq!(ptr_in(&after, t), t.values().as_ptr());
+        }
+    }
+
+    #[test]
+    fn spj_view_stacks_on_a_tree_view() {
+        let mut m = manager_with_data();
+        m.create_relation("T", Schema::new(["A", "B"]).unwrap())
+            .unwrap();
+        m.load("T", [[7, 20]]).unwrap();
+        m.register_tree_view("u", Expr::base("R").union(Expr::base("T")))
+            .unwrap();
+        m.register_view(
+            "w",
+            SpjExpr::new(["u", "S"], Atom::gt_const("C", 150).into(), None),
+            RefreshPolicy::Immediate,
+        )
+        .unwrap();
+        let node = m.dag().into_iter().find(|n| n.name == "w").unwrap();
+        assert_eq!(node.depends_on, ["u"]);
+        assert_eq!(node.stratum, 1);
+        let mut txn = Transaction::new();
+        txn.insert("T", [8, 20]).unwrap();
+        txn.delete("R", [2, 20]).unwrap();
+        let report = m.execute(&txn).unwrap();
+        assert_eq!(report.views_maintained, 2);
+        let w = m.view_contents("w").unwrap();
+        assert!(w.contains(&Tuple::from([8, 20, 200])));
+        assert!(!w.contains(&Tuple::from([2, 20, 200])));
+        assert_eq!(m.view_expr("w").unwrap().relations, ["u", "S"]);
+        assert!(matches!(
+            m.view_expr("u"),
+            Err(IvmError::UnsupportedView(_))
+        ));
+        m.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn tree_view_over_registered_projections() {
+        // π_{A,C}(R ⋈ S) ∪ (π_A(T) ⋈ π_C(S)). Lifting π_A(T) above its
+        // join would join on B, so the tree is rejected as written; with
+        // the projections registered as views it compiles, cross product
+        // of disjoint schemes included.
+        let mut m = manager_with_data();
+        m.create_relation("T", Schema::new(["A", "B"]).unwrap())
+            .unwrap();
+        m.load("T", [[1, 10], [7, 70]]).unwrap();
+        let left = Expr::base("R").join(Expr::base("S")).project(["A", "C"]);
+        let inline = left.clone().union(
+            Expr::base("T")
+                .project(["A"])
+                .join(Expr::base("S").project(["C"])),
+        );
+        let err = m.register_tree_view("t", inline).unwrap_err();
+        assert!(
+            matches!(&err, IvmError::UnsupportedView(msg) if msg.contains("attribute B")),
+            "{err}"
+        );
+        let project = |rel: &str, attr: &str| {
+            SpjExpr::new([rel], Condition::always_true(), Some(vec![attr.into()]))
+        };
+        m.register_view("ta", project("T", "A"), RefreshPolicy::Immediate)
+            .unwrap();
+        m.register_view("sc", project("S", "C"), RefreshPolicy::Immediate)
+            .unwrap();
+        let stacked = left.union(Expr::base("ta").join(Expr::base("sc")));
+        m.register_tree_view("t", stacked).unwrap();
+        for step in 0..10i64 {
+            let mut txn = Transaction::new();
+            txn.insert("R", [100 + step, 10]).unwrap();
+            if step % 2 == 0 {
+                txn.insert("T", [200 + step, 10]).unwrap();
+            }
+            if step % 3 == 0 {
+                txn.insert("S", [10, 1000 + step]).unwrap();
+            }
+            m.execute(&txn).unwrap();
+            m.verify_consistency().unwrap();
+        }
+        // The literal tree, evaluated over the base relations.
+        let literal = Expr::base("R")
+            .join(Expr::base("S"))
+            .project(["A", "C"])
+            .eval(m.database())
+            .unwrap();
+        let ta = Expr::base("T").project(["A"]).eval(m.database()).unwrap();
+        let sc = Expr::base("S").project(["C"]).eval(m.database()).unwrap();
+        let cross = ivm_relational::algebra::natural_join(&ta, &sc).unwrap();
+        let expected = ivm_relational::algebra::union(&literal, &cross).unwrap();
+        assert_eq!(*m.view_contents("t").unwrap(), expected);
+        assert!(expected.total_count() > 0);
+    }
+
+    #[test]
+    fn ill_formed_difference_fails_closed() {
+        let dir = ivm_storage::temp::scratch_dir("ill-formed-difference");
+        let mut m = ViewManager::open(&dir).unwrap();
+        m.create_relation("R", Schema::new(["A"]).unwrap()).unwrap();
+        m.create_relation("T", Schema::new(["A"]).unwrap()).unwrap();
+        m.load("R", [[1], [2]]).unwrap();
+        m.register_tree_view("d", Expr::base("R").difference(Expr::base("T")))
+            .unwrap();
+        let t_before = m.database().relation("T").unwrap().clone();
+        let d_before = m.view_contents("d").unwrap().clone();
+        let next_lsn = m.durability_status().unwrap().next_lsn;
+        // (3) is in T but not in R: R − T would count it −1.
+        let mut bad = Transaction::new();
+        bad.insert("T", [3]).unwrap();
+        assert!(matches!(
+            m.execute(&bad).unwrap_err(),
+            IvmError::Relational(RelError::NegativeCount(_))
+        ));
+        assert_eq!(
+            m.durability_status().unwrap().next_lsn,
+            next_lsn,
+            "not logged"
+        );
+        assert_eq!(m.database().relation("T").unwrap(), &t_before);
+        assert_eq!(m.view_contents("d").unwrap(), &d_before);
+        drop(m);
+        // Recovery sees nothing of it, and the next valid transaction
+        // commits.
+        let mut m = ViewManager::open(&dir).unwrap();
+        assert_eq!(m.database().relation("T").unwrap(), &t_before);
+        assert_eq!(m.view_contents("d").unwrap(), &d_before);
+        let mut good = Transaction::new();
+        good.insert("T", [2]).unwrap();
+        m.execute(&good).unwrap();
+        assert_eq!(
+            m.view_contents("d").unwrap().sorted(),
+            [(Tuple::from([1]), 1)]
+        );
+        m.verify_consistency().unwrap();
+        drop(m);
+        let mut m = ViewManager::open(&dir).unwrap();
+        m.verify_consistency().unwrap();
+        drop(m);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

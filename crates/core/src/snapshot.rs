@@ -35,8 +35,7 @@
 //!
 //! Because a published snapshot shares each view's `Arc`, the one copy
 //! left on the write path is copy-on-write inside the view itself:
-//! [`crate::view::MaterializedView::apply`] goes through
-//! [`Arc::make_mut`], which copies a view's relation when the hub (or a
+//! the manager applies a view delta through [`Arc::make_mut`], which copies a view's relation when the hub (or a
 //! reader) still holds the version about to change — once per changed
 //! view per commit while the hub is armed, and never for an empty delta.
 //!

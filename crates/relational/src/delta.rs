@@ -6,8 +6,8 @@
 //! tagged `delete` carries `−count`, and a tuple tagged `ignore` has
 //! cancelled to zero. Because join is bilinear and σ/π are linear over
 //! signed multisets, the distributive identities of §5.3–§5.4 hold exactly,
-//! which is what the tree-view delta rules in `ivm::differential::tree`
-//! exploit. The SPJ engine (Algorithm 5.1) works over
+//! which is what compiling a tree view into a signed sum of SPJ terms
+//! ([`crate::expr::Expr::signed_terms`]) exploits. The SPJ engine (Algorithm 5.1) works over
 //! [`crate::tagged::TaggedRelation`] instead and emits its view transaction
 //! as a `DeltaRelation`.
 

@@ -60,6 +60,10 @@ pub enum RelError {
     TypeError(String),
     /// Text could not be parsed (see `crate::parser`).
     Parse(String),
+    /// A projection under a join drops this attribute, which the other
+    /// join operand has, so the tree has no sum-of-SPJ-terms form (see
+    /// `crate::expr::Expr::signed_terms`).
+    ProjectionUnderJoin(AttrName),
 }
 
 impl fmt::Display for RelError {
@@ -111,6 +115,11 @@ impl fmt::Display for RelError {
             RelError::InvalidIndexKey(msg) => write!(f, "invalid index key: {msg}"),
             RelError::TypeError(msg) => write!(f, "type error: {msg}"),
             RelError::Parse(msg) => write!(f, "parse error: {msg}"),
+            RelError::ProjectionUnderJoin(a) => write!(
+                f,
+                "a projection under a join drops attribute {a}, which the other operand has; \
+                 register the projection as its own view and join that view instead"
+            ),
         }
     }
 }

@@ -13,15 +13,13 @@
 //! joins) and by the differential engine in the `ivm` crate.
 //!
 //! A general expression tree [`Expr`] is also provided for ad-hoc queries
-//! and as the literal, unoptimized evaluator; [`Expr::normalize`] rewrites a
-//! pure select/project/join tree into an [`SpjExpr`] by pulling selections
-//! up and composing projections (the identities σ and π commute with ⋈
-//! when attribute names are nominal and projections keep the needed
-//! attributes — we only normalize trees where that is legal, and return
-//! `None` otherwise).
+//! and as the literal, unoptimized evaluator. [`Expr::signed_terms`]
+//! compiles a σ/π/⋈/∪/− tree into a signed sum of [`SpjExpr`] terms:
+//! over counted multisets ∪ is `+` and − is `−`, σ and π are linear and ⋈
+//! is bilinear, so every such tree is `Σ cᵢ·termᵢ`, and a view maintains
+//! it by maintaining each term.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::algebra;
@@ -346,28 +344,6 @@ impl Expr {
         Expr::Difference(Box::new(self), Box::new(other))
     }
 
-    /// Names of the base relations mentioned, in first-occurrence order.
-    pub fn base_relations(&self) -> Vec<String> {
-        fn walk(e: &Expr, seen: &mut BTreeSet<String>, out: &mut Vec<String>) {
-            match e {
-                Expr::Base(n) => {
-                    if seen.insert(n.clone()) {
-                        out.push(n.clone());
-                    }
-                }
-                Expr::Select { input, .. } | Expr::Project { input, .. } => walk(input, seen, out),
-                Expr::Join(l, r) | Expr::Union(l, r) | Expr::Difference(l, r) => {
-                    walk(l, seen, out);
-                    walk(r, seen, out);
-                }
-            }
-        }
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        walk(self, &mut seen, &mut out);
-        out
-    }
-
     /// Evaluate against a database.
     pub fn eval(&self, db: &Database) -> Result<Relation> {
         match self {
@@ -380,46 +356,158 @@ impl Expr {
         }
     }
 
-    /// Rewrite a pure select/project/join tree into SPJ normal form.
+    /// Compile the tree into a signed sum of SPJ terms, `Σ cᵢ·termᵢ`,
+    /// equal to [`Expr::eval`] wherever that evaluates. `scheme_of`
+    /// resolves a leaf name to its scheme.
     ///
-    /// Selections are conjoined; only an outermost projection is kept (the
-    /// paper's normal form allows a single π). Returns `None` when the tree
-    /// contains ∪/−, an inner projection (which would change join
-    /// semantics), or no base relation.
-    pub fn normalize(&self) -> Option<SpjExpr> {
-        fn collect(e: &Expr, rels: &mut Vec<String>, cond: &mut Condition) -> bool {
-            match e {
-                Expr::Base(n) => {
-                    rels.push(n.clone());
-                    true
-                }
-                Expr::Select { input, cond: c } => {
-                    if !collect(input, rels, cond) {
-                        return false;
-                    }
-                    *cond = cond.and(c);
-                    true
-                }
-                Expr::Join(l, r) => collect(l, rels, cond) && collect(r, rels, cond),
-                Expr::Project { .. } | Expr::Union(..) | Expr::Difference(..) => false,
-            }
-        }
+    /// σ and π distribute over ∪ and −, and ⋈ distributes bilinearly.
+    /// Nested projections compose, σ lifts above π, and π lifts above ⋈
+    /// when none of the attributes it drops is in the other side's join
+    /// scheme. Equal terms merge their coefficients and zero terms drop,
+    /// so `(t ∪ s) − s` compiles to exactly `t`; a tree whose terms all
+    /// cancel compiles to none. A π under a ⋈ that drops an attribute of
+    /// the other side, as in `π_A(R(A,B)) ⋈ S(B,C)`, has no SPJ form:
+    /// it fails with [`RelError::ProjectionUnderJoin`] naming the
+    /// attribute.
+    ///
+    /// Every term's output scheme is the tree's, in the same order.
+    pub fn signed_terms(
+        &self,
+        scheme_of: &impl Fn(&str) -> Result<Schema>,
+    ) -> Result<Vec<(i64, SpjExpr)>> {
+        let (_, terms) = self.compile(scheme_of)?;
+        Ok(terms
+            .into_iter()
+            .map(|t| {
+                let projection = (t.out.as_slice() != t.join.attrs()).then_some(t.out);
+                (t.coef, SpjExpr::new(t.relations, t.condition, projection))
+            })
+            .collect())
+    }
 
-        let (inner, projection) = match self {
-            Expr::Project { input, attrs } => (input.as_ref(), Some(attrs.clone())),
-            other => (other, None),
-        };
-        let mut rels = Vec::new();
-        let mut cond = Condition::always_true();
-        if !collect(inner, &mut rels, &mut cond) || rels.is_empty() {
-            return None;
-        }
-        Some(SpjExpr {
-            relations: rels,
-            condition: cond,
-            projection,
+    fn compile(&self, scheme_of: &impl Fn(&str) -> Result<Schema>) -> Result<(Schema, Vec<Term>)> {
+        Ok(match self {
+            Expr::Base(name) => {
+                let schema = scheme_of(name)?;
+                let term = Term {
+                    coef: 1,
+                    relations: vec![name.clone()],
+                    condition: Condition::always_true(),
+                    out: schema.attrs().to_vec(),
+                    join: schema.clone(),
+                };
+                (schema, vec![term])
+            }
+            Expr::Select { input, cond } => {
+                let (schema, mut terms) = input.compile(scheme_of)?;
+                for v in cond.vars() {
+                    schema.require(&v)?;
+                }
+                for t in &mut terms {
+                    t.condition = t.condition.and(cond);
+                }
+                (schema, terms)
+            }
+            Expr::Project { input, attrs } => {
+                let (schema, mut terms) = input.compile(scheme_of)?;
+                let schema = schema.project(attrs)?;
+                for t in &mut terms {
+                    t.out = attrs.clone();
+                }
+                (schema, terms)
+            }
+            Expr::Join(l, r) => {
+                let (ls, lt) = l.compile(scheme_of)?;
+                let (rs, rt) = r.compile(scheme_of)?;
+                let schema = ls.join(&rs);
+                let mut terms = Vec::with_capacity(lt.len() * rt.len());
+                for a in &lt {
+                    for b in &rt {
+                        a.check_lifts_over(b)?;
+                        b.check_lifts_over(a)?;
+                        let mut relations = a.relations.clone();
+                        relations.extend(b.relations.iter().cloned());
+                        push_merged(
+                            &mut terms,
+                            Term {
+                                coef: checked_coef(a.coef.checked_mul(b.coef))?,
+                                relations,
+                                condition: a.condition.and(&b.condition),
+                                out: schema.attrs().to_vec(),
+                                join: a.join.join(&b.join),
+                            },
+                        )?;
+                    }
+                }
+                (schema, terms)
+            }
+            Expr::Union(l, r) | Expr::Difference(l, r) => {
+                let (schema, mut terms) = l.compile(scheme_of)?;
+                let (rs, rt) = r.compile(scheme_of)?;
+                schema.require_same(&rs)?;
+                let sign = if matches!(self, Expr::Union(..)) {
+                    1
+                } else {
+                    -1
+                };
+                for mut t in rt {
+                    t.coef = checked_coef(t.coef.checked_mul(sign))?;
+                    push_merged(&mut terms, t)?;
+                }
+                (schema, terms)
+            }
         })
     }
+}
+
+/// One signed SPJ term under compilation: `coef · π_out(σ_condition(⋈
+/// relations))`, with `join` the scheme of `⋈ relations`.
+struct Term {
+    coef: i64,
+    relations: Vec<String>,
+    condition: Condition,
+    out: Vec<AttrName>,
+    join: Schema,
+}
+
+impl Term {
+    /// This term's projection may lift above a join with `other` only if
+    /// none of the attributes it drops is in `other`'s join scheme:
+    /// lifting would otherwise join on it.
+    fn check_lifts_over(&self, other: &Term) -> Result<()> {
+        match self
+            .join
+            .attrs()
+            .iter()
+            .find(|a| !self.out.contains(a) && other.join.contains(a))
+        {
+            Some(a) => Err(RelError::ProjectionUnderJoin(a.clone())),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Add `term` to `terms`, merging it into an equal term (same relations,
+/// condition and output); a merged coefficient of zero drops the term.
+fn push_merged(terms: &mut Vec<Term>, term: Term) -> Result<()> {
+    let equal = terms.iter().position(|t| {
+        t.relations == term.relations && t.condition == term.condition && t.out == term.out
+    });
+    match equal {
+        Some(i) => {
+            terms[i].coef = checked_coef(terms[i].coef.checked_add(term.coef))?;
+            if terms[i].coef == 0 {
+                terms.remove(i);
+            }
+        }
+        None => terms.push(term),
+    }
+    Ok(())
+}
+
+/// A term coefficient, or `CounterOverflow` past `i64`.
+fn checked_coef(coef: Option<i64>) -> Result<i64> {
+    coef.ok_or_else(|| RelError::CounterOverflow("a term coefficient exceeds i64".into()))
 }
 
 #[cfg(test)]
@@ -536,38 +624,182 @@ mod tests {
         assert_eq!(tree.eval(&d).unwrap(), spj().eval(&d).unwrap());
     }
 
+    fn schemes(d: &Database) -> impl Fn(&str) -> Result<Schema> + '_ {
+        move |name: &str| Ok(d.relation(name)?.schema().clone())
+    }
+
+    /// `Σ c·eval(term)`, the compiled tree's value, over `schema`.
+    fn eval_terms(d: &Database, schema: &Schema, terms: &[(i64, SpjExpr)]) -> Relation {
+        let mut sum = crate::delta::DeltaRelation::empty(schema.clone());
+        for (c, term) in terms {
+            for (t, n) in term.eval(d).unwrap().iter() {
+                sum.add(t.clone(), c * n as i64);
+            }
+        }
+        let mut out = Relation::empty(schema.clone());
+        out.apply_delta(&sum).unwrap();
+        out
+    }
+
+    fn db_rst() -> Database {
+        let mut d = db();
+        d.create("T", Schema::new(["A", "B"]).unwrap()).unwrap();
+        d.load("T", [[1, 10], [7, 20]]).unwrap();
+        d
+    }
+
     #[test]
-    fn normalize_pure_spj_tree() {
+    fn signed_terms_of_a_pure_spj_tree() {
         let tree = Expr::base("R")
             .select(Atom::gt_const("B", 0))
             .join(Expr::base("S"))
             .select(Atom::lt_const("A", 10))
             .project(["A", "C"]);
-        let n = tree.normalize().unwrap();
+        let d = db();
+        let terms = tree.signed_terms(&schemes(&d)).unwrap();
+        assert_eq!(terms.len(), 1);
+        let (c, n) = &terms[0];
+        assert_eq!(*c, 1);
         assert_eq!(n.relations, vec!["R".to_string(), "S".to_string()]);
         assert_eq!(n.projection, Some(vec!["A".into(), "C".into()]));
         // Both selections got conjoined.
         assert_eq!(n.condition.disjuncts.len(), 1);
         assert_eq!(n.condition.disjuncts[0].atoms.len(), 2);
-        // And the normalized form evaluates identically.
-        let d = db();
         assert_eq!(n.eval(&d).unwrap(), tree.eval(&d).unwrap());
     }
 
     #[test]
-    fn normalize_rejects_union_and_inner_projection() {
-        assert!(Expr::base("R").union(Expr::base("R")).normalize().is_none());
-        let inner_proj = Expr::base("R").project(["A"]).join(Expr::base("S"));
-        assert!(inner_proj.normalize().is_none());
+    fn projections_compose_and_selections_lift_above_them() {
+        let d = db();
+        // σ_{A<10}(π_A(π_{A,B}(R))): one term, condition over the join,
+        // one projection.
+        let tree = Expr::base("R")
+            .project(["A", "B"])
+            .project(["A"])
+            .select(Atom::lt_const("A", 10));
+        let terms = tree.signed_terms(&schemes(&d)).unwrap();
+        assert_eq!(terms.len(), 1);
+        assert_eq!(terms[0].1.projection, Some(vec!["A".into()]));
+        assert_eq!(terms[0].1.condition.disjuncts[0].atoms.len(), 1);
+        assert_eq!(terms[0].1.eval(&d).unwrap(), tree.eval(&d).unwrap());
+        // A projection onto every attribute in join order is no projection.
+        let terms = Expr::base("R")
+            .project(["A", "B"])
+            .signed_terms(&schemes(&d))
+            .unwrap();
+        assert_eq!(terms[0].1.projection, None);
     }
 
     #[test]
-    fn base_relations_dedup_in_order() {
-        let tree = Expr::base("S").join(Expr::base("R")).join(Expr::base("S"));
+    fn selection_and_projection_distribute_over_union_and_difference() {
+        let d = db_rst();
+        let tree = Expr::base("R")
+            .union(Expr::base("T"))
+            .difference(Expr::base("T").select(Atom::lt_const("A", 5)))
+            .select(Atom::gt_const("B", 0))
+            .project(["B"]);
+        let schema = Schema::new(["B"]).unwrap();
+        let terms = tree.signed_terms(&schemes(&d)).unwrap();
+        let coefs: Vec<i64> = terms.iter().map(|(c, _)| *c).collect();
+        assert_eq!(coefs, [1, 1, -1]);
+        for (_, t) in &terms {
+            assert_eq!(t.projection, Some(vec!["B".into()]));
+        }
+        assert_eq!(eval_terms(&d, &schema, &terms), tree.eval(&d).unwrap());
+    }
+
+    #[test]
+    fn join_distributes_bilinearly() {
+        let d = db_rst();
+        // (R ∪ T) ⋈ (S − σ_{C<5}(S)) = R⋈S − R⋈σS + T⋈S − T⋈σS.
+        let s = Expr::base("S");
+        let tree = Expr::base("R")
+            .union(Expr::base("T"))
+            .join(s.clone().difference(s.select(Atom::lt_const("C", 5))));
+        let schema = Schema::new(["A", "B", "C"]).unwrap();
+        let terms = tree.signed_terms(&schemes(&d)).unwrap();
+        let coefs: Vec<i64> = terms.iter().map(|(c, _)| *c).collect();
+        assert_eq!(coefs, [1, -1, 1, -1]);
+        assert_eq!(terms[3].1.relations, vec!["T".to_string(), "S".to_string()]);
+        assert_eq!(eval_terms(&d, &schema, &terms), tree.eval(&d).unwrap());
+        // A projection lifts above a join when what it drops is not in
+        // the other side: π_B(R) ⋈ S drops A, which S lacks.
+        let lifted = Expr::base("R").project(["B"]).join(Expr::base("S"));
+        let terms = lifted.signed_terms(&schemes(&d)).unwrap();
+        assert_eq!(terms.len(), 1);
+        assert_eq!(terms[0].1.projection, Some(vec!["B".into(), "C".into()]));
+        let schema = Schema::new(["B", "C"]).unwrap();
+        assert_eq!(eval_terms(&d, &schema, &terms), lifted.eval(&d).unwrap());
+    }
+
+    #[test]
+    fn equal_terms_merge_and_cancel() {
+        let d = db_rst();
+        let terms = Expr::base("R")
+            .union(Expr::base("R"))
+            .signed_terms(&schemes(&d))
+            .unwrap();
+        assert_eq!(terms.len(), 1);
+        assert_eq!(terms[0].0, 2);
+        // (t ∪ s) − s compiles to exactly t.
+        let t = Expr::base("R").select(Atom::lt_const("A", 5));
+        let s = Expr::base("T");
+        let terms = t
+            .clone()
+            .union(s.clone())
+            .difference(s)
+            .signed_terms(&schemes(&d))
+            .unwrap();
+        assert_eq!(terms, t.signed_terms(&schemes(&d)).unwrap());
+        // A tree whose terms all cancel has none.
+        let terms = Expr::base("R")
+            .difference(Expr::base("R"))
+            .signed_terms(&schemes(&d))
+            .unwrap();
+        assert!(terms.is_empty());
+    }
+
+    #[test]
+    fn coefficient_overflow_is_refused() {
+        // (R ∪ R) ⋈ … ⋈ (R ∪ R), 62 factors: the one term's coefficient
+        // is 2⁶²; a 63rd factor passes i64::MAX.
+        let d = db();
+        let twice = Expr::base("R").union(Expr::base("R"));
+        let mut tree = twice.clone();
+        for _ in 1..62 {
+            tree = tree.join(twice.clone());
+        }
+        let terms = tree.signed_terms(&schemes(&d)).unwrap();
+        assert_eq!(terms[0].0, 1 << 62);
+        assert!(matches!(
+            tree.join(twice).signed_terms(&schemes(&d)),
+            Err(RelError::CounterOverflow(_))
+        ));
+    }
+
+    #[test]
+    fn projection_under_join_that_drops_a_join_attribute_is_rejected() {
+        let d = db();
+        // π_A(R(A,B)) ⋈ S(B,C): lifting π_A would join on B.
+        let tree = Expr::base("R").project(["A"]).join(Expr::base("S"));
         assert_eq!(
-            tree.base_relations(),
-            vec!["S".to_string(), "R".to_string()]
+            tree.signed_terms(&schemes(&d)).unwrap_err(),
+            RelError::ProjectionUnderJoin("B".into())
         );
+        // Either side: S ⋈ π_A(R) as well.
+        let tree = Expr::base("S").join(Expr::base("R").project(["A"]));
+        assert!(matches!(
+            tree.signed_terms(&schemes(&d)),
+            Err(RelError::ProjectionUnderJoin(_))
+        ));
+        // Unknown leaves and mismatched union schemes fail as eval does.
+        assert!(Expr::base("Z").signed_terms(&schemes(&d)).is_err());
+        assert!(matches!(
+            Expr::base("R")
+                .union(Expr::base("S"))
+                .signed_terms(&schemes(&d)),
+            Err(RelError::SchemeMismatch { .. })
+        ));
     }
 
     #[test]

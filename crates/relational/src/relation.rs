@@ -181,8 +181,22 @@ impl Relation {
     /// removed. Errors (leaving the relation partially updated is avoided by
     /// pre-checking) if any counter would go negative.
     pub fn apply_delta(&mut self, delta: &DeltaRelation) -> Result<()> {
-        self.schema.require_same(delta.schema())?;
         // Pre-check so a failed apply leaves the relation untouched.
+        self.check_delta(delta)?;
+        for (tuple, count) in delta.iter() {
+            if count > 0 {
+                self.insert(tuple.clone(), count as u64)?;
+            } else if count < 0 {
+                self.remove(tuple, count.unsigned_abs())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Check that [`Relation::apply_delta`] would accept `delta`: same
+    /// scheme, and no counter driven below zero.
+    pub fn check_delta(&self, delta: &DeltaRelation) -> Result<()> {
+        self.schema.require_same(delta.schema())?;
         for (tuple, count) in delta.iter() {
             if count < 0 {
                 let need = count.unsigned_abs();
@@ -192,13 +206,6 @@ impl Relation {
                         "delta removes {need} of tuple {tuple} with count {have}"
                     )));
                 }
-            }
-        }
-        for (tuple, count) in delta.iter() {
-            if count > 0 {
-                self.insert(tuple.clone(), count as u64)?;
-            } else if count < 0 {
-                self.remove(tuple, count.unsigned_abs())?;
             }
         }
         Ok(())

@@ -309,13 +309,8 @@ impl Shell {
     fn cmd_views(&self) -> Result<String> {
         use std::fmt::Write as _;
         let dag = self.manager.dag();
-        let spj: std::collections::BTreeSet<&str> = dag.iter().map(|n| n.name.as_str()).collect();
-        let tree: Vec<&str> = self
-            .manager
-            .view_names()
-            .filter(|n| !spj.contains(n))
-            .collect();
-        if dag.is_empty() && tree.is_empty() {
+        let views: std::collections::BTreeSet<&str> = dag.iter().map(|n| n.name.as_str()).collect();
+        if dag.is_empty() {
             return Ok("no views registered".into());
         }
         let mut out = String::new();
@@ -325,27 +320,29 @@ impl Shell {
                 cur = node.stratum;
                 writeln!(out, "stratum {cur}:").expect("write to string");
             }
+            let definition = match node.tree {
+                None => node.expr.to_string(),
+                Some(_) => render_terms(&node.terms),
+            };
             writeln!(
                 out,
-                "  {} := {} [{}, {} row(s)]",
+                "  {} := {definition} [{}, {} row(s)]",
                 node.name,
-                node.expr,
                 policy_name(node.policy),
                 node.rows
             )
             .expect("write to string");
-            let ops: Vec<String> = node
-                .expr
-                .relations
-                .iter()
-                .map(|op| {
-                    if spj.contains(op.as_str()) {
-                        format!("{op} (view)")
-                    } else {
-                        op.clone()
-                    }
-                })
-                .collect();
+            let mut ops: Vec<String> = Vec::new();
+            for op in node.terms.iter().flat_map(|(_, t)| &t.relations) {
+                let shown = if views.contains(op.as_str()) {
+                    format!("{op} (view)")
+                } else {
+                    op.clone()
+                };
+                if !ops.contains(&shown) {
+                    ops.push(shown);
+                }
+            }
             let feeds = if node.dependents.is_empty() {
                 String::new()
             } else {
@@ -361,11 +358,6 @@ impl Shell {
                 node.stats.last_rows_evaluated,
             )
             .expect("write to string");
-        }
-        for name in tree {
-            let rows = self.manager.view_contents(name)?.len();
-            writeln!(out, "tree view {name} [{rows} row(s); no SPJ plan]")
-                .expect("write to string");
         }
         Ok(out.trim_end().to_string())
     }
@@ -712,7 +704,7 @@ impl Shell {
     /// shell reproduces the database and re-materializes every view.
     /// Deferred views lose their pending backlog (they re-materialize
     /// fresh, i.e. fully refreshed); tree views have no textual syntax and
-    /// are skipped with a comment.
+    /// are skipped with a comment, and so are the views stacked on them.
     pub fn dump_script(&self) -> Result<String> {
         use std::fmt::Write as _;
         let mut out = String::from("# ivm shell session dump\n");
@@ -734,13 +726,25 @@ impl Shell {
         // Views replay in topological (stratum-major) order so a stacked
         // view's operands are always registered before it.
         let dag = self.manager.dag();
-        let spj: std::collections::BTreeSet<&str> = dag.iter().map(|n| n.name.as_str()).collect();
-        for name in self.manager.view_names().filter(|n| !spj.contains(n)) {
-            writeln!(out, "# tree view {name} skipped (no textual syntax)")
-                .expect("write to string");
-        }
+        let mut skipped: Vec<&str> = Vec::new();
         for node in &dag {
             let name = node.name.as_str();
+            if node.tree.is_some() {
+                writeln!(out, "# tree view {name} skipped (no textual syntax)")
+                    .expect("write to string");
+                skipped.push(name);
+                continue;
+            }
+            if let Some(up) = node
+                .depends_on
+                .iter()
+                .find(|u| skipped.contains(&u.as_str()))
+            {
+                writeln!(out, "# view {name} skipped (stacked on skipped view {up})")
+                    .expect("write to string");
+                skipped.push(name);
+                continue;
+            }
             let expr = &node.expr;
             let policy = match node.policy {
                 RefreshPolicy::Immediate => "",
@@ -826,6 +830,19 @@ fn policy_name(p: RefreshPolicy) -> &'static str {
         RefreshPolicy::Deferred => "deferred",
         RefreshPolicy::OnDemand => "ondemand",
     }
+}
+
+/// Render a tree view's signed terms, `tree + 2·t₁ − t₂ …`.
+fn render_terms(terms: &[(i64, SpjExpr)]) -> String {
+    let mut out = String::from("tree");
+    for (c, term) in terms {
+        let sign = if *c < 0 { '−' } else { '+' };
+        match c.unsigned_abs() {
+            1 => out.push_str(&format!(" {sign} {term}")),
+            n => out.push_str(&format!(" {sign} {n}·{term}")),
+        }
+    }
+    out
 }
 
 /// Render a condition in the shell's `and`/`or` surface syntax.
@@ -1021,6 +1038,32 @@ mod tests {
         assert!(out.contains("feeds top"), "{out}");
         assert!(out.contains("base (view)"), "{out}");
         assert!(out.contains("run(s)"), "{out}");
+    }
+
+    #[test]
+    fn views_and_dump_show_a_tree_view_as_signed_terms() {
+        let mut s = seeded();
+        let tree = Expr::base("R").difference(Expr::base("R").select(Atom::lt_const("A", 2)));
+        s.manager.register_tree_view("t", tree).unwrap();
+        s.dispatch("view top = from t, S project A, C").unwrap();
+        let out = s.dispatch("views").unwrap();
+        assert!(out.contains("t := tree + σ[true](R) − σ["), "{out}");
+        assert!(out.contains("t (view), S"), "{out}");
+        let script = s.dispatch("dump").unwrap();
+        assert!(script.contains("# tree view t skipped"), "{script}");
+        assert!(
+            script.contains("# view top skipped (stacked on skipped view t)"),
+            "{script}"
+        );
+        // The rest replays cleanly.
+        let mut replay = Shell::new();
+        for line in script.lines() {
+            replay.dispatch(line).unwrap();
+        }
+        assert_eq!(
+            replay.dispatch("show R").unwrap(),
+            s.dispatch("show R").unwrap()
+        );
     }
 
     #[test]
