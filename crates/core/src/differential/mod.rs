@@ -31,5 +31,5 @@ pub use project::project_view_delta;
 pub use select::select_view_delta;
 pub use spj::{
     differential_delta, differential_delta_observed, differential_delta_parts,
-    differential_delta_parts_observed, DiffOptions, DifferentialResult, OperandUpdate,
+    differential_delta_parts_observed, DiffOptions, DifferentialResult,
 };

@@ -1,9 +1,10 @@
 //! Differential re-evaluation of SPJ views — Algorithm 5.1 (§5.4).
 //!
 //! Input: the view `V = π_X(σ_C(R₁ ⋈ … ⋈ R_p))`, the contents of the
-//! base relations *before* the transaction, and the per-relation net update
-//! sets. Output: a view transaction (a signed [`DeltaRelation`]) that
-//! brings the materialization up to date.
+//! operands *before* the transaction, and each operand's net change as one
+//! signed [`DeltaRelation`]: `+c` entries are its inserts `i_r`, `−c`
+//! entries its deletes `d_r`. Output: a view transaction (a signed
+//! `DeltaRelation`) that brings the materialization up to date.
 //!
 //! 1. Build the truth-table rows for the updated relations only
 //!    (O(2^k), [`crate::differential::truth_table`]).
@@ -15,8 +16,9 @@
 //!    tagged delete".
 //!
 //! Step 2 is the paper-literal tagged pipeline. `B_i = 0` substitutes the
-//! *surviving* old tuples `r_i − d_{r_i}` tagged `old`; `B_i = 1`
-//! substitutes `i_{r_i} ∪ d_{r_i}` tagged `insert`/`delete`; joins combine
+//! *surviving* old tuples `r_i − d_{r_i}` tagged `old`, subtracting the
+//! change's negative counts; `B_i = 1` substitutes the whole change, its
+//! positive entries tagged `insert` and its negative ones `delete`; joins combine
 //! tags by the §5.3 table (mixed insert/delete tuples are ignored). Summed
 //! over all non-zero rows this yields exactly `V(new) − V(old)`: a row's
 //! all-insert choices contribute the new-only terms, all-delete choices
@@ -105,27 +107,6 @@ pub struct DifferentialResult {
     pub stats: DiffStats,
 }
 
-/// The net change to one operand position.
-#[derive(Debug, Clone)]
-pub struct OperandUpdate {
-    /// Net inserted tuples (`i_r`), disjoint from the old relation.
-    pub inserts: Relation,
-    /// Net deleted tuples (`d_r ⊆ r`).
-    pub deletes: Relation,
-}
-
-impl OperandUpdate {
-    /// True when both change sets are empty.
-    pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
-    }
-
-    /// Total number of changed tuples.
-    pub fn len(&self) -> usize {
-        self.inserts.len() + self.deletes.len()
-    }
-}
-
 /// Algorithm 5.1: compute the view transaction for `txn` against the
 /// pre-transaction database `db_before`.
 pub fn differential_delta(
@@ -148,30 +129,28 @@ pub fn differential_delta_observed(
     obs: &Obs,
 ) -> Result<DifferentialResult> {
     let mut old: Vec<&Relation> = Vec::with_capacity(view.arity());
-    let mut updates: Vec<Option<OperandUpdate>> = Vec::with_capacity(view.arity());
+    let mut deltas: Vec<DeltaRelation> = Vec::with_capacity(view.arity());
     for name in &view.relations {
         let rel = db_before.relation(name)?;
         old.push(rel);
-        let inserts = txn.insert_set(name, rel.schema())?;
-        let deletes = txn.delete_set(name, rel.schema())?;
-        if inserts.is_empty() && deletes.is_empty() {
-            updates.push(None);
-        } else {
-            updates.push(Some(OperandUpdate { inserts, deletes }));
-        }
+        deltas.push(txn.delta(name, rel.schema())?);
     }
+    let updates: Vec<Option<&DeltaRelation>> = deltas.iter().map(Some).collect();
     differential_delta_parts_observed(view, &old, &updates, opts, obs)
 }
 
 /// Algorithm 5.1 over explicit positional operands: `old[i]` is the
-/// pre-transaction state of `view.relations[i]`, `updates[i]` its net
-/// change (or `None` if untouched). Useful when the old states are
-/// reconstructed rather than held in a [`Database`] (e.g. snapshot
-/// refresh).
+/// pre-transaction state of `view.relations[i]` and `updates[i]` its net
+/// change, `None` or an empty delta when untouched. A change's positive
+/// counts are inserts `i_r`; its negative counts are deletes `d_r`, which
+/// must be covered by `old[i]` (`d_r ⊆ r`). Counts above one flow through
+/// exactly, so an upstream view's delta is a valid change. Useful when
+/// the old states are not held in one [`Database`]: view operands, and
+/// snapshot refresh, which rebuilds them.
 pub fn differential_delta_parts(
     view: &SpjExpr,
     old: &[&Relation],
-    updates: &[Option<OperandUpdate>],
+    updates: &[Option<&DeltaRelation>],
     opts: &DiffOptions,
 ) -> Result<DifferentialResult> {
     differential_delta_parts_observed(view, old, updates, opts, &Obs::disabled())
@@ -182,7 +161,7 @@ pub fn differential_delta_parts(
 pub fn differential_delta_parts_observed(
     view: &SpjExpr,
     old: &[&Relation],
-    updates: &[Option<OperandUpdate>],
+    updates: &[Option<&DeltaRelation>],
     _opts: &DiffOptions,
     obs: &Obs,
 ) -> Result<DifferentialResult> {
@@ -191,9 +170,9 @@ pub fn differential_delta_parts_observed(
     let p = view.arity();
     let out_schema = output_schema(view, old)?;
 
-    let changes: Vec<Option<&OperandUpdate>> = updates
+    let changes: Vec<Option<&DeltaRelation>> = updates
         .iter()
-        .map(|u| u.as_ref().filter(|u| !u.is_empty()))
+        .map(|u| u.filter(|d| !d.is_empty()))
         .collect();
     let updated: Vec<usize> = (0..p).filter(|&i| changes[i].is_some()).collect();
     if updated.is_empty() {
@@ -276,7 +255,7 @@ fn output_schema(view: &SpjExpr, old: &[&Relation]) -> Result<Schema> {
 fn pivot_order(
     schemas: &[&Schema],
     old: &[&Relation],
-    changes: &[Option<&OperandUpdate>],
+    changes: &[Option<&DeltaRelation>],
     u: usize,
 ) -> Vec<usize> {
     let offers_one = |i: usize| i >= u && changes[i].is_some();
@@ -325,7 +304,7 @@ struct Group<'a> {
 /// What planning a group needs to know about the run.
 struct Planner<'a> {
     old: &'a [&'a Relation],
-    changes: &'a [Option<&'a OperandUpdate>],
+    changes: &'a [Option<&'a DeltaRelation>],
     pushed: &'a [Condition],
     projection: Option<&'a [AttrName]>,
     out_schema: &'a Schema,
@@ -376,7 +355,7 @@ struct Operands {
 impl Operands {
     fn build(
         old: &[&Relation],
-        changes: &[Option<&OperandUpdate>],
+        changes: &[Option<&DeltaRelation>],
         pushed: &[Condition],
         groups: &[Group<'_>],
     ) -> Result<Operands> {
@@ -385,11 +364,7 @@ impl Operands {
         for slot in groups.iter().flat_map(|g| &g.slots) {
             if matches!(slot.zero, Some(ZeroPlan::Mat)) && zeros[slot.rel].is_none() {
                 let i = slot.rel;
-                zeros[i] = Some(tagged_zero(
-                    old[i],
-                    changes[i].map(|u| &u.deletes),
-                    &pushed[i],
-                )?);
+                zeros[i] = Some(tagged_zero(old[i], with_deletes(changes[i]), &pushed[i])?);
             }
         }
         let ones = (0..p)
@@ -412,9 +387,9 @@ struct IndexedZero<'a> {
     /// The maintained index on the old relation, keyed exactly by the
     /// natural-join columns against the accumulated prefix.
     index: &'a JoinIndex,
-    /// Net deletes to subtract per posting (§5.3 `r − d_r`); `None` when
-    /// the operand has none.
-    deletes: Option<&'a Relation>,
+    /// The operand's change, whose negative counts are subtracted per
+    /// posting (§5.3 `r − d_r`); `None` when it has no negative count.
+    deletes: Option<&'a DeltaRelation>,
     /// The selection pushed onto the operand, bound to the operand's
     /// scheme and checked on each surviving posting; `None` when nothing
     /// was pushed.
@@ -439,7 +414,7 @@ struct IndexedZero<'a> {
 fn indexed_zero<'a>(
     prefix_schema: Option<&Schema>,
     old: &'a Relation,
-    update: Option<&'a OperandUpdate>,
+    change: Option<&'a DeltaRelation>,
     cond: &'a Condition,
 ) -> Option<IndexedZero<'a>> {
     let prefix = prefix_schema?;
@@ -454,12 +429,15 @@ fn indexed_zero<'a>(
         let i = r_key.iter().position(|rp| rp == p)?;
         probe_positions.push(*l_key.get(i)?);
     }
-    let deletes = update.map(|u| &u.deletes).filter(|d| !d.is_empty());
+    let deletes = with_deletes(change);
     let logical_len = match deletes {
         None => old.len() as u64,
         Some(d) => {
             // `d_r ⊆ r`, so fully-deleted tuples drop whole entries.
-            let fully = d.iter().filter(|(t, dc)| *dc >= old.count(t)).count() as u64;
+            let fully = d
+                .iter()
+                .filter(|(t, dc)| *dc < 0 && dc.unsigned_abs() >= old.count(t))
+                .count() as u64;
             (old.len() as u64).saturating_sub(fully)
         }
     };
@@ -504,7 +482,7 @@ where
             let rc = match ix.deletes {
                 None => rc,
                 Some(d) => {
-                    let dc = d.count(rt);
+                    let dc = deleted_count(d.count(rt));
                     if dc >= rc {
                         continue; // fully deleted
                     }
@@ -614,11 +592,29 @@ impl TaggedPick<'_, '_> {
     }
 }
 
+/// What `r − d_r` subtracts: `change` when some count is negative, else
+/// `None`, so an insert-only change subtracts nothing and costs no
+/// lookup.
+fn with_deletes(change: Option<&DeltaRelation>) -> Option<&DeltaRelation> {
+    change.filter(|d| d.iter().any(|(_, c)| c < 0))
+}
+
+/// Copies of a tuple that a signed change count deletes: `|c|` for a
+/// negative count, `0` for an insert.
+fn deleted_count(c: i64) -> u64 {
+    if c < 0 {
+        c.unsigned_abs()
+    } else {
+        0
+    }
+}
+
 /// Materialize the `B = 0` operand: old minus deletions, filtered, tagged
 /// `old` — fusing §5.3's `r − d_r` with the pushed selection in one pass.
+/// `deletes` is the operand's change when it has a negative count.
 fn tagged_zero(
     old: &Relation,
-    deletes: Option<&Relation>,
+    deletes: Option<&DeltaRelation>,
     cond: &Condition,
 ) -> Result<TaggedRelation> {
     let trivial = cond.is_trivially_true();
@@ -626,7 +622,7 @@ fn tagged_zero(
     let mut out = TaggedRelation::empty(old.schema().clone());
     for (t, c) in old.iter() {
         if let Some(d) = deletes {
-            let dc = d.count(t);
+            let dc = deleted_count(d.count(t));
             if dc >= c {
                 continue; // fully deleted
             }
@@ -642,20 +638,17 @@ fn tagged_zero(
     Ok(out)
 }
 
-/// Materialize the `B = 1` operand: inserts/deletes filtered and tagged.
-fn tagged_one(u: &OperandUpdate, cond: &Condition) -> Result<TaggedRelation> {
+/// Materialize the `B = 1` operand: the change filtered, its positive
+/// counts tagged `insert` and its negative ones `delete`.
+fn tagged_one(change: &DeltaRelation, cond: &Condition) -> Result<TaggedRelation> {
     let trivial = cond.is_trivially_true();
-    let schema = u.inserts.schema().clone();
+    let schema = change.schema().clone();
     let cond = cond.bind(&schema);
     let mut out = TaggedRelation::empty(schema);
-    for (t, c) in u.inserts.iter() {
+    for (t, c) in change.iter() {
         if trivial || cond.eval(t)? {
-            out.add(t.clone(), Tag::Insert, c);
-        }
-    }
-    for (t, c) in u.deletes.iter() {
-        if trivial || cond.eval(t)? {
-            out.add(t.clone(), Tag::Delete, c);
+            let tag = if c > 0 { Tag::Insert } else { Tag::Delete };
+            out.add(t.clone(), tag, c.unsigned_abs());
         }
     }
     Ok(out)
@@ -1163,18 +1156,15 @@ mod tests {
 
         let r = db.relation("R").unwrap();
         let s = db.relation("S").unwrap();
-        let updates = vec![
-            Some(OperandUpdate {
-                inserts: txn.insert_set("R", r.schema()).unwrap(),
-                deletes: txn.delete_set("R", r.schema()).unwrap(),
-            }),
-            Some(OperandUpdate {
-                inserts: txn.insert_set("S", s.schema()).unwrap(),
-                deletes: txn.delete_set("S", s.schema()).unwrap(),
-            }),
-        ];
-        let via_parts =
-            differential_delta_parts(&view, &[r, s], &updates, &DiffOptions::default()).unwrap();
+        let dr = txn.delta("R", r.schema()).unwrap();
+        let ds = txn.delta("S", s.schema()).unwrap();
+        let via_parts = differential_delta_parts(
+            &view,
+            &[r, s],
+            &[Some(&dr), Some(&ds)],
+            &DiffOptions::default(),
+        )
+        .unwrap();
         assert_eq!(via_db.delta, via_parts.delta);
     }
 

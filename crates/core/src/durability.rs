@@ -148,21 +148,9 @@ fn emit_wal_delta(obs: &Obs, before: WalStats, after: WalStats) {
     );
 }
 
-pub(crate) fn policy_to_u8(policy: RefreshPolicy) -> u8 {
-    match policy {
-        RefreshPolicy::Immediate => 0,
-        RefreshPolicy::Deferred => 1,
-        RefreshPolicy::OnDemand => 2,
-    }
-}
-
 fn policy_from_u8(byte: u8) -> Result<RefreshPolicy> {
-    match byte {
-        0 => Ok(RefreshPolicy::Immediate),
-        1 => Ok(RefreshPolicy::Deferred),
-        2 => Ok(RefreshPolicy::OnDemand),
-        b => Err(StorageError::Corrupt(format!("bad refresh-policy byte {b:#04x}")).into()),
-    }
+    RefreshPolicy::from_byte(byte)
+        .ok_or_else(|| StorageError::Corrupt(format!("bad refresh-policy byte {byte:#04x}")).into())
 }
 
 /// Reinstall one checkpointed view. `view_schemas` holds every stored
@@ -379,7 +367,7 @@ impl ViewManager {
                 Some(expr) => StoredViewKind::Tree { expr: expr.clone() },
                 None => StoredViewKind::Spj {
                     expr: mv.terms[0].expr.clone(),
-                    policy: policy_to_u8(mv.policy),
+                    policy: mv.policy.to_byte(),
                     pending: mv
                         .pending
                         .iter()

@@ -47,9 +47,7 @@ use ivm_relational::tuple::Tuple;
 use ivm_relational::attribute::AttrName;
 use ivm_relational::error::RelError;
 
-use crate::differential::{
-    differential_delta_parts_observed, DiffOptions, DifferentialResult, OperandUpdate,
-};
+use crate::differential::{differential_delta_parts_observed, DiffOptions, DifferentialResult};
 use crate::error::{IvmError, Result};
 use crate::relevance::{FilterStats, RelevanceFilter};
 use crate::stats::DiffStats;
@@ -81,6 +79,29 @@ pub enum RefreshPolicy {
     Deferred,
     /// Accumulate changes; refresh lazily when the view is queried.
     OnDemand,
+}
+
+impl RefreshPolicy {
+    /// The policy's stable byte in WAL records, checkpoints and the wire
+    /// protocol.
+    pub fn to_byte(self) -> u8 {
+        match self {
+            RefreshPolicy::Immediate => 0,
+            RefreshPolicy::Deferred => 1,
+            RefreshPolicy::OnDemand => 2,
+        }
+    }
+
+    /// The policy a byte from [`RefreshPolicy::to_byte`] stands for;
+    /// `None` for any other byte.
+    pub fn from_byte(byte: u8) -> Option<RefreshPolicy> {
+        match byte {
+            0 => Some(RefreshPolicy::Immediate),
+            1 => Some(RefreshPolicy::Deferred),
+            2 => Some(RefreshPolicy::OnDemand),
+            _ => None,
+        }
+    }
 }
 
 /// Per-view maintenance statistics.
@@ -614,7 +635,7 @@ impl ViewManager {
                 None => ivm_storage::WalRecord::RegisterView {
                     name: name.clone(),
                     expr: terms[0].expr.clone(),
-                    policy: crate::durability::policy_to_u8(policy),
+                    policy: policy.to_byte(),
                 },
             };
             self.log_record(record)?;
@@ -1149,23 +1170,18 @@ impl ViewManager {
             rel.apply_delta(&delta.negated())?;
             reconstructed.insert(operand.as_str(), rel);
         }
-        let mut old: Vec<&Relation> = Vec::with_capacity(expr.arity());
-        let mut updates = Vec::with_capacity(expr.arity());
-        for operand in &expr.relations {
-            match reconstructed.get(operand.as_str()) {
-                Some(rel) => {
-                    old.push(rel);
-                    // Queued view deltas may carry |count| > 1; the
-                    // engines are count-linear, so multiplicities flow
-                    // through exactly.
-                    updates.push(Some(operand_update_from_delta(&pending[operand])?));
-                }
-                None => {
-                    old.push(self.operand_contents(operand)?);
-                    updates.push(None);
-                }
-            }
-        }
+        let old: Vec<&Relation> = expr
+            .relations
+            .iter()
+            .map(|op| match reconstructed.get(op.as_str()) {
+                Some(rel) => Ok(rel),
+                None => self.operand_contents(op),
+            })
+            .collect::<Result<_>>()?;
+        // Queued view deltas may carry |count| > 1; the engine is
+        // count-linear, so multiplicities flow through exactly.
+        let updates: Vec<Option<&DeltaRelation>> =
+            expr.relations.iter().map(|op| pending.get(op)).collect();
         let obs = self.options.recorder.clone();
         let result = {
             let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
@@ -1352,30 +1368,43 @@ impl ViewManager {
         let mut adds: Vec<(String, DeltaRelation)> = Vec::new();
         let mut sum: Option<DifferentialResult> = None;
         for (i, term) in mv.terms.iter().enumerate() {
-            let (old, updates) =
-                self.term_inputs(i, term, txn, emitted, &mut fstats, &mut new_filters)?;
+            let base = self.base_changes(i, term, txn, &mut fstats, &mut new_filters)?;
+            let expr = &term.expr;
+            // Each position reads its operand's change: the filtered base
+            // delta or the upstream view's emitted delta, borrowed, so a
+            // self-join's positions share one.
+            let updates: Vec<Option<&DeltaRelation>> = expr
+                .relations
+                .iter()
+                .map(|op| {
+                    base.iter()
+                        .find(|(n, _)| n == op)
+                        .map(|(_, d)| d)
+                        .or_else(|| emitted.get(op.as_str()))
+                        .filter(|d| !d.is_empty())
+                })
+                .collect();
             if !updates.iter().any(Option::is_some) {
                 continue;
             }
             touched = true;
-            let expr = &term.expr;
             if mv.policy != RefreshPolicy::Immediate {
                 // Queue per-operand deltas for a later refresh: filtered
-                // base update sets plus upstream view deltas, one entry
-                // per distinct operand.
+                // base deltas plus upstream view deltas, one entry per
+                // distinct operand.
                 for (op, update) in expr.relations.iter().zip(&updates) {
-                    let Some(u) = update else { continue };
-                    if adds.iter().any(|(n, _)| n == op) {
-                        continue;
+                    let Some(d) = update else { continue };
+                    if !adds.iter().any(|(n, _)| n == op) {
+                        adds.push((op.clone(), (*d).clone()));
                     }
-                    let mut d = u.inserts.to_delta();
-                    for (t, c) in u.deletes.iter() {
-                        d.add(t.clone(), -crate::differential::spj::signed_count(c)?);
-                    }
-                    adds.push((op.clone(), d));
                 }
                 continue;
             }
+            let old: Vec<&Relation> = expr
+                .relations
+                .iter()
+                .map(|op| self.operand_contents(op))
+                .collect::<Result<_>>()?;
             full = full || self.prefers_full(name, mv, expr, &old, &updates)?;
             if full {
                 continue;
@@ -1430,94 +1459,61 @@ impl ViewManager {
         })
     }
 
-    /// Per-position old state and net update of term `i`, all
-    /// pre-apply. Each distinct touched *base* operand is filtered once
-    /// by the term's relevance filter (built and pushed onto
-    /// `new_filters` when the term has none cached); the filtered sets
-    /// move into their operand's first position, and only a self-join's
-    /// later positions copy them.
-    fn term_inputs<'a>(
-        &'a self,
+    /// The net change of each distinct touched *base* operand of term
+    /// `i`, as one signed delta filtered by the term's relevance filter
+    /// (built and pushed onto `new_filters` when the term has none
+    /// cached).
+    fn base_changes<'a>(
+        &self,
         i: usize,
         term: &'a Term,
         txn: &Transaction,
-        emitted: &HashMap<String, DeltaRelation>,
         fstats: &mut FilterStats,
         new_filters: &mut Vec<(usize, String, RelevanceFilter)>,
-    ) -> Result<(Vec<&'a Relation>, Vec<Option<OperandUpdate>>)> {
+    ) -> Result<Vec<(&'a str, DeltaRelation)>> {
         let (db, obs, options) = (&self.db, &self.options.recorder, &self.options.diff);
         let expr = &term.expr;
-        let mut filtered_base: Vec<(&str, OperandUpdate)> = Vec::new();
-        {
-            let _filter_span = obs.span(names::SPAN_FILTER);
-            for op in &expr.relations {
-                if !db.contains_relation(op)
-                    || filtered_base.iter().any(|(n, _)| n == op)
-                    || txn.changes_to(op) == 0
-                {
-                    continue;
-                }
-                let rel = db.relation(op)?;
-                let (inserts, deletes) = if !self.options.filtering {
-                    (
-                        txn.insert_set(op, rel.schema())?,
-                        txn.delete_set(op, rel.schema())?,
-                    )
-                } else {
-                    let f = match term.filters.get(op.as_str()) {
-                        Some(f) => {
-                            obs.add(names::FILTER_GRAPH_CACHE_HITS, 1);
-                            f
-                        }
-                        None => {
-                            let built = RelevanceFilter::new_observed(expr, db, op, obs)?;
-                            new_filters.push((i, op.clone(), built));
-                            &new_filters.last().expect("just pushed").2
-                        }
-                    };
-                    let (kept_ins, ins_stats) =
-                        f.filter_with(txn.inserted(op), options.threads, obs)?;
-                    let (kept_del, del_stats) =
-                        f.filter_with(txn.deleted(op), options.threads, obs)?;
-                    *fstats += ins_stats;
-                    *fstats += del_stats;
-                    let mut ins = Relation::empty(rel.schema().clone());
-                    for t in kept_ins {
-                        ins.insert(t, 1)?;
-                    }
-                    let mut del = Relation::empty(rel.schema().clone());
-                    for t in kept_del {
-                        del.insert(t, 1)?;
-                    }
-                    (ins, del)
-                };
-                filtered_base.push((op, OperandUpdate { inserts, deletes }));
-            }
-        }
-        let mut old: Vec<&Relation> = Vec::with_capacity(expr.arity());
-        let mut updates: Vec<Option<OperandUpdate>> = Vec::with_capacity(expr.arity());
+        let _filter_span = obs.span(names::SPAN_FILTER);
+        let mut base: Vec<(&str, DeltaRelation)> = Vec::new();
         for op in &expr.relations {
-            if db.contains_relation(op) {
-                old.push(db.relation(op)?);
-                let first = expr.relations.iter().position(|o| o == op);
-                let update = match first.and_then(|i| updates.get(i)) {
-                    Some(earlier) => earlier.clone(),
-                    None => filtered_base
-                        .iter()
-                        .position(|(n, _)| n == op)
-                        .map(|i| filtered_base.swap_remove(i).1)
-                        .filter(|u| !u.is_empty()),
-                };
-                updates.push(update);
-            } else {
-                old.push(&self.managed(op)?.contents);
-                match emitted.get(op.as_str()).filter(|d| !d.is_empty()) {
-                    Some(d) => updates.push(Some(operand_update_from_delta(d)?)),
-                    None => updates.push(None),
-                }
+            if !db.contains_relation(op)
+                || base.iter().any(|(n, _)| n == op)
+                || txn.changes_to(op) == 0
+            {
+                continue;
             }
+            let schema = db.relation(op)?.schema();
+            let delta = if !self.options.filtering {
+                txn.delta(op, schema)?
+            } else {
+                let f = match term.filters.get(op.as_str()) {
+                    Some(f) => {
+                        obs.add(names::FILTER_GRAPH_CACHE_HITS, 1);
+                        f
+                    }
+                    None => {
+                        let built = RelevanceFilter::new_observed(expr, db, op, obs)?;
+                        new_filters.push((i, op.clone(), built));
+                        &new_filters.last().expect("just pushed").2
+                    }
+                };
+                let (kept_ins, ins_stats) =
+                    f.filter_with(txn.inserted(op), options.threads, obs)?;
+                let (kept_del, del_stats) = f.filter_with(txn.deleted(op), options.threads, obs)?;
+                *fstats += ins_stats;
+                *fstats += del_stats;
+                let mut delta = DeltaRelation::empty(schema.clone());
+                for t in kept_ins {
+                    delta.add(t, 1);
+                }
+                for t in kept_del {
+                    delta.add(t, -1);
+                }
+                delta
+            };
+            base.push((op, delta));
         }
-        Ok((old, updates))
+        Ok(base)
     }
 
     /// Whether the strategy maintains immediate node `name` by full
@@ -1531,7 +1527,7 @@ impl ViewManager {
         mv: &ManagedView,
         expr: &SpjExpr,
         old: &[&Relation],
-        updates: &[Option<OperandUpdate>],
+        updates: &[Option<&DeltaRelation>],
     ) -> Result<bool> {
         if self.dependents.get(name).is_some_and(|d| !d.is_empty())
             || mv.terms.iter().any(|t| t.coef < 0)
@@ -1546,7 +1542,7 @@ impl ViewManager {
                 // cardinality and delta.
                 let mut sizes = Vec::new();
                 for ((op, update), oldr) in expr.relations.iter().zip(updates).zip(old) {
-                    let changed = update.as_ref().map_or(0, OperandUpdate::len) as u64;
+                    let changed = update.map_or(0, DeltaRelation::len) as u64;
                     let (old_len, indexed) = if self.db.contains_relation(op) {
                         let r = self.db.relation(op)?;
                         (r.len() as u64, r.index_count() > 0)
@@ -1574,23 +1570,6 @@ fn add_scaled(acc: &mut DeltaRelation, delta: &DeltaRelation, coef: i64) -> Resu
         acc.add(t.clone(), scaled);
     }
     Ok(())
-}
-
-/// Split a counted view delta into the insert/delete relation pair the
-/// differential engines consume. View deltas may carry |count| > 1; the
-/// engines are count-linear, so multiplicities flow through exactly.
-fn operand_update_from_delta(delta: &DeltaRelation) -> Result<OperandUpdate> {
-    let schema = delta.schema().clone();
-    let (ins, del) = delta.split();
-    let mut inserts = Relation::empty(schema.clone());
-    for (t, c) in ins {
-        inserts.insert(t, c)?;
-    }
-    let mut deletes = Relation::empty(schema);
-    for (t, c) in del {
-        deletes.insert(t, c)?;
-    }
-    Ok(OperandUpdate { inserts, deletes })
 }
 
 /// A clonable, thread-safe handle around a [`ViewManager`]

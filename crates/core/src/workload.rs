@@ -117,10 +117,13 @@ impl Workload {
         let rel = db.relation(relation)?;
         let arity = rel.schema().arity();
         let mut txn = Transaction::new();
-        // Deletions: sample distinct existing tuples.
+        // Deletions: sample distinct existing tuples in sorted order, so
+        // one seed deletes the same rows in every process (a relation's
+        // hash order is seeded per map).
         let victims: Vec<Tuple> = rel
-            .iter()
-            .map(|(t, _)| t.clone())
+            .sorted()
+            .into_iter()
+            .map(|(t, _)| t)
             .choose_multiple(&mut self.rng, n_delete);
         for t in victims {
             txn.delete(relation, t)?;
@@ -240,6 +243,25 @@ mod tests {
         let mut db2 = db.clone();
         db2.apply(&txn).unwrap();
         assert_eq!(db2.relation("R").unwrap().len(), 50);
+    }
+
+    #[test]
+    fn transaction_is_deterministic_given_seed() {
+        // Two databases built apart from one seed hold the same rows in
+        // different hash orders; the same rows must be deleted from both.
+        let deleted = || {
+            let mut w = Workload::new(11, 1000);
+            let mut db = Database::new();
+            db.create("R", Schema::new(["A", "B"]).unwrap()).unwrap();
+            w.populate(&mut db, "R", 200).unwrap();
+            let txn = w.transaction(&db, "R", 5, 20).unwrap();
+            let mut rows: Vec<Tuple> = txn.deleted("R").cloned().collect();
+            rows.sort();
+            rows
+        };
+        let first = deleted();
+        assert_eq!(first.len(), 20);
+        assert_eq!(first, deleted());
     }
 
     #[test]

@@ -394,8 +394,8 @@ impl fmt::Display for DagAnalysis {
 }
 
 /// Analyze a definition *set* for DAG structure: stratify what can be
-/// stratified, extract the cycles that block the rest, flag unresolved
-/// operands, and group views by identical select-join core.
+/// stratified, extract the cycles that block the rest, and flag
+/// unresolved operands.
 ///
 /// The database supplies base-relation names only; contents are never
 /// consulted. Definitions may arrive in any order — unlike the

@@ -1,15 +1,17 @@
 //! Relational algebra operators, redefined for multiplicity counters (§5.2)
 //! and insert/delete tags (§5.3).
 //!
-//! Join, select and project each come in three flavours (cross product
+//! Join, select and project each come in two flavours (cross product
 //! only in the first):
 //! * over [`crate::relation::Relation`] — plain counted multisets (used by
 //!   full re-evaluation and view storage),
-//! * over [`crate::delta::DeltaRelation`] — signed counted multisets (used
-//!   by the tree-view differential rules; join is bilinear here),
 //! * over [`crate::tagged::TaggedRelation`] — the paper-literal tagged
-//!   pipeline, where joins combine tags via the §5.3 table and
-//!   `insert ⋈ delete` tuples "do not emerge".
+//!   pipeline of the differential engine, where joins combine tags via
+//!   the §5.3 table and `insert ⋈ delete` tuples "do not emerge".
+//!
+//! Join has a third, over [`crate::delta::DeltaRelation`] — signed counted
+//! multisets, where it is bilinear — which the algebra-law tests hold the
+//! tagged join against.
 //!
 //! The §5.2 redefinitions are observed throughout: projection sums the
 //! counters of collapsing tuples, and join multiplies the counters of the
@@ -25,6 +27,6 @@ mod setops;
 
 pub use join::{join_key_positions, natural_join, natural_join_delta, natural_join_tagged};
 pub use product::product;
-pub use project::{project, project_delta, project_tagged};
-pub use select::{select, select_delta, select_tagged};
+pub use project::{project, project_tagged};
+pub use select::{select, select_tagged};
 pub use setops::{difference, union};

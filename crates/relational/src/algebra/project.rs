@@ -13,7 +13,6 @@
 //! check).
 
 use crate::attribute::AttrName;
-use crate::delta::DeltaRelation;
 use crate::error::Result;
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -31,17 +30,6 @@ pub fn project(rel: &Relation, attrs: &[AttrName]) -> Result<Relation> {
     let mut out = Relation::empty(onto);
     for (t, c) in rel.iter() {
         out.insert(t.project_positions(&pos), c)?;
-    }
-    Ok(out)
-}
-
-/// π_X over a signed delta (linear in the signed counts).
-pub fn project_delta(rel: &DeltaRelation, attrs: &[AttrName]) -> Result<DeltaRelation> {
-    let onto = target_schema(rel.schema(), attrs)?;
-    let pos = projection_positions(rel.schema(), &onto)?;
-    let mut out = DeltaRelation::empty(onto);
-    for (t, c) in rel.iter() {
-        out.add(t.project_positions(&pos), c);
     }
     Ok(out)
 }
@@ -115,16 +103,6 @@ mod tests {
         let r = Relation::from_rows(ab(), [[1, 10]]).unwrap();
         let v = project(&r, &["B".into(), "A".into()]).unwrap();
         assert!(v.contains(&Tuple::from([10, 1])));
-    }
-
-    #[test]
-    fn delta_projection_nets_signed_counts() {
-        let mut d = DeltaRelation::empty(ab());
-        d.add(Tuple::from([1, 10]), 1);
-        d.add(Tuple::from([2, 10]), -1);
-        let p = project_delta(&d, &b()).unwrap();
-        // +1 and −1 both project to (10): net zero.
-        assert!(p.is_empty());
     }
 
     #[test]

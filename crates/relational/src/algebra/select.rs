@@ -6,7 +6,6 @@
 //! condition to the operand's scheme once ([`Condition::bind`]) and then
 //! evaluates tuples by position.
 
-use crate::delta::DeltaRelation;
 use crate::error::Result;
 use crate::predicate::Condition;
 use crate::relation::Relation;
@@ -19,18 +18,6 @@ pub fn select(rel: &Relation, cond: &Condition) -> Result<Relation> {
     for (t, c) in rel.iter() {
         if cond.eval(t)? {
             out.insert(t.clone(), c)?;
-        }
-    }
-    Ok(out)
-}
-
-/// σ_C over a signed delta (linear: applies to each signed tuple).
-pub fn select_delta(rel: &DeltaRelation, cond: &Condition) -> Result<DeltaRelation> {
-    let cond = cond.bind(rel.schema());
-    let mut out = DeltaRelation::empty(rel.schema().clone());
-    for (t, c) in rel.iter() {
-        if cond.eval(t)? {
-            out.add(t.clone(), c);
         }
     }
     Ok(out)
@@ -77,16 +64,6 @@ mod tests {
         let r = Relation::from_rows(ab(), [[1, 2]]).unwrap();
         let bad: Condition = Atom::lt_const("Z", 10).into();
         assert!(select(&r, &bad).is_err());
-    }
-
-    #[test]
-    fn select_delta_keeps_signs() {
-        let mut d = DeltaRelation::empty(ab());
-        d.add(Tuple::from([1, 2]), -3);
-        d.add(Tuple::from([11, 2]), 5);
-        let s = select_delta(&d, &lt10()).unwrap();
-        assert_eq!(s.count(&Tuple::from([1, 2])), -3);
-        assert_eq!(s.count(&Tuple::from([11, 2])), 0);
     }
 
     #[test]

@@ -42,23 +42,9 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn policy_to_u8(p: RefreshPolicy) -> u8 {
-    match p {
-        RefreshPolicy::Immediate => 0,
-        RefreshPolicy::Deferred => 1,
-        RefreshPolicy::OnDemand => 2,
-    }
-}
-
 fn policy_from_u8(b: u8) -> std::result::Result<RefreshPolicy, StorageError> {
-    match b {
-        0 => Ok(RefreshPolicy::Immediate),
-        1 => Ok(RefreshPolicy::Deferred),
-        2 => Ok(RefreshPolicy::OnDemand),
-        other => Err(StorageError::Corrupt(format!(
-            "bad refresh policy byte {other:#04x}"
-        ))),
-    }
+    RefreshPolicy::from_byte(b)
+        .ok_or_else(|| StorageError::Corrupt(format!("bad refresh policy byte {b:#04x}")))
 }
 
 /// One client request. Tags are stable wire bytes; add variants at the
@@ -162,7 +148,7 @@ impl Codec for Request {
                 out.push(REQ_REGISTER_VIEW);
                 put_str(out, name);
                 expr.encode_into(out);
-                out.push(policy_to_u8(*policy));
+                out.push(policy.to_byte());
             }
             Request::Shutdown => out.push(REQ_SHUTDOWN),
         }

@@ -66,9 +66,16 @@ fn random_txn(rng: &mut StdRng, m: &ViewManager, domain: i64) -> Transaction {
 /// Build a manager with a two-level stack (`inner` = σ over R⋈S,
 /// `outer` = π(σ over inner⋈T)) next to the flattened single view the
 /// stack must stay bit-identical to.
+///
+/// Beside it, `proj = π_{A,B}(R × Tm)` counts each R tuple `|Tm|` times,
+/// so its deltas carry counts > 1, and feeds two dependents: `lazy`, a
+/// deferred σ(proj ⋈ S), and `sq`, the self-join proj ⋈ proj. `Tm(E, G)`
+/// mirrors T under other attribute names (`mirror_t`), which gives the
+/// self-join a flattened twin: `sq_flat = π_{A,B}(R × Tm × T)`.
 fn stacked_and_flat(threads: usize) -> ViewManager {
     let mut m = ViewManager::new().with_threads(threads);
     create_base(&mut m);
+    m.create_relation("Tm", schema(&["E", "G"])).unwrap();
     let inner = SpjExpr::new(["R", "S"], Atom::lt_const("A", 40).into(), None);
     m.register_view("inner", inner, RefreshPolicy::Immediate)
         .unwrap();
@@ -89,7 +96,50 @@ fn stacked_and_flat(threads: usize) -> ViewManager {
     );
     m.register_view("flat", flat, RefreshPolicy::Immediate)
         .unwrap();
+
+    let a_b = || Some(vec![AttrName::new("A"), AttrName::new("B")]);
+    let proj = SpjExpr::new(["R", "Tm"], Condition::always_true(), a_b());
+    m.register_view("proj", proj, RefreshPolicy::Immediate)
+        .unwrap();
+    let lazy = SpjExpr::new(["proj", "S"], Atom::lt_const("C", 30).into(), None);
+    m.register_view("lazy", lazy, RefreshPolicy::Deferred)
+        .unwrap();
+    let lazy_flat = SpjExpr::new(
+        ["R", "S", "Tm"],
+        Atom::lt_const("C", 30).into(),
+        Some(vec!["A".into(), "B".into(), "C".into()]),
+    );
+    m.register_view("lazy_flat", lazy_flat, RefreshPolicy::Immediate)
+        .unwrap();
+    let sq = SpjExpr::new(["proj", "proj"], Condition::always_true(), None);
+    m.register_view("sq", sq, RefreshPolicy::Immediate).unwrap();
+    let sq_flat = SpjExpr::new(["R", "Tm", "T"], Condition::always_true(), a_b());
+    m.register_view("sq_flat", sq_flat, RefreshPolicy::Immediate)
+        .unwrap();
     m
+}
+
+/// Copy T's changes in `txn` onto its mirror `Tm`.
+fn mirror_t(txn: &mut Transaction) {
+    let inserted: Vec<Tuple> = txn.inserted("T").cloned().collect();
+    let deleted: Vec<Tuple> = txn.deleted("T").cloned().collect();
+    for t in inserted {
+        txn.insert("Tm", t).unwrap();
+    }
+    for t in deleted {
+        txn.delete("Tm", t).unwrap();
+    }
+}
+
+/// Fail the case unless two views hold the same tuples with the same
+/// counters.
+fn same_view(m: &ViewManager, a: &str, b: &str) -> std::result::Result<(), String> {
+    let (va, vb) = (m.view_contents(a).unwrap(), m.view_contents(b).unwrap());
+    prop_assert!(
+        va.same_contents(vb),
+        "{a} diverged from {b}:\n{a} = {va}\n{b} = {vb}"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -98,17 +148,32 @@ proptest! {
     /// The central stacking property: a view over a view, maintained
     /// differentially with topological delta flow, stays bit-identical
     /// (counters included) to the flattened single view — at 1, 2 and 8
-    /// maintenance threads, through random insert/delete workloads.
+    /// maintenance threads, through random insert/delete workloads. The
+    /// same holds for the dependents of a projection whose deltas carry
+    /// counts > 1: a deferred view, compared after every third step's
+    /// refresh, and a self-join, compared after every step.
     #[test]
     fn stacked_equals_flattened_at_every_thread_count(seed in any::<u64>()) {
         for threads in [1usize, 2, 8] {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut m = stacked_and_flat(threads);
-            for _ in 0..12 {
-                let txn = random_txn(&mut rng, &m, 50);
+            let widest = Arc::new(std::sync::Mutex::new(0i64));
+            let seen = Arc::clone(&widest);
+            m.on_change(
+                "proj",
+                Arc::new(move |_, d: &DeltaRelation| {
+                    let most = d.iter().map(|(_, c)| c.abs()).max().unwrap_or(0);
+                    let mut widest = seen.lock().unwrap();
+                    *widest = (*widest).max(most);
+                }),
+            )
+            .unwrap();
+            for step in 0..12 {
+                let mut txn = random_txn(&mut rng, &m, 50);
                 if txn.is_empty() {
                     continue;
                 }
+                mirror_t(&mut txn);
                 m.execute(&txn).unwrap();
                 let outer = m.view_contents("outer").unwrap();
                 let flat = m.view_contents("flat").unwrap();
@@ -116,8 +181,18 @@ proptest! {
                     outer.same_contents(flat),
                     "stacked view diverged from flattened oracle at {threads} threads:\nouter = {outer}\nflat = {flat}"
                 );
+                same_view(&m, "sq", "sq_flat")?;
+                if step % 3 == 2 {
+                    m.refresh("lazy").unwrap();
+                    same_view(&m, "lazy", "lazy_flat")?;
+                }
             }
+            prop_assert!(
+                *widest.lock().unwrap() > 1,
+                "no delta of proj carried a count above 1"
+            );
             m.verify_consistency().unwrap();
+            same_view(&m, "lazy", "lazy_flat")?;
         }
     }
 }
