@@ -1151,44 +1151,44 @@ impl ViewManager {
         let pending = std::mem::take(&mut mv.pending);
         // Only SPJ views can be deferred, so the view is its one term.
         let expr = mv.terms[0].expr.clone();
-        // Reconstruct only the *changed* operands as of the last refresh
-        // (old = current − pending); untouched operands are borrowed from
-        // the live database.
+        // Run the engine backwards from the live state: with `old` = the
+        // current operands C and `updates` = −P (P the queued changes), it
+        // yields V(C − P) − V(C), whose negation is the refresh delta
+        // V(C) − V(C − P). No operand is copied, so a refresh costs
+        // O(|P|) probes, not O(|r|). The engine's `d_r ⊆ r` precondition
+        // holds: the deletes of −P are P's inserts, which are in C.
         //
-        // Soundness note: `pending` is relevance-filtered, so the
-        // reconstructed state differs from the true old state by exactly
-        // the irrelevant tuples. By Theorem 4.1 those tuples cannot appear
-        // in any view tuple (their substituted condition is unsatisfiable
-        // in every state), so V(reconstructed) = V(true old) and the
-        // differential below is computed against an equivalent baseline.
-        let mut reconstructed: HashMap<&str, Relation> = HashMap::new();
-        for (operand, delta) in &pending {
-            // Operands may be base relations or upstream (immediate)
-            // views; either way the current contents minus the queued
-            // delta is the state as of the last refresh.
-            let mut rel = self.operand_contents(operand)?.clone();
-            rel.apply_delta(&delta.negated())?;
-            reconstructed.insert(operand.as_str(), rel);
-        }
+        // Soundness note: `pending` is relevance-filtered, so C − P
+        // differs from the true state at the last refresh by exactly the
+        // irrelevant tuples. By Theorem 4.1 those tuples cannot appear in
+        // any view tuple (their substituted condition is unsatisfiable in
+        // every state), so V(C − P) = V(true old) and the delta is exact.
         let old: Vec<&Relation> = expr
             .relations
             .iter()
-            .map(|op| match reconstructed.get(op.as_str()) {
-                Some(rel) => Ok(rel),
-                None => self.operand_contents(op),
-            })
+            .map(|op| self.operand_contents(op))
             .collect::<Result<_>>()?;
         // Queued view deltas may carry |count| > 1; the engine is
         // count-linear, so multiplicities flow through exactly.
-        let updates: Vec<Option<&DeltaRelation>> =
-            expr.relations.iter().map(|op| pending.get(op)).collect();
+        let undo: HashMap<&str, DeltaRelation> = pending
+            .iter()
+            .map(|(op, d)| (op.as_str(), d.negated()))
+            .collect();
+        let updates: Vec<Option<&DeltaRelation>> = expr
+            .relations
+            .iter()
+            .map(|op| undo.get(op.as_str()))
+            .collect();
         let obs = self.options.recorder.clone();
-        let result = {
+        let mut result = {
             let _diff_span = obs.span(names::SPAN_DIFFERENTIATE);
             crate::differential::differential_delta_parts_observed(
                 &expr, &old, &updates, &options, &obs,
             )?
         };
+        result.delta = result.delta.negated();
+        let s = &mut result.stats;
+        std::mem::swap(&mut s.output_inserts, &mut s.output_deletes);
         obs.add(names::MANAGER_MAINTENANCE_RUNS, 1);
         let mv = self.managed_mut(name)?;
         mv.stats.maintenance_runs += 1;
@@ -1849,6 +1849,97 @@ mod tests {
             .unwrap()
             .contains(&Tuple::from([3, 100])));
         m.verify_consistency().unwrap();
+    }
+
+    /// A deferred join over indexed base operands, refreshed every third
+    /// step while rows come in and old rows go out. The refresh runs the
+    /// engine backwards from the live operands and their indexes; the view
+    /// stays equal to full re-evaluation, and the output counters describe
+    /// the delta the listeners saw, not the backward run's negation.
+    #[test]
+    fn deferred_refresh_over_indexed_operands_stays_consistent() {
+        let mut m = ViewManager::new();
+        m.create_relation("R", Schema::new(["A", "B"]).unwrap())
+            .unwrap();
+        m.create_relation("S", Schema::new(["B", "C"]).unwrap())
+            .unwrap();
+        let expr = SpjExpr::new(
+            ["R", "S"],
+            Atom::lt_const("A", 20).into(),
+            Some(vec!["B".into(), "C".into()]),
+        );
+        m.register_view("v", expr, RefreshPolicy::Deferred).unwrap();
+        assert!(m.database().relation("R").unwrap().index_count() > 0);
+        assert!(m.database().relation("S").unwrap().index_count() > 0);
+        let seen = Arc::new(std::sync::Mutex::new((0u64, 0u64)));
+        let tally = Arc::clone(&seen);
+        m.on_change(
+            "v",
+            Arc::new(move |_, d: &DeltaRelation| {
+                let mut t = tally.lock().unwrap();
+                for (_, c) in d.iter() {
+                    if c > 0 {
+                        t.0 += c as u64;
+                    } else {
+                        t.1 += c.unsigned_abs();
+                    }
+                }
+            }),
+        )
+        .unwrap();
+        let row = |s: i64| ([s, s % 4], [s % 4, 100 + s]);
+        for step in 0..15i64 {
+            let mut txn = Transaction::new();
+            let (r, s) = row(step);
+            txn.insert("R", r).unwrap();
+            if step < 4 || step % 3 == 0 {
+                txn.insert("S", s).unwrap();
+            }
+            if step >= 3 {
+                txn.delete("R", row(step - 3).0).unwrap();
+            }
+            m.execute(&txn).unwrap();
+            if step % 3 == 2 {
+                m.refresh("v").unwrap();
+                m.verify_consistency().unwrap();
+            }
+        }
+        m.refresh("v").unwrap();
+        m.verify_consistency().unwrap();
+        let stats = m.stats("v").unwrap();
+        let (ins, del) = *seen.lock().unwrap();
+        assert!(ins > 0 && del > 0, "the stream both grew and shrank v");
+        assert_eq!(stats.diff.output_inserts, ins);
+        assert_eq!(stats.diff.output_deletes, del);
+    }
+
+    /// A deferred self-join of a projection, whose deltas carry counts
+    /// above one: the backward refresh feeds the same negated delta to
+    /// both positions and stays equal to full re-evaluation.
+    #[test]
+    fn deferred_self_join_refresh_stays_consistent() {
+        let mut m = ViewManager::new();
+        m.create_relation("R", Schema::new(["A", "B"]).unwrap())
+            .unwrap();
+        let p = SpjExpr::new(["R"], Condition::always_true(), Some(vec!["A".into()]));
+        m.register_view("p", p, RefreshPolicy::Immediate).unwrap();
+        let sq = SpjExpr::new(["p", "p"], Condition::always_true(), None);
+        m.register_view("sq", sq, RefreshPolicy::Deferred).unwrap();
+        let row = |s: i64| [s % 3, s];
+        for step in 0..16i64 {
+            let mut txn = Transaction::new();
+            txn.insert("R", row(step)).unwrap();
+            if step >= 5 {
+                txn.delete("R", row(step - 5)).unwrap();
+            }
+            m.execute(&txn).unwrap();
+            if step % 2 == 1 {
+                m.refresh("sq").unwrap();
+                m.verify_consistency().unwrap();
+            }
+        }
+        let sq = m.view_contents("sq").unwrap();
+        assert!(sq.iter().any(|(_, c)| c > 1), "sq = {sq}");
     }
 
     #[test]

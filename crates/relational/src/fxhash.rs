@@ -1,17 +1,26 @@
-//! A deterministic, allocation-free hasher for the engine's *transient*
-//! structures (delta/tagged multisets, join-index buckets).
+//! A deterministic, allocation-free hasher for the engine's multisets
+//! (delta and tagged relations) and for the join indexes.
 //!
 //! `std`'s default `RandomState`/SipHash is keyed per process to resist
-//! hash-flooding from adversarial inputs. That protection matters for
-//! long-lived state fed from the outside world, but the differential
-//! engine's intermediates are rebuilt per transaction, live microseconds
-//! to milliseconds, and sit squarely on the maintenance hot path — there
-//! the fixed-key multiply-rotate scheme below (the well-known "Fx" hash
-//! used by rustc) is several times cheaper per small key and, having no
-//! random seed, makes hash iteration order a pure function of insertion
-//! order — one less source of cross-run nondeterminism for the simulator
-//! to chase. Durable, externally-fed state ([`crate::relation::Relation`],
-//! [`crate::database::Database`]) deliberately stays on SipHash.
+//! hash-flooding from adversarial inputs. The differential engine's
+//! intermediates are rebuilt per transaction and sit squarely on the
+//! maintenance hot path; there the fixed-key multiply-rotate scheme below
+//! (the well-known "Fx" hash used by rustc) is several times cheaper per
+//! small key and, having no random seed, makes hash iteration order a pure
+//! function of insertion order — one less source of cross-run
+//! nondeterminism for the simulator to chase. Join-index buckets are not
+//! transient: they persist across transactions and are keyed by the join
+//! columns' values, which are fed from the network. So this hasher is not
+//! flood-resistant where it matters most; that is a known trade-off (see
+//! ROADMAP's hasher lead). [`crate::relation::Relation`]'s row table and
+//! [`crate::database::Database`] stay on SipHash.
+//!
+//! [`FxHasher::finish`] rotates the product before returning it. A
+//! multiply only carries low bits upward, so the raw product's low bits
+//! depend only on the key's low bits, and the hash table picks a bucket
+//! from those low bits: keys that share their low bits (multiples of
+//! 65 536, say) would all land in one probe chain. The rotation brings the
+//! well-mixed high bits down, as rustc-hash 2 does.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -36,7 +45,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -141,6 +150,17 @@ mod tests {
             hash_of(&crate::tuple::Tuple::from([1, 2])),
             hash_of(&crate::tuple::Tuple::from([2, 1]))
         );
+    }
+
+    /// Join keys that differ only above bit 16 must still spread over the
+    /// low bits a hash table picks its bucket from.
+    #[test]
+    fn strided_keys_spread_over_low_bit_buckets() {
+        use crate::value::Value;
+        let buckets: std::collections::HashSet<u64> = (0..1024i64)
+            .map(|i| hash_of(&vec![Value::Int(i << 16)]) & 1023)
+            .collect();
+        assert!(buckets.len() >= 512, "{} of 1024 buckets", buckets.len());
     }
 
     #[test]
