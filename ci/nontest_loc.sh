@@ -7,8 +7,10 @@
 #
 # Counts every git-tracked `.rs` file under `crates/` and `src/` outside
 # `tests/` directories. A file's non-test lines are the lines before its
-# first `#[cfg(test)]`, or all of its lines when it has none. This is the
-# figure a deletion PR reports before and after.
+# first `#[cfg(test)]`, or all of its lines when it has none. A file named
+# `tests.rs` is a unit-test module (`#[cfg(test)] mod tests;` in its
+# parent) and counts zero. This is the figure a deletion PR reports
+# before and after.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +21,7 @@ fi
 
 git ls-files -z -- 'crates/*.rs' 'src/*.rs' \
     | tr '\0' '\n' \
-    | grep -v -e '^tests/' -e '/tests/' \
+    | grep -v -e '^tests/' -e '/tests/' -e '/tests\.rs$' \
     | while IFS= read -r file; do
         n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
         printf '%s %s\n' "$n" "$file"

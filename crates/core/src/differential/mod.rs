@@ -30,6 +30,6 @@ pub use join::{join_view, join_view_delta};
 pub use project::project_view_delta;
 pub use select::select_view_delta;
 pub use spj::{
-    differential_delta, differential_delta_observed, differential_delta_parts,
-    differential_delta_parts_observed, DiffOptions, DifferentialResult,
+    differential_delta, differential_delta_observed, differential_delta_parts_observed,
+    DiffOptions, DifferentialResult,
 };

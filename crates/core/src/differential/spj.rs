@@ -146,18 +146,9 @@ pub fn differential_delta_observed(
 /// must be covered by `old[i]` (`d_r ⊆ r`). Counts above one flow through
 /// exactly, so an upstream view's delta is a valid change. Useful when
 /// the old states are not held in one [`Database`]: view operands, and
-/// snapshot refresh, which rebuilds them.
-pub fn differential_delta_parts(
-    view: &SpjExpr,
-    old: &[&Relation],
-    updates: &[Option<&DeltaRelation>],
-    opts: &DiffOptions,
-) -> Result<DifferentialResult> {
-    differential_delta_parts_observed(view, old, updates, opts, &Obs::disabled())
-}
-
-/// [`differential_delta_parts`] with metrics (see
-/// [`differential_delta_observed`]). The engine does not read `_opts`.
+/// snapshot refresh, which runs the engine backwards from the live state.
+/// Emits metrics through `obs` as [`differential_delta_observed`] does.
+/// The engine does not read `_opts`.
 pub fn differential_delta_parts_observed(
     view: &SpjExpr,
     old: &[&Relation],
@@ -200,25 +191,31 @@ pub fn differential_delta_parts_observed(
     let operands = Operands::build(old, &changes, &pushdown.per_operand, &groups)?;
     let result = evaluate(&pushdown.residual, &out_schema, &operands, &groups, obs)?;
 
-    if obs.enabled() {
-        // Aggregate work counters, emitted once per run so the disabled
-        // path costs nothing in the hot loops.
-        let s = &result.stats;
-        let total_rows = (1u64 << updated.len().min(63)) - 1;
-        obs.add(names::DIFF_ROWS_EVALUATED, s.rows_evaluated as u64);
-        obs.add(
-            names::DIFF_ROWS_PRUNED,
-            total_rows.saturating_sub(s.rows_evaluated as u64),
-        );
-        obs.add(names::DIFF_JOINS_PERFORMED, s.joins_performed as u64);
-        obs.add(names::DIFF_JOINS_SKIPPED, s.joins_skipped as u64);
-        obs.add(names::DIFF_OPERAND_TUPLES, s.operand_tuples);
-        obs.add(names::DIFF_OUTPUT_INSERTS, s.output_inserts);
-        obs.add(names::DIFF_OUTPUT_DELETES, s.output_deletes);
-        obs.add(names::INDEX_PROBES, s.index_probes);
-        obs.add(names::INDEX_PROBE_ROWS, s.index_probe_rows);
-    }
+    emit_run_counters(obs, &result.stats, updated.len());
     Ok(result)
+}
+
+/// Emit one run's aggregate work counters (`diff.*`, `index.probes`,
+/// `index.probe_rows`) from its statistics; `updated` is the number of
+/// operand positions with a change, which sizes the truth table. Emitted
+/// once per run, so the disabled path costs nothing in the hot loops.
+pub(crate) fn emit_run_counters(obs: &Obs, s: &DiffStats, updated: usize) {
+    if !obs.enabled() {
+        return;
+    }
+    let total_rows = (1u64 << updated.min(63)) - 1;
+    obs.add(names::DIFF_ROWS_EVALUATED, s.rows_evaluated as u64);
+    obs.add(
+        names::DIFF_ROWS_PRUNED,
+        total_rows.saturating_sub(s.rows_evaluated as u64),
+    );
+    obs.add(names::DIFF_JOINS_PERFORMED, s.joins_performed as u64);
+    obs.add(names::DIFF_JOINS_SKIPPED, s.joins_skipped as u64);
+    obs.add(names::DIFF_OPERAND_TUPLES, s.operand_tuples);
+    obs.add(names::DIFF_OUTPUT_INSERTS, s.output_inserts);
+    obs.add(names::DIFF_OUTPUT_DELETES, s.output_deletes);
+    obs.add(names::INDEX_PROBES, s.index_probes);
+    obs.add(names::INDEX_PROBE_ROWS, s.index_probe_rows);
 }
 
 /// Shared per-group context: the residual condition and final projection
@@ -1158,11 +1155,12 @@ mod tests {
         let s = db.relation("S").unwrap();
         let dr = txn.delta("R", r.schema()).unwrap();
         let ds = txn.delta("S", s.schema()).unwrap();
-        let via_parts = differential_delta_parts(
+        let via_parts = differential_delta_parts_observed(
             &view,
             &[r, s],
             &[Some(&dr), Some(&ds)],
             &DiffOptions::default(),
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(via_db.delta, via_parts.delta);

@@ -44,8 +44,8 @@ use ivm_relational::transaction::Transaction;
 use ivm_storage::checkpoint::{self, CheckpointData, StoredView, StoredViewKind};
 use ivm_storage::{StorageError, Wal, WalRecord, WalStats, WAL_FILE};
 
-use crate::error::{IvmError, Result};
-use crate::manager::{ManagedView, RefreshPolicy, Term, ViewManager};
+use crate::error::Result;
+use crate::manager::{ManagedView, RefreshPolicy, ViewManager};
 
 /// How much durability a manager provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,23 +165,16 @@ fn install_stored_view(
             StorageError::Corrupt(format!("checkpoint stores view {} twice", stored.name)).into(),
         );
     }
+    // The same terms, checks and §4 filters as registration builds.
     let view = match stored.kind {
         StoredViewKind::Spj {
             expr,
             policy,
             pending,
         } => {
-            if expr.relations.is_empty() {
-                return Err(IvmError::UnsupportedView(
-                    "an SPJ view needs at least one operand relation".into(),
-                ));
-            }
-            let mut view = ManagedView::new(
-                stored.data.into_owned(),
-                vec![Term::new(1, expr)],
-                None,
-                policy_from_u8(policy)?,
-            );
+            let terms = mgr.build_terms(vec![(1, expr)])?;
+            let policy = policy_from_u8(policy)?;
+            let mut view = ManagedView::new(stored.data.into_owned(), terms, None, policy);
             view.pending = pending
                 .into_iter()
                 .map(|(rel, delta)| (rel, delta.into_owned()))
@@ -189,7 +182,8 @@ fn install_stored_view(
             view
         }
         StoredViewKind::Tree { expr } => {
-            let terms = mgr.compile_tree(&expr, |leaf| view_schemas.get(leaf).cloned())?;
+            let defs = mgr.compile_tree(&expr, |leaf| view_schemas.get(leaf).cloned())?;
+            let terms = mgr.build_terms(defs)?;
             ManagedView::new(
                 stored.data.into_owned(),
                 terms,
@@ -343,7 +337,7 @@ impl ViewManager {
     /// std::fs::remove_dir_all(&dir).ok();
     /// ```
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let obs = self.options.recorder.clone();
+        let obs = self.recorder.clone();
         let _ckpt_span = obs.span(names::SPAN_CHECKPOINT);
         let Some(state) = self.durability.as_mut() else {
             return Err(StorageError::NoDurableState(
@@ -453,7 +447,7 @@ impl ViewManager {
 
     /// Append one DDL record and sync (the commit point for DDL).
     pub(crate) fn log_record(&mut self, record: WalRecord) -> Result<()> {
-        let obs = self.options.recorder.clone();
+        let obs = self.recorder.clone();
         if let Some(state) = self.durability.as_mut() {
             let before = state.wal.stats();
             state.wal.append(&record)?;
@@ -465,7 +459,7 @@ impl ViewManager {
 
     /// Append a transaction record and sync (the commit point for data).
     pub(crate) fn log_txn(&mut self, txn: &Transaction) -> Result<()> {
-        let obs = self.options.recorder.clone();
+        let obs = self.recorder.clone();
         if let Some(state) = self.durability.as_mut() {
             let before = state.wal.stats();
             state.wal.append_txn(txn)?;

@@ -39,7 +39,12 @@ pub fn recompute_delta(
     db_after: &Database,
     old_view: &Relation,
 ) -> Result<DeltaRelation> {
-    let new_view = recompute(view, db_after)?;
+    replacement_delta(&recompute(view, db_after)?, old_view)
+}
+
+/// The view transaction that turns `old_view` into `new_view`: "new
+/// minus old", each tuple at its counted multiplicity.
+pub(crate) fn replacement_delta(new_view: &Relation, old_view: &Relation) -> Result<DeltaRelation> {
     let mut delta = new_view.to_delta();
     for (t, c) in old_view.iter() {
         delta.add(t.clone(), -crate::differential::spj::signed_count(c)?);

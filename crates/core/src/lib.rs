@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::full_reval;
     pub use crate::integrity::{IntegrityMonitor, Violation};
     pub use crate::manager::{
-        DagNodeInfo, MaintenanceReport, MaintenanceStats, MaintenanceStrategy, ManagerOptions,
-        RefreshPolicy, SharedViewManager, ViewManager,
+        DagNodeInfo, MaintenanceReport, MaintenanceStats, MaintenanceStrategy, RefreshPolicy,
+        SharedViewManager, ViewManager,
     };
     pub use crate::relevance::{combination_relevant, relevance_witness, RelevanceFilter};
     pub use crate::snapshot::{digest_views, SnapshotHandle, SnapshotHub, ViewSnapshot};

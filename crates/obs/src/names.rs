@@ -23,10 +23,9 @@ pub const FILTER_TUPLES_ADMITTED: &str = "filter.tuples_admitted";
 /// Counter: tuples proved irrelevant and dropped before the engine ran.
 pub const FILTER_TUPLES_FILTERED: &str = "filter.tuples_filtered";
 /// Counter: invariant-graph constructions (one Floyd–Warshall APSP pass
-/// per view/relation pair, paid once and cached).
+/// per view term and base operand, paid once when the view is registered
+/// or recovered).
 pub const FILTER_GRAPHS_BUILT: &str = "filter.graphs_built";
-/// Counter: filter invocations served by an already-built cached graph.
-pub const FILTER_GRAPH_CACHE_HITS: &str = "filter.graph_cache_hits";
 /// Histogram (µs): wall time of one invariant-graph construction,
 /// dominated by the O(n³) all-pairs-shortest-path pass.
 pub const FILTER_APSP_BUILD_MICROS: &str = "filter.apsp_build_micros";
@@ -182,7 +181,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     FILTER_TUPLES_ADMITTED,
     FILTER_TUPLES_FILTERED,
     FILTER_GRAPHS_BUILT,
-    FILTER_GRAPH_CACHE_HITS,
     DIFF_ROWS_EVALUATED,
     DIFF_ROWS_PRUNED,
     DIFF_JOINS_PERFORMED,

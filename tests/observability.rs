@@ -9,11 +9,9 @@ use std::sync::Arc;
 use ivm::prelude::*;
 
 fn build_manager(threads: usize, recorder: Arc<InMemoryRecorder>) -> ViewManager {
-    let mut m = ViewManager::new().with_manager_options(
-        ManagerOptions::default()
-            .with_threads(threads)
-            .with_recorder(recorder),
-    );
+    let mut m = ViewManager::new()
+        .with_threads(threads)
+        .with_recorder(recorder);
     m.create_relation("R", Schema::new(["A", "B"]).unwrap())
         .unwrap();
     m.create_relation("S", Schema::new(["B", "C"]).unwrap())

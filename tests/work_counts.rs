@@ -185,8 +185,7 @@ fn read_counts<'a>(recorder: &InMemoryRecorder, counts: &[(&'a str, u64)]) -> Ve
 #[test]
 fn work_counts_are_pinned() {
     let recorder = Arc::new(InMemoryRecorder::new());
-    let mut m = ViewManager::new()
-        .with_manager_options(ManagerOptions::default().with_recorder(recorder.clone()));
+    let mut m = ViewManager::new().with_recorder(recorder.clone());
     let mut rng = Rng(SEED);
     let (mut orders, mut region) = install(&mut m, &mut rng);
     let reader = m.snapshots().reader();
